@@ -14,7 +14,6 @@ from .algebra import (
     element_from_json,
     element_to_json,
     identity_element,
-    norm,
 )
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import (
@@ -30,7 +29,6 @@ from .groups import (
     quaternion_group,
     quotient_map,
     spec_from_json,
-    spec_to_json,
     symmetric_group,
 )
 from .invertibility import (
@@ -44,7 +42,6 @@ from .invertibility import (
     wiener_certify,
 )
 from .operators import (
-    FourierSymbol,
     WindowedOperator,
     action_matrix,
     apply_convolution_action,

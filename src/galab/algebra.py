@@ -46,14 +46,6 @@ class QComplex:
     def of(re, im=0) -> "QComplex":
         return QComplex(_fraction(re), _fraction(im))
 
-    @staticmethod
-    def from_number(v) -> "QComplex":
-        if isinstance(v, QComplex):
-            return v
-        if isinstance(v, complex):
-            return QComplex(Fraction(v.real), Fraction(v.imag))
-        return QComplex(_fraction(v))
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -171,12 +163,6 @@ def _coerce_exact(v) -> QComplex:
     return QComplex(_fraction(v))
 
 
-def _coerce_float(v) -> complex:
-    if isinstance(v, QComplex):
-        return complex(v)
-    return complex(v)
-
-
 class AlgebraElement:
     """Finite formal sum over a group, with float or exact rational amplitudes."""
 
@@ -196,7 +182,7 @@ class AlgebraElement:
                 if not amp.is_zero:
                     cleaned[x] = amp
             else:
-                amp = _coerce_float(v)
+                amp = complex(v)
                 if amp != 0:
                     cleaned[x] = amp
         self.group = group
@@ -204,10 +190,6 @@ class AlgebraElement:
         self._terms = cleaned
 
     # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def from_terms(group: GroupSpec, terms: Mapping, *, exact: bool = False) -> "AlgebraElement":
-        return AlgebraElement(group, terms, exact)
 
     @staticmethod
     def zero(group: GroupSpec, *, exact: bool = False) -> "AlgebraElement":
@@ -244,15 +226,6 @@ class AlgebraElement:
         return AlgebraElement(
             self.group, {x: complex(v) for x, v in self._terms.items()}, False, _clean=True
         )
-
-    def to_exact(self) -> "AlgebraElement":
-        """Exact copy; float amplitudes convert by their binary value."""
-        if self.exact:
-            return self
-        terms = {
-            x: QComplex(Fraction(v.real), Fraction(v.imag)) for x, v in self._terms.items()
-        }
-        return AlgebraElement(self.group, terms, True, _clean=True)
 
     # -- ring operations --------------------------------------------------
 
@@ -297,7 +270,7 @@ class AlgebraElement:
                 return AlgebraElement.zero(self.group, exact=True)
             terms = {x: v * cc for x, v in self._terms.items()}
             return AlgebraElement(self.group, terms, True, _clean=True)
-        cc = _coerce_float(c)
+        cc = complex(c)
         if cc == 0:
             return AlgebraElement.zero(self.group, exact=False)
         return AlgebraElement(
@@ -369,10 +342,6 @@ def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
     else:
         acc = {z: v for z, v in acc.items() if v != 0}
     return AlgebraElement(group, acc, exact, _clean=True)
-
-
-def norm(f: AlgebraElement, weight: "Weight | None" = None):
-    return f.norm(weight)
 
 
 # ---------------------------------------------------------------------------

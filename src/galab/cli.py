@@ -20,13 +20,7 @@ from pathlib import Path
 from .algebra import element_from_json
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, ball, spec_from_json
-from .invertibility import (
-    auto_invert,
-    invert_finite,
-    probe_quotients,
-    verify_direct_finiteness,
-    wiener_certify,
-)
+from .invertibility import auto_invert, probe_quotients, verify_direct_finiteness
 from .scenarios import scenario_lp, scenario_torus
 from .weights import check_weight, dominate_character, weight_from_json
 
@@ -117,14 +111,11 @@ def _cmd_invert(args) -> int:
 
 def _cmd_certify(args) -> int:
     f = _element_arg(args.input)
-    if isinstance(f.group, CayleyGroup):
-        cert = invert_finite(f, tol=args.tol)
-    elif isinstance(f.group, LatticeGroup):
-        cert = wiener_certify(f, args.grid, tol=args.tol)
-    else:
+    if not isinstance(f.group, (CayleyGroup, LatticeGroup)):
         raise UsageError(
             "no certification oracle for this group kind; try invert --method neumann"
         )
+    cert = auto_invert(f, grid=args.grid, tol=args.tol)
     _emit(cert.to_json(), _cert_text(cert), args.report)
     return cert.exit_code
 
@@ -308,10 +299,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (UsageError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ResourceLimitError, ContractViolationError) as exc:
+    except (UsageError, ResourceLimitError, ContractViolationError,
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

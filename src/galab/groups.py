@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError, UsageError
 
 DEFAULT_BALL_CAP = 10**6
+# Largest cyclic_product: its full Cayley table costs O(order^2) time and memory.
+PRODUCT_ORDER_CAP = 1024
 
 
 class GroupSpec(ABC):
@@ -392,14 +394,6 @@ def ball(spec: GroupSpec, radius: int, *, cap: int = DEFAULT_BALL_CAP) -> Window
     return spec.ball(radius, cap=cap)
 
 
-def multiply(spec: GroupSpec, a, b):
-    return spec.mul(a, b)
-
-
-def inverse(spec: GroupSpec, a):
-    return spec.inv(a)
-
-
 # ---------------------------------------------------------------------------
 # standard finite groups
 
@@ -435,7 +429,7 @@ def _check_moduli(moduli: Sequence[int]) -> tuple:
     return mods
 
 
-def cyclic_product(moduli: Sequence[int], *, order_cap: int = 4096) -> CayleyGroup:
+def cyclic_product(moduli: Sequence[int]) -> CayleyGroup:
     """Direct product of cyclic groups Z/m1 x ... x Z/mk as a Cayley table.
 
     Element i encodes the mixed-radix digits of i with respect to moduli,
@@ -445,8 +439,8 @@ def cyclic_product(moduli: Sequence[int], *, order_cap: int = 4096) -> CayleyGro
     order = 1
     for m in mods:
         order *= m
-    if order > order_cap:
-        raise ResourceLimitError(f"product order {order} exceeds cap {order_cap}")
+    if order > PRODUCT_ORDER_CAP:
+        raise ResourceLimitError(f"product order {order} exceeds cap {PRODUCT_ORDER_CAP}")
     digits = [_mixed_radix_decode(i, mods) for i in range(order)]
     table = [
         [
@@ -556,7 +550,3 @@ def spec_from_json(obj: dict) -> GroupSpec:
             raise UsageError(f"declared order {obj['order']} != table size {group.order}")
         return group
     raise UsageError(f"unknown group kind {kind!r}")
-
-
-def spec_to_json(spec: GroupSpec) -> dict:
-    return spec.to_json()

@@ -43,6 +43,16 @@ VERDICT_INVERTIBLE = "invertible"
 VERDICT_NOT_INVERTIBLE = "not-invertible"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# Work limits and numerical thresholds of the oracles.
+FINITE_ORDER_CAP = 256      # largest group order invert_finite solves on
+SINGULAR_REL = 1e-12        # float solve: relative singular-value rank threshold
+GRID_CAP = 2**22            # symbol grid points in invert_via_fft and wiener_certify
+ZERO_TOL = 1e-12            # invert_via_fft: a smaller |symbol| sample aborts
+CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
+CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
+MAX_INVERSE_SIZE = 4096     # wiener_certify: largest FFT inverse grid tried
+QUOTIENT_CAP = 2**20        # probe_quotients: points of one quotient
+
 
 def _num(v):
     if isinstance(v, Fraction):
@@ -164,98 +174,69 @@ def _solve_exact(rows: list, rhs: list):
 # finite groups
 
 
-def invert_finite(f: AlgebraElement, *, order_cap: int = 256,
-                  tol: float = 1e-10) -> InvertibilityCertificate:
+def _solve_float(rows: list, rhs: list):
+    """Float counterpart of _solve_exact with the same return contract.
+
+    One SVD gives both the rank test (smallest singular value at most
+    SINGULAR_REL of the largest) and, when it fails, the kernel vector.
+    """
+    mat = np.array(rows, dtype=complex)
+    _, svals, vh = np.linalg.svd(mat)
+    if svals[-1] <= SINGULAR_REL * svals[0]:
+        return "singular", vh[-1].conj()
+    return "solution", np.linalg.solve(mat, np.array(rhs, dtype=complex))
+
+
+def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCertificate:
     """Solve g*f = e on a finite Cayley group and verify both residuals.
 
     Exact elements go through fraction elimination, so success means both
     residuals are exactly zero; a singular system yields a not-invertible
-    certificate carrying an exact kernel witness with witness*f = 0.
+    certificate carrying an exact kernel witness with witness*f = 0.  Float
+    elements are solved by numpy and called invertible when both residuals
+    are at most tol.
     """
     group = f.group
     if not isinstance(group, CayleyGroup):
         raise UsageError("invert_finite needs an element of a finite Cayley group")
     n = group.order
-    if n > order_cap:
-        raise ResourceLimitError(f"group order {n} exceeds cap {order_cap}")
-    mul = group.mul
-    e_idx = group.identity
-    mode = "exact" if f.exact else "float"
+    if n > FINITE_ORDER_CAP:
+        raise ResourceLimitError(f"group order {n} exceeds cap {FINITE_ORDER_CAP}")
+    exact = f.exact
+    zero, one = (_qc(0), _qc(1)) if exact else (0j, 1 + 0j)
+    # Residual norms stay exact Fractions in exact mode.
+    real = Fraction if exact else float
 
-    if f.exact:
-        rows = [[_qc(0) for _ in range(n)] for _ in range(n)]
-        for u in range(n):
-            for y, amp in f.items():
-                z = mul(u, y)
-                rows[z][u] = rows[z][u] + amp
-        rhs = [_qc(1) if z == e_idx else _qc(0) for z in range(n)]
-        status, vec = _solve_exact(rows, rhs)
-        if status == "singular":
-            witness = AlgebraElement(group, dict(enumerate(vec)), True)
-            kernel_residual = convolve(witness, f).norm()
-            if kernel_residual != 0:
-                raise ContractViolationError("exact kernel witness failed to annihilate")
-            return InvertibilityCertificate(
-                verdict=VERDICT_NOT_INVERTIBLE,
-                kind="exact-finite",
-                fields={
-                    "order": n,
-                    "scalars": mode,
-                    "kernel": element_to_json(witness),
-                    "kernel_residual": kernel_residual,
-                },
-            )
-        g = AlgebraElement(group, dict(enumerate(vec)), True)
-        e = identity_element(group, exact=True)
-        left = (convolve(g, f) - e).norm()
-        right = (convolve(f, g) - e).norm()
-        return InvertibilityCertificate(
-            verdict=VERDICT_INVERTIBLE,
-            kind="exact-finite",
-            fields={"order": n, "scalars": mode,
-                    "left_residual": left, "right_residual": right},
-            inverse=g,
-            residual=max(left, right),
-        )
-
-    mat = np.zeros((n, n), dtype=complex)
+    rows = [[zero] * n for _ in range(n)]
     for u in range(n):
         for y, amp in f.items():
-            mat[mul(u, y), u] += complex(amp)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    scale = float(svals[0]) if n else 0.0
-    if scale == 0.0 or float(svals[-1]) <= 1e-12 * scale:
-        _, _, vh = np.linalg.svd(mat)
-        kernel = vh[-1].conj()
-        witness = AlgebraElement(group, dict(enumerate(kernel)), False)
+            rows[group.mul(u, y)][u] += amp
+    rhs = [one if z == group.identity else zero for z in range(n)]
+    status, vec = (_solve_exact if exact else _solve_float)(rows, rhs)
+    fields = {"order": n, "scalars": "exact" if exact else "float"}
+
+    if status == "singular":
+        witness = AlgebraElement(group, dict(enumerate(vec)), exact)
+        kernel_residual = real(convolve(witness, f).norm())
+        if exact and kernel_residual != 0:
+            raise ContractViolationError("exact kernel witness failed to annihilate")
+        fields.update(kernel=element_to_json(witness), kernel_residual=kernel_residual)
         return InvertibilityCertificate(
-            verdict=VERDICT_NOT_INVERTIBLE,
-            kind="exact-finite",
-            fields={
-                "order": n,
-                "scalars": mode,
-                "kernel": element_to_json(witness),
-                "kernel_residual": float(convolve(witness, f).norm()),
-            },
+            verdict=VERDICT_NOT_INVERTIBLE, kind="exact-finite", fields=fields
         )
-    rhs = np.zeros(n, dtype=complex)
-    rhs[e_idx] = 1.0
-    sol = np.linalg.solve(mat, rhs)
-    g = AlgebraElement(group, dict(enumerate(sol)), False)
-    e = identity_element(group)
-    left = float((convolve(g, f) - e).norm())
-    right = float((convolve(f, g) - e).norm())
-    if max(left, right) <= tol:
-        verdict = VERDICT_INVERTIBLE
-    else:
-        verdict = VERDICT_INCONCLUSIVE
+
+    g = AlgebraElement(group, dict(enumerate(vec)), exact)
+    e = identity_element(group, exact=exact)
+    left = real((convolve(g, f) - e).norm())
+    right = real((convolve(f, g) - e).norm())
+    fields.update(left_residual=left, right_residual=right)
+    residual = max(left, right)
     return InvertibilityCertificate(
-        verdict=verdict,
+        verdict=VERDICT_INVERTIBLE if residual <= tol else VERDICT_INCONCLUSIVE,
         kind="exact-finite",
-        fields={"order": n, "scalars": mode,
-                "left_residual": left, "right_residual": right},
+        fields=fields,
         inverse=g,
-        residual=max(left, right),
+        residual=residual,
     )
 
 
@@ -273,14 +254,13 @@ def _signed_index(m: int, size: int) -> int:
     return m - size if m >= (size + 1) // 2 else m
 
 
-def invert_via_fft(f: AlgebraElement, size: int = 512, *, tol: float = 1e-10,
-                   zero_tol: float = 1e-12, chop_rel: float = 1e-13,
-                   grid_cap: int = 2**22) -> InvertibilityCertificate:
+def invert_via_fft(f: AlgebraElement, size: int = 512, *,
+                   tol: float = 1e-10) -> InvertibilityCertificate:
     """Inverse candidate from sampled-symbol division on a 2^k grid.
 
     Samples the symbol on the uniform grid, divides 1 by it, transforms
     back, and keeps the coefficients on the centered fundamental domain
-    (amplitudes below chop_rel of the peak are dropped as FFT dust).  The
+    (amplitudes below CHOP_REL of the peak are dropped as FFT dust).  The
     candidate is only as good as its verified residual: aliasing from slow
     coefficient decay shows up there, and a near-vanishing sample aborts
     with the offending frequency instead of an inverse.
@@ -289,15 +269,15 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *, tol: float = 1e-10,
     d = group.rank
     if size < 2 or size & (size - 1):
         raise UsageError(f"grid size must be a power of two >= 2, got {size}")
-    if size**d > grid_cap:
-        raise ResourceLimitError(f"grid of {size**d} points exceeds cap {grid_cap}")
+    if size**d > GRID_CAP:
+        raise ResourceLimitError(f"grid of {size**d} points exceeds cap {GRID_CAP}")
     ff = f.to_float()
     vals = symbol_grid(ff, (size,) * d)
     mods = np.abs(vals)
     flat_arg = int(np.argmin(mods))
     kmin = np.unravel_index(flat_arg, mods.shape)
     vmin = float(mods[kmin])
-    if vmin < zero_tol:
+    if vmin < ZERO_TOL:
         return InvertibilityCertificate(
             verdict=VERDICT_INCONCLUSIVE,
             kind="fft-candidate",
@@ -311,7 +291,7 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *, tol: float = 1e-10,
         )
     coeff = np.fft.fftn(1.0 / vals) / size**d
     peak = float(np.max(np.abs(coeff)))
-    chop = chop_rel * peak
+    chop = CHOP_REL * peak
     terms = {}
     for m in np.ndindex(coeff.shape):
         v = coeff[m]
@@ -321,7 +301,7 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *, tol: float = 1e-10,
     e = identity_element(group)
     residual = float((convolve(g, ff) - e).norm())
     verdict = VERDICT_INVERTIBLE if residual <= tol else VERDICT_INCONCLUSIVE
-    fields = {"size": size, "chop": chop_rel, "grid_min": vmin}
+    fields = {"size": size, "chop": CHOP_REL, "grid_min": vmin}
     if verdict == VERDICT_INCONCLUSIVE:
         fields["reason"] = "candidate residual above tolerance; increase the grid"
     return InvertibilityCertificate(
@@ -343,16 +323,14 @@ def _laurent_roots(f: AlgebraElement) -> np.ndarray:
 
 
 def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
-                   circle_tol: float = 1e-9, inverse_size: int = 512,
-                   max_inverse_size: int = 4096,
-                   grid_cap: int = 2**22) -> InvertibilityCertificate:
+                   inverse_size: int = 512) -> InvertibilityCertificate:
     """Certify a lattice element through its symbol.
 
     A uniform grid scan of |symbol| combined with the Lipschitz bound
     L = sum |n|_1 |f(n)| proves a positive lower bound on the whole torus
     whenever margin = grid_min - L * spacing / 2 is positive; the verdict
     then comes with an FFT inverse and its verified residual.  In rank one
-    a companion-matrix root within circle_tol of the unit circle certifies
+    a companion-matrix root within CIRCLE_TOL of the unit circle certifies
     non-invertibility with the offending angle as witness.  Anything else
     is inconclusive and the diagnostics say how close the call was.
     """
@@ -360,8 +338,8 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     d = group.rank
     if grid < 2:
         raise UsageError(f"grid must have at least 2 points per axis, got {grid}")
-    if grid**d > grid_cap:
-        raise ResourceLimitError(f"grid of {grid**d} points exceeds cap {grid_cap}")
+    if grid**d > GRID_CAP:
+        raise ResourceLimitError(f"grid of {grid**d} points exceeds cap {GRID_CAP}")
     if f.is_zero:
         return InvertibilityCertificate(
             verdict=VERDICT_NOT_INVERTIBLE,
@@ -390,7 +368,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 
     if margin > 0:
         size = inverse_size
-        while size <= max_inverse_size:
+        while size <= MAX_INVERSE_SIZE:
             candidate = invert_via_fft(ff, size, tol=tol)
             if candidate.invertible:
                 fields = dict(base_fields)
@@ -411,7 +389,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
             verdict=VERDICT_INCONCLUSIVE, kind="wiener-grid", fields=fields
         )
 
-    if d == 1 and roots.size and float(np.min(dists)) <= circle_tol:
+    if d == 1 and roots.size and float(np.min(dists)) <= CIRCLE_TOL:
         z = complex(roots[int(np.argmin(dists))])
         angle = cmath.phase(z)
         witness_value = abs(
@@ -423,7 +401,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
                 "witness_angle": angle,
                 "witness_value": witness_value,
                 "root": {"re": z.real, "im": z.imag},
-                "circle_tol": circle_tol,
+                "circle_tol": CIRCLE_TOL,
             }
         )
         return InvertibilityCertificate(
@@ -574,8 +552,7 @@ class ProbeReport:
 
 
 def probe_quotients(f: AlgebraElement, moduli_list: Sequence, *,
-                    singular_tol: float = 1e-12,
-                    grid_cap: int = 2**20) -> ProbeReport:
+                    singular_tol: float = 1e-12) -> ProbeReport:
     """Test the pushforward of f for singularity on cyclic quotients.
 
     A singular quotient certifies non-invertibility (the quotient symbol
@@ -596,8 +573,8 @@ def probe_quotients(f: AlgebraElement, moduli_list: Sequence, *,
         count = 1
         for m in mods:
             count *= m
-        if count > grid_cap:
-            raise ResourceLimitError(f"quotient of {count} points exceeds cap {grid_cap}")
+        if count > QUOTIENT_CAP:
+            raise ResourceLimitError(f"quotient of {count} points exceeds cap {QUOTIENT_CAP}")
         vals = symbol_grid(f.to_float(), mods)
         mags = np.abs(vals)
         kmin = np.unravel_index(int(np.argmin(mags)), mags.shape)

@@ -29,6 +29,8 @@ from .groups import (
 )
 from .weights import Weight
 
+ENTRY_CAP = 10**7  # largest dense action matrix, in entries
+
 
 def _lookup(g, x):
     """Value of a window function given as a mapping or a callable."""
@@ -118,13 +120,13 @@ class WindowedOperator:
         }
 
 
-def action_matrix(f: AlgebraElement, window: Window, weight: Weight | None = None,
-                  *, entry_cap: int = 10**7) -> WindowedOperator:
+def action_matrix(f: AlgebraElement, window: Window,
+                  weight: Weight | None = None) -> WindowedOperator:
     """Materialize the windowed action as a dense complex matrix."""
     win_in = input_window(f, window)
-    if len(window) * len(win_in) > entry_cap:
+    if len(window) * len(win_in) > ENTRY_CAP:
         raise ResourceLimitError(
-            f"matrix would hold {len(window) * len(win_in)} entries, cap is {entry_cap}"
+            f"matrix would hold {len(window) * len(win_in)} entries, cap is {ENTRY_CAP}"
         )
     group = window.group
     mul = group.mul
@@ -225,36 +227,22 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     return np.fft.ifftn(arr) * scale
 
 
-class FourierSymbol:
-    """Callable wrapper around the symbol of a lattice element."""
-
-    def __init__(self, f: AlgebraElement):
-        if not isinstance(f.group, LatticeGroup):
-            raise UsageError("FourierSymbol needs a lattice element")
-        self.element = f
-
-    def eval(self, angles: Sequence[float]) -> complex:
-        return fourier_eval(self.element, angles)
-
-    __call__ = eval
-
-    def grid(self, size: int) -> np.ndarray:
-        return symbol_grid(self.element, (size,) * self.element.group.rank)
-
-
 # ---------------------------------------------------------------------------
 # finite quotients (lattices)
 
 
-def quotient_push(f: AlgebraElement, moduli: Sequence[int],
-                  *, order_cap: int = 4096) -> AlgebraElement:
-    """Push a lattice element forward to the product of cyclic groups."""
+def quotient_push(f: AlgebraElement, moduli: Sequence[int]) -> AlgebraElement:
+    """Push a lattice element forward to the product of cyclic groups.
+
+    The target is a cyclic_product Cayley table, so its order is capped at
+    PRODUCT_ORDER_CAP.
+    """
     if not isinstance(f.group, LatticeGroup):
         raise UsageError("quotient_push needs a lattice element")
     mods = _check_moduli(moduli)
     if len(mods) != f.group.rank:
         raise UsageError(f"moduli {mods!r} do not match rank {f.group.rank}")
-    target = cyclic_product(mods, order_cap=order_cap)
+    target = cyclic_product(mods)
     terms: dict = {}
     for n, amp in f.items():
         idx = quotient_map(n, mods)
@@ -275,14 +263,13 @@ class QuotientOperator:
         return np.linalg.eigvals(self.matrix)
 
 
-def quotient_operator(f: AlgebraElement, moduli: Sequence[int],
-                      *, order_cap: int = 1024) -> QuotientOperator:
+def quotient_operator(f: AlgebraElement, moduli: Sequence[int]) -> QuotientOperator:
     """Matrix of convolution by the pushforward of f on the cyclic quotient.
 
     For rank 1 this is a circulant whose eigenvalues are the symbol values
     at the N-th roots of unity.
     """
-    fq = quotient_push(f, moduli, order_cap=order_cap)
+    fq = quotient_push(f, moduli)
     group = fq.group
     n = group.order
     mat = np.zeros((n, n), dtype=complex)

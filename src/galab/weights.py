@@ -20,6 +20,7 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, ball
 
 _REL_TOL = 1e-12
+DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 
 
 class Weight:
@@ -407,8 +408,8 @@ class DominationResult:
         return out
 
 
-def dominate_character(weight: Weight, group: LatticeGroup, radius: int,
-                       *, cap: int = 200000) -> DominationResult:
+def dominate_character(weight: Weight, group: LatticeGroup,
+                       radius: int) -> DominationResult:
     """Find a character phi = exp(<c, x>) with phi <= weight on ball(radius).
 
     Solves the linear constraints <c, x> <= log w(x) over the punctured
@@ -421,7 +422,7 @@ def dominate_character(weight: Weight, group: LatticeGroup, radius: int,
         raise UsageError("character domination is available on lattices only")
     if radius < 1:
         raise UsageError(f"radius must be >= 1, got {radius}")
-    window = ball(group, radius, cap=cap)
+    window = ball(group, radius, cap=DOMINATE_BALL_CAP)
     points = [x for x in window if x != group.identity]
     logs = {x: math.log(weight.value(group, x)) for x in points}
 

@@ -12,7 +12,6 @@ from galab.algebra import (
     element_from_json,
     element_to_json,
     identity_element,
-    norm,
 )
 from galab.errors import UsageError
 from galab.groups import FreeGroup, LatticeGroup, cyclic_group
@@ -110,7 +109,7 @@ def test_norm_weighted_exact():
     value = f.norm(w)
     assert value == Fraction(3, 2)
     assert isinstance(value, Fraction)
-    assert norm(f) == Fraction(5, 4)
+    assert f.norm() == Fraction(5, 4)
 
 
 def test_group_mismatch_raises():

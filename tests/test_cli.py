@@ -98,6 +98,18 @@ def test_certify_dispatches_on_group_kind(tmp_path):
     assert main(["certify", "--input", INVERTIBLE]) == 0
 
 
+def test_certify_refuses_free_group(capsys):
+    word = json.dumps(
+        {"group": {"kind": "free", "rank": 2}, "terms": [{"x": [1], "re": 2.0, "im": 0.0}]}
+    )
+    assert main(["certify", "--input", word]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+
+
 def test_df_check_pass_and_report(tmp_path, capsys):
     f = element_json(
         [{"x": [0], "re": "2", "im": "0"}], scalars="exact"

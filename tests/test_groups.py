@@ -140,7 +140,7 @@ def test_cyclic_product_and_quotient_map_are_compatible():
 
 def test_cyclic_product_order_cap():
     with pytest.raises(ResourceLimitError):
-        cyclic_product((100, 100), order_cap=4096)
+        cyclic_product((100, 100))
 
 
 # ---------------------------------------------------------------------------

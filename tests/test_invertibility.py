@@ -2,11 +2,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from galab.algebra import AlgebraElement, QComplex, convolve, delta, identity_element
 from galab.errors import UsageError
-from galab.groups import FreeGroup, LatticeGroup, cyclic_group, symmetric_group
+from galab.groups import (
+    FreeGroup,
+    LatticeGroup,
+    cyclic_group,
+    dihedral_group,
+    quaternion_group,
+    symmetric_group,
+)
 from galab.invertibility import (
     auto_invert,
     invert_finite,
@@ -88,6 +96,54 @@ def test_invert_finite_float_mode():
     sing = invert_finite(ones)
     assert sing.verdict == "not-invertible"
     assert sing.fields["kernel_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "group", [symmetric_group(3), dihedral_group(4), quaternion_group()], ids=lambda g: g.name
+)
+def test_exact_and_float_finite_solves_agree(group):
+    rng = random.Random(group.order)
+    verdicts = set()
+    for i in range(24):
+        terms = {
+            rng.randrange(group.order): QComplex.of(
+                Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
+            )
+            for _ in range(3)
+        }
+        f = AlgebraElement(group, terms, True)
+        if i % 3 == 0:
+            # zero coefficient sum: the trivial representation kills f, so f is singular
+            total = sum((amp for _, amp in f.items()), QComplex.of(0))
+            f = f - delta(group, group.identity, total, exact=True)
+        if f.is_zero:
+            continue
+        exact = invert_finite(f)
+        approx = invert_finite(f.to_float())
+        assert approx.verdict == exact.verdict
+        verdicts.add(exact.verdict)
+        if exact.invertible:
+            gap = exact.inverse.to_float() - approx.inverse
+            assert max((abs(v) for _, v in gap.items()), default=0.0) <= 1e-9
+    assert verdicts == {"invertible", "not-invertible"}
+
+
+def test_float_finite_solve_runs_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    c4 = cyclic_group(4)
+    assert invert_finite(AlgebraElement(c4, {i: 1.0 for i in range(4)}, False)).verdict == (
+        "not-invertible"
+    )
+    assert len(calls) == 1
+    assert invert_finite(delta(c4, 0, 2.0) + delta(c4, 1, 0.5)).verdict == "invertible"
+    assert len(calls) == 2
 
 
 def test_invert_finite_rejects_lattice_input():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from galab.algebra import AlgebraElement, convolve, delta
-from galab.errors import UsageError
+from galab.errors import ResourceLimitError, UsageError
 from galab.groups import LatticeGroup, cyclic_group
 from galab.operators import (
     action_matrix,
@@ -191,6 +191,12 @@ def test_quotient_push_folds_amplitudes():
     pushed = quotient_push(f, (5,))
     assert pushed.amplitude(0) == pytest.approx(3.0)
     assert pushed.amplitude(4) == pytest.approx(0.5)
+
+
+def test_quotient_push_order_cap():
+    f = delta(LatticeGroup(2), (1, 0), 1.0)
+    with pytest.raises(ResourceLimitError):
+        quotient_push(f, (48, 48))
 
 
 def test_quotient_operator_is_circulant_with_symbol_spectrum():

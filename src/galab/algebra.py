@@ -28,11 +28,23 @@ if TYPE_CHECKING:
 def _fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
+    if isinstance(v, (int, str, float)):
+        try:
+            return Fraction(v)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass  # "abc", "1/0", nan and inf name no rational
     raise UsageError(f"cannot interpret {v!r} as an exact rational")
+
+
+def _finite_float(v) -> float:
+    """A float amplitude part from JSON: a number, or a rational string like "1/4"."""
+    try:
+        x = float(_fraction(v)) if isinstance(v, str) else float(v)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass  # UsageError from _fraction is a ValueError too
+    raise UsageError(f"cannot interpret {v!r} as a finite float")
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,8 +407,7 @@ def element_from_json(obj: dict, group: GroupSpec | None = None) -> AlgebraEleme
         if exact:
             amp = QComplex(_fraction(re), _fraction(im))
         else:
-            amp = complex(float(_fraction(re) if isinstance(re, str) else re),
-                          float(_fraction(im) if isinstance(im, str) else im))
+            amp = complex(_finite_float(re), _finite_float(im))
         if x in terms:
             terms[x] = terms[x] + amp
         else:

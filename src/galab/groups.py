@@ -14,11 +14,23 @@ import itertools
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ResourceLimitError, UsageError
 
 DEFAULT_BALL_CAP = 10**6
 # Largest cyclic_product: its full Cayley table costs O(order^2) time and memory.
 PRODUCT_ORDER_CAP = 1024
+
+
+def _rank(value, what: str) -> int:
+    try:
+        rank = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{what} rank must be an integer, got {value!r}") from None
+    if rank < 1:
+        raise UsageError(f"{what} rank must be >= 1, got {rank}")
+    return rank
 
 
 class GroupSpec(ABC):
@@ -75,11 +87,8 @@ class LatticeGroup(GroupSpec):
     __slots__ = ("rank", "_identity")
 
     def __init__(self, rank: int):
-        rank = int(rank)
-        if rank < 1:
-            raise UsageError(f"lattice rank must be >= 1, got {rank}")
-        self.rank = rank
-        self._identity = (0,) * rank
+        self.rank = _rank(rank, "lattice")
+        self._identity = (0,) * self.rank
 
     @property
     def identity(self):
@@ -144,10 +153,7 @@ class FreeGroup(GroupSpec):
     __slots__ = ("rank",)
 
     def __init__(self, rank: int):
-        rank = int(rank)
-        if rank < 1:
-            raise UsageError(f"free group rank must be >= 1, got {rank}")
-        self.rank = rank
+        self.rank = _rank(rank, "free group")
 
     @property
     def identity(self):
@@ -230,16 +236,20 @@ class FreeGroup(GroupSpec):
 class CayleyGroup(GroupSpec):
     """Finite group presented by a full multiplication table.
 
-    The table must be a Latin square whose identity row and column act
-    trivially; the constructor verifies this and precomputes the two-sided
-    inverse of every element.  Elements are row/column indices.
+    The table must be an associative Latin square whose identity row and
+    column act trivially, that is, a group; the constructor verifies this
+    and precomputes the two-sided inverse of every element.  Elements are
+    row/column indices.
     """
 
     kind = "cayley"
     __slots__ = ("table", "order", "_identity", "_inverse", "name", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        try:
+            rows = tuple(tuple(int(v) for v in row) for row in table)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError("Cayley table must be a list of rows of integers") from None
         n = len(rows)
         if n == 0:
             raise UsageError("Cayley table must be nonempty")
@@ -266,6 +276,8 @@ class CayleyGroup(GroupSpec):
             inverse[i] = j
         self.table = rows
         self.order = n
+        if not self.is_associative():
+            raise UsageError("Cayley table is not associative, so it is not a group")
         self._identity = identity
         self._inverse = tuple(inverse)
         self.name = name
@@ -307,10 +319,34 @@ class CayleyGroup(GroupSpec):
         return Window(self, range(self.order), sort=False)
 
     def is_associative(self) -> bool:
-        """Full O(n^3) associativity scan; the constructor does not run it."""
-        t = self.table
-        rng = range(self.order)
-        return all(t[t[a][b]][c] == t[a][t[b][c]] for a in rng for b in rng for c in rng)
+        """Whether (a*b)*c == a*(b*c) for all a, b, c; the constructor requires it.
+
+        Row a passes when numpy finds the n x n arrays T[T[a]] and T[a][T]
+        equal.  The rows that pass are closed under the product (Light's
+        test): if a and a' pass, ((a a') b) c = (a (a' b)) c = a ((a' b) c)
+        = a (a' (b c)) = (a a') (b c).  So only the rows of a generating set
+        are compared, chosen greedily; a group of order n needs at most
+        log2(n) + 1 of them, and memory stays O(n^2).
+        """
+        table = self.table
+        index = np.array(table, dtype=np.intp)
+        # The narrowest dtype keeps the gathered arrays in cache.
+        values = index.astype(np.min_scalar_type(self.order - 1))
+        gens: list[int] = []
+        span: set[int] = set()  # right products of generators: all pass
+        for a in range(self.order):
+            if a in span:
+                continue
+            if not np.array_equal(values.take(index[a], axis=0), values[a].take(index)):
+                return False
+            gens.append(a)
+            todo = [a] + [table[x][a] for x in span]
+            while todo:
+                y = todo.pop()
+                if y not in span:
+                    span.add(y)
+                    todo.extend(table[y][g] for g in gens)
+        return True
 
     def to_json(self):
         payload = {
@@ -540,11 +576,15 @@ def spec_from_json(obj: dict) -> GroupSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError(f"not a group description: {obj!r}")
     kind = obj["kind"]
+    if kind in ("Z", "free") and "rank" not in obj:
+        raise UsageError(f"group of kind {kind!r} needs a 'rank'")
     if kind == "Z":
         return LatticeGroup(obj["rank"])
     if kind == "free":
         return FreeGroup(obj["rank"])
     if kind == "cayley":
+        if "table" not in obj:
+            raise UsageError("group of kind 'cayley' needs a 'table'")
         group = CayleyGroup(obj["table"], identity=obj.get("identity", 0), name=obj.get("name"))
         if "order" in obj and int(obj["order"]) != group.order:
             raise UsageError(f"declared order {obj['order']} != table size {group.order}")

@@ -7,7 +7,8 @@ freshly computed convolution residual; no verdict is ever emitted on the
 strength of intermediate numerics alone.
 
 Oracles:
-  invert_finite        exact (or float) solve on a finite Cayley group
+  invert_finite        exact solve on a finite Cayley group, by fraction-free
+                       elimination over Z or Z[i] (float elements: numpy)
   wiener_certify       grid-plus-Lipschitz lower bound for lattice symbols,
                        with companion-matrix root witnesses in rank one
   invert_via_fft       sampled-symbol division inverse candidate
@@ -123,51 +124,115 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over QComplex
+# exact linear algebra: fraction-free elimination over Z or Z[i]
+#
+# A Gaussian integer is an (re, im) pair of ints.  Each ring supplies three
+# steps: clear a row's denominators, combine two rows, and divide one entry
+# by a pivot back into a QComplex.
 
 
 def _qc(v=0) -> QComplex:
     return QComplex(Fraction(v))
 
 
-def _solve_exact(rows: list, rhs: list):
-    """Gauss-Jordan elimination over exact rational complex scalars.
+def _integer_row(row: list) -> list:
+    """A real QComplex row times the LCM of its denominators, as ints."""
+    ratios = [v.re.as_integer_ratio() for v in row]
+    lcm = math.lcm(*(d for _, d in ratios))
+    return [n * (lcm // d) for n, d in ratios]
 
-    rows is a square matrix as a list of lists.  Returns ("solution", x)
-    with rows @ x = rhs, or ("singular", v) with a nonzero kernel vector v.
+
+def _gaussian_row(row: list) -> list:
+    """A QComplex row times the LCM of its denominators, as Gaussian integers."""
+    ratios = [(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in row]
+    lcm = math.lcm(*(d for pair in ratios for _, d in pair))
+    return [(rn * (lcm // rd), jn * (lcm // jd)) for (rn, rd), (jn, jd) in ratios]
+
+
+def _integer_combine(p, f, d, xs, ys) -> list:
+    """(p*x - f*y) / d entrywise over Z; every division is exact."""
+    if not f:
+        return [p * x // d for x in xs]
+    return [(p * x - f * y) // d for x, y in zip(xs, ys)]
+
+
+def _gaussian_combine(p, f, d, xs, ys) -> list:
+    """(p*x - f*y) / d entrywise over Z[i]; every division is exact.
+
+    Dividing by d is multiplying by its conjugate and dividing by its
+    norm, so p and f are multiplied by the conjugate once, up front.
+    """
+    (pr, pi), (fr, fi), (qr, qi) = p, f, d
+    norm = qr * qr + qi * qi
+    ar, ai = pr * qr + pi * qi, pi * qr - pr * qi
+    if not (fr or fi):
+        return [((ar * xr - ai * xi) // norm, (ar * xi + ai * xr) // norm) for xr, xi in xs]
+    br, bi = fr * qr + fi * qi, fi * qr - fr * qi
+    return [((ar * xr - ai * xi - br * yr + bi * yi) // norm,
+             (ar * xi + ai * xr - br * yi - bi * yr) // norm)
+            for (xr, xi), (yr, yi) in zip(xs, ys)]
+
+
+def _integer_quotient(a, d) -> QComplex:
+    return QComplex(Fraction(a, d))
+
+
+def _gaussian_quotient(a, d) -> QComplex:
+    (ar, ai), (dr, di) = a, d
+    norm = dr * dr + di * di
+    return QComplex(Fraction(ar * dr + ai * di, norm), Fraction(ai * dr - ar * di, norm))
+
+
+def _solve_exact(rows: list, rhs: list):
+    """Fraction-free Gauss-Jordan (Bareiss) elimination over Z or Z[i].
+
+    rows is a square matrix of QComplex as a list of lists.  Each augmented
+    row is scaled by the LCM of its denominators; the elimination then runs
+    on ints, or on Gaussian integers when any imaginary part is nonzero.
+    The step with pivot p replaces every other row r by (p*r - r[c]*pivot
+    row) / previous pivot, an exact division (Bareiss 1968), so after the
+    last step each pivot row reads final pivot times its reduced-row-echelon
+    row.  A row with r[c] == 0 would only be multiplied by p / previous
+    pivot, so it is left as it is: each row keeps the pivot it was last
+    brought to (its scale), and its next combination divides by that scale
+    instead, which is still exact.  The group-algebra matrices are sparse,
+    so most rows skip most steps.  Returns ("solution", x) with rows @ x =
+    rhs, or ("singular", v) with v the reduced-row-echelon kernel vector of
+    the first free column.
     """
     n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    piv_cols: list[int] = []
-    r = 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if any(v.im for row in aug for v in row):
+        mat = [_gaussian_row(row) for row in aug]
+        zero, prev, combine, quotient = (0, 0), (1, 0), _gaussian_combine, _gaussian_quotient
+    else:
+        mat = [_integer_row(row) for row in aug]
+        zero, prev, combine, quotient = 0, 1, _integer_combine, _integer_quotient
+    # Row i of the eliminated matrix is mat[i] * prev / scale[i].
+    scale = [prev] * n
     for c in range(n):
-        pr = next((i for i in range(r, n) if not aug[i][c].is_zero), None)
+        # Columns 0..c-1 all have pivots, so the pivot of column c goes to row c.
+        pr = next((i for i in range(c, n) if mat[i][c] != zero), None)
         if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv_pv = _qc(1) / aug[r][c]
-        aug[r] = [v * inv_pv for v in aug[r]]
+            # Later steps would only scale column c of rows 0..c-1, so it
+            # already holds the first free column of the echelon form.
+            kernel = [-quotient(mat[i][c], scale[i]) for i in range(c)]
+            return "singular", kernel + [_qc(1)] + [_qc(0)] * (n - c - 1)
+        mat[c], mat[pr] = mat[pr], mat[c]
+        scale[c], scale[pr] = scale[pr], scale[c]
+        pivot_row = mat[c]
+        if scale[c] != prev:
+            pivot_row[c:] = combine(prev, zero, scale[c], pivot_row[c:], ())
+        p = pivot_row[c]
+        tail = pivot_row[c + 1:]
         for i in range(n):
-            if i != r and not aug[i][c].is_zero:
-                factor = aug[i][c]
-                row_r = aug[r]
-                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], row_r)]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        pivots = set(piv_cols)
-        free_c = next(c for c in range(n) if c not in pivots)
-        v = [_qc(0)] * n
-        v[free_c] = _qc(1)
-        for row_i, pc in enumerate(piv_cols):
-            v[pc] = -aug[row_i][free_c]
-        return "singular", v
-    x = [_qc(0)] * n
-    for row_i, pc in enumerate(piv_cols):
-        x[pc] = aug[row_i][n]
-    return "solution", x
+            row = mat[i]
+            if i != c and row[c] != zero:
+                # Columns before c+1 are not read again; only the tail is kept current.
+                row[c + 1:] = combine(p, row[c], scale[i], row[c + 1:], tail)
+                scale[i] = p
+        scale[c] = prev = p
+    return "solution", [quotient(row[n], s) for row, s in zip(mat, scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +255,14 @@ def _solve_float(rows: list, rhs: list):
 def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCertificate:
     """Solve g*f = e on a finite Cayley group and verify both residuals.
 
-    Exact elements go through fraction elimination, so success means both
-    residuals are exactly zero; a singular system yields a not-invertible
-    certificate carrying an exact kernel witness with witness*f = 0.  Float
-    elements are solved by numpy and called invertible when both residuals
-    are at most tol.
+    Exact elements go through fraction-free elimination over Z or Z[i]
+    (_solve_exact), so success means both residuals are exactly zero; a
+    singular system yields a not-invertible certificate carrying an exact
+    kernel witness with witness*f = 0.  Both outcomes are checked again by
+    exact convolution, whatever the solver did.  These certificates have
+    kind "exact-finite".  Float elements are solved by numpy, called
+    invertible when both residuals are at most tol, and have kind
+    "float-finite".
     """
     group = f.group
     if not isinstance(group, CayleyGroup):
@@ -210,9 +278,11 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     rows = [[zero] * n for _ in range(n)]
     for u in range(n):
         for y, amp in f.items():
-            rows[group.mul(u, y)][u] += amp
+            # Row u of the table is a permutation, so each entry is set once.
+            rows[group.mul(u, y)][u] = amp
     rhs = [one if z == group.identity else zero for z in range(n)]
     status, vec = (_solve_exact if exact else _solve_float)(rows, rhs)
+    kind = "exact-finite" if exact else "float-finite"
     fields = {"order": n, "scalars": "exact" if exact else "float"}
 
     if status == "singular":
@@ -222,7 +292,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
             raise ContractViolationError("exact kernel witness failed to annihilate")
         fields.update(kernel=element_to_json(witness), kernel_residual=kernel_residual)
         return InvertibilityCertificate(
-            verdict=VERDICT_NOT_INVERTIBLE, kind="exact-finite", fields=fields
+            verdict=VERDICT_NOT_INVERTIBLE, kind=kind, fields=fields
         )
 
     g = AlgebraElement(group, dict(enumerate(vec)), exact)
@@ -233,7 +303,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     residual = max(left, right)
     return InvertibilityCertificate(
         verdict=VERDICT_INVERTIBLE if residual <= tol else VERDICT_INCONCLUSIVE,
-        kind="exact-finite",
+        kind=kind,
         fields=fields,
         inverse=g,
         residual=residual,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from galab.algebra import element_from_json
 from galab.cli import _parse_moduli, main
 from galab.errors import UsageError
 from galab.groups import cyclic_group
@@ -204,3 +205,41 @@ def test_usage_errors_exit_one(capsys):
     assert main(["probe", "--input", INVERTIBLE, "--moduli", "2x2"]) == 1  # rank mismatch
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# A Latin square with identity 0 that is not associative: a loop, not a group.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_non_associative_table_is_refused(capsys):
+    el = {"group": {"kind": "cayley", "table": LOOP5}, "scalars": "exact",
+          "terms": [{"x": 0, "re": "2"}, {"x": 1, "re": "1"}]}
+    with pytest.raises(UsageError, match="not associative"):
+        element_from_json(el)
+    assert main(["invert", "--input", json.dumps(el)]) == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"group": {"kind": "Z"}, "terms": [{"x": [0], "re": 1.0}]}',
+        '{"group": {"kind": "free"}, "terms": [{"x": [], "re": 1.0}]}',
+    ]
+    + [
+        '{"group": {"kind": "Z", "rank": 1}, "scalars": "%s", "terms": [{"x": [0], "re": %s}]}'
+        % (scalars, amp)
+        for scalars in ("exact", "float")
+        for amp in ('"abc"', '"nan"', '"inf"', "1e400")
+    ],
+)
+def test_undecodable_element_is_a_usage_error(capsys, text):
+    # 1e400 overflows to inf when the JSON is read
+    assert main(["invert", "--input", text]) == 1
+    assert _one_error_line(capsys)

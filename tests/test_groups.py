@@ -119,6 +119,37 @@ def test_rejects_missing_inverse():
         CayleyGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
 
 
+def _reduced_latin_squares(n):
+    """Every Latin square of order n whose first row and column are 0..n-1."""
+    perms = list(itertools.permutations(range(n)))
+
+    def extend(rows):
+        if len(rows) == n:
+            yield [list(row) for row in rows]
+            return
+        for p in perms:
+            if p[0] == len(rows) and all(p[j] != row[j] for row in rows for j in range(n)):
+                yield from extend(rows + [p])
+
+    yield from extend([tuple(range(n))])
+
+
+@pytest.mark.parametrize("n, groups", [(4, 4), (5, 6)])
+def test_constructor_accepts_exactly_the_associative_loops(n, groups):
+    # Every loop of order 4 is a group; of the 56 reduced loops of order 5
+    # only the 6 labelings of C5 are.  The triple loop is the reference.
+    rng = range(n)
+    accepted = 0
+    for table in _reduced_latin_squares(n):
+        if all(table[table[a][b]][c] == table[a][table[b][c]] for a in rng for b in rng for c in rng):
+            assert CayleyGroup(table).is_associative()
+            accepted += 1
+        else:
+            with pytest.raises(UsageError):
+                CayleyGroup(table)
+    assert accepted == groups
+
+
 def test_cyclic_group_is_addition_mod_n():
     c6 = cyclic_group(6)
     for i in range(6):

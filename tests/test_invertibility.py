@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galab.algebra import AlgebraElement, QComplex, convolve, delta, identity_element
 from galab.errors import UsageError
@@ -11,11 +13,13 @@ from galab.groups import (
     FreeGroup,
     LatticeGroup,
     cyclic_group,
+    cyclic_product,
     dihedral_group,
     quaternion_group,
     symmetric_group,
 )
 from galab.invertibility import (
+    _solve_exact,
     auto_invert,
     invert_finite,
     invert_via_fft,
@@ -89,12 +93,14 @@ def test_invert_finite_float_mode():
     f = delta(c4, 0, 2.0) + delta(c4, 1, 0.5)
     cert = invert_finite(f)
     assert cert.verdict == "invertible"
+    assert cert.kind == "float-finite"
     assert cert.fields["scalars"] == "float"
     assert cert.residual <= 1e-10
 
     ones = AlgebraElement(c4, {i: 1.0 for i in range(4)}, False)
     sing = invert_finite(ones)
     assert sing.verdict == "not-invertible"
+    assert sing.kind == "float-finite"
     assert sing.fields["kernel_residual"] <= 1e-10
 
 
@@ -144,6 +150,135 @@ def test_float_finite_solve_runs_one_svd(monkeypatch):
     assert len(calls) == 1
     assert invert_finite(delta(c4, 0, 2.0) + delta(c4, 1, 0.5)).verdict == "invertible"
     assert len(calls) == 2
+
+
+# Reference for the fraction-free solver: textbook Gauss-Jordan over
+# Gaussian rationals written as (re, im) pairs of Fractions.
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def _cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _cinv(a):
+    d = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / d, -a[1] / d)
+
+
+def reference_solve(rows, rhs):
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if aug[i][c] != (F0, F0)), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = _cinv(aug[r][c])
+        aug[r] = [_cmul(v, inv) for v in aug[r]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != r and f != (F0, F0):
+                minus_f = (-f[0], -f[1])
+                aug[i] = [_cadd(v, _cmul(minus_f, w)) for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if len(pivots) == n:
+        return "solution", [aug[i][n] for i in range(n)]
+    free = min(set(range(n)) - set(pivots))
+    vec = [(F0, F0)] * n
+    vec[free] = (F1, F0)
+    for i, pc in enumerate(pivots):
+        vec[pc] = (-aug[i][free][0], -aug[i][free][1])
+    return "singular", vec
+
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def square_systems(draw):
+    """(rows, rhs, singular): real or Gaussian, about half the entries zero."""
+    n = draw(st.integers(1, 9))
+    gaussian = draw(st.booleans())
+    entry = st.one_of(st.just(F0), _rationals)
+
+    def number():
+        return (draw(entry), draw(entry) if gaussian else F0)
+
+    rows = [[number() for _ in range(n)] for _ in range(n)]
+    rhs = [number() for _ in range(n)]
+    singular = draw(st.booleans())
+    if singular and n == 1:
+        rows[0][0] = (F0, F0)
+    elif singular:
+        # column j becomes a combination of two other columns
+        j = draw(st.integers(0, n - 1))
+        others = st.sampled_from([k for k in range(n) if k != j])
+        k, m, a, b = draw(others), draw(others), number(), number()
+        for row in rows:
+            row[j] = _cadd(_cmul(a, row[k]), _cmul(b, row[m]))
+    return rows, rhs, singular
+
+
+@given(square_systems())
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_solve_matches_reference_gauss_jordan(system):
+    rows, rhs, singular = system
+    status, vec = _solve_exact([[QComplex(*v) for v in row] for row in rows],
+                               [QComplex(*v) for v in rhs])
+    want_status, want_vec = reference_solve(rows, rhs)
+    assert status == want_status
+    assert [(v.re, v.im) for v in vec] == want_vec
+    if singular:
+        assert status == "singular"
+
+
+@pytest.mark.parametrize(
+    "group, gaussian",
+    [(dihedral_group(32), False), (cyclic_group(64), False), (cyclic_product((8, 8)), True)],
+    ids=["D32", "C64", "C8xC8"],
+)
+def test_exact_inverse_at_order_64_has_zero_residuals(group, gaussian):
+    rng = random.Random(group.name)
+    terms = {
+        rng.randrange(group.order): QComplex.of(
+            Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)),
+            Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) if gaussian else 0,
+        )
+        for _ in range(4)
+    }
+    f = AlgebraElement(group, terms, True)
+    assert f.n_terms >= 3
+    cert = invert_finite(f)
+    assert cert.verdict == "invertible"
+    assert cert.fields["left_residual"] == 0 and isinstance(cert.fields["left_residual"], Fraction)
+    assert cert.fields["right_residual"] == 0
+    assert cert.residual == 0
+
+
+def test_singular_gaussian_element_has_exact_kernel_witness():
+    # On C4, (1 + i x)/2 vanishes at the character x -> i.
+    c4 = cyclic_group(4)
+    half, half_i = QComplex.of(Fraction(1, 2)), QComplex.of(0, Fraction(1, 2))
+    on_c4 = AlgebraElement(c4, {0: half, 1: half_i}, True)
+    # On S3, h * (d_e - d_s) is a zero divisor for any h.
+    s3 = symmetric_group(3)
+    h = AlgebraElement(s3, {1: QComplex.of(Fraction(2, 3), Fraction(-1, 5)), 4: half_i}, True)
+    on_s3 = convolve(h, delta(s3, 0, exact=True) - delta(s3, 3, exact=True))
+    for f in (on_c4, on_s3):
+        cert = invert_finite(f)
+        assert cert.verdict == "not-invertible"
+        assert cert.kind == "exact-finite"
+        assert cert.fields["kernel"]["terms"]
+        assert cert.fields["kernel_residual"] == 0
+        assert isinstance(cert.fields["kernel_residual"], Fraction)
 
 
 def test_invert_finite_rejects_lattice_input():

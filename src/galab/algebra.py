@@ -392,6 +392,8 @@ def element_from_json(obj: dict, group: GroupSpec | None = None) -> AlgebraEleme
         group = spec_from_json(obj["group"])
     declared = obj.get("scalars")
     raw = obj["terms"]
+    if not isinstance(raw, list):
+        raise UsageError(f"'terms' must be a list of term objects, got {raw!r}")
     for t in raw:
         if not isinstance(t, dict) or "x" not in t:
             raise UsageError(f"malformed term {t!r}: expected an object with an 'x' field")

@@ -21,13 +21,19 @@ from .errors import ResourceLimitError, UsageError
 DEFAULT_BALL_CAP = 10**6
 # Largest cyclic_product: its full Cayley table costs O(order^2) time and memory.
 PRODUCT_ORDER_CAP = 1024
+# Largest lattice rank: Z^d stores its identity, and every element, as a d-tuple.
+LATTICE_RANK_CAP = 1024
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _rank(value, what: str) -> int:
-    try:
-        rank = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{what} rank must be an integer, got {value!r}") from None
+    rank = _integer(value, f"{what} rank")
     if rank < 1:
         raise UsageError(f"{what} rank must be >= 1, got {rank}")
     return rank
@@ -88,6 +94,8 @@ class LatticeGroup(GroupSpec):
 
     def __init__(self, rank: int):
         self.rank = _rank(rank, "lattice")
+        if self.rank > LATTICE_RANK_CAP:
+            raise ResourceLimitError(f"lattice rank {self.rank} exceeds cap {LATTICE_RANK_CAP}")
         self._identity = (0,) * self.rank
 
     @property
@@ -262,7 +270,7 @@ class CayleyGroup(GroupSpec):
         for j in range(n):
             if frozenset(row[j] for row in rows) != full:
                 raise UsageError(f"column {j} is not a permutation of 0..{n - 1}")
-        identity = int(identity)
+        identity = _integer(identity, "Cayley identity index")
         if not 0 <= identity < n:
             raise UsageError(f"identity index {identity} out of range")
         for j in range(n):
@@ -586,7 +594,7 @@ def spec_from_json(obj: dict) -> GroupSpec:
         if "table" not in obj:
             raise UsageError("group of kind 'cayley' needs a 'table'")
         group = CayleyGroup(obj["table"], identity=obj.get("identity", 0), name=obj.get("name"))
-        if "order" in obj and int(obj["order"]) != group.order:
+        if "order" in obj and _integer(obj["order"], "declared order") != group.order:
             raise UsageError(f"declared order {obj['order']} != table size {group.order}")
         return group
     raise UsageError(f"unknown group kind {kind!r}")

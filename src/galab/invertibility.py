@@ -320,10 +320,6 @@ def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
     return f.group
 
 
-def _signed_index(m: int, size: int) -> int:
-    return m - size if m >= (size + 1) // 2 else m
-
-
 def invert_via_fft(f: AlgebraElement, size: int = 512, *,
                    tol: float = 1e-10) -> InvertibilityCertificate:
     """Inverse candidate from sampled-symbol division on a 2^k grid.
@@ -360,14 +356,13 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *,
             },
         )
     coeff = np.fft.fftn(1.0 / vals) / size**d
-    peak = float(np.max(np.abs(coeff)))
-    chop = CHOP_REL * peak
-    terms = {}
-    for m in np.ndindex(coeff.shape):
-        v = coeff[m]
-        if abs(v) > chop:
-            terms[tuple(_signed_index(int(mi), size) for mi in m)] = complex(v)
-    g = AlgebraElement(group, terms, False)
+    mags = np.abs(coeff)
+    # np.nonzero walks the grid in C (row-major) order, which fixes the order
+    # of the kept terms and so the summation order of the verifying
+    # convolution.  Indices past the middle wrap to negative exponents.
+    idx = np.nonzero(mags > CHOP_REL * float(np.max(mags)))
+    keys = zip(*(np.where(i >= (size + 1) // 2, i - size, i).tolist() for i in idx))
+    g = AlgebraElement(group, dict(zip(keys, coeff[idx].tolist())), False)
     e = identity_element(group)
     residual = float((convolve(g, ff) - e).norm())
     verdict = VERDICT_INVERTIBLE if residual <= tol else VERDICT_INCONCLUSIVE
@@ -451,6 +446,8 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
                     residual=candidate.residual,
                 )
             size *= 2
+            if size**d > GRID_CAP:
+                break  # the requested size is always tried; doublings stay within the cap
         fields = dict(base_fields)
         fields["reason"] = (
             "margin is positive but no inverse met the tolerance up to the size cap"

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from galab.algebra import element_from_json
 from galab.cli import _parse_moduli, main
@@ -237,9 +239,103 @@ def test_non_associative_table_is_refused(capsys):
         % (scalars, amp)
         for scalars in ("exact", "float")
         for amp in ('"abc"', '"nan"', '"inf"', "1e400")
+    ]
+    + [
+        '{"group": {"kind": "Z", "rank": 1}, "terms": 5}',
+        '{"group": {"kind": "cayley", "table": [[0, 1], [1, 0]], "identity": "a"},'
+        ' "terms": [{"x": 0, "re": 1}]}',
+        '{"group": {"kind": "cayley", "table": [[0, 1], [1, 0]], "order": "two"},'
+        ' "terms": [{"x": 0, "re": 1}]}',
     ],
 )
 def test_undecodable_element_is_a_usage_error(capsys, text):
     # 1e400 overflows to inf when the JSON is read
     assert main(["invert", "--input", text]) == 1
     assert _one_error_line(capsys)
+
+
+# Random element JSON for the decode fuzz test: every field may be missing,
+# of the wrong type, or out of range.  Lattice coordinates stay in [-3, 3] and
+# the series length is fixed at 8, because wide supports and long series are
+# costs of the oracles, not of decoding.
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+_small = st.one_of(st.integers(-3, 3), _junk)
+_coordinate = st.one_of(
+    st.integers(-3, 3), st.none(), st.booleans(), st.floats(), st.text(max_size=2)
+)
+_C2, _C3 = [[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+_tables = st.one_of(
+    st.sampled_from([[[0]], _C2, _C3, [[0, 1], [0, 1]], LOOP5]),
+    st.lists(st.lists(_small, max_size=3), max_size=3),
+    _junk,
+)
+_groups = st.one_of(
+    st.sampled_from(
+        [{"kind": "Z", "rank": 1}, {"kind": "Z", "rank": 2}, {"kind": "free", "rank": 2}]
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("cayley"), "table": st.sampled_from([_C2, _C3])},
+        optional={"identity": _small, "order": _small},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.one_of(st.sampled_from(["Z", "free", "cayley", "torus"]), _junk)},
+        optional={
+            "rank": st.one_of(st.integers(-2, 3), st.sampled_from([1025, 10**30]), _junk),
+            "table": _tables,
+            "identity": _small,
+            "order": _small,
+            "name": _junk,
+        },
+    ),
+    _junk,
+)
+_amplitudes = st.one_of(
+    st.floats(-4, 4), st.integers(-4, 4), st.sampled_from(["1/2", "-3", "abc", "nan", "1/0"]), _junk
+)
+_terms = st.one_of(
+    st.fixed_dictionaries(
+        {"x": st.one_of(st.lists(st.integers(-3, 3), min_size=1, max_size=2), st.integers(0, 2)),
+         "re": st.floats(-4, 4)}
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "x": st.one_of(st.lists(_coordinate, max_size=3), _small),
+            "re": _amplitudes,
+            "im": _amplitudes,
+        },
+    ),
+    _junk,
+)
+_element_fields = {
+    "group": _groups,
+    "terms": st.one_of(st.lists(_terms, max_size=3), _junk),
+    "scalars": st.one_of(st.sampled_from(["exact", "float", "real"]), _junk),
+}
+_elements = st.one_of(
+    st.fixed_dictionaries(
+        {k: _element_fields[k] for k in ("group", "terms")},
+        optional={"scalars": _element_fields["scalars"]},
+    ),
+    st.fixed_dictionaries({}, optional=_element_fields),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_elements)
+def test_invert_never_ends_in_a_traceback(capsys, el):
+    rc = main(["invert", "--input", json.dumps(el), "--K", "8"])
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
+    if rc == 1:
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
+    LATTICE_RANK_CAP,
     CayleyGroup,
     FreeGroup,
     LatticeGroup,
@@ -238,6 +239,13 @@ def test_lattice_group_laws(a, b):
     assert z2.mul(a, b) == z2.mul(b, a)
     assert z2.mul(a, z2.inv(a)) == (0, 0)
     assert z2.word_length(a) == abs(a[0]) + abs(a[1])
+
+
+def test_lattice_rank_cap():
+    assert LatticeGroup(LATTICE_RANK_CAP).identity == (0,) * LATTICE_RANK_CAP
+    for rank in (LATTICE_RANK_CAP + 1, 10**6):
+        with pytest.raises(ResourceLimitError):
+            spec_from_json({"kind": "Z", "rank": rank})
 
 
 def test_lattice_ball_is_sorted_box():

@@ -19,6 +19,7 @@ from galab.groups import (
     symmetric_group,
 )
 from galab.invertibility import (
+    CHOP_REL,
     _solve_exact,
     auto_invert,
     invert_finite,
@@ -28,6 +29,7 @@ from galab.invertibility import (
     verify_direct_finiteness,
     wiener_certify,
 )
+from galab.operators import symbol_grid
 from galab.weights import ExpSymmetricWeight
 
 Z = LatticeGroup(1)
@@ -371,6 +373,63 @@ def test_wiener_rank2():
 def test_zero_element_not_invertible():
     cert = wiener_certify(AlgebraElement.zero(Z))
     assert cert.verdict == "not-invertible"
+
+
+def test_wiener_doubling_stops_at_grid_cap():
+    # The inverse of 1 - 0.99 x decays too slowly for 512^2 .. 2048^2, and
+    # 4096^2 points exceed GRID_CAP: the answer is inconclusive, not an error.
+    z2 = LatticeGroup(2)
+    f = delta(z2, (0, 0)) - delta(z2, (1, 0), 0.99)
+    cert = wiener_certify(f, grid=512)
+    assert cert.fields["margin"] > 0
+    assert cert.verdict == "inconclusive"
+    assert cert.exit_code == 3
+    assert "up to the size cap" in cert.fields["reason"]
+
+
+def _reference_chop(f, size):
+    """The kept FFT-inverse terms, by a scan of every grid index in C order."""
+    d = f.group.rank
+    coeff = np.fft.fftn(1.0 / symbol_grid(f, (size,) * d)) / size**d
+    chop = CHOP_REL * float(np.max(np.abs(coeff)))
+    terms = {}
+    for m in np.ndindex(coeff.shape):
+        if abs(coeff[m]) > chop:
+            key = tuple(int(i) - size if i >= (size + 1) // 2 else int(i) for i in m)
+            terms[key] = complex(coeff[m])
+    return terms
+
+
+def _dominant_element(rng, group, reach):
+    """Seeded element whose constant term outweighs the rest, so no sample vanishes."""
+    d = group.rank
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        x = tuple(rng.randint(-reach, reach) for _ in range(d))
+        terms[x] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    terms[(0,) * d] = 0.5 + sum(abs(v) for v in terms.values())
+    return AlgebraElement(group, terms, False)
+
+
+def _bits(terms):
+    """Keys with the exact bits of both parts of each value."""
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in terms]
+
+
+@pytest.mark.parametrize("size", [2, 64, 512])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_fft_chop_matches_index_scan(rank, size):
+    rng = random.Random(f"chop:{rank}:{size}")
+    group = LatticeGroup(rank)
+    # delta at size/2 inverts to the grid index size/2, which maps to -size/2
+    half = delta(group, (size // 2,) * rank)
+    assert invert_via_fft(half, size).inverse.support == ((-(size // 2),) * rank,)
+    for f in [half] + [_dominant_element(rng, group, 3) for _ in range(4)]:
+        kept = list(invert_via_fft(f, size).inverse.items())
+        assert _bits(kept) == _bits(_reference_chop(f.to_float(), size).items())
+        for key, value in kept:
+            assert type(key) is tuple and all(type(i) is int for i in key)
+            assert type(value) is complex
 
 
 # ---------------------------------------------------------------------------

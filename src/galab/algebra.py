@@ -337,11 +337,50 @@ def identity_element(group: GroupSpec, *, exact: bool = False) -> AlgebraElement
     return delta(group, group.identity, 1, exact=exact)
 
 
+def clear_denominators(values) -> tuple:
+    """(L, parts): L is the LCM of the QComplex values' denominators and
+    parts[i] = (re, im) is values[i] times L, as a pair of ints."""
+    ratios = [(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values]
+    lcm = math.lcm(*(d for pair in ratios for _, d in pair))
+    return lcm, [(rn * (lcm // rd), jn * (lcm // jd)) for (rn, rd), (jn, jd) in ratios]
+
+
+def _convolve_exact(mul, h: dict, f: dict) -> dict:
+    """Nonzero terms of the exact product h*f, keyed in x-then-y order.
+
+    Each operand is scaled once by the LCM of its denominators, so the
+    double loop adds plain int products (Gaussian-int pairs when some
+    imaginary part is nonzero), and each output term becomes a Fraction
+    over L_h * L_f once, at the end.
+    """
+    lh, hparts = clear_denominators(h.values())
+    lf, fparts = clear_denominators(f.values())
+    den = lh * lf
+    acc: dict = {}
+    if any(im for _, im in hparts) or any(im for _, im in fparts):
+        fterms = [(y, fr, fi) for y, (fr, fi) in zip(f, fparts)]
+        for x, (hr, hi) in zip(h, hparts):
+            for y, fr, fi in fterms:
+                z = mul(x, y)
+                re, im = acc.get(z, (0, 0))
+                acc[z] = (re + hr * fr - hi * fi, im + hr * fi + hi * fr)
+        return {z: QComplex(Fraction(re, den), Fraction(im, den))
+                for z, (re, im) in acc.items() if re or im}
+    fterms = [(y, fr) for y, (fr, _) in zip(f, fparts)]
+    for x, (hr, _) in zip(h, hparts):
+        for y, fr in fterms:
+            z = mul(x, y)
+            acc[z] = acc.get(z, 0) + hr * fr
+    return {z: QComplex(Fraction(n, den)) for z, n in acc.items() if n}
+
+
 def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
     """(h*f)(z) = sum_y h(z y^-1) f(y); exact in exact mode."""
     a, b, exact = h._align(f)
     group = a.group
     mul = group.mul
+    if exact:
+        return AlgebraElement(group, _convolve_exact(mul, a._terms, b._terms), True, _clean=True)
     acc: dict = {}
     for x, av in a._terms.items():
         for y, bv in b._terms.items():
@@ -349,11 +388,8 @@ def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
             prod = av * bv
             cur = acc.get(z)
             acc[z] = prod if cur is None else cur + prod
-    if exact:
-        acc = {z: v for z, v in acc.items() if not v.is_zero}
-    else:
-        acc = {z: v for z, v in acc.items() if v != 0}
-    return AlgebraElement(group, acc, exact, _clean=True)
+    acc = {z: v for z, v in acc.items() if v != 0}
+    return AlgebraElement(group, acc, False, _clean=True)
 
 
 # ---------------------------------------------------------------------------

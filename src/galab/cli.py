@@ -232,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pivot", help="pivot element as JSON (series method)")
     p.add_argument("--grid", type=int, default=64, help="symbol scan points per axis")
-    p.add_argument("--N", type=int, default=512, help="FFT grid size (power of two)")
+    p.add_argument("--N", type=int,
+                   help="FFT grid size (power of two); default 512, or less where "
+                   "512^rank points exceed the grid cap")
     p.add_argument("--K", type=int, default=40, help="series truncation order")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--report", help="write canonical JSON here")
@@ -302,6 +304,9 @@ def main(argv=None) -> int:
     except (UsageError, ResourceLimitError, ContractViolationError,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # e.g. weight values that overflow or underflow a float
+        print(f"error: arithmetic out of range: {exc}", file=sys.stderr)
         return 1
 
 

@@ -210,6 +210,8 @@ class FreeGroup(GroupSpec):
         return total
 
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+        if radius > cap:  # the ball holds at least 2 * radius + 1 words
+            raise ResourceLimitError(f"ball of radius {radius} exceeds cap {cap}")
         size = self.ball_size(radius)
         if size > cap:
             raise ResourceLimitError(f"ball would hold {size} elements, cap is {cap}")

@@ -30,6 +30,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     QComplex,
+    clear_denominators,
     convolve,
     delta,
     element_to_json,
@@ -52,6 +53,7 @@ ZERO_TOL = 1e-12            # invert_via_fft: a smaller |symbol| sample aborts
 CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
 CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
 MAX_INVERSE_SIZE = 4096     # wiener_certify: largest FFT inverse grid tried
+DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, within GRID_CAP
 QUOTIENT_CAP = 2**20        # probe_quotients: points of one quotient
 
 
@@ -126,27 +128,14 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free elimination over Z or Z[i]
 #
-# A Gaussian integer is an (re, im) pair of ints.  Each ring supplies three
-# steps: clear a row's denominators, combine two rows, and divide one entry
-# by a pivot back into a QComplex.
+# A Gaussian integer is an (re, im) pair of ints.  Rows are cleared of
+# denominators by algebra.clear_denominators; each ring then supplies two
+# steps: combine two rows, and divide one entry by a pivot back into a
+# QComplex.
 
 
 def _qc(v=0) -> QComplex:
     return QComplex(Fraction(v))
-
-
-def _integer_row(row: list) -> list:
-    """A real QComplex row times the LCM of its denominators, as ints."""
-    ratios = [v.re.as_integer_ratio() for v in row]
-    lcm = math.lcm(*(d for _, d in ratios))
-    return [n * (lcm // d) for n, d in ratios]
-
-
-def _gaussian_row(row: list) -> list:
-    """A QComplex row times the LCM of its denominators, as Gaussian integers."""
-    ratios = [(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in row]
-    lcm = math.lcm(*(d for pair in ratios for _, d in pair))
-    return [(rn * (lcm // rd), jn * (lcm // jd)) for (rn, rd), (jn, jd) in ratios]
 
 
 def _integer_combine(p, f, d, xs, ys) -> list:
@@ -202,11 +191,12 @@ def _solve_exact(rows: list, rhs: list):
     """
     n = len(rows)
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if any(v.im for row in aug for v in row):
-        mat = [_gaussian_row(row) for row in aug]
+    # Each row times the LCM of its denominators, as Gaussian-int pairs.
+    mat = [clear_denominators(row)[1] for row in aug]
+    if any(im for row in mat for _, im in row):
         zero, prev, combine, quotient = (0, 0), (1, 0), _gaussian_combine, _gaussian_quotient
     else:
-        mat = [_integer_row(row) for row in aug]
+        mat = [[re for re, _ in row] for row in mat]
         zero, prev, combine, quotient = 0, 1, _integer_combine, _integer_quotient
     # Row i of the eliminated matrix is mat[i] * prev / scale[i].
     scale = [prev] * n
@@ -320,7 +310,15 @@ def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
     return f.group
 
 
-def invert_via_fft(f: AlgebraElement, size: int = 512, *,
+def _default_inverse_size(d: int) -> int:
+    """Largest power of two <= DEFAULT_INVERSE_SIZE whose d-th power is within GRID_CAP."""
+    size = DEFAULT_INVERSE_SIZE
+    while size > 2 and size**d > GRID_CAP:
+        size //= 2
+    return size
+
+
+def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
                    tol: float = 1e-10) -> InvertibilityCertificate:
     """Inverse candidate from sampled-symbol division on a 2^k grid.
 
@@ -329,10 +327,14 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *,
     (amplitudes below CHOP_REL of the peak are dropped as FFT dust).  The
     candidate is only as good as its verified residual: aliasing from slow
     coefficient decay shows up there, and a near-vanishing sample aborts
-    with the offending frequency instead of an inverse.
+    with the offending frequency instead of an inverse.  Without a size,
+    the grid is the largest power of two <= DEFAULT_INVERSE_SIZE per axis
+    that keeps it within GRID_CAP points; a given size over the cap raises.
     """
     group = _lattice_only(f, "invert_via_fft")
     d = group.rank
+    if size is None:
+        size = _default_inverse_size(d)
     if size < 2 or size & (size - 1):
         raise UsageError(f"grid size must be a power of two >= 2, got {size}")
     if size**d > GRID_CAP:
@@ -340,9 +342,9 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *,
     ff = f.to_float()
     vals = symbol_grid(ff, (size,) * d)
     mods = np.abs(vals)
-    flat_arg = int(np.argmin(mods))
-    kmin = np.unravel_index(flat_arg, mods.shape)
+    kmin = np.unravel_index(int(np.argmin(mods)), mods.shape)
     vmin = float(mods[kmin])
+    del mods
     if vmin < ZERO_TOL:
         return InvertibilityCertificate(
             verdict=VERDICT_INCONCLUSIVE,
@@ -355,7 +357,11 @@ def invert_via_fft(f: AlgebraElement, size: int = 512, *,
                 "reason": "symbol sample within zero tolerance; suspected non-invertible",
             },
         )
-    coeff = np.fft.fftn(1.0 / vals) / size**d
+    # The samples turn into the coefficients in place, so a single complex
+    # grid is live through the division and the transform.
+    coeff = np.divide(1.0, vals, out=vals)
+    np.fft.fftn(coeff, out=coeff)
+    coeff /= size**d
     mags = np.abs(coeff)
     # np.nonzero walks the grid in C (row-major) order, which fixes the order
     # of the kept terms and so the summation order of the verifying
@@ -388,13 +394,15 @@ def _laurent_roots(f: AlgebraElement) -> np.ndarray:
 
 
 def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
-                   inverse_size: int = 512) -> InvertibilityCertificate:
+                   inverse_size: int | None = None) -> InvertibilityCertificate:
     """Certify a lattice element through its symbol.
 
     A uniform grid scan of |symbol| combined with the Lipschitz bound
     L = sum |n|_1 |f(n)| proves a positive lower bound on the whole torus
     whenever margin = grid_min - L * spacing / 2 is positive; the verdict
-    then comes with an FFT inverse and its verified residual.  In rank one
+    then comes with an FFT inverse and its verified residual, tried from
+    inverse_size (default as in invert_via_fft) and doubled while the grid
+    stays within GRID_CAP.  In rank one
     a companion-matrix root within CIRCLE_TOL of the unit circle certifies
     non-invertibility with the offending angle as witness.  Anything else
     is inconclusive and the diagnostics say how close the call was.
@@ -428,11 +436,8 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
         "margin": margin,
     }
 
-    roots = _laurent_roots(ff) if d == 1 else np.array([], dtype=complex)
-    dists = np.abs(np.abs(roots) - 1.0) if roots.size else np.array([])
-
     if margin > 0:
-        size = inverse_size
+        size = _default_inverse_size(d) if inverse_size is None else inverse_size
         while size <= MAX_INVERSE_SIZE:
             candidate = invert_via_fft(ff, size, tol=tol)
             if candidate.invertible:
@@ -456,6 +461,10 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
             verdict=VERDICT_INCONCLUSIVE, kind="wiener-grid", fields=fields
         )
 
+    # The companion-matrix eigensolve is O(span^3), so it runs only here,
+    # where a root is the sole remaining way to a verdict.
+    roots = _laurent_roots(ff) if d == 1 else np.array([], dtype=complex)
+    dists = np.abs(np.abs(roots) - 1.0) if roots.size else np.array([])
     if d == 1 and roots.size and float(np.min(dists)) <= CIRCLE_TOL:
         z = complex(roots[int(np.argmin(dists))])
         angle = cmath.phase(z)
@@ -663,7 +672,7 @@ def probe_quotients(f: AlgebraElement, moduli_list: Sequence, *,
 
 
 def auto_invert(f: AlgebraElement, weight: Weight | None = None, *,
-                method: str = "auto", grid: int = 64, size: int = 512,
+                method: str = "auto", grid: int = 64, size: int | None = None,
                 terms: int = 40, pivot=None,
                 tol: float = 1e-10) -> InvertibilityCertificate:
     """Pick an oracle by group kind (or run the requested one)."""

@@ -224,7 +224,10 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     scale = 1
     for s in sizes:
         scale *= s
-    return np.fft.ifftn(arr) * scale
+    # In place: the transform and the scaling allocate no second grid.
+    np.fft.ifftn(arr, out=arr)
+    arr *= scale
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,8 @@ class QuotientWeight(Weight):
         self.character = character
 
     def value(self, group, x):
+        if not isinstance(group, LatticeGroup):
+            raise UsageError("quotient weights are defined on lattices only")
         return self.numerator.value(group, x) / self.character.value(x)
 
     def to_json(self):
@@ -268,41 +270,77 @@ class ProductWeight(Weight):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
+def _number(v, what: str):
+    """A finite real from JSON, kept as given: int weights keep norms exact."""
+    if isinstance(v, float) and math.isfinite(v):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise UsageError(f"{what} must be a finite number, got {v!r}")
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise UsageError(f"{what} must be a list, got {v!r}")
+    return v
+
+
+def _numbers(v, what: str) -> list:
+    return [_number(x, what) for x in _list(v, what)]
+
+
+def _table_entry(entry, group: GroupSpec):
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise UsageError(f"table entry must be an [element, value] pair, got {entry!r}")
+    return group.element_from_json(entry[0]), _number(entry[1], "table weight")
+
+
 def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
+    """Decode a weight; every malformed description raises UsageError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError(f"not a weight description: {obj!r}")
     kind = obj["kind"]
     try:
         if kind == "constant":
-            return ConstantWeight(obj.get("value", 1))
+            return ConstantWeight(_number(obj.get("value", 1), "constant weight value"))
         if kind == "exp_symmetric":
-            return ExpSymmetricWeight(obj["base"])
+            return ExpSymmetricWeight(_number(obj["base"], "exp_symmetric base"))
         if kind == "polynomial":
-            return PolynomialWeight(obj["beta"])
+            return PolynomialWeight(_number(obj["beta"], "polynomial beta"))
         if kind == "exp_directional":
+            rectified = obj.get("rectified", True)
+            if not isinstance(rectified, bool):
+                raise UsageError(f"'rectified' must be a boolean, got {rectified!r}")
             return ExpDirectionalWeight(
-                obj["coefficients"], rectified=obj.get("rectified", True)
+                _numbers(obj["coefficients"], "exp_directional coefficients"), rectified=rectified
             )
         if kind == "table":
             extension = obj.get("extension", "error")
             if "ball_radius" in obj:
                 if group is None:
                     raise UsageError("ball-aligned weight tables need the group to decode")
+                radius = obj["ball_radius"]
+                if not isinstance(radius, int) or isinstance(radius, bool):
+                    raise UsageError(f"table ball_radius must be an integer, got {radius!r}")
                 return TableWeight.on_ball(
-                    group, obj["ball_radius"], obj["values"], extension=extension
+                    group, radius, _numbers(obj["values"], "table values"), extension=extension
                 )
-            mapping = {}
-            for x, v in obj["entries"]:
-                key = tuple(x) if isinstance(x, list) else x
-                mapping[key] = v
-            return TableWeight(mapping, extension=extension)
+            entries = _list(obj["entries"], "table entries")
+            if group is None:
+                raise UsageError("weight tables need the group to decode their elements")
+            return TableWeight(dict(_table_entry(e, group) for e in entries), extension=extension)
         if kind == "quotient":
+            character = obj["character"]
+            if not isinstance(character, dict):
+                raise UsageError(f"quotient character must be an object, got {character!r}")
             return QuotientWeight(
                 weight_from_json(obj["weight"], group),
-                Character(tuple(obj["character"]["c"])),
+                Character(tuple(_numbers(character["c"], "character coefficients"))),
             )
         if kind == "product":
-            return ProductWeight([weight_from_json(f, group) for f in obj["factors"]])
+            return ProductWeight(
+                [weight_from_json(f, group) for f in _list(obj["factors"], "product factors")]
+            )
     except KeyError as exc:
         raise UsageError(f"weight description of kind {kind!r} is missing field {exc}") from None
     raise UsageError(f"unknown weight kind {kind!r}")

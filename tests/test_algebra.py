@@ -14,7 +14,7 @@ from galab.algebra import (
     identity_element,
 )
 from galab.errors import UsageError
-from galab.groups import FreeGroup, LatticeGroup, cyclic_group
+from galab.groups import FreeGroup, LatticeGroup, cyclic_group, symmetric_group
 from galab.weights import ExpSymmetricWeight
 
 Z = LatticeGroup(1)
@@ -77,6 +77,114 @@ def test_convolution_on_nonabelian_group_respects_order():
     b = delta(f2, (2,))
     assert list(convolve(a, b).support) == [(1, 2)]
     assert list(convolve(b, a).support) == [(2, 1)]
+
+
+# ---------------------------------------------------------------------------
+# exact convolution against a plain QComplex double loop
+
+
+def reference_convolve(h, f):
+    """Exact h*f by QComplex products and sums, in x-then-y key order."""
+    acc = {}
+    for x, a in h.items():
+        for y, b in f.items():
+            z = h.group.mul(x, y)
+            acc[z] = acc[z] + a * b if z in acc else a * b
+    return [(z, v) for z, v in acc.items() if not v.is_zero]
+
+
+F2 = FreeGroup(2)
+S3 = symmetric_group(3)
+
+
+def _word(letters):
+    w = ()
+    for a in letters:
+        w = F2.mul(w, (a,))
+    return w
+
+
+# Few support points per group, so products collide and partial sums cancel.
+_points = {
+    "Z": st.integers(-2, 2).map(lambda k: (k,)),
+    "Z2": st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    "F2": st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).map(_word),
+    "S3": st.integers(0, 5),
+}
+_groups = {"Z": Z, "Z2": LatticeGroup(2), "F2": F2, "S3": S3}
+_parts = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6, 35, 77]))
+
+
+def _elements(kind, gaussian):
+    amp = st.builds(QComplex, _parts, _parts if gaussian else st.just(Fraction(0)))
+    return st.dictionaries(_points[kind], amp, max_size=5).map(
+        lambda d: AlgebraElement(_groups[kind], d, True)
+    )
+
+
+@st.composite
+def _exact_pairs(draw):
+    kind = draw(st.sampled_from(sorted(_groups)))
+    h = draw(_elements(kind, draw(st.booleans())))
+    f = draw(_elements(kind, draw(st.booleans())))
+    return h, f
+
+
+def _assert_exact_and_same(got, want):
+    assert got.exact
+    assert list(got.items()) == want  # keys, key order and values
+    for _, v in got.items():
+        assert type(v.re) is Fraction and type(v.im) is Fraction
+
+
+@given(_exact_pairs())
+@settings(max_examples=300)
+def test_exact_convolution_matches_qcomplex_reference(pair):
+    h, f = pair
+    _assert_exact_and_same(convolve(h, f), reference_convolve(h, f))
+    mixed = convolve(h, f.to_float())
+    assert not mixed.exact
+    assert mixed == convolve(h.to_float(), f.to_float())
+
+
+@given(st.sampled_from(sorted(_groups)).flatmap(
+    lambda kind: st.tuples(st.just(kind), *[_points[kind]] * 3)),
+    st.builds(QComplex, _parts, _parts), st.builds(QComplex, _parts, _parts))
+@settings(max_examples=100)
+def test_exact_convolution_cancels_to_exact_zero(points, q, r):
+    # (q a + q b) * (r c - r d) with d = b^-1 a c: the terms at ac and bd cancel.
+    kind, a, b, c = points
+    group = _groups[kind]
+    if a == b or q.is_zero or r.is_zero:
+        return
+    d = group.mul(group.mul(group.inv(b), a), c)
+    h = AlgebraElement(group, {a: q, b: q}, True)
+    f = AlgebraElement(group, {c: r, d: -r}, True)
+    got = convolve(h, f)
+    _assert_exact_and_same(got, reference_convolve(h, f))
+    assert group.mul(a, c) not in dict(got.items())
+
+
+@pytest.mark.parametrize("kind", sorted(_groups))
+def test_exact_convolution_with_empty_operand(kind):
+    group = _groups[kind]
+    zero = AlgebraElement.zero(group, exact=True)
+    f = AlgebraElement(group, {group.identity: QComplex.of("1/3", "2/5")}, True)
+    for got in (convolve(zero, f), convolve(f, zero), convolve(zero, zero)):
+        assert got.exact and got.is_zero
+
+
+def test_exact_convolution_with_coprime_large_denominators():
+    # Pairwise-coprime denominators: the LCMs are their full products.
+    p, q, r, s = 2**61 - 1, 10**9 + 7, 998244353, 1000003
+    h = AlgebraElement(Z, {(0,): QComplex(Fraction(1, p), Fraction(-2, q)),
+                           (1,): QComplex(Fraction(3, r))}, True)
+    f = AlgebraElement(Z, {(-1,): QComplex(Fraction(5, s), Fraction(7, p * q)),
+                           (0,): QComplex(Fraction(-11, r * s))}, True)
+    got = convolve(h, f)
+    _assert_exact_and_same(got, reference_convolve(h, f))
+    assert got.amplitude((0,)) == QComplex(Fraction(-11, p * r * s) + Fraction(15, r * s),
+                                           Fraction(22, q * r * s) + Fraction(21, p * q * r))
 
 
 def test_scalar_and_arithmetic_basics():

@@ -339,3 +339,123 @@ def test_invert_never_ends_in_a_traceback(capsys, el):
     assert "Traceback" not in captured.err
     if rc == 1:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_z3_element_certifies_at_the_default_size(capsys):
+    # 512^3 points exceed the grid cap; the default inverse size drops to 128.
+    el = element_json([{"x": [0, 0, 0], "re": 2.0}, {"x": [1, 0, 0], "re": 0.5}], rank=3)
+    assert main(["invert", "--input", el]) == 0
+    assert "inverse_size = 128" in capsys.readouterr().out
+    assert main(["invert", "--input", el, "--N", "512"]) == 1  # an explicit size is kept
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        '{"kind": "exp_symmetric", "base": "abc"}',
+        '{"kind": "polynomial", "beta": null}',
+        '{"kind": "constant", "value": NaN}',
+        '{"kind": "exp_symmetric", "base": 1e400}',
+        '{"kind": "polynomial", "beta": true}',
+        '{"kind": "exp_directional", "coefficients": 5}',
+        '{"kind": "exp_directional", "coefficients": [1, "x"]}',
+        '{"kind": "exp_directional", "coefficients": [1], "rectified": "no"}',
+        '{"kind": "table", "entries": 5}',
+        '{"kind": "table", "entries": [[[0], 1.0, 2.0]]}',
+        '{"kind": "table", "entries": [[{"a": 1}, 1.0]]}',
+        '{"kind": "table", "entries": [[[0], "heavy"]]}',
+        '{"kind": "table", "ball_radius": "one", "values": [1, 2, 3]}',
+        '{"kind": "table", "ball_radius": 1, "values": 3}',
+        '{"kind": "quotient", "weight": {"kind": "constant"}, "character": {"c": "x"}}',
+        '{"kind": "quotient", "weight": {"kind": "constant"}, "character": [1]}',
+        '{"kind": "product", "factors": 5}',
+        '{"kind": "exp_directional", "coefficients": [1000.0]}',  # e^1000 is out of range
+    ],
+)
+def test_undecodable_weight_is_a_usage_error(capsys, weight):
+    assert main(["invert", "--input", INVERTIBLE, "--weight", weight, "--K", "8"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_huge_free_ball_radius_is_refused(capsys):
+    el = json.dumps({"group": {"kind": "free", "rank": 1}, "terms": [{"x": [], "re": 2.0}]})
+    weight = json.dumps({"kind": "table", "ball_radius": 10**20, "values": [1]})
+    assert main(["invert", "--input", el, "--weight", weight]) == 1
+    assert _one_error_line(capsys)
+
+
+# Random weight JSON for the decode fuzz test, applied to small valid elements.
+# Junk is a single branch of each choice, so that some weights still reach the
+# series oracle.  Exact int parameters stay small: an int exponent such as
+# beta = 10**9 makes each weight value a billion-bit integer, a cost of
+# evaluating the weight, not of decoding it.
+_bad = st.sampled_from(
+    [None, True, "", "x", [], ["a", 1], {}, {"c": 1}, -7, 0.0, float("nan"), float("inf")]
+)
+_param = st.one_of(st.integers(1, 3), st.floats(1, 4), st.integers(-3, 3), st.floats(), _bad)
+_kinds = ["constant", "exp_symmetric", "polynomial", "exp_directional", "table", "quotient",
+          "product"]
+_extension = {"extension": st.one_of(st.sampled_from(["error", "envelope"]), _bad)}
+_table_point = st.one_of(st.lists(st.integers(-1, 1), min_size=1, max_size=2), _bad)
+_weight_leaf = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _param}),
+    st.fixed_dictionaries({"kind": st.just("exp_symmetric"), "base": _param}),
+    st.fixed_dictionaries({"kind": st.just("polynomial"), "beta": _param}),
+    st.fixed_dictionaries(
+        {"kind": st.just("exp_directional"),
+         "coefficients": st.one_of(st.lists(_param, min_size=1, max_size=2), _bad)},
+        optional={"rectified": st.one_of(st.booleans(), _bad)},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("table"),
+         "entries": st.one_of(
+             st.lists(st.one_of(st.tuples(_table_point, _param).map(list), _bad), max_size=3),
+             _bad)},
+        optional=_extension,
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("table"),
+         "ball_radius": st.one_of(st.integers(-1, 2), st.just(10**20), _bad),
+         "values": st.one_of(st.lists(_param, max_size=5), _bad)},
+        optional=_extension,
+    ),
+    st.fixed_dictionaries({"kind": st.one_of(st.sampled_from(_kinds), _bad)}),
+    _bad,
+)
+_weights = st.recursive(
+    _weight_leaf,
+    lambda inner: st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("quotient"), "weight": inner,
+             "character": st.one_of(
+                 st.fixed_dictionaries({"c": st.one_of(st.lists(_param, max_size=2), _bad)}),
+                 _bad)},
+        ),
+        st.fixed_dictionaries(
+            {"kind": st.just("product"),
+             "factors": st.one_of(st.lists(inner, min_size=1, max_size=3), _bad)},
+        ),
+    ),
+    max_leaves=4,
+)
+_weighted_inputs = st.sampled_from([
+    INVERTIBLE,
+    element_json([{"x": [0, 0], "re": 3.0}, {"x": [1, -1], "re": 0.5}], rank=2),
+    json.dumps({"group": {"kind": "free", "rank": 2},
+                "terms": [{"x": [], "re": 3.0}, {"x": [1, -2], "re": 0.5}]}),
+    json.dumps({"group": {"kind": "cayley", "table": _C3}, "scalars": "exact",
+                "terms": [{"x": 0, "re": "2"}, {"x": 1, "re": "1/3"}]}),
+])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_weighted_inputs, _weights)
+def test_invert_with_random_weight_never_ends_in_a_traceback(capsys, el, weight):
+    rc = main(["invert", "--input", el, "--weight", json.dumps(weight), "--K", "8"])
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
+    if rc == 1:
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galab.algebra import AlgebraElement, QComplex, convolve, delta, identity_element
-from galab.errors import UsageError
+from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
     FreeGroup,
     LatticeGroup,
@@ -385,6 +386,59 @@ def test_wiener_doubling_stops_at_grid_cap():
     assert cert.verdict == "inconclusive"
     assert cert.exit_code == 3
     assert "up to the size cap" in cert.fields["reason"]
+
+
+def test_wiener_positive_margin_skips_the_root_solve(monkeypatch):
+    def no_roots(f):
+        raise AssertionError("companion-matrix roots computed on a positive margin")
+
+    monkeypatch.setattr("galab.invertibility._laurent_roots", no_roots)
+    f = delta(Z, (0,), 2) + delta(Z, (3,), 0.5)
+    cert = wiener_certify(f)
+    assert cert.fields["margin"] > 0
+    assert cert.verdict == "invertible"
+    # A non-positive margin still needs the roots.
+    with pytest.raises(AssertionError, match="companion-matrix"):
+        wiener_certify(delta(Z, (0,)) - delta(Z, (1,)))
+
+
+def test_default_inverse_size_fits_the_grid_cap():
+    # 512^3 points exceed GRID_CAP, so Z^3 starts from 128; Z and Z^2 keep 512.
+    for d, size in [(1, 512), (2, 512), (3, 128)]:
+        group = LatticeGroup(d)
+        f = delta(group, (0,) * d, 2) + delta(group, (1,) + (0,) * (d - 1), 0.5)
+        assert invert_via_fft(f).fields["size"] == size
+        cert = wiener_certify(f)
+        assert cert.verdict == "invertible" and cert.fields["inverse_size"] == size
+    with pytest.raises(ResourceLimitError):
+        invert_via_fft(f, 512)
+    with pytest.raises(ResourceLimitError):
+        wiener_certify(f, inverse_size=512)
+
+
+def test_symbol_grid_matches_out_of_place_transform():
+    rng = random.Random("symbol-grid")
+    for d, size in [(1, 64), (2, 32), (3, 8)]:
+        f = _dominant_element(rng, LatticeGroup(d), 3)
+        arr = np.zeros((size,) * d, dtype=complex)
+        for n, amp in f.items():
+            arr[tuple(i % size for i in n)] += amp
+        assert symbol_grid(f, (size,) * d).tobytes() == (np.fft.ifftn(arr) * size**d).tobytes()
+
+
+def test_fft_inverse_peak_memory_below_three_grids():
+    # The samples, their moduli, the reciprocals and the transform used to be
+    # live together; now the division and the transform run in place.
+    f = delta(LatticeGroup(2), (0, 0), 2) + delta(LatticeGroup(2), (1, 0), 0.5)
+    grid_bytes = 1024 * 1024 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        cert = invert_via_fft(f, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "invertible"
+    assert peak < 3 * grid_bytes
 
 
 def _reference_chop(f, size):

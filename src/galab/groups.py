@@ -199,22 +199,30 @@ class FreeGroup(GroupSpec):
         k = self.rank
         return list(range(-k, 0)) + list(range(1, k + 1))
 
-    def ball_size(self, radius: int) -> int:
+    def ball_size(self, radius: int, cap: int | None = None) -> int:
+        """Number of reduced words of length <= radius.
+
+        With a cap, the count stops with ResourceLimitError as soon as the
+        words plus their letters, what the ball stores, pass the cap; long
+        words on rank one count for their length.
+        """
         if radius < 0:
             raise UsageError(f"ball radius must be >= 0, got {radius}")
         total = 1
+        stored = 1
         sphere = 2 * self.rank
-        for _ in range(radius):
+        for length in range(1, radius + 1):
             total += sphere
+            stored += sphere * (1 + length)
+            if cap is not None and stored > cap:
+                raise ResourceLimitError(
+                    f"ball of radius {radius} stores over {cap} words and letters"
+                )
             sphere *= 2 * self.rank - 1
         return total
 
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
-        if radius > cap:  # the ball holds at least 2 * radius + 1 words
-            raise ResourceLimitError(f"ball of radius {radius} exceeds cap {cap}")
-        size = self.ball_size(radius)
-        if size > cap:
-            raise ResourceLimitError(f"ball would hold {size} elements, cap is {cap}")
+        self.ball_size(radius, cap)
         letters = self._letters()
         words = [()]
         level = [()]

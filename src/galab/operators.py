@@ -224,7 +224,8 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     scale = 1
     for s in sizes:
         scale *= s
-    # In place: the transform and the scaling allocate no second grid.
+    # In place (numpy >= 2.0 FFTs take out=): the transform and the scaling
+    # allocate no second grid.
     np.fft.ifftn(arr, out=arr)
     arr *= scale
     return arr

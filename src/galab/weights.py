@@ -21,6 +21,50 @@ from .groups import GroupSpec, LatticeGroup, Window, ball
 
 _REL_TOL = 1e-12
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
+_FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
+
+
+def _out_of_range(what: str) -> UsageError:
+    return UsageError(f"{what} is not a positive number within the float range")
+
+
+def _checked(value, what: str):
+    """A weight value, refused unless it is positive and within the float range.
+
+    Weight values feed float norms and reports, so an int past the float
+    range, an infinity, a NaN or an underflow to 0 is refused where it arises.
+    """
+    if isinstance(value, int):
+        ok = 0 < value and value.bit_length() <= _FLOAT_BITS
+    else:
+        ok = 0 < value < math.inf
+    if not ok:
+        raise _out_of_range(what)
+    return value
+
+
+def _power(base, exponent, what: str):
+    """base ** exponent as a checked weight value.
+
+    An exact int power that must leave the float range is refused before it
+    is computed, so a large int exponent costs nothing.
+    """
+    if isinstance(base, int) and isinstance(exponent, int):
+        if (base.bit_length() - 1) * exponent > _FLOAT_BITS:
+            raise _out_of_range(what)
+        return _checked(base**exponent, what)
+    try:
+        return _checked(base**exponent, what)
+    except OverflowError:
+        raise _out_of_range(what) from None
+
+
+def _exp(exponents, what: str) -> float:
+    """exp(sum(exponents)) as a checked weight value."""
+    try:
+        return _checked(math.exp(sum(exponents)), what)
+    except OverflowError:
+        raise _out_of_range(what) from None
 
 
 class Weight:
@@ -68,7 +112,7 @@ class ExpSymmetricWeight(Weight):
         self.base = base
 
     def value(self, group, x):
-        return self.base ** group.word_length(x)
+        return _power(self.base, group.word_length(x), "exp_symmetric weight value")
 
     def to_json(self):
         return {"kind": "exp_symmetric", "base": self.base}
@@ -85,7 +129,7 @@ class PolynomialWeight(Weight):
         self.beta = beta
 
     def value(self, group, x):
-        return (1 + group.word_length(x)) ** self.beta
+        return _power(1 + group.word_length(x), self.beta, "polynomial weight value")
 
     def to_json(self):
         return {"kind": "polynomial", "beta": self.beta}
@@ -108,10 +152,10 @@ class ExpDirectionalWeight(Weight):
         if not isinstance(group, LatticeGroup) or len(x) != len(self.coefficients):
             raise UsageError("exp_directional weights are defined on matching lattices only")
         if self.rectified:
-            s = sum(c * max(v, 0) for c, v in zip(self.coefficients, x))
+            s = (c * max(v, 0) for c, v in zip(self.coefficients, x))
         else:
-            s = sum(c * v for c, v in zip(self.coefficients, x))
-        return math.exp(s)
+            s = (c * v for c, v in zip(self.coefficients, x))
+        return _exp(s, "exp_directional weight value")
 
     def to_json(self):
         return {
@@ -149,7 +193,7 @@ class TableWeight(Weight):
             return self.values[x]
         if self.extension == "error":
             raise UsageError(f"element {x!r} is outside the weight table")
-        return self._envelope(group, x)
+        return _checked(self._envelope(group, x), "table envelope value")
 
     def _envelope(self, group, x):
         if x in self._envelope_cache:
@@ -216,7 +260,7 @@ class Character:
     def value(self, x) -> float:
         if len(x) != len(self.c):
             raise UsageError(f"character of rank {len(self.c)} applied to {x!r}")
-        return math.exp(sum(ci * xi for ci, xi in zip(self.c, x)))
+        return _exp((ci * xi for ci, xi in zip(self.c, x)), "character value")
 
     def to_json(self):
         return {"c": list(self.c)}
@@ -234,7 +278,9 @@ class QuotientWeight(Weight):
     def value(self, group, x):
         if not isinstance(group, LatticeGroup):
             raise UsageError("quotient weights are defined on lattices only")
-        return self.numerator.value(group, x) / self.character.value(x)
+        return _checked(
+            self.numerator.value(group, x) / self.character.value(x), "quotient weight value"
+        )
 
     def to_json(self):
         return {
@@ -264,17 +310,20 @@ class ProductWeight(Weight):
         out = 1
         for f in self.factors:
             out = out * f.value(group, x)
-        return out
+        return _checked(out, "product weight value")
 
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
 def _number(v, what: str):
-    """A finite real from JSON, kept as given: int weights keep norms exact."""
+    """A finite real from JSON, kept as given: int weights keep norms exact.
+
+    An int past the float range is refused like the float 1e400.
+    """
     if isinstance(v, float) and math.isfinite(v):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool) and v.bit_length() <= _FLOAT_BITS:
         return v
     raise UsageError(f"{what} must be a finite number, got {v!r}")
 

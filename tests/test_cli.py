@@ -371,6 +371,12 @@ def test_z3_element_certifies_at_the_default_size(capsys):
         '{"kind": "quotient", "weight": {"kind": "constant"}, "character": [1]}',
         '{"kind": "product", "factors": 5}',
         '{"kind": "exp_directional", "coefficients": [1000.0]}',  # e^1000 is out of range
+        '{"kind": "constant", "value": 1%s}' % ("0" * 400),  # an int past the float range
+        '{"kind": "constant", "value": 1%s}' % ("0" * 5000),  # past the JSON digit limit
+        '{"kind": "polynomial", "beta": 1000000000000}',  # 2 ** 10**12, refused uncomputed
+        '{"kind": "quotient", "weight": {"kind": "constant"}, "character": {"c": [-746.0]}}',
+        '{"kind": "product", "factors": [{"kind": "exp_symmetric", "base": 1e200},'
+        ' {"kind": "exp_symmetric", "base": 1e200}]}',
     ],
 )
 def test_undecodable_weight_is_a_usage_error(capsys, weight):
@@ -378,22 +384,27 @@ def test_undecodable_weight_is_a_usage_error(capsys, weight):
     assert _one_error_line(capsys)
 
 
-def test_huge_free_ball_radius_is_refused(capsys):
-    el = json.dumps({"group": {"kind": "free", "rank": 1}, "terms": [{"x": [], "re": 2.0}]})
-    weight = json.dumps({"kind": "table", "ball_radius": 10**20, "values": [1]})
+@pytest.mark.parametrize("rank, radius", [(1, 10**20), (2, 10**6), (1, 10**6), (1, 10**5)])
+def test_huge_free_ball_radius_is_refused(capsys, rank, radius):
+    # The count stops at the cap; on rank one the long words count for
+    # their letters, so a ball of 2 * 10**5 + 1 words is refused too.
+    el = json.dumps({"group": {"kind": "free", "rank": rank}, "terms": [{"x": [], "re": 2.0}]})
+    weight = json.dumps({"kind": "table", "ball_radius": radius, "values": [1]})
     assert main(["invert", "--input", el, "--weight", weight]) == 1
     assert _one_error_line(capsys)
 
 
 # Random weight JSON for the decode fuzz test, applied to small valid elements.
 # Junk is a single branch of each choice, so that some weights still reach the
-# series oracle.  Exact int parameters stay small: an int exponent such as
-# beta = 10**9 makes each weight value a billion-bit integer, a cost of
-# evaluating the weight, not of decoding it.
+# series oracle.  Large ints reach both sides of the float range, where an
+# exact power must be refused before it is computed.
 _bad = st.sampled_from(
     [None, True, "", "x", [], ["a", 1], {}, {"c": 1}, -7, 0.0, float("nan"), float("inf")]
 )
-_param = st.one_of(st.integers(1, 3), st.floats(1, 4), st.integers(-3, 3), st.floats(), _bad)
+_param = st.one_of(
+    st.integers(1, 3), st.floats(1, 4), st.integers(-3, 3), st.floats(),
+    st.integers(-(2**1100), 2**1100), st.sampled_from([10**9, 10**12, 2**1023, 2**1024]), _bad,
+)
 _kinds = ["constant", "exp_symmetric", "polynomial", "exp_directional", "table", "quotient",
           "product"]
 _extension = {"extension": st.one_of(st.sampled_from(["error", "envelope"]), _bad)}

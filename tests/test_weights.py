@@ -35,6 +35,29 @@ def test_basic_weight_values():
     assert w.value(Z, (-3,)) == pytest.approx(1.0)  # rectified: flat below 0
 
 
+def test_weight_values_stay_within_the_float_range():
+    # Exact powers are kept up to the float range and refused past it,
+    # before a huge exponent is ever computed.
+    assert ExpSymmetricWeight(2).value(Z, (1022,)) == 2**1022
+    assert PolynomialWeight(10**12).value(Z, (0,)) == 1
+    outside = [
+        (ExpSymmetricWeight(2), (1023,)),
+        (ExpSymmetricWeight(2.0), (1024,)),
+        (PolynomialWeight(10**12), (1,)),
+        (PolynomialWeight(2.5), (10**400,)),
+        (ExpDirectionalWeight([1000.0]), (1,)),
+        (ExpDirectionalWeight([-1000.0], rectified=False), (1,)),  # underflows to 0
+        (QuotientWeight(ConstantWeight(), Character((-746.0,))), (1,)),
+        (ProductWeight([ExpSymmetricWeight(1e200), ExpSymmetricWeight(1e200)]), (1,)),
+        (TableWeight({(1,): 1e200}, extension="envelope"), (2,)),
+    ]
+    for weight, x in outside:
+        with pytest.raises(UsageError, match="float range"):
+            weight.value(Z, x)
+    with pytest.raises(UsageError, match="float range"):
+        character_twist(Character((-746.0,)), delta(Z, (1,)))
+
+
 def test_constant_below_one_rejected():
     with pytest.raises(UsageError):
         ConstantWeight(0.5)

@@ -9,6 +9,7 @@ certificates; and deterministic counterexample scenarios.
 from .algebra import (
     AlgebraElement,
     QComplex,
+    canonical_json,
     convolve,
     delta,
     element_from_json,

@@ -12,6 +12,7 @@ contained in supp(h)*supp(f).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,9 +236,11 @@ class AlgebraElement:
     def to_float(self) -> "AlgebraElement":
         if not self.exact:
             return self
-        return AlgebraElement(
-            self.group, {x: complex(v) for x, v in self._terms.items()}, False, _clean=True
-        )
+        try:
+            terms = {x: complex(v) for x, v in self._terms.items()}
+        except OverflowError:
+            raise UsageError("an exact amplitude lies beyond the float range") from None
+        return AlgebraElement(self.group, terms, False, _clean=True)
 
     # -- ring operations --------------------------------------------------
 
@@ -414,6 +417,43 @@ def element_to_json(f: AlgebraElement) -> dict:
         "scalars": "exact" if f.exact else "float",
         "terms": terms,
     }
+
+
+# JSON leaves, kept without a call: canonical_json walks each to_json result again.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def to_jsonable(v):
+    """v as JSON values: the one encoding of every galab payload.
+
+    Fractions become strings like "-1/4", complex and QComplex amplitudes
+    {re, im} objects, tuples lists, and elements element_to_json objects;
+    dicts and lists are mapped, and anything else is kept as it is.
+    """
+    if isinstance(v, dict):
+        return {k: x if type(x) in _JSON_SCALARS else to_jsonable(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [x if type(x) in _JSON_SCALARS else to_jsonable(x) for x in v]
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, (complex, QComplex)):
+        return _amp_to_json(v, isinstance(v, QComplex))
+    if isinstance(v, AlgebraElement):
+        return element_to_json(v)
+    return v
+
+
+def canonical_json(payload) -> str:
+    """The canonical text of a payload: sorted keys, no whitespace, a final newline.
+
+    NaN and infinities are not JSON, so a payload holding one is refused.
+    """
+    payload = to_jsonable(payload)
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise UsageError("a report value left the float range, so the report is not JSON") from None
+    return text + "\n"
 
 
 def element_from_json(obj: dict, group: GroupSpec | None = None) -> AlgebraElement:

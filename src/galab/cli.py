@@ -1,10 +1,10 @@
 """galab command line: invertibility oracles and scenario reports.
 
 Every command prints a human-readable report to stdout and, with
---report PATH, writes the canonical JSON payload (sorted keys, compact
-separators) to the given file.  Exit codes are script-friendly:
-0 success / invertible, 2 not-invertible (or a failed check),
-3 inconclusive, 1 usage or internal error.
+--report PATH, writes its payload as algebra.canonical_json (sorted keys,
+compact separators, no NaN or infinities) to the given file.  Exit codes
+are script-friendly: 0 success / invertible, 2 not-invertible (or a failed
+check), 3 inconclusive, 1 usage or internal error.
 
 Elements and weights are passed either as inline JSON or as paths to
 JSON files; an element description embeds its group.
@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import element_from_json
+from .algebra import canonical_json, element_from_json
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, ball, spec_from_json
 from .invertibility import auto_invert, probe_quotients, verify_direct_finiteness
@@ -39,14 +39,12 @@ def _load_json(arg: str):
     return _parse_json(Path(arg).read_text())
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _emit(payload, text: str, report_path) -> None:
+    # Encoded first, so a payload that is not JSON leaves only the error line.
+    report = canonical_json(payload) if report_path else None
     print(text)
     if report_path:
-        Path(report_path).write_text(_canonical(payload))
+        Path(report_path).write_text(report)
 
 
 def _fmt(v) -> str:

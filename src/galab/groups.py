@@ -11,6 +11,7 @@ operations read as ``spec.mul(a, b)``.
 from __future__ import annotations
 
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
@@ -26,10 +27,13 @@ LATTICE_RANK_CAP = 1024
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+    """value as an int; a float, string or bool is refused, not truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise UsageError(f"{what} must be an integer, got {value!r}")
 
 
 def _rank(value, what: str) -> int:
@@ -265,9 +269,12 @@ class CayleyGroup(GroupSpec):
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
         try:
-            rows = tuple(tuple(int(v) for v in row) for row in table)
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError("Cayley table must be a list of rows of integers") from None
+            rows = tuple(tuple(map(operator.index, row)) for row in table)
+        except TypeError:
+            rows = None
+        # operator.index turns True into 1, so bools are looked for in the table itself.
+        if rows is None or any(bool in map(type, row) for row in table):
+            raise UsageError("Cayley table must be a list of rows of integers")
         n = len(rows)
         if n == 0:
             raise UsageError("Cayley table must be nonempty")

@@ -35,6 +35,7 @@ from .algebra import (
     delta,
     element_to_json,
     identity_element,
+    to_jsonable,
 )
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup
@@ -57,12 +58,6 @@ DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, with
 QUOTIENT_CAP = 2**20        # probe_quotients: points of one quotient
 
 
-def _num(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
-
-
 @dataclass
 class InvertibilityCertificate:
     verdict: str
@@ -80,12 +75,8 @@ class InvertibilityCertificate:
         return {VERDICT_INVERTIBLE: 0, VERDICT_NOT_INVERTIBLE: 2}.get(self.verdict, 3)
 
     def to_json(self) -> dict:
-        out = {"verdict": self.verdict, "kind": self.kind}
-        for k, v in self.fields.items():
-            out[k] = _num(v)
-        out["inverse"] = element_to_json(self.inverse) if self.inverse is not None else None
-        out["residual"] = _num(self.residual)
-        return out
+        return to_jsonable({"verdict": self.verdict, "kind": self.kind, **self.fields,
+                            "inverse": self.inverse, "residual": self.residual})
 
 
 @dataclass
@@ -97,13 +88,13 @@ class DirectFinitenessReport:
     slack: float
 
     def to_json(self):
-        return {
-            "left_residual": _num(self.left_residual),
-            "right_residual": _num(self.right_residual),
+        return to_jsonable({
+            "left_residual": self.left_residual,
+            "right_residual": self.right_residual,
             "pass": self.passed,
             "tol": self.tol,
             "slack": self.slack,
-        }
+        })
 
 
 def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
@@ -585,13 +576,13 @@ class QuotientProbe:
     angles: tuple
 
     def to_json(self):
-        return {
-            "moduli": list(self.moduli),
+        return to_jsonable({
+            "moduli": self.moduli,
             "nonsingular": self.nonsingular,
             "min_modulus": self.min_modulus,
-            "frequency": list(self.frequency),
-            "angle": list(self.angles),
-        }
+            "frequency": self.frequency,
+            "angle": self.angles,
+        })
 
 
 @dataclass
@@ -618,9 +609,9 @@ class ProbeReport:
                     verdict=VERDICT_NOT_INVERTIBLE,
                     kind="quotient-witness",
                     fields={
-                        "moduli": list(p.moduli),
-                        "frequency": list(p.frequency),
-                        "angle": list(p.angles),
+                        "moduli": p.moduli,
+                        "frequency": p.frequency,
+                        "angle": p.angles,
                         "value": p.min_modulus,
                     },
                 )

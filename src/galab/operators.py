@@ -108,17 +108,6 @@ class WindowedOperator:
         vec = np.array([complex(_lookup(g, z)) for z in self.input_window])
         return self.matrix @ vec
 
-    def to_json(self):
-        return {
-            "window": [self.window.group.element_to_json(x) for x in self.window],
-            "input_window": [
-                self.window.group.element_to_json(x) for x in self.input_window
-            ],
-            "matrix": [
-                [[v.real, v.imag] for v in row] for row in self.matrix
-            ],
-        }
-
 
 def action_matrix(f: AlgebraElement, window: Window,
                   weight: Weight | None = None) -> WindowedOperator:

@@ -2,36 +2,21 @@
 
 Each scenario pins down a classical gap between pointwise/spectral data and
 algebra invertibility, using exact arithmetic wherever the conclusion rests
-on a quantity being *exactly* zero or one.  Reports serialize to canonical
-JSON bytes so repeated runs are byte-identical.
+on a quantity being *exactly* zero or one.  Reports encode through
+algebra.to_jsonable, so repeated runs give byte-identical canonical JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import delta
+from .algebra import delta, to_jsonable
 from .errors import UsageError
 from .groups import LatticeGroup
 from .invertibility import wiener_certify
 from .operators import apply_convolution_action
-
-
-def _jsonify(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, (tuple, list)):
-        return [_jsonify(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonify(x) for k, x in v.items()}
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    return v
 
 
 @dataclass
@@ -42,25 +27,28 @@ class ScenarioReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
+        # Exact findings that are integers print as JSON ints, not fraction strings.
+        findings = [
+            {"name": name,
+             "value": int(value) if isinstance(value, Fraction) and value.denominator == 1
+             else value}
+            for name, value in self.findings
+        ]
+        return to_jsonable({
             "scenario": self.scenario,
-            "parameters": _jsonify(self.parameters),
-            "findings": [
-                {"name": name, "value": _jsonify(value)} for name, value in self.findings
-            ],
+            "parameters": self.parameters,
+            "findings": findings,
             "verdict": self.verdict,
-        }
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
+        })
 
     def text(self) -> str:
+        payload = self.to_json()
         lines = [f"scenario: {self.scenario}"]
-        for key in sorted(self.parameters):
-            lines.append(f"  {key} = {_jsonify(self.parameters[key])}")
+        for key, value in sorted(payload["parameters"].items()):
+            lines.append(f"  {key} = {value}")
         lines.append("findings:")
-        for name, value in self.findings:
-            lines.append(f"  {name} = {_jsonify(value)}")
+        for finding in payload["findings"]:
+            lines.append(f"  {finding['name']} = {finding['value']}")
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)
 

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, to_jsonable
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .groups import GroupSpec, LatticeGroup, Window, ball
+from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
 _REL_TOL = 1e-12
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
@@ -193,32 +193,34 @@ class TableWeight(Weight):
             return self.values[x]
         if self.extension == "error":
             raise UsageError(f"element {x!r} is outside the weight table")
-        return _checked(self._envelope(group, x), "table envelope value")
-
-    def _envelope(self, group, x):
-        if x in self._envelope_cache:
-            return self._envelope_cache[x]
-        target_len = group.word_length(x)
-        best = None
-        for u, wu in self.values.items():
-            if u == group.identity:
-                continue
-            rest = group.mul(group.inv(u), x)
-            if group.word_length(rest) >= target_len:
-                continue
-            wrest = self.values.get(rest)
-            if wrest is None:
-                try:
-                    wrest = self._envelope(group, rest)
-                except UsageError:
-                    continue
-            cand = wu * wrest
-            if best is None or cand < best:
-                best = cand
+        best = self._envelope(group, x)
         if best is None:
             raise UsageError(f"element {x!r} is not reachable by products of table entries")
-        self._envelope_cache[x] = best
-        return best
+        return _checked(best, "table envelope value")
+
+    def _envelope(self, group, x):
+        """Least w(u) * w(rest) over table entries u != e with x = u * rest and
+        rest shorter than x, rest valued by the table or else by the same rule;
+        None when no such product reaches x.  The words it needs are gathered
+        with an explicit stack, not one recursion level per letter, and then
+        valued shortest first; every result is memoised.
+        """
+        memo, table = self._envelope_cache, self.values
+        rests_of = {}
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            if y in table or y in memo or y in rests_of:
+                continue
+            length = group.word_length(y)
+            rests = [(wu, group.mul(group.inv(u), y)) for u, wu in table.items()
+                     if u != group.identity]
+            rests_of[y] = [(wu, r) for wu, r in rests if group.word_length(r) < length]
+            todo.extend(r for _, r in rests_of[y])
+        for y in sorted(rests_of, key=group.word_length):  # each rest before its word
+            known = [(wu, table[r] if r in table else memo[r]) for wu, r in rests_of[y]]
+            memo[y] = min((wu * w for wu, w in known if w is not None), default=None)
+        return memo[x]
 
     def to_json(self):
         # Values listed in canonical ball order when a radius is recorded;
@@ -368,9 +370,7 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
             if "ball_radius" in obj:
                 if group is None:
                     raise UsageError("ball-aligned weight tables need the group to decode")
-                radius = obj["ball_radius"]
-                if not isinstance(radius, int) or isinstance(radius, bool):
-                    raise UsageError(f"table ball_radius must be an integer, got {radius!r}")
+                radius = _integer(obj["ball_radius"], "table ball_radius")
                 return TableWeight.on_ball(
                     group, radius, _numbers(obj["values"], "table values"), extension=extension
                 )
@@ -410,18 +410,15 @@ class WeightCheckReport:
     window_size: int
 
     def to_json(self):
-        def enc(x):
-            return list(x) if isinstance(x, tuple) else x
-
-        return {
+        return to_jsonable({
             "submultiplicative": self.submultiplicative,
             "symmetric": self.symmetric,
             "min_value": self.min_value,
-            "min_at": enc(self.min_at),
+            "min_at": self.min_at,
             "worst_ratio": self.worst_ratio,
-            "worst_pair": [enc(x) for x in self.worst_pair] if self.worst_pair else None,
+            "worst_pair": self.worst_pair,
             "window_size": self.window_size,
-        }
+        })
 
 
 def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -> WeightCheckReport:
@@ -483,16 +480,11 @@ class DominationResult:
     certificate_pair: tuple | None = None
 
     def to_json(self):
-        out = {"feasible": self.feasible, "radius": self.radius}
-        if self.character is not None:
-            out["character"] = self.character.to_json()
-        if self.lower is not None:
-            out["lower"] = self.lower
-        if self.upper is not None:
-            out["upper"] = self.upper
-        if self.certificate_pair is not None:
-            out["certificate_pair"] = [list(x) for x in self.certificate_pair]
-        return out
+        out = {"feasible": self.feasible, "radius": self.radius,
+               "character": self.character.to_json() if self.character is not None else None,
+               "lower": self.lower, "upper": self.upper,
+               "certificate_pair": self.certificate_pair}
+        return to_jsonable({k: v for k, v in out.items() if v is not None})
 
 
 def dominate_character(weight: Weight, group: LatticeGroup,
@@ -596,14 +588,6 @@ class RescaleResult:
     min_rescaled: float
     domination_ok: bool
     twist_residuals: list
-
-    def to_json(self):
-        return {
-            "rescaled": self.rescaled.to_json(),
-            "min_rescaled": self.min_rescaled,
-            "domination_ok": self.domination_ok,
-            "twist_residuals": self.twist_residuals,
-        }
 
 
 def rescale_by_character(weight: Weight, character: Character, element: AlgebraElement,

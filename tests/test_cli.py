@@ -1,13 +1,22 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galab.algebra import element_from_json
+from galab.algebra import canonical_json, delta, element_from_json
 from galab.cli import _parse_moduli, main
 from galab.errors import UsageError
-from galab.groups import cyclic_group
+from galab.groups import LatticeGroup, ball, cyclic_group
+from galab.invertibility import (
+    invert_finite,
+    neumann_invert,
+    probe_quotients,
+    verify_direct_finiteness,
+)
+from galab.scenarios import scenario_lp, scenario_torus
+from galab.weights import TableWeight, check_weight, dominate_character
 
 
 def element_json(terms, rank=1, scalars="float"):
@@ -200,6 +209,111 @@ def test_scenario_report_bytes_are_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# canonical_json bytes of one small payload of each report kind, pinned from the
+# per-module encoders it replaced; any drift of the encoding fails here.  The
+# inputs keep every float exact or computed in pure Python.
+GOLDEN_REPORTS = {
+    "exact-cert": (
+        '{"inverse":{"group":{"identity":0,"kind":"cayley","name":"C3","order":3,"table":[[0,'
+        '1,2],[1,2,0],[2,0,1]]},"scalars":"exact","terms":[{"im":"0","re":"32/65","x":0},'
+        '{"im":"0","re":"-8/65","x":1},{"im":"0","re":"2/65","x":2}]},"kind":"exact-finite",'
+        '"left_residual":"0","order":3,"residual":"0","right_residual":"0","scalars":"exact",'
+        '"verdict":"invertible"}'
+    ),
+    "float-cert": (
+        '{"inverse":{"group":{"kind":"Z","rank":1},"scalars":"float","terms":[{"im":0.0,'
+        '"re":1.0,"x":[0]},{"im":-0.0,"re":-0.5,"x":[1]},{"im":0.0,"re":0.25,"x":[2]},'
+        '{"im":-0.0,"re":-0.125,"x":[3]}]},"kind":"neumann-series","left_residual":0.0625,'
+        '"pivot":[0],"ratio":0.5,'
+        '"reason":"series converges but the truncation is above tolerance","residual":0.0625,'
+        '"right_residual":0.0625,"scalars":"float","tail_bound":0.125,"terms":3,'
+        '"verdict":"inconclusive"}'
+    ),
+    "df": (
+        '{"left_residual":"1/3","pass":true,"right_residual":"1/3","slack":10.0,"tol":1e-10}'
+    ),
+    "probe": (
+        '{"any_singular":true,"certificate":{"angle":[0.0],"frequency":[0],"inverse":null,'
+        '"kind":"quotient-witness","moduli":[2],"residual":null,"value":0.0,'
+        '"verdict":"not-invertible"},"results":[{"angle":[0.0],"frequency":[0],'
+        '"min_modulus":0.0,"moduli":[2],"nonsingular":false},{"angle":[0.0],"frequency":[0],'
+        '"min_modulus":0.0,"moduli":[4],"nonsingular":false}],"singular_tol":1e-12}'
+    ),
+    "check-weight": (
+        '{"min_at":[-1],"min_value":1.0,"submultiplicative":false,"symmetric":true,'
+        '"window_size":5,"worst_pair":[[-1],[-1]],"worst_ratio":5.0}'
+    ),
+    "dominate": (
+        '{"certificate_pair":[[-1],[1]],"feasible":false,"lower":0.6931471805599453,'
+        '"radius":1,"upper":-0.6931471805599453}'
+    ),
+    "scenario-lp": (
+        '{"findings":[{"name":"constant-action-residual","value":0},'
+        '{"name":"forced-endpoint-gap","value":1},{"name":"homogeneous-endpoint-gap",'
+        '"value":0},{"name":"symbol-verdict","value":"not-invertible"},'
+        '{"name":"witness-angle","value":0.0}],"parameters":{"radius":3},"scenario":"lp",'
+        '"verdict":"confirmed"}'
+    ),
+    "scenario-torus": (
+        '{"findings":[{"name":"target-degree","value":2},{"name":"solution-degree",'
+        '"value":1},{"name":"solution-peak","value":1.2732395447351628},'
+        '{"name":"reconstruction-residual","value":0.0},{"name":"forced-all-ones",'
+        '"value":true},{"name":"tail-band-max","value":1},{"name":"forced-l1-mass",'
+        '"value":17},{"name":"non-decay","value":true}],"parameters":{"degree":2,'
+        '"max_freq":8,"ratio":"1/2"},"scenario":"torus","verdict":"confirmed"}'
+    ),
+}
+
+
+def _golden_payload(kind):
+    c3, z = cyclic_group(3), LatticeGroup(1)
+    if kind == "exact-cert":
+        return invert_finite(
+            delta(c3, 0, 2, exact=True) + delta(c3, 1, Fraction(1, 2), exact=True)
+        ).to_json()
+    if kind == "float-cert":
+        return neumann_invert(delta(z, (0,), 1.0) + delta(z, (1,), 0.5), terms=3).to_json()
+    if kind == "df":
+        return verify_direct_finiteness(
+            delta(c3, 0, 2, exact=True), delta(c3, 0, Fraction(1, 3), exact=True)
+        ).to_json()
+    if kind == "probe":  # as the probe command assembles it
+        report = probe_quotients(delta(z, (0,), 1.0) - delta(z, (1,), 1.0), [2, (4,)])
+        return {**report.to_json(), "certificate": report.to_certificate().to_json()}
+    if kind == "check-weight":
+        return check_weight(TableWeight.on_ball(z, 2, [5, 1, 1, 1, 5]), ball(z, 2)).to_json()
+    if kind == "dominate":
+        return dominate_character(TableWeight.on_ball(z, 1, [0.5, 1, 0.5]), z, 1).to_json()
+    if kind == "scenario-lp":
+        return scenario_lp(3).to_json()
+    return scenario_torus("1/2", 8, 2).to_json()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_the_pinned_encoding(kind):
+    assert canonical_json(_golden_payload(kind)) == GOLDEN_REPORTS[kind] + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy meets the overflow too
+def test_report_with_a_non_finite_value_is_refused(tmp_path, capsys):
+    # The Lipschitz constant of 1e308 * (1 + z + z^2) overflows to inf,
+    # which JSON cannot hold, so the command writes neither text nor report.
+    out = tmp_path / "cert.json"
+    el = element_json([{"x": [k], "re": 1e308} for k in range(3)])
+    assert main(["invert", "--input", el, "--report", str(out)]) == 1
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_envelope_weight_on_a_long_word(capsys):
+    # The envelope of x^3000 peels 3000 letters, more than the recursion limit allows.
+    el = element_json([{"x": [0], "re": 3.0}, {"x": [3000], "re": 1.0}])
+    weight = json.dumps({"kind": "table", "extension": "envelope",
+                         "entries": [[[0], 1.0], [[1], 1.0], [[-1], 1.0]]})
+    assert main(["invert", "--input", el, "--weight", weight, "--K", "2", "--tol", "0.1"]) == 0
+    assert "ratio = 0.3333333333333333" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["invert"]) == 1  # missing --input
@@ -246,6 +360,16 @@ def test_non_associative_table_is_refused(capsys):
         ' "terms": [{"x": 0, "re": 1}]}',
         '{"group": {"kind": "cayley", "table": [[0, 1], [1, 0]], "order": "two"},'
         ' "terms": [{"x": 0, "re": 1}]}',
+        # Integers only: a float or bool rank, identity or table entry is not truncated.
+        '{"group": {"kind": "Z", "rank": 2.7}, "terms": [{"x": [0, 0], "re": 1.0}]}',
+        '{"group": {"kind": "free", "rank": 1.5}, "terms": [{"x": [], "re": 1.0}]}',
+        '{"group": {"kind": "Z", "rank": true}, "terms": [{"x": [0], "re": 1.0}]}',
+        '{"group": {"kind": "cayley", "table": [[0, 1], [1, 0]], "identity": 0.9},'
+        ' "terms": [{"x": 0, "re": 1}]}',
+        '{"group": {"kind": "cayley", "table": [[0, 1.9], [1, 0]]}, "terms": [{"x": 0, "re": 1}]}',
+        '{"group": {"kind": "cayley", "table": [[0, true], [1, 0]]}, "terms": [{"x": 0, "re": 1}]}',
+        # The symbol oracle needs a float image of 10^400, which has none.
+        element_json([{"x": [0], "re": "1" + "0" * 400}, {"x": [1], "re": "1"}], scalars="exact"),
     ],
 )
 def test_undecodable_element_is_a_usage_error(capsys, text):

@@ -66,6 +66,16 @@ def test_invert_on_z3_exact_residual_zero():
     assert g.amplitude(2) == QComplex.of(Fraction(1, 9))
 
 
+def test_exact_solve_takes_amplitudes_past_the_float_range():
+    big = 10**400
+    f = delta(cyclic_group(3), 0, big, exact=True) + delta(cyclic_group(3), 1, 1, exact=True)
+    cert = invert_finite(f)
+    assert cert.verdict == "invertible" and cert.residual == 0
+    assert cert.inverse.amplitude(0) == QComplex.of(Fraction(big**2, big**3 + 1))
+    with pytest.raises(UsageError, match="beyond the float range"):
+        f.to_float()
+
+
 def test_random_exact_inverts_on_s3_have_zero_residual():
     s3 = symmetric_group(3)
     rng = random.Random(71)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from galab.algebra import canonical_json
 from galab.errors import UsageError
 from galab.scenarios import scenario_lp, scenario_torus
 
@@ -33,8 +34,8 @@ def test_lp_rejects_degenerate_radius():
 
 
 def test_lp_report_is_deterministic():
-    a = scenario_lp(25).to_json_bytes()
-    b = scenario_lp(25).to_json_bytes()
+    a = canonical_json(scenario_lp(25).to_json())
+    b = canonical_json(scenario_lp(25).to_json())
     assert a == b
 
 
@@ -81,8 +82,8 @@ def test_torus_parameter_validation():
 
 
 def test_torus_report_is_deterministic():
-    a = scenario_torus("1/3", 128, 10).to_json_bytes()
-    b = scenario_torus("1/3", 128, 10).to_json_bytes()
+    a = canonical_json(scenario_torus("1/3", 128, 10).to_json())
+    b = canonical_json(scenario_torus("1/3", 128, 10).to_json())
     assert a == b
 
 

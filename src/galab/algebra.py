@@ -48,6 +48,9 @@ def _finite_float(v) -> float:
     raise UsageError(f"cannot interpret {v!r} as a finite float")
 
 
+_BEYOND_FLOATS = "an exact amplitude lies beyond the float range"
+
+
 @dataclass(frozen=True, eq=False)
 class QComplex:
     """Exact complex number with rational real and imaginary parts."""
@@ -69,7 +72,10 @@ class QComplex:
             return abs(self.re)
         if self.re == 0:
             return abs(self.im)
-        return math.hypot(float(self.re), float(self.im))
+        try:
+            return math.hypot(float(self.re), float(self.im))
+        except OverflowError:
+            raise UsageError(_BEYOND_FLOATS) from None
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -239,7 +245,7 @@ class AlgebraElement:
         try:
             terms = {x: complex(v) for x, v in self._terms.items()}
         except OverflowError:
-            raise UsageError("an exact amplitude lies beyond the float range") from None
+            raise UsageError(_BEYOND_FLOATS) from None
         return AlgebraElement(self.group, terms, False, _clean=True)
 
     # -- ring operations --------------------------------------------------
@@ -399,9 +405,16 @@ def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
 # JSON
 
 
+def _rational_text(q: Fraction) -> str:
+    try:
+        return str(q)
+    except ValueError:  # an int past the interpreter's digit limit for str()
+        raise UsageError("an exact value has too many digits to write out") from None
+
+
 def _amp_to_json(v, exact: bool):
     if exact:
-        return {"re": str(v.re), "im": str(v.im)}
+        return {"re": _rational_text(v.re), "im": _rational_text(v.im)}
     return {"re": v.real, "im": v.imag}
 
 
@@ -435,7 +448,7 @@ def to_jsonable(v):
     if isinstance(v, (tuple, list)):
         return [x if type(x) in _JSON_SCALARS else to_jsonable(x) for x in v]
     if isinstance(v, Fraction):
-        return str(v)
+        return _rational_text(v)
     if isinstance(v, (complex, QComplex)):
         return _amp_to_json(v, isinstance(v, QComplex))
     if isinstance(v, AlgebraElement):

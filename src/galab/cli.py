@@ -13,6 +13,7 @@ JSON files; an element description embeds its group.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -63,8 +64,7 @@ def _weight_arg(arg, group):
     return weight_from_json(_load_json(arg), group)
 
 
-def _cert_text(cert) -> str:
-    payload = cert.to_json()
+def _cert_text(payload) -> str:
     lines = [f"verdict: {payload['verdict']}", f"kind: {payload['kind']}"]
     for k in sorted(payload):
         if k in ("verdict", "kind", "inverse", "residual"):
@@ -72,8 +72,8 @@ def _cert_text(cert) -> str:
         lines.append(f"  {k} = {_fmt(payload[k])}")
     if payload["residual"] is not None:
         lines.append(f"residual: {_fmt(payload['residual'])}")
-    if cert.inverse is not None:
-        lines.append(f"inverse: {cert.inverse.n_terms} terms (see JSON report)")
+    if payload["inverse"] is not None:
+        lines.append(f"inverse: {len(payload['inverse']['terms'])} terms (see JSON report)")
     return "\n".join(lines)
 
 
@@ -110,7 +110,8 @@ def _cmd_invert(args) -> int:
         f, weight, method=args.method, grid=args.grid,
         size=args.N, terms=args.K, pivot=pivot, tol=args.tol,
     )
-    _emit(cert.to_json(), _cert_text(cert), args.report)
+    payload = cert.to_json()
+    _emit(payload, _cert_text(payload), args.report)
     return cert.exit_code
 
 
@@ -121,7 +122,8 @@ def _cmd_certify(args) -> int:
             "no certification oracle for this group kind; try invert --method neumann"
         )
     cert = auto_invert(f, grid=args.grid, tol=args.tol)
-    _emit(cert.to_json(), _cert_text(cert), args.report)
+    payload = cert.to_json()
+    _emit(payload, _cert_text(payload), args.report)
     return cert.exit_code
 
 
@@ -132,14 +134,15 @@ def _cmd_df_check(args) -> int:
         raise UsageError("the two elements live over different groups")
     weight = _weight_arg(args.weight, f.group)
     report = verify_direct_finiteness(f, g, weight, tol=args.tol, slack=args.slack)
+    payload = report.to_json()
     text = "\n".join(
         [
-            f"left residual  = {report.left_residual}",
-            f"right residual = {report.right_residual}",
+            f"left residual  = {payload['left_residual']}",
+            f"right residual = {payload['right_residual']}",
             f"pass: {report.passed}",
         ]
     )
-    _emit(report.to_json(), text, args.report)
+    _emit(payload, text, args.report)
     return 0 if report.passed else 2
 
 
@@ -219,7 +222,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The galab argument parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="galab",
         description="Convolution operators on discrete groups: "

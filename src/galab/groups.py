@@ -109,7 +109,7 @@ class LatticeGroup(GroupSpec):
     def mul(self, a, b):
         if len(a) != self.rank or len(b) != self.rank:
             raise UsageError(f"operands {a!r}, {b!r} do not belong to Z^{self.rank}")
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
         if len(a) != self.rank:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve, delta
+from .algebra import AlgebraElement, QComplex, clear_denominators, convolve, delta
 from .errors import ResourceLimitError, UsageError
 from .groups import (
     CayleyGroup,
@@ -30,17 +31,23 @@ from .groups import (
 from .weights import Weight
 
 ENTRY_CAP = 10**7  # largest dense action matrix, in entries
+_ZERO = Fraction(0)
 
 
-def _lookup(g, x):
-    """Value of a window function given as a mapping or a callable."""
+def _reader(g):
+    """The point -> value function of a window function given as a mapping
+    or a callable; a mapping that misses a point raises UsageError naming it."""
     if isinstance(g, Mapping):
-        try:
-            return g[x]
-        except KeyError:
-            raise UsageError(f"function is missing the required point {x!r}") from None
+        getitem = g.__getitem__
+
+        def read(x):
+            try:
+                return getitem(x)
+            except KeyError:
+                raise UsageError(f"function is missing the required point {x!r}") from None
+        return read
     if callable(g):
-        return g(x)
+        return g
     raise UsageError(f"cannot read values from {type(g).__name__}")
 
 
@@ -68,24 +75,52 @@ def apply_convolution_action(f: AlgebraElement, g, window: Window,
         raise UsageError("element and window live over different groups")
     group = window.group
     mul = group.mul
-    out = {}
-    for x in window:
+    read = _reader(g)
+
+    def summed(x):
+        # Product by product in the scalars' own arithmetic: float f, a
+        # weight, and exact f at a point that reads a float or complex value.
         total = 0
         for y, amp in f.items():
             xy = mul(x, y)
-            val = _lookup(g, xy) * amp
+            val = read(xy) * amp
             if weight is not None:
                 val = complex(val) * (weight.value(group, xy) / weight.value(group, x))
             total = total + val
-        out[x] = total
+        return total
+
+    if weight is not None or not f.exact or f.is_zero:  # zero f: int 0 everywhere
+        return {x: summed(x) for x in window}
+    # f = n / L with n integral (Gaussian pairs), so each output is the sum of
+    # g(x*y) n_y -- on plain ints when g is -- divided by L once.
+    lf, parts = clear_denominators([amp for _, amp in f.items()])
+    fterms = [(y, fr, fi) for (y, _), (fr, fi) in zip(f.items(), parts)]
+    out = {}
+    for x in window:
+        re = im = 0
+        for y, fr, fi in fterms:
+            v = read(mul(x, y))
+            t = type(v)
+            if t is int or t is Fraction:
+                re += v * fr
+                im += v * fi
+            elif t is QComplex:
+                re += v.re * fr - v.im * fi
+                im += v.re * fi + v.im * fr
+            else:
+                out[x] = summed(x)
+                break
+        else:
+            out[x] = QComplex(Fraction(re, lf), Fraction(im, lf) if im else _ZERO)
     return out
 
 
 def pairing(h: AlgebraElement, g) -> complex:
     """Bilinear pairing sum_x h(x) g(x); no conjugation."""
+    read = _reader(g)
     total = 0
     for x, amp in h.items():
-        total = total + amp * _lookup(g, x)
+        total = total + amp * read(x)
     return total
 
 
@@ -105,7 +140,8 @@ class WindowedOperator:
     weight: Weight | None = None
 
     def apply(self, g) -> np.ndarray:
-        vec = np.array([complex(_lookup(g, z)) for z in self.input_window])
+        read = _reader(g)
+        vec = np.array([complex(read(z)) for z in self.input_window])
         return self.matrix @ vec
 
 
@@ -141,10 +177,11 @@ def weight_isometry(values: Mapping, weight: Weight, window: Window,
     and weighted algebras; the round trip is the identity.
     """
     group = window.group
+    read = _reader(values)
     out = {}
     for t in window:
         w = weight.value(group, t)
-        v = _lookup(values, t)
+        v = read(t)
         out[t] = v / w if inverse else v * w
     return out
 

@@ -73,17 +73,19 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
 
     ones = {(x,): 1 for x in range(-radius, radius + 2)}
     acted = apply_convolution_action(f, ones, window)
-    const_residual = max(abs(v) for v in acted.values())
+    # f's amplitudes are the integers 1 and -1 and g is 1, so every value is a
+    # real integer: the maximum is taken on the numerators.
+    const_residual = Fraction(max(abs(v.re.numerator) for v in acted.values()))
 
-    a = {-radius: Fraction(0)}
+    a = {-radius: 0}
     for x in range(-radius, radius):
         a[x + 1] = a[x] - (1 if x == 0 else 0)
-    forced_gap = a[-radius] - a[radius]
+    forced_gap = Fraction(a[-radius] - a[radius])
 
-    b = {-radius: Fraction(1)}
+    b = {-radius: 1}
     for x in range(-radius, radius):
         b[x + 1] = b[x]
-    homogeneous_gap = b[-radius] - b[radius]
+    homogeneous_gap = Fraction(b[-radius] - b[radius])
 
     certificate = wiener_certify(f.to_float())
 

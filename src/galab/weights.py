@@ -441,7 +441,7 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
         wx = vals[x]
         for y in window:
             z = group.mul(x, y)
-            if z not in window:
+            if z not in vals:
                 continue
             ratio = float(vals[z] / (wx * vals[y]))
             if ratio > worst_ratio:

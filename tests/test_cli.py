@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import galab
 from galab.algebra import canonical_json, delta, element_from_json
 from galab.cli import _parse_moduli, main
 from galab.errors import UsageError
@@ -321,6 +326,50 @@ def test_usage_errors_exit_one(capsys):
     assert main(["probe", "--input", INVERTIBLE, "--moduli", "2x2"]) == 1  # rank mismatch
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_amplitude_past_the_float_range_in_a_magnitude(capsys):
+    # |10^400 + i| has no float; the Neumann pivot search meets it in a norm.
+    el = {"group": {"kind": "free", "rank": 1}, "scalars": "exact",
+          "terms": [{"x": [], "re": "1"}, {"x": [1], "re": "1" + "0" * 400, "im": "1"}]}
+    assert main(["invert", "--input", json.dumps(el)]) == 1
+    assert capsys.readouterr().err == "error: an exact amplitude lies beyond the float range\n"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="the interpreter writes ints of any length")
+def test_exact_value_past_the_digit_limit(tmp_path, capsys):
+    # The inverse of 10^3000 + g on C3 has terms of about 9000 digits, more
+    # than str() writes under the interpreter's default limit of 4300.
+    c3 = {"kind": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    big = "1" + "0" * 3000
+    out = tmp_path / "cert.json"
+    el = {"group": c3, "scalars": "exact", "terms": [{"x": 0, "re": big}, {"x": 1, "re": "1"}]}
+    assert main(["invert", "--input", json.dumps(el), "--report", str(out)]) == 1
+    assert _one_error_line(capsys)
+    assert not out.exists()
+    f = {"group": {"kind": "Z", "rank": 1}, "scalars": "exact", "terms": [{"x": [0], "re": big}]}
+    assert main(["df-check", "--f", json.dumps(f), "--g", json.dumps(f)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_one_process_runs_each_command_as_it_runs_alone(tmp_path, capsys):
+    # The parser is built once per process; no call may see another's options.
+    calls = [["invert", "--input", INVERTIBLE, "--N", "64"],
+             ["scenario", "lp", "--N", "40"],
+             ["invert", "--input", INVERTIBLE]]
+    env = dict(os.environ, PYTHONPATH=str(Path(galab.__file__).parent.parent))
+    alone = []
+    for i, argv in enumerate(calls):
+        report = tmp_path / f"alone{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "galab.cli", *argv, "--report", str(report)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        alone.append((proc.returncode, proc.stdout, report.read_bytes()))
+    assert alone[0][1] != alone[2][1]  # --N shows in the certificate
+    for i, argv in enumerate(calls):
+        report = tmp_path / f"together{i}.json"
+        rc = main([*argv, "--report", str(report)])
+        assert (rc, capsys.readouterr().out, report.read_bytes()) == alone[i]
 
 
 def _one_error_line(capsys):

@@ -1,13 +1,15 @@
 import cmath
 import math
 import random
+from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from galab.algebra import AlgebraElement, convolve, delta
+from galab.algebra import AlgebraElement, QComplex, convolve, delta
 from galab.errors import ResourceLimitError, UsageError
-from galab.groups import LatticeGroup, cyclic_group
+from galab.groups import LatticeGroup, cyclic_group, dihedral_group
 from galab.operators import (
     action_matrix,
     apply_convolution_action,
@@ -55,6 +57,100 @@ def test_action_missing_point_is_reported():
     f = delta(Z, (1,))
     with pytest.raises(UsageError, match=r"\(4,\)"):
         apply_convolution_action(f, {(x,): 1.0 for x in range(-3, 4)}, Z.ball(3))
+
+
+def test_exact_action_missing_point_is_reported():
+    f = delta(Z, (0,), 1, exact=True) - delta(Z, (1,), 1, exact=True)
+    with pytest.raises(UsageError, match=r"\(4,\)"):
+        apply_convolution_action(f, {(x,): 1 for x in range(-3, 4)}, Z.ball(3))
+
+
+def _reference_action(f, g, window, weight=None):
+    """The per-product loop apply_convolution_action ran before its integer kernel."""
+    group = window.group
+    mul = group.mul
+    out = {}
+    for x in window:
+        total = 0
+        for y, amp in f.items():
+            xy = mul(x, y)
+            val = (g[xy] if isinstance(g, Mapping) else g(xy)) * amp
+            if weight is not None:
+                val = complex(val) * (weight.value(group, xy) / weight.value(group, x))
+            total = total + val
+        out[x] = total
+    return out
+
+
+def _assert_same_action(got, want):
+    assert list(got) == list(want)
+    for x, w in want.items():
+        v = got[x]
+        assert type(v) is type(w), x
+        if isinstance(w, QComplex):
+            assert (type(v.re), type(v.im)) == (type(w.re), type(w.im)), x
+            assert (v.re, v.im) == (w.re, w.im), x
+        elif isinstance(w, complex):
+            assert (v.real.hex(), v.imag.hex()) == (w.real.hex(), w.imag.hex()), x
+        else:
+            assert v == w, x
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+_G_VALUES = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "fraction": _rational,
+    "qcomplex": lambda rng: QComplex(_rational(rng), _rational(rng)),
+    "float": lambda rng: rng.uniform(-2, 2),
+    "complex": lambda rng: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+}
+_G_VALUES["mixed"] = lambda rng: rng.choice(list(_G_VALUES.values()))(rng)
+
+
+def _action_case(group_name, f_kind, rng):
+    if group_name == "Z":
+        group, window = Z, Z.ball(4)
+    elif group_name == "Z2":
+        group, window = Z2, Z2.ball(2)
+    else:
+        group = dihedral_group(4)
+        window = group.ball(1)
+    pts = list(group.ball(2)) if isinstance(group, LatticeGroup) else list(range(group.order))
+    support = rng.sample(pts, 4)
+    if f_kind == "real":
+        f = AlgebraElement(group, {y: _rational(rng) for y in support}, True)
+    elif f_kind == "gaussian":
+        f = AlgebraElement(group, {y: QComplex(_rational(rng), _rational(rng))
+                                   for y in support}, True)
+    else:
+        f = AlgebraElement(group, {y: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                   for y in support}, False)
+    return f, window
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("as_mapping", [True, False])
+@pytest.mark.parametrize("g_kind", sorted(_G_VALUES))
+@pytest.mark.parametrize("f_kind", ["real", "gaussian", "float"])
+@pytest.mark.parametrize("group_name", ["Z", "Z2", "D4"])
+def test_action_matches_the_per_product_loop(group_name, f_kind, g_kind, as_mapping, weighted):
+    rng = random.Random(f"{group_name}:{f_kind}:{g_kind}")
+    f, window = _action_case(group_name, f_kind, rng)
+    values = {z: _G_VALUES[g_kind](rng) for z in input_window(f, window)}
+    g = values if as_mapping else values.__getitem__
+    weight = PolynomialWeight(1) if weighted else None
+    _assert_same_action(apply_convolution_action(f, g, window, weight),
+                        _reference_action(f, g, window, weight))
+
+
+def test_exact_action_of_zero_matches_the_per_product_loop():
+    f = AlgebraElement.zero(Z, exact=True)
+    g = {x: 1 for x in Z.ball(2)}
+    _assert_same_action(apply_convolution_action(f, g, Z.ball(2)),
+                        _reference_action(f, g, Z.ball(2)))
 
 
 def test_weighted_action_frozen_values():

@@ -25,10 +25,8 @@ from .groups import (
     Window,
     ball,
     cyclic_group,
-    cyclic_product,
     dihedral_group,
     quaternion_group,
-    quotient_map,
     spec_from_json,
     symmetric_group,
 )
@@ -50,8 +48,6 @@ from .operators import (
     fourier_eval,
     input_window,
     pairing,
-    quotient_operator,
-    quotient_push,
     symbol_grid,
     weight_isometry,
 )

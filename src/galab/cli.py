@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -77,23 +78,28 @@ def _cert_text(payload) -> str:
     return "\n".join(lines)
 
 
-def _parse_moduli(text: str) -> list:
-    """Moduli lists: "2..64" (range), "2,4,8", "4x6" (one rank-2 entry)."""
-    out = []
+def _parse_moduli(text: str):
+    """Moduli lists: "2..64" (range), "2,4,8", "4x6" (one rank-2 entry), as an
+    iterator: probe_quotients reads a range only up to its point cap."""
+    parts = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif "x" in token:
-            out.append(tuple(int(p) for p in token.split("x")))
-        else:
-            out.append(int(token))
-    if not out:
+        try:
+            if ".." in token:
+                lo, hi = (int(t) for t in token.split("..", 1))
+                if lo <= hi:
+                    parts.append(range(lo, hi + 1))
+            elif "x" in token:
+                parts.append([tuple(int(p) for p in token.split("x"))])
+            else:
+                parts.append([int(token)])
+        except ValueError:
+            raise UsageError(f"bad moduli token {token!r}") from None
+    if not parts:
         raise UsageError(f"no moduli found in {text!r}")
-    return out
+    return itertools.chain.from_iterable(parts)
 
 
 # ---------------------------------------------------------------------------

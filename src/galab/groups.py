@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError
 
 DEFAULT_BALL_CAP = 10**6
-# Largest cyclic_product: its full Cayley table costs O(order^2) time and memory.
-PRODUCT_ORDER_CAP = 1024
 # Largest lattice rank: Z^d stores its identity, and every element, as a d-tuple.
 LATTICE_RANK_CAP = 1024
 
@@ -466,64 +464,6 @@ def cyclic_group(n: int, name: str | None = None) -> CayleyGroup:
         raise UsageError(f"cyclic group order must be >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return CayleyGroup(table, identity=0, name=name or f"C{n}")
-
-
-def _mixed_radix_encode(values: Sequence[int], moduli: Sequence[int]) -> int:
-    idx = 0
-    for v, m in zip(values, moduli):
-        idx = idx * m + (v % m)
-    return idx
-
-
-def _mixed_radix_decode(idx: int, moduli: Sequence[int]) -> tuple:
-    out = []
-    for m in reversed(moduli):
-        out.append(idx % m)
-        idx //= m
-    return tuple(reversed(out))
-
-
-def _check_moduli(moduli: Sequence[int]) -> tuple:
-    mods = tuple(int(m) for m in moduli)
-    if not mods or any(m < 1 for m in mods):
-        raise UsageError(f"moduli must be positive integers, got {moduli!r}")
-    return mods
-
-
-def cyclic_product(moduli: Sequence[int]) -> CayleyGroup:
-    """Direct product of cyclic groups Z/m1 x ... x Z/mk as a Cayley table.
-
-    Element i encodes the mixed-radix digits of i with respect to moduli,
-    matching quotient_map.
-    """
-    mods = _check_moduli(moduli)
-    order = 1
-    for m in mods:
-        order *= m
-    if order > PRODUCT_ORDER_CAP:
-        raise ResourceLimitError(f"product order {order} exceeds cap {PRODUCT_ORDER_CAP}")
-    digits = [_mixed_radix_decode(i, mods) for i in range(order)]
-    table = [
-        [
-            _mixed_radix_encode([x + y for x, y in zip(digits[i], digits[j])], mods)
-            for j in range(order)
-        ]
-        for i in range(order)
-    ]
-    name = "x".join(f"C{m}" for m in mods)
-    return CayleyGroup(table, identity=0, name=name)
-
-
-def quotient_map(a: Sequence[int], moduli: Sequence[int]) -> int:
-    """Image of a lattice element in the product of cyclic groups.
-
-    Returns the element index in cyclic_product(moduli); reduction is
-    coordinatewise mod the respective modulus.
-    """
-    mods = _check_moduli(moduli)
-    if len(a) != len(mods):
-        raise UsageError(f"element {a!r} and moduli {mods!r} have different ranks")
-    return _mixed_radix_encode([int(x) for x in a], mods)
 
 
 def symmetric_group(n: int) -> CayleyGroup:

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .algebra import (
 )
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup
-from .operators import symbol_grid
+from .operators import fourier_eval, symbol_grid
 from .weights import ConstantWeight, Weight
 
 VERDICT_INVERTIBLE = "invertible"
@@ -55,7 +55,7 @@ CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of t
 CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
 MAX_INVERSE_SIZE = 4096     # wiener_certify: largest FFT inverse grid tried
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, within GRID_CAP
-QUOTIENT_CAP = 2**20        # probe_quotients: points of one quotient
+QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
 
 
 @dataclass
@@ -295,6 +295,13 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
 # lattice symbols
 
 
+def _grid_min(vals: np.ndarray) -> tuple:
+    """(k, |vals[k]|) at the first minimum of |vals| in C order; k is a tuple of ints."""
+    mags = np.abs(vals)
+    k = np.unravel_index(int(np.argmin(mags)), mags.shape)
+    return tuple(int(i) for i in k), float(mags[k])
+
+
 def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
     if not isinstance(f.group, LatticeGroup):
         raise UsageError(f"{who} needs a lattice element")
@@ -332,18 +339,15 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
         raise ResourceLimitError(f"grid of {size**d} points exceeds cap {GRID_CAP}")
     ff = f.to_float()
     vals = symbol_grid(ff, (size,) * d)
-    mods = np.abs(vals)
-    kmin = np.unravel_index(int(np.argmin(mods)), mods.shape)
-    vmin = float(mods[kmin])
-    del mods
+    kmin, vmin = _grid_min(vals)
     if vmin < ZERO_TOL:
         return InvertibilityCertificate(
             verdict=VERDICT_INCONCLUSIVE,
             kind="fft-candidate",
             fields={
                 "size": size,
-                "flagged_frequency": [int(k) for k in kmin],
-                "flagged_angle": [2 * math.pi * int(k) / size for k in kmin],
+                "flagged_frequency": list(kmin),
+                "flagged_angle": [2 * math.pi * k / size for k in kmin],
                 "flagged_value": vmin,
                 "reason": "symbol sample within zero tolerance; suspected non-invertible",
             },
@@ -412,10 +416,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
                     "witness_angle": [0.0] * d, "witness_value": 0.0},
         )
     ff = f.to_float()
-    vals = symbol_grid(ff, (grid,) * d)
-    mods = np.abs(vals)
-    kmin = np.unravel_index(int(np.argmin(mods)), mods.shape)
-    grid_min = float(mods[kmin])
+    _, grid_min = _grid_min(symbol_grid(ff, (grid,) * d))
     lipschitz = float(sum(group.word_length(n) * abs(amp) for n, amp in ff.items()))
     spacing = 2 * math.pi / grid
     margin = grid_min - lipschitz * (spacing / 2)
@@ -459,9 +460,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     if d == 1 and roots.size and float(np.min(dists)) <= CIRCLE_TOL:
         z = complex(roots[int(np.argmin(dists))])
         angle = cmath.phase(z)
-        witness_value = abs(
-            sum(complex(amp) * cmath.exp(1j * angle * n[0]) for n, amp in ff.items())
-        )
+        witness_value = abs(fourier_eval(ff, (angle,)))
         fields = dict(base_fields)
         fields.update(
             {
@@ -486,6 +485,28 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 
 # ---------------------------------------------------------------------------
 # Neumann series (any group, weighted)
+
+
+def _to_float(x) -> float:
+    """float(x), saturating to +-inf where an exact x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _tail_bound(norm, ratio, terms: int) -> float:
+    """norm * ratio^(terms+1) / (1 - ratio) as a float, for 0 <= ratio < 1."""
+    ratio_f = _to_float(ratio)
+    tail = _to_float(norm) * ratio_f ** (terms + 1) / (1 - ratio_f)
+    if math.isnan(tail):
+        # inf * 0: an overflowing norm met an underflowing power; an exact
+        # norm has an exact product, a float one only the bound inf.
+        if isinstance(norm, float):
+            return math.inf
+        ratio = Fraction(ratio)
+        tail = _to_float(norm * ratio ** (terms + 1) / (1 - ratio))
+    return tail
 
 
 def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
@@ -518,7 +539,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
         best = None
         for a in f.support:
             u_inv, r, ratio = series_data(a)
-            key = (float(ratio), group.sort_key(a))
+            key = (_to_float(ratio), group.sort_key(a))
             if best is None or key < best[0]:
                 best = (key, a, u_inv, r, ratio)
         _, pivot, u_inv, r, ratio = best
@@ -530,7 +551,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
 
     fields = {
         "pivot": group.element_to_json(pivot),
-        "ratio": float(ratio),
+        "ratio": _to_float(ratio),
         "terms": terms,
         "scalars": "exact" if f.exact else "float",
     }
@@ -544,15 +565,13 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     for _ in range(terms):
         partial = e + convolve(r, partial)
     g = convolve(partial, u_inv)
-    ratio_f = float(ratio)
-    tail = float(u_inv.norm(w)) * ratio_f ** (terms + 1) / (1 - ratio_f)
     left = (convolve(g, f) - e).norm(w)
     right = (convolve(f, g) - e).norm(w)
-    fields["tail_bound"] = tail
-    fields["left_residual"] = float(left)
-    fields["right_residual"] = float(right)
+    fields["tail_bound"] = _tail_bound(u_inv.norm(w), ratio, terms)
+    fields["left_residual"] = _to_float(left)
+    fields["right_residual"] = _to_float(right)
     residual = max(left, right)
-    if float(residual) <= tol:
+    if _to_float(residual) <= tol:
         verdict = VERDICT_INVERTIBLE
     else:
         verdict = VERDICT_INCONCLUSIVE
@@ -618,41 +637,38 @@ class ProbeReport:
         return None
 
 
-def probe_quotients(f: AlgebraElement, moduli_list: Sequence, *,
+def probe_quotients(f: AlgebraElement, moduli_list: Iterable, *,
                     singular_tol: float = 1e-12) -> ProbeReport:
     """Test the pushforward of f for singularity on cyclic quotients.
 
     A singular quotient certifies non-invertibility (the quotient symbol
     vanishes at an exact rational frequency); nonsingular quotients are
     evidence only.  Scalars broadcast across the rank, so 4 on a rank-2
-    lattice means the quotient by (4Z)^2.
+    lattice means the quotient by (4Z)^2.  moduli_list is read only until
+    its quotients pass QUOTIENT_CAP points in all, before any symbol is computed.
     """
     group = _lattice_only(f, "probe_quotients")
     d = group.rank
-    probes = []
+    quotients, points = [], 0
     for entry in moduli_list:
-        if isinstance(entry, int):
-            mods = (entry,) * d
-        else:
-            mods = tuple(int(m) for m in entry)
+        mods = (entry,) * d if isinstance(entry, int) else tuple(int(m) for m in entry)
         if len(mods) != d or any(m < 1 for m in mods):
             raise UsageError(f"bad moduli entry {entry!r} for rank {d}")
-        count = 1
-        for m in mods:
-            count *= m
-        if count > QUOTIENT_CAP:
-            raise ResourceLimitError(f"quotient of {count} points exceeds cap {QUOTIENT_CAP}")
-        vals = symbol_grid(f.to_float(), mods)
-        mags = np.abs(vals)
-        kmin = np.unravel_index(int(np.argmin(mags)), mags.shape)
-        vmin = float(mags[kmin])
+        points += math.prod(mods)
+        if points > QUOTIENT_CAP:
+            raise ResourceLimitError(f"quotients of {points}+ points exceed cap {QUOTIENT_CAP}")
+        quotients.append(mods)
+    ff = f.to_float()
+    probes = []
+    for mods in quotients:
+        kmin, vmin = _grid_min(symbol_grid(ff, mods))
         probes.append(
             QuotientProbe(
                 moduli=mods,
                 nonsingular=vmin > singular_tol,
                 min_modulus=vmin,
-                frequency=tuple(int(k) for k in kmin),
-                angles=tuple(2 * math.pi * int(k) / m for k, m in zip(kmin, mods)),
+                frequency=kmin,
+                angles=tuple(2 * math.pi * k / m for k, m in zip(kmin, mods)),
             )
         )
     return ProbeReport(probes=probes, singular_tol=singular_tol)

@@ -13,21 +13,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, QComplex, clear_denominators, convolve, delta
 from .errors import ResourceLimitError, UsageError
-from .groups import (
-    CayleyGroup,
-    GroupSpec,
-    LatticeGroup,
-    Window,
-    _check_moduli,
-    cyclic_product,
-    quotient_map,
-)
+from .groups import LatticeGroup, Window
 from .weights import Weight
 
 ENTRY_CAP = 10**7  # largest dense action matrix, in entries
@@ -255,55 +247,3 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     np.fft.ifftn(arr, out=arr)
     arr *= scale
     return arr
-
-
-# ---------------------------------------------------------------------------
-# finite quotients (lattices)
-
-
-def quotient_push(f: AlgebraElement, moduli: Sequence[int]) -> AlgebraElement:
-    """Push a lattice element forward to the product of cyclic groups.
-
-    The target is a cyclic_product Cayley table, so its order is capped at
-    PRODUCT_ORDER_CAP.
-    """
-    if not isinstance(f.group, LatticeGroup):
-        raise UsageError("quotient_push needs a lattice element")
-    mods = _check_moduli(moduli)
-    if len(mods) != f.group.rank:
-        raise UsageError(f"moduli {mods!r} do not match rank {f.group.rank}")
-    target = cyclic_product(mods)
-    terms: dict = {}
-    for n, amp in f.items():
-        idx = quotient_map(n, mods)
-        cur = terms.get(idx)
-        terms[idx] = amp if cur is None else cur + amp
-    return AlgebraElement(target, terms, f.exact)
-
-
-@dataclass
-class QuotientOperator:
-    """Right-convolution matrix of the pushforward on a finite quotient."""
-
-    group: CayleyGroup
-    pushforward: AlgebraElement
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
-
-
-def quotient_operator(f: AlgebraElement, moduli: Sequence[int]) -> QuotientOperator:
-    """Matrix of convolution by the pushforward of f on the cyclic quotient.
-
-    For rank 1 this is a circulant whose eigenvalues are the symbol values
-    at the N-th roots of unity.
-    """
-    fq = quotient_push(f, moduli)
-    group = fq.group
-    n = group.order
-    mat = np.zeros((n, n), dtype=complex)
-    for u in range(n):
-        for y, amp in fq.items():
-            mat[group.mul(u, y), u] += complex(amp)
-    return QuotientOperator(group=group, pushforward=fq, matrix=mat)

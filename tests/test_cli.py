@@ -43,10 +43,10 @@ SINGULAR = element_json(
 
 
 def test_parse_moduli_forms():
-    assert _parse_moduli("2..5") == [2, 3, 4, 5]
-    assert _parse_moduli("2,4,8") == [2, 4, 8]
-    assert _parse_moduli("3x5") == [(3, 5)]
-    assert _parse_moduli("2..3,10,4x6") == [2, 3, 10, (4, 6)]
+    assert list(_parse_moduli("2..5")) == [2, 3, 4, 5]
+    assert list(_parse_moduli("2,4,8")) == [2, 4, 8]
+    assert list(_parse_moduli("3x5")) == [(3, 5)]
+    assert list(_parse_moduli("2..3,10,4x6")) == [2, 3, 10, (4, 6)]
     with pytest.raises(UsageError):
         _parse_moduli(",")
 
@@ -336,6 +336,53 @@ def test_amplitude_past_the_float_range_in_a_magnitude(capsys):
     assert capsys.readouterr().err == "error: an exact amplitude lies beyond the float range\n"
 
 
+def test_neumann_pivot_ratio_past_the_float_range(capsys):
+    # Pivot a on 10^400 + a has ratio 10^400; the pivot search keys it as inf.
+    el = {"group": {"kind": "free", "rank": 1}, "scalars": "exact",
+          "terms": [{"x": [], "re": "1" + "0" * 400}, {"x": [1], "re": "1"}]}
+    assert main(["invert", "--input", json.dumps(el), "--K", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "pivot = []" in out and "ratio = 0.0" in out
+    # At the default K the inverse has terms too long to write: one error line.
+    assert main(["invert", "--input", json.dumps(el)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_neumann_tail_bound_past_the_float_range(tmp_path, capsys):
+    # |u^-1| = 10^400 has no float and ratio = 10^-400 underflows to 0.0;
+    # the tail bound is their exact product, 10^-1600 / (1 - 10^-400) -> 0.0, not nan.
+    el = {"group": {"kind": "Z", "rank": 1}, "scalars": "exact",
+          "terms": [{"x": [0], "re": "1/1" + "0" * 400}, {"x": [1], "re": "1/1" + "0" * 800}]}
+    out = tmp_path / "cert.json"
+    argv = ["invert", "--input", json.dumps(el), "--method", "neumann", "--K", "4"]
+    assert main(argv + ["--report", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert payload["tail_bound"] == 0.0 and payload["ratio"] == 0.0
+    assert payload["residual"] == "1/1" + "0" * 2000
+    # With pivot z the ratio itself is 10^400: inf, and the series is not run.
+    assert main(argv + ["--pivot", "[1]"]) == 3
+    assert "ratio = inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("moduli", ["a", "4x", "2..x", "3.5", "x", "1..2..3", "-"])
+def test_malformed_moduli_are_usage_errors(capsys, moduli):
+    assert main(["probe", "--input", INVERTIBLE, f"--moduli={moduli}"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_huge_moduli_range_is_refused_at_the_cap(monkeypatch, capsys):
+    # Each quotient is under the cap, their sum is not; no symbol may be computed,
+    # and a range past the memory of the machine is never expanded.
+    def no_symbol(*args):
+        raise AssertionError("a quotient symbol was computed past the cap")
+
+    monkeypatch.setattr(galab.invertibility, "symbol_grid", no_symbol)
+    for moduli in ("2..1000000", "2..10" + "0" * 30, ",".join(["1000"] * 1100)):
+        assert main(["probe", "--input", INVERTIBLE, "--moduli", moduli]) == 1
+        assert "exceed cap" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
                     reason="the interpreter writes ints of any length")
 def test_exact_value_past_the_digit_limit(tmp_path, capsys):
@@ -502,16 +549,37 @@ _elements = st.one_of(
 )
 
 
+def _assert_verdict_or_one_error_line(capsys, rc, codes=(0, 1, 2, 3)):
+    captured = capsys.readouterr()
+    assert rc in codes
+    assert "Traceback" not in captured.err
+    if rc == 1:
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_elements)
 def test_invert_never_ends_in_a_traceback(capsys, el):
     rc = main(["invert", "--input", json.dumps(el), "--K", "8"])
-    captured = capsys.readouterr()
-    assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in captured.err
-    if rc == 1:
-        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    _assert_verdict_or_one_error_line(capsys, rc)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_elements)
+def test_certify_never_ends_in_a_traceback(capsys, el):
+    rc = main(["certify", "--input", json.dumps(el)])
+    _assert_verdict_or_one_error_line(capsys, rc)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.sampled_from([INVERTIBLE, SINGULAR]), _elements.map(json.dumps)),
+       st.text(alphabet="0123456789.,x-", max_size=12))
+def test_probe_never_ends_in_a_traceback(capsys, el, moduli):
+    rc = main(["probe", "--input", el, f"--moduli={moduli}"])
+    _assert_verdict_or_one_error_line(capsys, rc, codes=(0, 1, 2))
 
 
 def test_z3_element_certifies_at_the_default_size(capsys):
@@ -638,8 +706,4 @@ _weighted_inputs = st.sampled_from([
 @given(_weighted_inputs, _weights)
 def test_invert_with_random_weight_never_ends_in_a_traceback(capsys, el, weight):
     rc = main(["invert", "--input", el, "--weight", json.dumps(weight), "--K", "8"])
-    captured = capsys.readouterr()
-    assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in captured.err
-    if rc == 1:
-        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    _assert_verdict_or_one_error_line(capsys, rc)

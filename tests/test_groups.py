@@ -13,10 +13,8 @@ from galab.groups import (
     Window,
     ball,
     cyclic_group,
-    cyclic_product,
     dihedral_group,
     quaternion_group,
-    quotient_map,
     spec_from_json,
     symmetric_group,
 )
@@ -157,22 +155,6 @@ def test_cyclic_group_is_addition_mod_n():
         for j in range(6):
             assert c6.mul(i, j) == (i + j) % 6
         assert c6.inv(i) == (-i) % 6
-
-
-def test_cyclic_product_and_quotient_map_are_compatible():
-    mods = (3, 4)
-    prod = cyclic_product(mods)
-    assert prod.order == 12
-    for a in [(-1, 2), (5, 5), (0, 0), (7, -9)]:
-        for b in [(2, 2), (-4, 1)]:
-            lhs = quotient_map([x + y for x, y in zip(a, b)], mods)
-            rhs = prod.mul(quotient_map(a, mods), quotient_map(b, mods))
-            assert lhs == rhs
-
-
-def test_cyclic_product_order_cap():
-    with pytest.raises(ResourceLimitError):
-        cyclic_product((100, 100))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from galab.algebra import AlgebraElement, QComplex, convolve, delta, identity_element
 from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
+    CayleyGroup,
     FreeGroup,
     LatticeGroup,
     cyclic_group,
-    cyclic_product,
     dihedral_group,
     quaternion_group,
     symmetric_group,
@@ -253,9 +253,14 @@ def test_fraction_free_solve_matches_reference_gauss_jordan(system):
         assert status == "singular"
 
 
+# C8 x C8 with element 8a + b standing for (a, b).
+C8xC8 = CayleyGroup([[8 * ((i // 8 + j // 8) % 8) + (i + j) % 8 for j in range(64)]
+                     for i in range(64)], identity=0, name="C8xC8")
+
+
 @pytest.mark.parametrize(
     "group, gaussian",
-    [(dihedral_group(32), False), (cyclic_group(64), False), (cyclic_product((8, 8)), True)],
+    [(dihedral_group(32), False), (cyclic_group(64), False), (C8xC8, True)],
     ids=["D32", "C64", "C8xC8"],
 )
 def test_exact_inverse_at_order_64_has_zero_residuals(group, gaussian):
@@ -618,6 +623,30 @@ def test_probe_rejects_bad_moduli():
     f = delta(Z, (0,))
     with pytest.raises(UsageError):
         probe_quotients(f, [(2, 2)])  # rank mismatch
+
+
+def test_probe_cap_bounds_all_quotients_before_any_symbol(monkeypatch):
+    import galab.invertibility as inv
+
+    calls = []
+
+    def counting_grid(f, sizes):
+        calls.append(sizes)
+        return symbol_grid(f, sizes)
+
+    monkeypatch.setattr(inv, "symbol_grid", counting_grid)
+    f = delta(Z, (0,), 2.0) + delta(Z, (1,))
+    # Each quotient is under the cap; together they pass it after about 1,450 entries.
+    with pytest.raises(ResourceLimitError):
+        probe_quotients(f, range(2, 2000))
+    # An iterator is read only up to the entry that passes the cap: 1049 * 1000 > 2^20.
+    moduli = iter([1000] * 2000)
+    with pytest.raises(ResourceLimitError):
+        probe_quotients(f, moduli)
+    assert len(list(moduli)) == 2000 - 1049
+    assert calls == []
+    assert len(probe_quotients(f, range(2, 65)).probes) == 63
+    assert len(calls) == 63
 
 
 # ---------------------------------------------------------------------------

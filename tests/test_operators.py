@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from galab.algebra import AlgebraElement, QComplex, convolve, delta
-from galab.errors import ResourceLimitError, UsageError
-from galab.groups import LatticeGroup, cyclic_group, dihedral_group
+from galab.errors import UsageError
+from galab.groups import LatticeGroup, dihedral_group
 from galab.operators import (
     action_matrix,
     apply_convolution_action,
@@ -17,8 +17,6 @@ from galab.operators import (
     fourier_eval,
     input_window,
     pairing,
-    quotient_operator,
-    quotient_push,
     symbol_grid,
     weight_isometry,
 )
@@ -280,42 +278,3 @@ def test_symbol_grid_rank2():
         for k2 in range(4):
             direct = fourier_eval(f, (2 * math.pi * k1 / 8, 2 * math.pi * k2 / 4))
             assert abs(grid[k1, k2] - direct) <= 1e-12
-
-
-def test_quotient_push_folds_amplitudes():
-    f = delta(Z, (0,), 1.0) + delta(Z, (5,), 2.0) + delta(Z, (-1,), 0.5)
-    pushed = quotient_push(f, (5,))
-    assert pushed.amplitude(0) == pytest.approx(3.0)
-    assert pushed.amplitude(4) == pytest.approx(0.5)
-
-
-def test_quotient_push_order_cap():
-    f = delta(LatticeGroup(2), (1, 0), 1.0)
-    with pytest.raises(ResourceLimitError):
-        quotient_push(f, (48, 48))
-
-
-def test_quotient_operator_is_circulant_with_symbol_spectrum():
-    rng = random.Random(10)
-    f = rand_elt(rng, Z, 3, 4)
-    m = 8
-    qop = quotient_operator(f, (m,))
-    mat = qop.matrix
-    for u in range(m):
-        for v in range(m):
-            assert mat[u, v] == mat[(u + 1) % m, (v + 1) % m]
-    eigs = np.sort_complex(qop.eigenvalues())
-    sym = np.sort_complex(
-        np.array([fourier_eval(f, (2 * math.pi * k / m,)) for k in range(m)])
-    )
-    assert np.max(np.abs(eigs - sym)) <= 1e-10
-
-
-def test_quotient_operator_on_finite_group_columns():
-    f = delta(Z, (1,), 1.0)
-    qop = quotient_operator(f, (4,))
-    c4 = cyclic_group(4)
-    for u in range(4):
-        col = qop.matrix[:, u]
-        assert col[c4.mul(u, 1)] == 1.0
-        assert np.count_nonzero(col) == 1

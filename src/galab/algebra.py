@@ -479,17 +479,19 @@ def element_from_json(obj: dict, group: GroupSpec | None = None) -> AlgebraEleme
         if "group" not in obj:
             raise UsageError("element description lacks a group and none was supplied")
         group = spec_from_json(obj["group"])
-    declared = obj.get("scalars")
     raw = obj["terms"]
     if not isinstance(raw, list):
         raise UsageError(f"'terms' must be a list of term objects, got {raw!r}")
     for t in raw:
         if not isinstance(t, dict) or "x" not in t:
             raise UsageError(f"malformed term {t!r}: expected an object with an 'x' field")
-    has_string = any(
-        isinstance(t.get("re"), str) or isinstance(t.get("im"), str) for t in raw
-    )
-    exact = declared == "exact" if declared in ("exact", "float") else has_string
+    if "scalars" in obj:
+        exact = obj["scalars"] == "exact"
+        if not exact and obj["scalars"] != "float":
+            raise UsageError(f"'scalars' must be \"exact\" or \"float\", got {obj['scalars']!r}")
+    else:
+        # Undeclared: exact when some amplitude is written as a string.
+        exact = any(isinstance(t.get("re"), str) or isinstance(t.get("im"), str) for t in raw)
     terms = {}
     for t in raw:
         x = group.element_from_json(t["x"])

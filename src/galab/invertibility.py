@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -38,7 +38,7 @@ from .algebra import (
     to_jsonable,
 )
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .groups import CayleyGroup, LatticeGroup
+from .groups import CayleyGroup, LatticeGroup, _integer
 from .operators import fourier_eval, symbol_grid
 from .weights import ConstantWeight, Weight
 
@@ -97,6 +97,34 @@ class DirectFinitenessReport:
         })
 
 
+def _to_float(x) -> float:
+    """float(x), saturating to +-inf where an exact x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _residuals(f: AlgebraElement, g: AlgebraElement, weight: Weight | None = None) -> tuple:
+    """(|g*f - e|, |f*g - e|) in the (weighted) l1 norm; exact when f and g are."""
+    e = identity_element(f.group, exact=f.exact and g.exact)
+    return (convolve(g, f) - e).norm(weight), (convolve(f, g) - e).norm(weight)
+
+
+def _verified(kind: str, fields: dict, g: AlgebraElement, residual, tol: float,
+              reason: str | None = None) -> InvertibilityCertificate:
+    """The verdict on an inverse candidate g: invertible when its verified
+    residual is at most tol, else inconclusive, with reason when one is given."""
+    if _to_float(residual) <= tol:
+        verdict = VERDICT_INVERTIBLE
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+        if reason is not None:
+            fields["reason"] = reason
+    return InvertibilityCertificate(verdict=verdict, kind=kind, fields=fields,
+                                    inverse=g, residual=residual)
+
+
 def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
                              weight: Weight | None = None, *,
                              tol: float = 1e-10, slack: float = 10.0) -> DirectFinitenessReport:
@@ -107,9 +135,7 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
     the right residual below slack*tol; a pair that is not even a left
     inverse passes vacuously.
     """
-    e = identity_element(f.group, exact=f.exact and g.exact)
-    left = (convolve(g, f) - e).norm(weight)
-    right = (convolve(f, g) - e).norm(weight)
+    left, right = _residuals(f, g, weight)
     passed = (left > tol) or (right <= slack * tol)
     return DirectFinitenessReport(
         left_residual=left, right_residual=right, passed=passed, tol=tol, slack=slack
@@ -119,14 +145,10 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free elimination over Z or Z[i]
 #
-# A Gaussian integer is an (re, im) pair of ints.  Rows are cleared of
-# denominators by algebra.clear_denominators; each ring then supplies two
-# steps: combine two rows, and divide one entry by a pivot back into a
-# QComplex.
-
-
-def _qc(v=0) -> QComplex:
-    return QComplex(Fraction(v))
+# A Gaussian integer is an (re, im) pair of ints.  The caller clears the
+# matrix of denominators (algebra.clear_denominators); each ring then
+# supplies two steps: combine two rows, and divide one entry by a pivot back
+# into a QComplex.
 
 
 def _integer_combine(p, f, d, xs, ys) -> list:
@@ -163,31 +185,27 @@ def _gaussian_quotient(a, d) -> QComplex:
     return QComplex(Fraction(ar * dr + ai * di, norm), Fraction(ai * dr - ar * di, norm))
 
 
-def _solve_exact(rows: list, rhs: list):
+def _solve_exact(mat: list, gaussian: bool):
     """Fraction-free Gauss-Jordan (Bareiss) elimination over Z or Z[i].
 
-    rows is a square matrix of QComplex as a list of lists.  Each augmented
-    row is scaled by the LCM of its denominators; the elimination then runs
-    on ints, or on Gaussian integers when any imaginary part is nonzero.
-    The step with pivot p replaces every other row r by (p*r - r[c]*pivot
-    row) / previous pivot, an exact division (Bareiss 1968), so after the
-    last step each pivot row reads final pivot times its reduced-row-echelon
-    row.  A row with r[c] == 0 would only be multiplied by p / previous
-    pivot, so it is left as it is: each row keeps the pivot it was last
-    brought to (its scale), and its next combination divides by that scale
-    instead, which is still exact.  The group-algebra matrices are sparse,
-    so most rows skip most steps.  Returns ("solution", x) with rows @ x =
-    rhs, or ("singular", v) with v the reduced-row-echelon kernel vector of
-    the first free column.
+    mat is an augmented n x (n+1) matrix [A | b] as a list of rows, of ints,
+    or of Gaussian-int (re, im) pairs when gaussian is true; it is
+    eliminated in place.  The step with pivot p replaces every other row r
+    by (p*r - r[c]*pivot row) / previous pivot, an exact division (Bareiss
+    1968), so after the last step each pivot row reads final pivot times
+    its reduced-row-echelon row.  A row with r[c] == 0 would only be
+    multiplied by p / previous pivot, so it is left as it is: each row keeps
+    the pivot it was last brought to (its scale), and its next combination
+    divides by that scale instead, which is still exact.  The group-algebra
+    matrices are sparse, so most rows skip most steps.  Returns
+    ("solution", x) with A @ x = b, or ("singular", v) with v the
+    reduced-row-echelon kernel vector of the first free column of A; the
+    entries are QComplex.
     """
-    n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    # Each row times the LCM of its denominators, as Gaussian-int pairs.
-    mat = [clear_denominators(row)[1] for row in aug]
-    if any(im for row in mat for _, im in row):
+    n = len(mat)
+    if gaussian:
         zero, prev, combine, quotient = (0, 0), (1, 0), _gaussian_combine, _gaussian_quotient
     else:
-        mat = [[re for re, _ in row] for row in mat]
         zero, prev, combine, quotient = 0, 1, _integer_combine, _integer_quotient
     # Row i of the eliminated matrix is mat[i] * prev / scale[i].
     scale = [prev] * n
@@ -198,7 +216,8 @@ def _solve_exact(rows: list, rhs: list):
             # Later steps would only scale column c of rows 0..c-1, so it
             # already holds the first free column of the echelon form.
             kernel = [-quotient(mat[i][c], scale[i]) for i in range(c)]
-            return "singular", kernel + [_qc(1)] + [_qc(0)] * (n - c - 1)
+            one, zero = QComplex(Fraction(1)), QComplex(Fraction(0))
+            return "singular", kernel + [one] + [zero] * (n - c - 1)
         mat[c], mat[pr] = mat[pr], mat[c]
         scale[c], scale[pr] = scale[pr], scale[c]
         pivot_row = mat[c]
@@ -220,17 +239,18 @@ def _solve_exact(rows: list, rhs: list):
 # finite groups
 
 
-def _solve_float(rows: list, rhs: list):
-    """Float counterpart of _solve_exact with the same return contract.
+def _solve_float(mat: list):
+    """Float counterpart of _solve_exact on the same augmented [A | b] layout.
 
-    One SVD gives both the rank test (smallest singular value at most
+    One SVD of A gives both the rank test (smallest singular value at most
     SINGULAR_REL of the largest) and, when it fails, the kernel vector.
     """
-    mat = np.array(rows, dtype=complex)
-    _, svals, vh = np.linalg.svd(mat)
+    aug = np.array(mat, dtype=complex)
+    a = aug[:, :-1]
+    _, svals, vh = np.linalg.svd(a)
     if svals[-1] <= SINGULAR_REL * svals[0]:
         return "singular", vh[-1].conj()
-    return "solution", np.linalg.solve(mat, np.array(rhs, dtype=complex))
+    return "solution", np.linalg.solve(a, aug[:, -1])
 
 
 def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCertificate:
@@ -252,17 +272,27 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     if n > FINITE_ORDER_CAP:
         raise ResourceLimitError(f"group order {n} exceeds cap {FINITE_ORDER_CAP}")
     exact = f.exact
-    zero, one = (_qc(0), _qc(1)) if exact else (0j, 1 + 0j)
     # Residual norms stay exact Fractions in exact mode.
     real = Fraction if exact else float
-
-    rows = [[zero] * n for _ in range(n)]
-    for u in range(n):
-        for y, amp in f.items():
-            # Row u of the table is a permutation, so each entry is set once.
-            rows[group.mul(u, y)][u] = amp
-    rhs = [one if z == group.identity else zero for z in range(n)]
-    status, vec = (_solve_exact if exact else _solve_float)(rows, rhs)
+    support = [y for y, _ in f.items()]
+    amps = [amp for _, amp in f.items()]
+    gaussian, zero, one = False, 0j, 1 + 0j
+    if exact:
+        # Row z of the group matrix holds f(y) at column z y^-1, so every row
+        # holds each amplitude once and one LCM clears them all.
+        lcm, amps = clear_denominators(amps)
+        gaussian = any(im for _, im in amps)
+        zero, one = ((0, 0), (lcm, 0)) if gaussian else (0, lcm)
+        if not gaussian:
+            amps = [re for re, _ in amps]
+    # The augmented matrix [A | b] of g*f = e: A[u y][u] = f(y), b = delta_e.
+    mat = [[zero] * (n + 1) for _ in range(n)]
+    for y, amp in zip(support, amps):
+        for u in range(n):
+            # Column y of the table is a permutation, so each entry is set once.
+            mat[group.mul(u, y)][u] = amp
+    mat[group.identity][n] = one
+    status, vec = _solve_exact(mat, gaussian) if exact else _solve_float(mat)
     kind = "exact-finite" if exact else "float-finite"
     fields = {"order": n, "scalars": "exact" if exact else "float"}
 
@@ -272,23 +302,12 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
         if exact and kernel_residual != 0:
             raise ContractViolationError("exact kernel witness failed to annihilate")
         fields.update(kernel=element_to_json(witness), kernel_residual=kernel_residual)
-        return InvertibilityCertificate(
-            verdict=VERDICT_NOT_INVERTIBLE, kind=kind, fields=fields
-        )
+        return InvertibilityCertificate(verdict=VERDICT_NOT_INVERTIBLE, kind=kind, fields=fields)
 
     g = AlgebraElement(group, dict(enumerate(vec)), exact)
-    e = identity_element(group, exact=exact)
-    left = real((convolve(g, f) - e).norm())
-    right = real((convolve(f, g) - e).norm())
+    left, right = (real(r) for r in _residuals(f, g))
     fields.update(left_residual=left, right_residual=right)
-    residual = max(left, right)
-    return InvertibilityCertificate(
-        verdict=VERDICT_INVERTIBLE if residual <= tol else VERDICT_INCONCLUSIVE,
-        kind=kind,
-        fields=fields,
-        inverse=g,
-        residual=residual,
-    )
+    return _verified(kind, fields, g, max(left, right), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +383,9 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     idx = np.nonzero(mags > CHOP_REL * float(np.max(mags)))
     keys = zip(*(np.where(i >= (size + 1) // 2, i - size, i).tolist() for i in idx))
     g = AlgebraElement(group, dict(zip(keys, coeff[idx].tolist())), False)
-    e = identity_element(group)
-    residual = float((convolve(g, ff) - e).norm())
-    verdict = VERDICT_INVERTIBLE if residual <= tol else VERDICT_INCONCLUSIVE
-    fields = {"size": size, "chop": CHOP_REL, "grid_min": vmin}
-    if verdict == VERDICT_INCONCLUSIVE:
-        fields["reason"] = "candidate residual above tolerance; increase the grid"
-    return InvertibilityCertificate(
-        verdict=verdict, kind="fft-candidate", fields=fields,
-        inverse=g, residual=residual,
-    )
+    residual = float((convolve(g, ff) - identity_element(group)).norm())
+    return _verified("fft-candidate", {"size": size, "chop": CHOP_REL, "grid_min": vmin},
+                     g, residual, tol, "candidate residual above tolerance; increase the grid")
 
 
 def _laurent_roots(f: AlgebraElement) -> np.ndarray:
@@ -420,7 +432,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     lipschitz = float(sum(group.word_length(n) * abs(amp) for n, amp in ff.items()))
     spacing = 2 * math.pi / grid
     margin = grid_min - lipschitz * (spacing / 2)
-    base_fields = {
+    fields = {
         "grid": grid,
         "grid_min": grid_min,
         "lipschitz": lipschitz,
@@ -433,22 +445,12 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
         while size <= MAX_INVERSE_SIZE:
             candidate = invert_via_fft(ff, size, tol=tol)
             if candidate.invertible:
-                fields = dict(base_fields)
                 fields["inverse_size"] = size
-                return InvertibilityCertificate(
-                    verdict=VERDICT_INVERTIBLE,
-                    kind="wiener-grid",
-                    fields=fields,
-                    inverse=candidate.inverse,
-                    residual=candidate.residual,
-                )
+                return replace(candidate, kind="wiener-grid", fields=fields)
             size *= 2
             if size**d > GRID_CAP:
                 break  # the requested size is always tried; doublings stay within the cap
-        fields = dict(base_fields)
-        fields["reason"] = (
-            "margin is positive but no inverse met the tolerance up to the size cap"
-        )
+        fields["reason"] = "margin is positive but no inverse met the tolerance up to the size cap"
         return InvertibilityCertificate(
             verdict=VERDICT_INCONCLUSIVE, kind="wiener-grid", fields=fields
         )
@@ -460,21 +462,12 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     if d == 1 and roots.size and float(np.min(dists)) <= CIRCLE_TOL:
         z = complex(roots[int(np.argmin(dists))])
         angle = cmath.phase(z)
-        witness_value = abs(fourier_eval(ff, (angle,)))
-        fields = dict(base_fields)
-        fields.update(
-            {
-                "witness_angle": angle,
-                "witness_value": witness_value,
-                "root": {"re": z.real, "im": z.imag},
-                "circle_tol": CIRCLE_TOL,
-            }
-        )
+        fields.update(witness_angle=angle, witness_value=abs(fourier_eval(ff, (angle,))),
+                      root={"re": z.real, "im": z.imag}, circle_tol=CIRCLE_TOL)
         return InvertibilityCertificate(
             verdict=VERDICT_NOT_INVERTIBLE, kind="wiener-grid", fields=fields
         )
 
-    fields = dict(base_fields)
     if dists.size:
         fields["closest_root_distance"] = float(np.min(dists))
     fields["reason"] = "margin not positive and no unit-circle root witness"
@@ -485,14 +478,6 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 
 # ---------------------------------------------------------------------------
 # Neumann series (any group, weighted)
-
-
-def _to_float(x) -> float:
-    """float(x), saturating to +-inf where an exact x lies past the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _tail_bound(norm, ratio, terms: int) -> float:
@@ -565,21 +550,11 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     for _ in range(terms):
         partial = e + convolve(r, partial)
     g = convolve(partial, u_inv)
-    left = (convolve(g, f) - e).norm(w)
-    right = (convolve(f, g) - e).norm(w)
-    fields["tail_bound"] = _tail_bound(u_inv.norm(w), ratio, terms)
-    fields["left_residual"] = _to_float(left)
-    fields["right_residual"] = _to_float(right)
-    residual = max(left, right)
-    if _to_float(residual) <= tol:
-        verdict = VERDICT_INVERTIBLE
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-        fields["reason"] = "series converges but the truncation is above tolerance"
-    return InvertibilityCertificate(
-        verdict=verdict, kind="neumann-series", fields=fields,
-        inverse=g, residual=residual,
-    )
+    left, right = _residuals(f, g, w)
+    fields.update(tail_bound=_tail_bound(u_inv.norm(w), ratio, terms),
+                  left_residual=_to_float(left), right_residual=_to_float(right))
+    return _verified("neumann-series", fields, g, max(left, right), tol,
+                     "series converges but the truncation is above tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +618,17 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable, *,
 
     A singular quotient certifies non-invertibility (the quotient symbol
     vanishes at an exact rational frequency); nonsingular quotients are
-    evidence only.  Scalars broadcast across the rank, so 4 on a rank-2
-    lattice means the quotient by (4Z)^2.  moduli_list is read only until
-    its quotients pass QUOTIENT_CAP points in all, before any symbol is computed.
+    evidence only.  Moduli are ints; scalars broadcast across the rank, so
+    4 on a rank-2 lattice means the quotient by (4Z)^2.  moduli_list is
+    read only until its quotients pass QUOTIENT_CAP points in all, before
+    any symbol is computed.
     """
     group = _lattice_only(f, "probe_quotients")
     d = group.rank
     quotients, points = [], 0
     for entry in moduli_list:
-        mods = (entry,) * d if isinstance(entry, int) else tuple(int(m) for m in entry)
+        entry_mods = entry if isinstance(entry, (tuple, list)) else (entry,) * d
+        mods = tuple(_integer(m, "modulus") for m in entry_mods)
         if len(mods) != d or any(m < 1 for m in mods):
             raise UsageError(f"bad moduli entry {entry!r} for rank {d}")
         points += math.prod(mods)
@@ -696,13 +673,11 @@ def auto_invert(f: AlgebraElement, weight: Weight | None = None, *,
         if weight is not None:
             raise UsageError("the exact finite solve is unweighted; use the series method")
         return invert_finite(f, tol=tol)
+    if method in ("wiener", "fft") and weight is not None:
+        raise UsageError("the symbol oracle certifies the unweighted algebra only")
     if method == "wiener":
-        if weight is not None:
-            raise UsageError("the symbol oracle certifies the unweighted algebra only")
         return wiener_certify(f, grid, tol=tol, inverse_size=size)
     if method == "fft":
-        if weight is not None:
-            raise UsageError("the symbol oracle certifies the unweighted algebra only")
         return invert_via_fft(f, size, tol=tol)
     if method == "neumann":
         return neumann_invert(f, weight, pivot=pivot, terms=terms, tol=tol)

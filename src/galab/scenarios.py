@@ -8,15 +8,21 @@ algebra.to_jsonable, so repeated runs give byte-identical canonical JSON.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import delta, to_jsonable
-from .errors import UsageError
+from .algebra import _fraction, delta, to_jsonable
+from .errors import ResourceLimitError, UsageError
 from .groups import LatticeGroup
 from .invertibility import wiener_certify
 from .operators import apply_convolution_action
+
+# Work limits, checked before anything is allocated.
+LP_RADIUS_CAP = 10**5   # scenario_lp: largest window radius
+TORUS_FREQ_CAP = 2**13  # scenario_torus: largest max_freq
+TORUS_BITS_CAP = 2**28  # scenario_torus: bits of all exact r^|n|, |n| <= max_freq
 
 
 @dataclass
@@ -67,6 +73,8 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
     """
     if radius < 1:
         raise UsageError(f"radius must be >= 1, got {radius}")
+    if radius > LP_RADIUS_CAP:
+        raise ResourceLimitError(f"radius {radius} exceeds cap {LP_RADIUS_CAP}")
     group = LatticeGroup(1)
     f = delta(group, (0,), 1, exact=True) - delta(group, (1,), 1, exact=True)
     window = group.ball(radius)
@@ -121,15 +129,22 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
     solving f * h = f itself forces every coefficient of h to equal
     f_hat(n)/f_hat(n) = 1 exactly (checked in rational arithmetic out to
     max_freq), so the forced coefficients do not decay and their absolute
-    sum grows without bound: no summable solution exists.
+    sum grows without bound: no summable solution exists.  A solution
+    coefficient p_hat(n) / r^|n| past the float range is refused.
     """
-    r = Fraction(ratio)
+    r = _fraction(ratio)
     if not 0 < r < 1:
         raise UsageError(f"ratio must lie strictly between 0 and 1, got {ratio}")
     if max_freq < 4:
         raise UsageError(f"max_freq must be >= 4, got {max_freq}")
     if degree < 1:
         raise UsageError(f"degree must be >= 1, got {degree}")
+    if max_freq > TORUS_FREQ_CAP:
+        raise ResourceLimitError(f"max_freq {max_freq} exceeds cap {TORUS_FREQ_CAP}")
+    # r^|n| has |n| times the bits of r, so the table below holds about this many.
+    bits = max_freq * (max_freq + 1) * (r.numerator.bit_length() + r.denominator.bit_length())
+    if bits > TORUS_BITS_CAP:
+        raise ResourceLimitError(f"r^|n| for |n| <= {max_freq}: {bits} bits, cap {TORUS_BITS_CAP}")
     degree = min(degree, max_freq)
 
     fhat = {n: r ** abs(n) for n in range(-max_freq, max_freq + 1)}
@@ -144,7 +159,10 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
         phat = {int(n): complex(v) for n, v in target.items() if v != 0}
         if any(abs(n) > max_freq for n in phat):
             raise UsageError("target coefficients must have frequency <= max_freq")
-    hhat = {n: phat[n] / float(fhat[n]) for n in phat}
+    # r^|n| may underflow to 0.0, or be so small that the quotient overflows.
+    hhat = {n: phat[n] / float(fhat[n]) for n in phat if float(fhat[n])}
+    if len(hhat) < len(phat) or not all(map(cmath.isfinite, hhat.values())):
+        raise UsageError("a solution coefficient p_hat(n) / r^|n| leaves the float range")
     reconstruction = sum(abs(float(fhat[n]) * hhat[n] - phat[n]) for n in phat)
     solution_degree = max(abs(n) for n in hhat) if hhat else 0
     solution_peak = max(abs(v) for v in hhat.values()) if hhat else 0.0

@@ -311,6 +311,19 @@ def test_element_json_merges_duplicate_points():
     assert element_from_json(obj).amplitude((0,)) == 3.0
 
 
+@pytest.mark.parametrize("scalars", ["Exact", "real", 5, None])
+def test_element_json_refuses_unknown_scalars(scalars):
+    obj = {"group": {"kind": "Z", "rank": 1}, "scalars": scalars, "terms": [{"x": [0], "re": 2}]}
+    with pytest.raises(UsageError, match="'scalars' must be"):
+        element_from_json(obj)
+
+
+def test_element_json_infers_undeclared_scalars():
+    base = {"group": {"kind": "Z", "rank": 1}}
+    assert element_from_json({**base, "terms": [{"x": [0], "re": "1/2"}]}).exact
+    assert not element_from_json({**base, "terms": [{"x": [0], "re": 0.5}]}).exact
+
+
 def test_element_json_rejects_malformed_terms():
     base = {"group": {"kind": "Z", "rank": 1}, "scalars": "float"}
     with pytest.raises(UsageError, match="malformed term"):

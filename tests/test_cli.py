@@ -466,6 +466,8 @@ def test_non_associative_table_is_refused(capsys):
         '{"group": {"kind": "cayley", "table": [[0, true], [1, 0]]}, "terms": [{"x": 0, "re": 1}]}',
         # The symbol oracle needs a float image of 10^400, which has none.
         element_json([{"x": [0], "re": "1" + "0" * 400}, {"x": [1], "re": "1"}], scalars="exact"),
+        # "scalars" is "exact" or "float"; anything else is not read as either.
+        element_json([{"x": [0], "re": 2}], scalars="Exact"),
     ],
 )
 def test_undecodable_element_is_a_usage_error(capsys, text):
@@ -707,3 +709,80 @@ _weighted_inputs = st.sampled_from([
 def test_invert_with_random_weight_never_ends_in_a_traceback(capsys, el, weight):
     rc = main(["invert", "--input", el, "--weight", json.dumps(weight), "--K", "8"])
     _assert_verdict_or_one_error_line(capsys, rc)
+
+
+# Fuzz of the remaining commands.  Radii stay <= 3 and --N <= 64, so no example
+# starts heavy work; --r text includes ratios that name no rational or whose
+# powers leave the float range.  Each input also has a valid branch, so that
+# some examples get past decoding.
+_ELEMENT_Z2 = element_json([{"x": [0, 0], "re": "3"}, {"x": [1, -1], "re": "1/2"}],
+                           rank=2, scalars="exact")
+_element_texts = st.one_of(st.sampled_from([INVERTIBLE, SINGULAR]), _elements.map(json.dumps))
+_element_pairs = st.one_of(
+    st.tuples(st.sampled_from([INVERTIBLE, SINGULAR]), st.sampled_from([INVERTIBLE, SINGULAR])),
+    st.tuples(st.just(_ELEMENT_Z2), st.sampled_from([_ELEMENT_Z2, INVERTIBLE])),
+    st.tuples(_element_texts, _element_texts),
+)
+_weight_texts = st.one_of(
+    st.sampled_from([
+        {"kind": "constant", "value": 1},
+        {"kind": "exp_symmetric", "base": 2},
+        {"kind": "exp_symmetric", "base": 0.5},
+        {"kind": "polynomial", "beta": 1.5},
+        {"kind": "exp_directional", "coefficients": [0.5, -1.0]},
+        {"kind": "table", "entries": [[[0], 1.0], [[1], 0.1]], "extension": "envelope"},
+    ]),
+    _weights,
+).map(json.dumps)
+_group_texts = st.one_of(
+    st.sampled_from([{"kind": "Z", "rank": 1}, {"kind": "Z", "rank": 2},
+                     {"kind": "free", "rank": 2}, {"kind": "cayley", "table": _C3}]),
+    _groups,
+).map(json.dumps)
+_radius_texts = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "", "x", "1e3"]))
+_ratio_texts = st.one_of(
+    st.sampled_from(["abc", "1/0", "nan", "inf", "1e-400", "1e-104", "0", "1"]),
+    st.fractions(Fraction(1, 10**6), Fraction(10**6 - 1, 10**6), max_denominator=10**6).map(str),
+    st.floats(1e-300, 0.999).map(repr),
+    st.text(alphabet="0123456789./e-", max_size=8),
+)
+_scenario_argvs = st.one_of(
+    st.builds(lambda n: ["scenario", "lp", f"--N={n}"], st.integers(-2, 64)),
+    st.builds(lambda r, n, degree: ["scenario", "torus", f"--r={r}", f"--N={n}",
+                                    f"--degree={degree}"],
+              _ratio_texts, st.integers(-2, 64), st.integers(-2, 64)),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_element_pairs, st.one_of(st.none(), _weight_texts))
+def test_df_check_never_ends_in_a_traceback(capsys, pair, weight):
+    argv = ["df-check", "--f", pair[0], "--g", pair[1]]
+    rc = main(argv + ([] if weight is None else ["--weight", weight]))
+    _assert_verdict_or_one_error_line(capsys, rc, codes=(0, 1, 2))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_weight_texts, _group_texts, _radius_texts)
+def test_check_weight_never_ends_in_a_traceback(capsys, weight, group, radius):
+    rc = main(["check-weight", "--weight", weight, "--group", group, f"--radius={radius}"])
+    _assert_verdict_or_one_error_line(capsys, rc, codes=(0, 1, 2))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_weight_texts, st.one_of(st.none(), _group_texts), _radius_texts)
+def test_dominate_never_ends_in_a_traceback(capsys, weight, group, radius):
+    argv = ["dominate", "--weight", weight, f"--radius={radius}"]
+    rc = main(argv + ([] if group is None else ["--group", group]))
+    _assert_verdict_or_one_error_line(capsys, rc, codes=(0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_scenario_argvs)
+def test_scenario_never_ends_in_a_traceback(capsys, argv):
+    # A scenario exits 1 on a failed reproduction too; none of these inputs fails one.
+    _assert_verdict_or_one_error_line(capsys, main(argv), codes=(0, 1))

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galab.algebra import AlgebraElement, QComplex, convolve, delta, identity_element
+from galab.algebra import (
+    AlgebraElement,
+    QComplex,
+    clear_denominators,
+    convolve,
+    delta,
+    identity_element,
+)
 from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
     CayleyGroup,
@@ -244,8 +251,12 @@ def square_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_solve_matches_reference_gauss_jordan(system):
     rows, rhs, singular = system
-    status, vec = _solve_exact([[QComplex(*v) for v in row] for row in rows],
-                               [QComplex(*v) for v in rhs])
+    # Each augmented row times the LCM of its denominators: the same solutions.
+    mat = [clear_denominators([QComplex(*v) for v in row + [b]])[1] for row, b in zip(rows, rhs)]
+    gaussian = any(im for row in mat for _, im in row)
+    if not gaussian:
+        mat = [[re for re, _ in row] for row in mat]
+    status, vec = _solve_exact(mat, gaussian)
     want_status, want_vec = reference_solve(rows, rhs)
     assert status == want_status
     assert [(v.re, v.im) for v in vec] == want_vec
@@ -502,6 +513,37 @@ def test_fft_chop_matches_index_scan(rank, size):
 
 
 # ---------------------------------------------------------------------------
+# the verdict rule: invertible exactly when the verified residual is at most tol
+
+
+@pytest.mark.parametrize(
+    "run, reason",
+    [
+        (lambda tol: invert_finite(
+            AlgebraElement(symmetric_group(3), {0: 0.7, 1: 0.3, 4: -0.2}, False), tol=tol),
+         None),
+        (lambda tol: invert_via_fft(delta(Z, (0,), 2.0) + delta(Z, (1,), 0.7), 64, tol=tol),
+         "candidate residual above tolerance; increase the grid"),
+        # The exact flagship series: residual 2^-41 under w = 2^|n|.
+        (lambda tol: neumann_invert(
+            delta(Z, (0,), 1, exact=True) - delta(Z, (1,), Fraction(1, 4), exact=True),
+            ExpSymmetricWeight(2), terms=40, tol=tol),
+         "series converges but the truncation is above tolerance"),
+    ],
+    ids=["float-finite", "fft-candidate", "neumann-series"],
+)
+def test_verdict_boundary_is_residual_at_most_tol(run, reason):
+    residual = float(run(1e-10).residual)
+    assert residual > 0
+    at = run(residual)
+    assert at.verdict == "invertible" and "reason" not in at.fields
+    below = run(math.nextafter(residual, 0.0))
+    assert below.verdict == "inconclusive"
+    assert below.fields.get("reason") == reason
+    assert below.inverse is not None and float(below.residual) == residual
+
+
+# ---------------------------------------------------------------------------
 # Neumann series
 
 
@@ -623,6 +665,12 @@ def test_probe_rejects_bad_moduli():
     f = delta(Z, (0,))
     with pytest.raises(UsageError):
         probe_quotients(f, [(2, 2)])  # rank mismatch
+
+
+@pytest.mark.parametrize("moduli", [[(3.9,)], [2.7], [True], ["4"], [(4.0,)], [("4",)]])
+def test_probe_moduli_must_be_integers(moduli):
+    with pytest.raises(UsageError, match="modulus must be an integer"):
+        probe_quotients(delta(Z, (0,)), moduli)
 
 
 def test_probe_cap_bounds_all_quotients_before_any_symbol(monkeypatch):

@@ -3,8 +3,15 @@ from fractions import Fraction
 import pytest
 
 from galab.algebra import canonical_json
-from galab.errors import UsageError
-from galab.scenarios import scenario_lp, scenario_torus
+from galab.cli import main
+from galab.errors import ResourceLimitError, UsageError
+from galab.scenarios import (
+    LP_RADIUS_CAP,
+    TORUS_BITS_CAP,
+    TORUS_FREQ_CAP,
+    scenario_lp,
+    scenario_torus,
+)
 
 
 def findings_of(report):
@@ -99,3 +106,61 @@ def test_report_text_mentions_verdict_and_findings():
     assert "verdict: confirmed" in text
     assert "forced-endpoint-gap = 1" in text
     assert "radius = 5" in text
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("ratio", ["abc", "1/0", "nan", "inf"])
+def test_torus_ratio_that_names_no_rational_is_a_usage_error(capsys, ratio):
+    with pytest.raises(UsageError):
+        scenario_torus(ratio, 16)
+    assert main(["scenario", "torus", f"--r={ratio}", "--N", "16"]) == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "ratio, max_freq, degree",
+    [
+        ("1e-400", 64, 20),     # r itself underflows to 0.0
+        ("1/2", 2048, 1100),    # 2^-1099 underflows to 0.0
+        ("1e-104", 64, 3),      # 10^-312 is subnormal: 0.2 / 10^-312 overflows
+    ],
+)
+def test_torus_solution_past_the_float_range_is_refused(capsys, ratio, max_freq, degree):
+    with pytest.raises(UsageError, match="leaves the float range"):
+        scenario_torus(ratio, max_freq, degree)
+    argv = ["scenario", "torus", "--r", ratio, "--N", str(max_freq), "--degree", str(degree)]
+    assert main(argv) == 1
+    assert _one_error_line(capsys)
+
+
+def test_lp_radius_is_capped(capsys):
+    with pytest.raises(ResourceLimitError):
+        scenario_lp(LP_RADIUS_CAP + 1)
+    assert main(["scenario", "lp", "--N", str(LP_RADIUS_CAP + 1)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_torus_max_freq_is_capped(capsys):
+    with pytest.raises(ResourceLimitError):
+        scenario_torus("1/2", TORUS_FREQ_CAP + 1, 1)
+    assert main(["scenario", "torus", "--N", str(TORUS_FREQ_CAP + 1)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_torus_bits_of_the_exact_powers_are_capped(capsys):
+    # 64 * 65 * 70002 bits exceed the cap, though 64 is a small max_freq.
+    assert 64 * 65 * 70002 > TORUS_BITS_CAP
+    with pytest.raises(ResourceLimitError):
+        scenario_torus(Fraction(1, 2**70000), 64, 1)
+    # --r 1e-400 at the default --N 1024 would take about 1.4e9 bits.
+    assert main(["scenario", "torus", "--r", "1e-400"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_torus_at_the_frequency_cap_is_confirmed():
+    assert scenario_torus("1/2", TORUS_FREQ_CAP, 1).verdict == "confirmed"

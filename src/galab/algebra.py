@@ -323,7 +323,7 @@ class AlgebraElement:
 
     def norm(self, weight: "Weight | None" = None):
         """Weighted l1 norm; exact (a Fraction) when every part is exact."""
-        total = Fraction(0)
+        total = Fraction(0) if self.exact else 0.0
         for x, v in self._terms.items():
             mag = v.magnitude() if self.exact else abs(v)
             if weight is not None:

@@ -24,7 +24,7 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, ball, spec_from_json
 from .invertibility import auto_invert, probe_quotients, verify_direct_finiteness
 from .scenarios import scenario_lp, scenario_torus
-from .weights import check_weight, dominate_character, weight_from_json
+from .weights import CHECK_PAIR_CAP, check_weight, dominate_character, weight_from_json
 
 
 def _parse_json(text: str):
@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-weight", help="submultiplicativity scan on a ball")
     p.add_argument("--weight", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=int, required=True,
+                   help=f"ball radius; the n^2 pairs of its n elements may number "
+                   f"at most {CHECK_PAIR_CAP}")
     p.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_check_weight)

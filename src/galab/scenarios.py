@@ -118,6 +118,15 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
     )
 
 
+def _quotient(a: int, b: int, c: int, d: int):
+    """(a/b) / (c/d) exactly, for fractions in lowest terms with b, d > 0.
+
+    Fractions in lowest terms are equal exactly when their parts are, so an
+    equal pair gives the int 1 with no gcd taken; any other gives a Fraction.
+    """
+    return 1 if a == c and b == d else Fraction(a * d, b * c)
+
+
 def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
                    target=None) -> ScenarioReport:
     """Smoothing convolution on the circle: dense range without surjectivity.
@@ -147,7 +156,12 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
         raise ResourceLimitError(f"r^|n| for |n| <= {max_freq}: {bits} bits, cap {TORUS_BITS_CAP}")
     degree = min(degree, max_freq)
 
-    fhat = {n: r ** abs(n) for n in range(-max_freq, max_freq + 1)}
+    # f_hat(n) = r^|n| = p^|n| / q^|n|, in lowest terms since gcd(p, q) = 1.
+    p, q = r.numerator, r.denominator
+    p_pow, q_pow = [1], [1]
+    for _ in range(max_freq):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
 
     if target is None:
         phat = {
@@ -159,19 +173,21 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
         phat = {int(n): complex(v) for n, v in target.items() if v != 0}
         if any(abs(n) > max_freq for n in phat):
             raise UsageError("target coefficients must have frequency <= max_freq")
+    # Int true division rounds p^k / q^k correctly, as float(Fraction) does.
+    fhat = {n: p_pow[abs(n)] / q_pow[abs(n)] for n in phat}
     # r^|n| may underflow to 0.0, or be so small that the quotient overflows.
-    hhat = {n: phat[n] / float(fhat[n]) for n in phat if float(fhat[n])}
+    hhat = {n: phat[n] / fhat[n] for n in phat if fhat[n]}
     if len(hhat) < len(phat) or not all(map(cmath.isfinite, hhat.values())):
         raise UsageError("a solution coefficient p_hat(n) / r^|n| leaves the float range")
-    reconstruction = sum(abs(float(fhat[n]) * hhat[n] - phat[n]) for n in phat)
+    reconstruction = sum(abs(fhat[n] * hhat[n] - phat[n]) for n in phat)
     solution_degree = max(abs(n) for n in hhat) if hhat else 0
     solution_peak = max(abs(v) for v in hhat.values()) if hhat else 0.0
 
-    forced = {n: fhat[n] / fhat[n] for n in fhat}
-    all_ones = all(v == 1 for v in forced.values())
-    tail = [abs(forced[n]) for n in forced if abs(n) >= max_freq // 2]
-    tail_band_max = max(tail)
-    forced_mass = sum(abs(v) for v in forced.values())
+    # f_hat(n) / f_hat(n) at k = |n|; the l1 mass over n counts each k > 0 twice.
+    forced = [_quotient(a, b, a, b) for a, b in zip(p_pow, q_pow)]
+    all_ones = all(v == 1 for v in forced)
+    tail_band_max = max(map(abs, forced[max_freq // 2:]))
+    forced_mass = abs(forced[0]) + 2 * sum(map(abs, forced[1:]))
 
     findings = [
         ("target-degree", degree),

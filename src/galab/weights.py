@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .algebra import AlgebraElement, to_jsonable
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
@@ -22,6 +24,14 @@ from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 _REL_TOL = 1e-12
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
+CHECK_PAIR_CAP = 2**22  # most (x, y) pairs check_weight scans
+# _lattice_pair_scan: values whose float64 products are exact (ints) or finite
+# and normal (floats), coordinates and keys that fit int64, pairs per chunk.
+_SCAN_INT_BOUND = 2**26
+_SCAN_FLOAT_MIN, _SCAN_FLOAT_MAX = 2.0**-511, 2.0**511
+_SCAN_COORD_BOUND = 2**31
+_SCAN_KEY_BOUND = 2**62
+_SCAN_CHUNK = 2**13
 
 
 def _out_of_range(what: str) -> UsageError:
@@ -425,9 +435,15 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
     """Exhaustive submultiplicativity and symmetry scan over a window.
 
     Pairs whose product leaves the window are skipped; the report carries
-    the minimum value and, if violated, the worst offending pair.
+    the minimum value and, if violated, the worst offending pair.  A window
+    with more than CHECK_PAIR_CAP pairs is refused before any value is taken.
     """
     group = window.group
+    pairs = len(window) ** 2
+    if pairs > CHECK_PAIR_CAP:
+        raise ResourceLimitError(
+            f"window of {len(window)} elements has {pairs} pairs, cap is {CHECK_PAIR_CAP}"
+        )
     vals = {x: weight.value(group, x) for x in window}
     for x, v in vals.items():
         if v <= 0:
@@ -435,18 +451,8 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
     min_at = min(vals, key=lambda x: (vals[x], group.sort_key(x)))
     min_value = vals[min_at]
 
-    worst_ratio = 0.0
-    worst_pair = None
-    for x in window:
-        wx = vals[x]
-        for y in window:
-            z = group.mul(x, y)
-            if z not in vals:
-                continue
-            ratio = float(vals[z] / (wx * vals[y]))
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_pair = (x, y)
+    worst = _lattice_pair_scan(window, vals)
+    worst_ratio, worst_pair = worst if worst is not None else _pair_scan(window, vals)
     submultiplicative = worst_ratio <= 1 + rel_tol
 
     symmetric = True
@@ -468,6 +474,86 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
         worst_pair=worst_pair if worst_ratio > 1 + rel_tol else None,
         window_size=len(window),
     )
+
+
+def _pair_scan(window: Window, vals: dict):
+    """(worst ratio, its pair) of w(xy) / (w(x) w(y)) over the pairs whose
+    product lies in the window: the first maximum in x-then-y order, or
+    (0.0, None) when no product does."""
+    group = window.group
+    worst_ratio = 0.0
+    worst_pair = None
+    for x in window:
+        wx = vals[x]
+        for y in window:
+            z = group.mul(x, y)
+            if z not in vals:
+                continue
+            ratio = float(vals[z] / (wx * vals[y]))
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                worst_pair = (x, y)
+    return worst_ratio, worst_pair
+
+
+def _float_exact(v) -> bool:
+    """Whether v as a float64 gives _pair_scan's bits: a float whose products
+    stay finite and normal, or an int small enough that each product of two
+    is exact, so each ratio is one correctly rounded division either way."""
+    if type(v) is float:
+        return _SCAN_FLOAT_MIN < v < _SCAN_FLOAT_MAX
+    return type(v) is int and v < _SCAN_INT_BOUND
+
+
+def _lattice_pair_scan(window: Window, vals: dict):
+    """_pair_scan's result on int64/float64 arrays, or None where the bits
+    could differ (a value _float_exact refuses, a non-lattice group, or
+    coordinates whose keys would not fit in int64).
+
+    A point x is keyed by a(x) = sum_i (x_i - lo_i) S_i with the strides S
+    of the box [2 lo, 2 hi] that holds every sum, so x + y has key
+    a(x) + a(y), looked up among the window's keys with searchsorted.  Rows
+    of x go in chunks of about _SCAN_CHUNK pairs; argmax takes the first
+    maximum in each chunk and a strict > keeps the earliest across chunks.
+    """
+    group, elements = window.group, window.elements
+    values = list(vals.values())  # in window order
+    if not isinstance(group, LatticeGroup) or not all(map(_float_exact, values)):
+        return None
+    lo = [min(axis) for axis in zip(*elements)]
+    hi = [max(axis) for axis in zip(*elements)]
+    if max(map(abs, lo + hi)) > _SCAN_COORD_BOUND:
+        return None
+    spans = [2 * (h - low) + 1 for low, h in zip(lo, hi)]
+    if math.prod(spans) > _SCAN_KEY_BOUND:
+        return None
+    strides = np.cumprod([1] + spans[:0:-1])[::-1]
+    offsets = np.array(elements, dtype=np.int64) - np.array(lo, dtype=np.int64)
+    keys = offsets @ strides
+    # x - 2 lo keys a window point as a sum; points outside the box are no sum.
+    shifted = offsets - np.array(lo, dtype=np.int64)
+    inside = np.all((shifted >= 0) & (shifted < spans), axis=1)
+    targets = shifted[inside] @ strides
+    if not len(targets):
+        return 0.0, None
+    order = np.argsort(targets)
+    sorted_targets = targets[order]
+    target_index = np.flatnonzero(inside)[order]
+    v = np.array(values, dtype=np.float64)
+    n = len(elements)
+    rows = max(1, _SCAN_CHUNK // n)
+    worst_ratio, worst_pair = 0.0, None
+    for start in range(0, n, rows):
+        sums = keys[start:start + rows, None] + keys
+        at = np.minimum(np.searchsorted(sorted_targets, sums), len(sorted_targets) - 1)
+        hit = sorted_targets[at] == sums
+        ratio = v[target_index[at]] / (v[start:start + rows, None] * v)
+        ratio[~hit] = 0.0
+        k = int(ratio.argmax())
+        if ratio.flat[k] > worst_ratio:
+            worst_ratio = float(ratio.flat[k])
+            worst_pair = (elements[start + k // n], elements[k % n])
+    return worst_ratio, worst_pair
 
 
 @dataclass
@@ -535,7 +621,6 @@ def dominate_character(weight: Weight, group: LatticeGroup,
             upper=None if math.isinf(upper) else upper,
         )
 
-    import numpy as np
     from scipy.optimize import linprog
 
     d = group.rank

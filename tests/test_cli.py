@@ -142,6 +142,20 @@ def test_df_check_pass_and_report(tmp_path, capsys):
     assert "pass: True" in capsys.readouterr().out
 
 
+def test_float_reports_print_a_zero_residual_as_a_float(tmp_path, capsys):
+    # An empty float residual is the float 0.0; only exact residuals print "0".
+    cert = neumann_invert(delta(LatticeGroup(1), (0,), 2.0)).to_json()
+    assert (cert["residual"], cert["left_residual"], cert["right_residual"]) == (0.0, 0.0, 0.0)
+    assert '"residual":0.0' in canonical_json(cert)
+    out = tmp_path / "df.json"
+    f, g = element_json([{"x": [0], "re": 2.0}]), element_json([{"x": [0], "re": 0.5}])
+    assert main(["df-check", "--f", f, "--g", g, "--report", str(out)]) == 0
+    assert out.read_text() == (
+        '{"left_residual":0.0,"pass":true,"right_residual":0.0,"slack":10.0,"tol":1e-10}\n'
+    )
+    assert "left residual  = 0.0" in capsys.readouterr().out
+
+
 def test_check_weight_ok_and_violation(capsys):
     code = main(
         [

@@ -1,3 +1,6 @@
+import cmath
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from galab.scenarios import (
     LP_RADIUS_CAP,
     TORUS_BITS_CAP,
     TORUS_FREQ_CAP,
+    ScenarioReport,
     scenario_lp,
     scenario_torus,
 )
@@ -155,8 +159,16 @@ def test_torus_max_freq_is_capped(capsys):
 def test_torus_bits_of_the_exact_powers_are_capped(capsys):
     # 64 * 65 * 70002 bits exceed the cap, though 64 is a small max_freq.
     assert 64 * 65 * 70002 > TORUS_BITS_CAP
-    with pytest.raises(ResourceLimitError):
-        scenario_torus(Fraction(1, 2**70000), 64, 1)
+    ratio = Fraction(1, 2**70000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            scenario_torus(ratio, 64, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The powers up to r^64 would take about 18 MB; the refusal comes first.
+    assert peak < 10**6
     # --r 1e-400 at the default --N 1024 would take about 1.4e9 bits.
     assert main(["scenario", "torus", "--r", "1e-400"]) == 1
     assert _one_error_line(capsys)
@@ -164,3 +176,53 @@ def test_torus_bits_of_the_exact_powers_are_capped(capsys):
 
 def test_torus_at_the_frequency_cap_is_confirmed():
     assert scenario_torus("1/2", TORUS_FREQ_CAP, 1).verdict == "confirmed"
+
+
+def torus_reference(ratio, max_freq, degree, target=None):
+    """scenario_torus written on Fractions: r^|n| for every n, and each
+    forced coefficient fhat[n] / fhat[n] a normalized Fraction."""
+    r = Fraction(ratio)
+    degree = min(degree, max_freq)
+    fhat = {n: r ** abs(n) for n in range(-max_freq, max_freq + 1)}
+    if target is None:
+        phat = {n: complex(0.0, -2.0 / (math.pi * n)) for n in range(-degree, degree + 1) if n % 2}
+    else:
+        phat = {int(n): complex(v) for n, v in target.items() if v != 0}
+    hhat = {n: phat[n] / float(fhat[n]) for n in phat}
+    assert all(map(cmath.isfinite, hhat.values()))
+    reconstruction = sum(abs(float(fhat[n]) * hhat[n] - phat[n]) for n in phat)
+    forced = {n: fhat[n] / fhat[n] for n in fhat}
+    all_ones = all(v == 1 for v in forced.values())
+    tail_band_max = max(abs(forced[n]) for n in forced if abs(n) >= max_freq // 2)
+    findings = [
+        ("target-degree", degree),
+        ("solution-degree", max(abs(n) for n in hhat) if hhat else 0),
+        ("solution-peak", max(abs(v) for v in hhat.values()) if hhat else 0.0),
+        ("reconstruction-residual", reconstruction),
+        ("forced-all-ones", all_ones),
+        ("tail-band-max", tail_band_max),
+        ("forced-l1-mass", sum(abs(v) for v in forced.values())),
+        ("non-decay", tail_band_max >= 1),
+    ]
+    confirmed = all_ones and tail_band_max == 1 and reconstruction <= 1e-12
+    return ScenarioReport(
+        scenario="torus",
+        parameters={"ratio": str(r), "max_freq": max_freq, "degree": degree},
+        findings=findings,
+        verdict="confirmed" if confirmed else "failed",
+    )
+
+
+@pytest.mark.parametrize("ratio", ["1/2", "2/3", "999/1000", "0.25"])
+@pytest.mark.parametrize("max_freq", [4, 64, 1024])
+@pytest.mark.parametrize("degree, target", [
+    (20, None),
+    (3, {1: 1.0, -1: 1.0}),
+    (5, {0: 2.5, 3: 0.5 - 0.25j, -4: -1j, 4: 0}),
+    (1, {}),
+])
+def test_torus_matches_the_fraction_reference(ratio, max_freq, degree, target):
+    got = scenario_torus(ratio, max_freq, degree, target)
+    want = torus_reference(ratio, max_freq, degree, target)
+    assert canonical_json(got.to_json()) == canonical_json(want.to_json())
+    assert got.text() == want.text()

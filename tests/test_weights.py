@@ -1,12 +1,25 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galab.algebra import AlgebraElement, delta
-from galab.errors import ContractViolationError, UsageError
-from galab.groups import FreeGroup, LatticeGroup, ball
+from galab.algebra import AlgebraElement, canonical_json, delta
+from galab.cli import main
+from galab.errors import ContractViolationError, ResourceLimitError, UsageError
+from galab.groups import (
+    FreeGroup,
+    LatticeGroup,
+    Window,
+    ball,
+    dihedral_group,
+    quaternion_group,
+    symmetric_group,
+)
 from galab.weights import (
+    CHECK_PAIR_CAP,
     Character,
     ConstantWeight,
     ExpDirectionalWeight,
@@ -15,6 +28,7 @@ from galab.weights import (
     ProductWeight,
     QuotientWeight,
     TableWeight,
+    WeightCheckReport,
     character_twist,
     check_weight,
     dominate_character,
@@ -256,3 +270,133 @@ def test_random_symmetric_tables_are_valid_weights():
         assert rep.submultiplicative
         assert rep.symmetric
         assert rep.min_value >= 1
+
+
+# ---------------------------------------------------------------------------
+# check_weight's lattice array scan against a plain per-pair loop.
+
+
+def loop_check_weight(weight, window, rel_tol=1e-12):
+    """check_weight written as a plain loop over every pair of the window."""
+    group = window.group
+    vals = {x: weight.value(group, x) for x in window}
+    min_at = min(vals, key=lambda x: (vals[x], group.sort_key(x)))
+    worst_ratio, worst_pair = 0.0, None
+    for x in window:
+        for y in window:
+            z = group.mul(x, y)
+            if z in vals:
+                ratio = float(vals[z] / (vals[x] * vals[y]))
+                if ratio > worst_ratio:
+                    worst_ratio, worst_pair = ratio, (x, y)
+    symmetric = True
+    for x in window:
+        xi = group.inv(x)
+        if xi in window:
+            a, b = float(vals[x]), float(vals[xi])
+            if abs(a - b) > rel_tol * max(abs(a), abs(b)):
+                symmetric = False
+                break
+    return WeightCheckReport(
+        submultiplicative=worst_ratio <= 1 + rel_tol,
+        symmetric=symmetric,
+        min_value=float(vals[min_at]),
+        min_at=min_at,
+        worst_ratio=worst_ratio,
+        worst_pair=worst_pair if worst_ratio > 1 + rel_tol else None,
+        window_size=len(window),
+    )
+
+
+def assert_same_report(weight, window):
+    got = canonical_json(check_weight(weight, window).to_json())
+    assert got == canonical_json(loop_check_weight(weight, window).to_json())
+
+
+# Few distinct values, so that tied worst pairs are common.  Ints of 2^26 and
+# more, and Fractions, take check_weight's loop; floats and smaller ints its
+# array scan.
+_VALUES = {
+    "float": st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 10.0)),
+    "small-int": st.integers(1, 2**26 - 1) | st.sampled_from([1, 2, 4]),
+    "large-int": st.integers(2**26, 2**36),
+    "fraction": st.fractions(Fraction(1, 9), 9).filter(lambda v: v > 0),
+}
+
+
+@st.composite
+def lattice_windows(draw):
+    rank = draw(st.integers(1, 3))
+    group = LatticeGroup(rank)
+    if draw(st.booleans()):
+        # Rank-1 balls past 90 elements span two chunks of the array scan.
+        radius = draw(st.integers(0, {1: 60, 2: 4, 3: 2}[rank]))
+        return ball(group, radius)
+    offset = draw(st.sampled_from([0, 0, 5, -7, 2**40]))
+    points = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=1, max_size=40,
+                           unique=True))
+    points = [tuple(c + offset for c in x) for x in points]
+    return Window(group, draw(st.permutations(points)), sort=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_windows(), st.data())
+def test_pair_scan_matches_the_loop(window, data):
+    kind = data.draw(st.sampled_from(sorted(_VALUES)))
+    values = data.draw(st.lists(_VALUES[kind], min_size=len(window), max_size=len(window)))
+    assert_same_report(TableWeight(dict(zip(window, values))), window)
+
+
+@pytest.mark.parametrize("weight", [PolynomialWeight(2), PolynomialWeight(0.5),
+                                    ExpSymmetricWeight(2), ExpSymmetricWeight(0.5),
+                                    ExpDirectionalWeight([1.0, -0.5])])
+def test_pair_scan_matches_the_loop_on_formula_weights(weight):
+    assert_same_report(weight, Z2.ball(6))
+
+
+def test_worst_pair_is_the_first_maximum_in_x_then_y_order():
+    # Every value is 0.5, so every pair with its sum in the window has ratio 2;
+    # the first in x-then-y order is x = -60, y = 0, and the ball spans chunks.
+    window = Z.ball(60)
+    halves = TableWeight(dict.fromkeys(window, 0.5))
+    rep = check_weight(halves, window)
+    assert (rep.worst_ratio, rep.worst_pair) == (2.0, ((-60,), (0,)))
+    assert check_weight(halves, Window(Z, window.elements[::-1], sort=False)).worst_pair == (
+        (60,), (0,))
+    # Ratio 3 only for x, y > 6 with x + y = 50; x = 7 opens the second chunk.
+    values = {x: 4 if x[0] <= 6 else 1 for x in window}
+    values[(50,)] = 3
+    rep = check_weight(TableWeight(values), window)
+    assert (rep.worst_ratio, rep.worst_pair) == (3.0, ((7,), (43,)))
+
+
+@pytest.mark.parametrize("group", [FreeGroup(2), symmetric_group(3), dihedral_group(4),
+                                   quaternion_group()], ids=repr)
+def test_pair_scan_on_free_and_cayley_groups_is_unchanged(group):
+    rng = random.Random(f"{group!r}")
+    window = ball(group, 3)
+    for _ in range(10):
+        values = [rng.choice([0.5, 1, 2, rng.uniform(0.5, 3)]) for _ in window]
+        assert_same_report(TableWeight(dict(zip(window, values))), window)
+
+
+def test_check_weight_caps_the_pairs_before_any_value(capsys):
+    calls = []
+
+    class Counting(ConstantWeight):
+        def value(self, group, x):
+            calls.append(x)
+            return 1
+
+    window = Z2.ball(23)  # 2209 elements, 4879681 pairs
+    assert len(window) ** 2 > CHECK_PAIR_CAP
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        check_weight(Counting(), window)
+    assert calls == []
+    assert check_weight(Counting(), Z2.ball(22)).submultiplicative  # 4100625 pairs
+    argv = ["check-weight", "--weight", '{"kind":"constant","value":1}',
+            "--group", '{"kind":"Z","rank":2}', "--radius", "100"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -2,9 +2,12 @@
 
 An AlgebraElement is a finite formal sum of group elements with scalar
 amplitudes.  Two scalar modes exist: ordinary complex floats, and exact
-Gaussian rationals (QComplex, a pair of fractions).  Mixing modes in an
-operation silently demotes to floats, like Python's own numeric tower;
-exact-mode arithmetic never rounds.
+Gaussian rationals.  An exact element is stored over one positive int
+denominator L, as int numerators (or (re, im) Gaussian-int pairs) in lowest
+terms, so its kernels add and multiply plain ints and reduce once per
+result; amplitudes cross the API as QComplex, a pair of fractions.  Mixing
+modes in an operation silently demotes to floats, like Python's own numeric
+tower; exact-mode arithmetic never rounds.
 
 Convolution follows (h*f)(z) = sum_y h(z y^-1) f(y), so supp(h*f) is
 contained in supp(h)*supp(f).
@@ -182,48 +185,93 @@ def _coerce_exact(v) -> QComplex:
     return QComplex(_fraction(v))
 
 
+def _make(group, exact: bool, terms: dict, den: int = 1, gaussian: bool = False):
+    """An element from storage that already meets AlgebraElement's invariants."""
+    el = object.__new__(AlgebraElement)
+    el.group, el.exact, el._terms, el._den, el.gaussian = group, exact, terms, den, gaussian
+    return el
+
+
 class AlgebraElement:
-    """Finite formal sum over a group, with float or exact rational amplitudes."""
+    """Finite formal sum over a group, with float or exact rational amplitudes.
 
-    __slots__ = ("group", "exact", "_terms")
+    A float element maps each support point to a complex.  An exact element
+    is stored over one positive int denominator: it maps each support point
+    to an int numerator, or to an (re, im) pair of ints when some imaginary
+    part is nonzero (gaussian), kept in lowest terms, so equal elements have
+    equal storage.  items() and amplitude() give QComplex.
+    """
 
-    def __init__(self, group: GroupSpec, terms: Mapping, exact: bool, *, _clean: bool = False):
-        if _clean:
-            self.group = group
-            self.exact = exact
-            self._terms = dict(terms)
-            return
-        cleaned = {}
+    __slots__ = ("group", "exact", "_terms", "_den", "gaussian")
+
+    def __init__(self, group: GroupSpec, terms: Mapping, exact: bool):
+        self.group, self.exact, self._den, self.gaussian = group, exact, 1, False
+        cleaned, coerce = {}, _coerce_exact if exact else complex
         for x, v in terms.items():
             group.validate(x)
-            if exact:
-                amp = _coerce_exact(v)
-                if not amp.is_zero:
-                    cleaned[x] = amp
-            else:
-                amp = complex(v)
-                if amp != 0:
-                    cleaned[x] = amp
-        self.group = group
-        self.exact = exact
+            amp = coerce(v)
+            if amp != 0:
+                cleaned[x] = amp
         self._terms = cleaned
+        if exact:
+            den = math.lcm(*(q.denominator for v in cleaned.values() for q in (v.re, v.im)))
+            nums = {x: (v.re.numerator * (den // v.re.denominator),
+                        v.im.numerator * (den // v.im.denominator)) for x, v in cleaned.items()}
+            built = AlgebraElement.from_numerators(group, nums, den, True)
+            self._terms, self._den, self.gaussian = built._terms, built._den, built.gaussian
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(group: GroupSpec, *, exact: bool = False) -> "AlgebraElement":
-        return AlgebraElement(group, {}, exact, _clean=True)
+        return _make(group, exact, {})
+
+    @staticmethod
+    def from_numerators(group: GroupSpec, nums: Mapping, den: int,
+                        gaussian: bool) -> "AlgebraElement":
+        """The exact element nums / den over a positive int den, with int
+        numerators, or (re, im) int pairs when gaussian; keys are trusted.
+        Zero numerators are dropped, one gcd brings the rest to lowest
+        terms, and pairs become ints when no imaginary part is left."""
+        if gaussian:
+            nums = {x: v for x, v in nums.items() if v[0] or v[1]}
+            if not any(im for _, im in nums.values()):
+                nums, gaussian = {x: re for x, (re, _) in nums.items()}, False
+        else:
+            nums = {x: v for x, v in nums.items() if v}
+        parts = (p for v in nums.values() for p in v) if gaussian else nums.values()
+        g = math.gcd(den, *parts) if den != 1 else 1
+        if g != 1:
+            den //= g
+            if gaussian:
+                nums = {x: (re // g, im // g) for x, (re, im) in nums.items()}
+            else:
+                nums = {x: v // g for x, v in nums.items()}
+        return _make(group, True, nums, den, gaussian)
 
     # -- access ---------------------------------------------------------
 
     def items(self):
-        return self._terms.items()
+        """(x, amplitude) pairs in storage order: complex, or QComplex when exact."""
+        if not self.exact:
+            return self._terms.items()
+        den = self._den
+        return [(x, QComplex(Fraction(re, den), Fraction(im, den)))
+                for x, (re, im) in self._pairs(1).items()]
 
     def amplitude(self, x):
         """Amplitude at x (zero of the right mode when absent)."""
-        if x in self._terms:
-            return self._terms[x]
-        return _QZERO if self.exact else 0j
+        if not self.exact:
+            return self._terms.get(x, 0j)
+        if x not in self._terms:
+            return _QZERO
+        re, im = self._terms[x] if self.gaussian else (self._terms[x], 0)
+        return QComplex(Fraction(re, self._den), Fraction(im, self._den))
+
+    def numerators(self) -> tuple:
+        """(den, {x: numerator}) of an exact element, for reading only; the
+        numerators are (re, im) pairs when self.gaussian."""
+        return self._den, self._terms
 
     @property
     def support(self) -> tuple:
@@ -242,11 +290,12 @@ class AlgebraElement:
     def to_float(self) -> "AlgebraElement":
         if not self.exact:
             return self
-        try:
-            terms = {x: complex(v) for x, v in self._terms.items()}
+        den = self._den
+        try:  # int true division rounds correctly, as float(Fraction) does
+            terms = {x: complex(re / den, im / den) for x, (re, im) in self._pairs(1).items()}
         except OverflowError:
             raise UsageError(_BEYOND_FLOATS) from None
-        return AlgebraElement(self.group, terms, False, _clean=True)
+        return _make(self.group, False, terms)
 
     # -- ring operations --------------------------------------------------
 
@@ -257,19 +306,34 @@ class AlgebraElement:
             return self, other, self.exact
         return self.to_float(), other.to_float(), False
 
+    def _pairs(self, k: int) -> dict:
+        """The numerators times k as (re, im) pairs, whether or not gaussian."""
+        if self.gaussian:
+            return {x: (re * k, im * k) for x, (re, im) in self._terms.items()}
+        return {x: (n * k, 0) for x, n in self._terms.items()}
+
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         a, b, exact = self._align(other)
-        terms = dict(a._terms)
-        for x, v in b._terms.items():
-            s = terms.get(x)
-            s = v if s is None else s + v
-            if (s.is_zero if exact else s == 0):
-                terms.pop(x, None)
-            else:
-                terms[x] = s
-        return AlgebraElement(a.group, terms, exact, _clean=True)
+        if not exact:
+            terms = dict(a._terms)
+            for x, v in b._terms.items():
+                terms[x] = terms[x] + v if x in terms else v
+            return _make(a.group, False, {x: v for x, v in terms.items() if v != 0})
+        # Numerators over lcm(L_a, L_b); zero sums drop out in from_numerators.
+        den = math.lcm(a._den, b._den)
+        ka, kb = den // a._den, den // b._den
+        if a.gaussian or b.gaussian:
+            terms = a._pairs(ka)
+            for x, (re, im) in b._pairs(kb).items():
+                s = terms.get(x, (0, 0))
+                terms[x] = (s[0] + re, s[1] + im)
+            return AlgebraElement.from_numerators(a.group, terms, den, True)
+        terms = {x: n * ka for x, n in a._terms.items()}
+        for x, n in b._terms.items():
+            terms[x] = terms.get(x, 0) + n * kb
+        return AlgebraElement.from_numerators(a.group, terms, den, False)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -277,9 +341,10 @@ class AlgebraElement:
         return self.__add__(-other)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.group, {x: -v for x, v in self._terms.items()}, self.exact, _clean=True
-        )
+        if not self.exact:
+            return _make(self.group, False, {x: -v for x, v in self._terms.items()})
+        terms = self._pairs(-1) if self.gaussian else {x: -n for x, n in self._terms.items()}
+        return _make(self.group, True, terms, self._den, self.gaussian)
 
     def scale(self, c) -> "AlgebraElement":
         if self.exact:
@@ -287,16 +352,12 @@ class AlgebraElement:
                 cc = _coerce_exact(c)
             except UsageError:
                 return self.to_float().scale(complex(c))
-            if cc.is_zero:
-                return AlgebraElement.zero(self.group, exact=True)
-            terms = {x: v * cc for x, v in self._terms.items()}
-            return AlgebraElement(self.group, terms, True, _clean=True)
+            # c * f is the product delta_e(c) * f, in f's key order.
+            return convolve(AlgebraElement(self.group, {self.group.identity: cc}, True), self)
         cc = complex(c)
         if cc == 0:
             return AlgebraElement.zero(self.group, exact=False)
-        return AlgebraElement(
-            self.group, {x: v * cc for x, v in self._terms.items()}, False, _clean=True
-        )
+        return _make(self.group, False, {x: v * cc for x, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -316,19 +377,41 @@ class AlgebraElement:
         return (
             self.group == other.group
             and self.exact == other.exact
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     __hash__ = None
 
     def norm(self, weight: "Weight | None" = None):
-        """Weighted l1 norm; exact (a Fraction) when every part is exact."""
+        """Weighted l1 norm; exact (a Fraction) when every part is exact.
+
+        A real exact element sums |n| * w(x) on ints while the weights are
+        ints and divides by the denominator once.  From the first float
+        weight on, the sum is a float built term by term in storage order,
+        with the bits a running sum of Fraction magnitudes would give.
+        Other elements and weights take that running sum itself.
+        """
+        group, den = self.group, self._den
+        if self.exact and not self.gaussian:
+            if weight is None:
+                return Fraction(sum(map(abs, self._terms.values())), den)
+            total, exact = 0, True  # while exact, total is the numerator over den
+            for x, n in self._terms.items():
+                w = weight.value(group, x)
+                if type(w) is int:
+                    total = total + abs(n) * w if exact else total + abs(n) * w / den
+                elif type(w) is float:
+                    total = (total / den if exact else total) + abs(n) / den * w
+                    exact = False
+                else:
+                    break
+            else:
+                return Fraction(total, den) if exact else total
         total = Fraction(0) if self.exact else 0.0
-        for x, v in self._terms.items():
-            mag = v.magnitude() if self.exact else abs(v)
-            if weight is not None:
-                mag = mag * weight.value(self.group, x)
-            total = total + mag
+        for x, v in self.items():
+            mag = abs(v)
+            total = total + (mag if weight is None else mag * weight.value(group, x))
         return total
 
     def __repr__(self):
@@ -346,50 +429,39 @@ def identity_element(group: GroupSpec, *, exact: bool = False) -> AlgebraElement
     return delta(group, group.identity, 1, exact=exact)
 
 
-def clear_denominators(values) -> tuple:
-    """(L, parts): L is the LCM of the QComplex values' denominators and
-    parts[i] = (re, im) is values[i] times L, as a pair of ints."""
-    ratios = [(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values]
-    lcm = math.lcm(*(d for pair in ratios for _, d in pair))
-    return lcm, [(rn * (lcm // rd), jn * (lcm // jd)) for (rn, rd), (jn, jd) in ratios]
+def _convolve_exact(group, h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
+    """The exact product h*f on numerators, keyed in x-then-y order.
 
-
-def _convolve_exact(mul, h: dict, f: dict) -> dict:
-    """Nonzero terms of the exact product h*f, keyed in x-then-y order.
-
-    Each operand is scaled once by the LCM of its denominators, so the
-    double loop adds plain int products (Gaussian-int pairs when some
-    imaginary part is nonzero), and each output term becomes a Fraction
-    over L_h * L_f once, at the end.
+    The double loop adds plain int products (Gaussian-int pairs when some
+    imaginary part is nonzero) over L_h * L_f, and one gcd over the result
+    brings it to lowest terms.
     """
-    lh, hparts = clear_denominators(h.values())
-    lf, fparts = clear_denominators(f.values())
-    den = lh * lf
+    mul = group.mul
+    den = h._den * f._den
     acc: dict = {}
-    if any(im for _, im in hparts) or any(im for _, im in fparts):
-        fterms = [(y, fr, fi) for y, (fr, fi) in zip(f, fparts)]
-        for x, (hr, hi) in zip(h, hparts):
+    if h.gaussian or f.gaussian:
+        fterms = [(y, fr, fi) for y, (fr, fi) in f._pairs(1).items()]
+        for x, (hr, hi) in h._pairs(1).items():
             for y, fr, fi in fterms:
                 z = mul(x, y)
                 re, im = acc.get(z, (0, 0))
                 acc[z] = (re + hr * fr - hi * fi, im + hr * fi + hi * fr)
-        return {z: QComplex(Fraction(re, den), Fraction(im, den))
-                for z, (re, im) in acc.items() if re or im}
-    fterms = [(y, fr) for y, (fr, _) in zip(f, fparts)]
-    for x, (hr, _) in zip(h, hparts):
-        for y, fr in fterms:
+        return AlgebraElement.from_numerators(group, acc, den, True)
+    fterms = list(f._terms.items())
+    for x, hn in h._terms.items():
+        for y, fn in fterms:
             z = mul(x, y)
-            acc[z] = acc.get(z, 0) + hr * fr
-    return {z: QComplex(Fraction(n, den)) for z, n in acc.items() if n}
+            acc[z] = acc.get(z, 0) + hn * fn
+    return AlgebraElement.from_numerators(group, acc, den, False)
 
 
 def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
     """(h*f)(z) = sum_y h(z y^-1) f(y); exact in exact mode."""
     a, b, exact = h._align(f)
     group = a.group
-    mul = group.mul
     if exact:
-        return AlgebraElement(group, _convolve_exact(mul, a._terms, b._terms), True, _clean=True)
+        return _convolve_exact(group, a, b)
+    mul = group.mul
     acc: dict = {}
     for x, av in a._terms.items():
         for y, bv in b._terms.items():
@@ -397,34 +469,41 @@ def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
             prod = av * bv
             cur = acc.get(z)
             acc[z] = prod if cur is None else cur + prod
-    acc = {z: v for z, v in acc.items() if v != 0}
-    return AlgebraElement(group, acc, False, _clean=True)
+    return _make(group, False, {z: v for z, v in acc.items() if v != 0})
 
 
 # ---------------------------------------------------------------------------
 # JSON
 
 
-def _rational_text(q: Fraction) -> str:
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for a positive d, without building the Fraction."""
+    g = math.gcd(n, d)
     try:
-        return str(q)
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
     except ValueError:  # an int past the interpreter's digit limit for str()
         raise UsageError("an exact value has too many digits to write out") from None
 
 
 def _amp_to_json(v, exact: bool):
     if exact:
-        return {"re": _rational_text(v.re), "im": _rational_text(v.im)}
+        return {"re": _ratio_text(*v.re.as_integer_ratio()),
+                "im": _ratio_text(*v.im.as_integer_ratio())}
     return {"re": v.real, "im": v.imag}
 
 
 def element_to_json(f: AlgebraElement) -> dict:
-    group = f.group
+    group, den, amps = f.group, f._den, f._terms
     terms = []
     for x in f.support:
-        entry = {"x": group.element_to_json(x)}
-        entry.update(_amp_to_json(f._terms[x], f.exact))
-        terms.append(entry)
+        v = amps[x]
+        if not f.exact:
+            re, im = v.real, v.imag
+        elif f.gaussian:
+            re, im = _ratio_text(v[0], den), _ratio_text(v[1], den)
+        else:
+            re, im = _ratio_text(v, den), "0"
+        terms.append({"x": group.element_to_json(x), "re": re, "im": im})
     return {
         "group": group.to_json(),
         "scalars": "exact" if f.exact else "float",
@@ -448,7 +527,7 @@ def to_jsonable(v):
     if isinstance(v, (tuple, list)):
         return [x if type(x) in _JSON_SCALARS else to_jsonable(x) for x in v]
     if isinstance(v, Fraction):
-        return _rational_text(v)
+        return _ratio_text(*v.as_integer_ratio())
     if isinstance(v, (complex, QComplex)):
         return _amp_to_json(v, isinstance(v, QComplex))
     if isinstance(v, AlgebraElement):

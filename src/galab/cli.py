@@ -21,10 +21,11 @@ from pathlib import Path
 
 from .algebra import canonical_json, element_from_json
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .groups import CayleyGroup, LatticeGroup, ball, spec_from_json
+from .groups import DEFAULT_BALL_CAP, CayleyGroup, LatticeGroup, ball, spec_from_json
 from .invertibility import auto_invert, probe_quotients, verify_direct_finiteness
 from .scenarios import scenario_lp, scenario_torus
-from .weights import CHECK_PAIR_CAP, check_weight, dominate_character, weight_from_json
+from .weights import (CHECK_LOOP_PAIR_CAP, CHECK_PAIR_CAP, check_pair_cap, check_weight,
+                      dominate_character, weight_from_json)
 
 
 def _parse_json(text: str):
@@ -155,6 +156,8 @@ def _cmd_df_check(args) -> int:
 def _cmd_check_weight(args) -> int:
     group = spec_from_json(_load_json(args.group))
     weight = weight_from_json(_load_json(args.weight), group)
+    # The pairs are capped from the ball's size, before the ball is built.
+    check_pair_cap(group, group.ball_size(args.radius, DEFAULT_BALL_CAP))
     window = ball(group, args.radius)
     report = check_weight(weight, window, rel_tol=args.rel_tol)
     lines = [
@@ -227,6 +230,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse strips a "--" given as an option's value ("--moduli=--") and
+        # would leave the option an empty list; the value is "--" itself.
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -276,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--radius", type=int, required=True,
-                   help=f"ball radius; the n^2 pairs of its n elements may number "
-                   f"at most {CHECK_PAIR_CAP}")
+                   help=f"ball radius; the n^2 pairs of its n elements may number at most "
+                   f"{CHECK_PAIR_CAP} ({CHECK_LOOP_PAIR_CAP} off the lattice array scan)")
     p.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_check_weight)

@@ -72,6 +72,11 @@ class GroupSpec(ABC):
         """Key for the deterministic element order used by windows."""
 
     @abstractmethod
+    def ball_size(self, radius: int, cap: int | None = None) -> int:
+        """Number of elements ball(radius) holds, counted without building it;
+        ResourceLimitError where ball(radius, cap=cap) would refuse."""
+
+    @abstractmethod
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
         """Window of all elements of length <= radius (box on lattices)."""
 
@@ -128,12 +133,16 @@ class LatticeGroup(GroupSpec):
     def sort_key(self, a):
         return a
 
-    def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+    def ball_size(self, radius, cap=None):
         if radius < 0:
             raise UsageError(f"ball radius must be >= 0, got {radius}")
         size = (2 * radius + 1) ** self.rank
-        if size > cap:
+        if cap is not None and size > cap:
             raise ResourceLimitError(f"ball would hold {size} elements, cap is {cap}")
+        return size
+
+    def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+        self.ball_size(radius, cap)
         span = range(-radius, radius + 1)
         elements = itertools.product(span, repeat=self.rank)
         return Window(self, elements, sort=False)
@@ -332,11 +341,15 @@ class CayleyGroup(GroupSpec):
     def sort_key(self, a):
         return a
 
-    def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+    def ball_size(self, radius, cap=None):
         if radius < 0:
             raise UsageError(f"ball radius must be >= 0, got {radius}")
-        if self.order > cap:
+        if cap is not None and self.order > cap:
             raise ResourceLimitError(f"group order {self.order} exceeds cap {cap}")
+        return 1 if radius == 0 else self.order
+
+    def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+        self.ball_size(radius, cap)
         if radius == 0:
             return Window(self, [self._identity], sort=False)
         return Window(self, range(self.order), sort=False)

@@ -29,8 +29,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    QComplex,
-    clear_denominators,
     convolve,
     delta,
     element_to_json,
@@ -145,10 +143,10 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free elimination over Z or Z[i]
 #
-# A Gaussian integer is an (re, im) pair of ints.  The caller clears the
-# matrix of denominators (algebra.clear_denominators); each ring then
-# supplies two steps: combine two rows, and divide one entry by a pivot back
-# into a QComplex.
+# A Gaussian integer is an (re, im) pair of ints.  The caller hands over an
+# integral matrix (an exact element's numerators); each ring supplies the
+# step that combines two rows, and the result comes back over one positive
+# int denominator.
 
 
 def _integer_combine(p, f, d, xs, ys) -> list:
@@ -175,14 +173,18 @@ def _gaussian_combine(p, f, d, xs, ys) -> list:
             for (xr, xi), (yr, yi) in zip(xs, ys)]
 
 
-def _integer_quotient(a, d) -> QComplex:
-    return QComplex(Fraction(a, d))
+def _over_one_denominator(values: list, scales: list, gaussian: bool) -> tuple:
+    """(L, nums) with values[i] / scales[i] == nums[i] / L for one positive int L.
 
-
-def _gaussian_quotient(a, d) -> QComplex:
-    (ar, ai), (dr, di) = a, d
-    norm = dr * dr + di * di
-    return QComplex(Fraction(ar * dr + ai * di, norm), Fraction(ai * dr - ar * di, norm))
+    Over Z[i], v / s is v * conj(s) / |s|^2, so L is the lcm of the norms.
+    """
+    if gaussian:
+        norms = [sr * sr + si * si for sr, si in scales]
+        den = math.lcm(*norms)
+        return den, [((vr * sr + vi * si) * (den // q), (vi * sr - vr * si) * (den // q))
+                     for (vr, vi), (sr, si), q in zip(values, scales, norms)]
+    den = math.lcm(*scales)
+    return den, [v * (den // s) for v, s in zip(values, scales)]
 
 
 def _solve_exact(mat: list, gaussian: bool):
@@ -198,15 +200,15 @@ def _solve_exact(mat: list, gaussian: bool):
     the pivot it was last brought to (its scale), and its next combination
     divides by that scale instead, which is still exact.  The group-algebra
     matrices are sparse, so most rows skip most steps.  Returns
-    ("solution", x) with A @ x = b, or ("singular", v) with v the
-    reduced-row-echelon kernel vector of the first free column of A; the
-    entries are QComplex.
+    ("solution", L, x) with A @ (x / L) = b, or ("singular", L, v) with v / L
+    the reduced-row-echelon kernel vector of the first free column of A; L
+    is a positive int and the entries are in the matrix's ring.
     """
     n = len(mat)
     if gaussian:
-        zero, prev, combine, quotient = (0, 0), (1, 0), _gaussian_combine, _gaussian_quotient
+        zero, prev, combine = (0, 0), (1, 0), _gaussian_combine
     else:
-        zero, prev, combine, quotient = 0, 1, _integer_combine, _integer_quotient
+        zero, prev, combine = 0, 1, _integer_combine
     # Row i of the eliminated matrix is mat[i] * prev / scale[i].
     scale = [prev] * n
     for c in range(n):
@@ -215,9 +217,13 @@ def _solve_exact(mat: list, gaussian: bool):
         if pr is None:
             # Later steps would only scale column c of rows 0..c-1, so it
             # already holds the first free column of the echelon form.
-            kernel = [-quotient(mat[i][c], scale[i]) for i in range(c)]
-            one, zero = QComplex(Fraction(1)), QComplex(Fraction(0))
-            return "singular", kernel + [one] + [zero] * (n - c - 1)
+            den, kernel = _over_one_denominator([mat[i][c] for i in range(c)], scale[:c],
+                                                gaussian)
+            if gaussian:
+                kernel, one = [(-re, -im) for re, im in kernel], (den, 0)
+            else:
+                kernel, one = [-v for v in kernel], den
+            return "singular", den, kernel + [one] + [zero] * (n - c - 1)
         mat[c], mat[pr] = mat[pr], mat[c]
         scale[c], scale[pr] = scale[pr], scale[c]
         pivot_row = mat[c]
@@ -232,7 +238,7 @@ def _solve_exact(mat: list, gaussian: bool):
                 row[c + 1:] = combine(p, row[c], scale[i], row[c + 1:], tail)
                 scale[i] = p
         scale[c] = prev = p
-    return "solution", [quotient(row[n], s) for row, s in zip(mat, scale)]
+    return ("solution", *_over_one_denominator([row[n] for row in mat], scale, gaussian))
 
 
 # ---------------------------------------------------------------------------
@@ -272,40 +278,39 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     if n > FINITE_ORDER_CAP:
         raise ResourceLimitError(f"group order {n} exceeds cap {FINITE_ORDER_CAP}")
     exact = f.exact
-    # Residual norms stay exact Fractions in exact mode.
-    real = Fraction if exact else float
-    support = [y for y, _ in f.items()]
-    amps = [amp for _, amp in f.items()]
-    gaussian, zero, one = False, 0j, 1 + 0j
     if exact:
-        # Row z of the group matrix holds f(y) at column z y^-1, so every row
-        # holds each amplitude once and one LCM clears them all.
-        lcm, amps = clear_denominators(amps)
-        gaussian = any(im for _, im in amps)
-        zero, one = ((0, 0), (lcm, 0)) if gaussian else (0, lcm)
-        if not gaussian:
-            amps = [re for re, _ in amps]
+        # Row z of the group matrix holds f(y) at column z y^-1, so f's
+        # numerators over its one denominator L make the whole matrix integral.
+        den, terms = f.numerators()
+        gaussian = f.gaussian
+        zero, one = ((0, 0), (den, 0)) if gaussian else (0, den)
+    else:
+        terms, zero, one = dict(f.items()), 0j, 1 + 0j
     # The augmented matrix [A | b] of g*f = e: A[u y][u] = f(y), b = delta_e.
     mat = [[zero] * (n + 1) for _ in range(n)]
-    for y, amp in zip(support, amps):
+    for y, amp in terms.items():
         for u in range(n):
             # Column y of the table is a permutation, so each entry is set once.
             mat[group.mul(u, y)][u] = amp
     mat[group.identity][n] = one
-    status, vec = _solve_exact(mat, gaussian) if exact else _solve_float(mat)
+    if exact:
+        status, den, vec = _solve_exact(mat, gaussian)
+        g = AlgebraElement.from_numerators(group, dict(enumerate(vec)), den, gaussian)
+    else:
+        status, vec = _solve_float(mat)
+        g = AlgebraElement(group, dict(enumerate(vec)), False)
     kind = "exact-finite" if exact else "float-finite"
     fields = {"order": n, "scalars": "exact" if exact else "float"}
 
     if status == "singular":
-        witness = AlgebraElement(group, dict(enumerate(vec)), exact)
-        kernel_residual = real(convolve(witness, f).norm())
+        # Here g is the kernel witness, not an inverse.
+        kernel_residual = convolve(g, f).norm()
         if exact and kernel_residual != 0:
             raise ContractViolationError("exact kernel witness failed to annihilate")
-        fields.update(kernel=element_to_json(witness), kernel_residual=kernel_residual)
+        fields.update(kernel=element_to_json(g), kernel_residual=kernel_residual)
         return InvertibilityCertificate(verdict=VERDICT_NOT_INVERTIBLE, kind=kind, fields=fields)
 
-    g = AlgebraElement(group, dict(enumerate(vec)), exact)
-    left, right = (real(r) for r in _residuals(f, g))
+    left, right = _residuals(f, g)
     fields.update(left_residual=left, right_residual=right)
     return _verified(kind, fields, g, max(left, right), tol)
 
@@ -514,9 +519,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     e = identity_element(group, exact=f.exact)
 
     def series_data(a):
-        amp = f.amplitude(a)
-        one = QComplex(Fraction(1)) if f.exact else 1.0
-        u_inv = delta(group, group.inv(a), one / amp, exact=f.exact)
+        u_inv = delta(group, group.inv(a), 1 / f.amplitude(a), exact=f.exact)
         r = e - convolve(u_inv, f)
         return u_inv, r, r.norm(w)
 
@@ -530,7 +533,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
         _, pivot, u_inv, r, ratio = best
     else:
         group.validate(pivot)
-        if f.amplitude(pivot) == (QComplex(Fraction(0)) if f.exact else 0):
+        if f.amplitude(pivot) == 0:
             raise UsageError(f"pivot {pivot!r} is not in the support")
         u_inv, r, ratio = series_data(pivot)
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, QComplex, clear_denominators, convolve, delta
+from .algebra import AlgebraElement, QComplex, convolve, delta
 from .errors import ResourceLimitError, UsageError
 from .groups import LatticeGroup, Window
 from .weights import Weight
@@ -85,8 +85,8 @@ def apply_convolution_action(f: AlgebraElement, g, window: Window,
         return {x: summed(x) for x in window}
     # f = n / L with n integral (Gaussian pairs), so each output is the sum of
     # g(x*y) n_y -- on plain ints when g is -- divided by L once.
-    lf, parts = clear_denominators([amp for _, amp in f.items()])
-    fterms = [(y, fr, fi) for (y, _), (fr, fi) in zip(f.items(), parts)]
+    lf, nums = f.numerators()
+    fterms = [(y, *(v if f.gaussian else (v, 0))) for y, v in nums.items()]
     out = {}
     for x in window:
         re = im = 0

@@ -24,7 +24,8 @@ from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 _REL_TOL = 1e-12
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
-CHECK_PAIR_CAP = 2**22  # most (x, y) pairs check_weight scans
+CHECK_PAIR_CAP = 2**22  # most (x, y) pairs check_weight scans on lattice arrays
+CHECK_LOOP_PAIR_CAP = 2**18  # most pairs its per-pair loop scans
 # _lattice_pair_scan: values whose float64 products are exact (ints) or finite
 # and normal (floats), coordinates and keys that fit int64, pairs per chunk.
 _SCAN_INT_BOUND = 2**26
@@ -435,15 +436,13 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
     """Exhaustive submultiplicativity and symmetry scan over a window.
 
     Pairs whose product leaves the window are skipped; the report carries
-    the minimum value and, if violated, the worst offending pair.  A window
-    with more than CHECK_PAIR_CAP pairs is refused before any value is taken.
+    the minimum value and, if violated, the worst offending pair.  Pairs are
+    capped as check_pair_cap says: a window past the cap of its group is
+    refused before any value is taken, and a lattice window whose values
+    leave the array scan is refused before any pair is scanned.
     """
     group = window.group
-    pairs = len(window) ** 2
-    if pairs > CHECK_PAIR_CAP:
-        raise ResourceLimitError(
-            f"window of {len(window)} elements has {pairs} pairs, cap is {CHECK_PAIR_CAP}"
-        )
+    check_pair_cap(group, len(window))
     vals = {x: weight.value(group, x) for x in window}
     for x, v in vals.items():
         if v <= 0:
@@ -451,8 +450,11 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
     min_at = min(vals, key=lambda x: (vals[x], group.sort_key(x)))
     min_value = vals[min_at]
 
-    worst = _lattice_pair_scan(window, vals)
-    worst_ratio, worst_pair = worst if worst is not None else _pair_scan(window, vals)
+    worst = _lattice_pair_scan(window, vals) if isinstance(group, LatticeGroup) else None
+    if worst is None:
+        check_pair_cap(group, len(window), loop=True)
+        worst = _pair_scan(window, vals)
+    worst_ratio, worst_pair = worst
     submultiplicative = worst_ratio <= 1 + rel_tol
 
     symmetric = True
@@ -474,6 +476,16 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
         worst_pair=worst_pair if worst_ratio > 1 + rel_tol else None,
         window_size=len(window),
     )
+
+
+def check_pair_cap(group: GroupSpec, n: int, *, loop: bool = False) -> None:
+    """Refuse a window of n elements whose n^2 pairs pass the cap of the scan
+    that takes them: CHECK_PAIR_CAP for a lattice's array scan, and the
+    lower CHECK_LOOP_PAIR_CAP for the per-pair loop (other groups, or loop)."""
+    lattice = isinstance(group, LatticeGroup) and not loop
+    cap = CHECK_PAIR_CAP if lattice else CHECK_LOOP_PAIR_CAP
+    if n * n > cap:
+        raise ResourceLimitError(f"window of {n} elements has {n * n} pairs, cap is {cap}")
 
 
 def _pair_scan(window: Window, vals: dict):
@@ -506,8 +518,8 @@ def _float_exact(v) -> bool:
 
 
 def _lattice_pair_scan(window: Window, vals: dict):
-    """_pair_scan's result on int64/float64 arrays, or None where the bits
-    could differ (a value _float_exact refuses, a non-lattice group, or
+    """_pair_scan's result on int64/float64 arrays for a lattice window, or
+    None where the bits could differ (a value _float_exact refuses, or
     coordinates whose keys would not fit in int64).
 
     A point x is keyed by a(x) = sum_i (x_i - lo_i) S_i with the strides S
@@ -518,7 +530,7 @@ def _lattice_pair_scan(window: Window, vals: dict):
     """
     group, elements = window.group, window.elements
     values = list(vals.values())  # in window order
-    if not isinstance(group, LatticeGroup) or not all(map(_float_exact, values)):
+    if not all(map(_float_exact, values)):
         return None
     lo = [min(axis) for axis in zip(*elements)]
     hi = [max(axis) for axis in zip(*elements)]

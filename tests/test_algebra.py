@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from galab.algebra import (
 )
 from galab.errors import UsageError
 from galab.groups import FreeGroup, LatticeGroup, cyclic_group, symmetric_group
-from galab.weights import ExpSymmetricWeight
+from galab.weights import ExpSymmetricWeight, Weight
 
 Z = LatticeGroup(1)
 
@@ -185,6 +186,138 @@ def test_exact_convolution_with_coprime_large_denominators():
     _assert_exact_and_same(got, reference_convolve(h, f))
     assert got.amplitude((0,)) == QComplex(Fraction(-11, p * r * s) + Fraction(15, r * s),
                                            Fraction(22, q * r * s) + Fraction(21, p * q * r))
+
+
+# ---------------------------------------------------------------------------
+# one-denominator storage against Fraction-by-Fraction references
+
+
+def _parts_of(f):
+    """[(x, (re, im))] of an exact element, as Fractions in storage order."""
+    return [(x, (v.re, v.im)) for x, v in f.items()]
+
+
+def reference_add(h, f, sign=1):
+    """h + sign*f on (re, im) Fraction pairs, zero sums dropped in place."""
+    acc = dict(_parts_of(h))
+    for x, (re, im) in _parts_of(f):
+        s = acc.get(x, (Fraction(0), Fraction(0)))
+        acc[x] = (s[0] + sign * re, s[1] + sign * im)
+    return [(x, v) for x, v in acc.items() if v != (0, 0)]
+
+
+def reference_scale(f, c):
+    return [(x, (re * c.re - im * c.im, re * c.im + im * c.re)) for x, (re, im) in _parts_of(f)
+            if not c.is_zero]
+
+
+def reference_norm(f, weight=None):
+    """The weighted l1 norm as a running sum of Fraction magnitudes."""
+    total = Fraction(0)
+    for x, (re, im) in _parts_of(f):
+        mag = abs(re) if im == 0 else abs(im) if re == 0 else math.hypot(float(re), float(im))
+        total = total + (mag if weight is None else mag * weight.value(f.group, x))
+    return total
+
+
+class _LengthWeight(Weight):
+    """A weight valued by a function of the word length, of any number type."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def value(self, group, x):
+        return self.fn(group.word_length(x))
+
+
+_WEIGHTS = {
+    "none": None,
+    "int": _LengthWeight(lambda n: 3**n),
+    "fraction": _LengthWeight(lambda n: Fraction(3 + n, 2)),
+    "float": _LengthWeight(lambda n: 1.1**n),
+    "int-and-float": _LengthWeight(lambda n: 2**n if n % 2 == 0 else 0.7 + n),
+}
+
+
+@st.composite
+def _exact_triples(draw):
+    kind = draw(st.sampled_from(sorted(_groups)))
+    return tuple(draw(_elements(kind, draw(st.booleans()))) for _ in range(3))
+
+
+def _same(got, want):
+    assert got.exact
+    assert _parts_of(got) == want  # keys, key order and values
+    den, nums = got.numerators()
+    parts = [p for v in nums.values() for p in (v if got.gaussian else (v,))]
+    assert den > 0 and math.gcd(den, *parts) == 1
+    assert got.gaussian == any(im for _, (_, im) in want)
+
+
+@given(_exact_triples(), st.builds(QComplex, _parts, _parts))
+@settings(max_examples=150)
+def test_ring_operations_match_fraction_references(triple, c):
+    h, f, g = triple
+    _same(h + f, reference_add(h, f))
+    _same(h - f, reference_add(h, f, -1))
+    _same(f - f, [])
+    _same(-f, reference_scale(f, QComplex(Fraction(-1))))
+    _same(f.scale(c), reference_scale(f, c))
+    _same(f.scale(c.re), reference_scale(f, QComplex(c.re)))
+    _same(convolve(h, f), [(x, (v.re, v.im)) for x, v in reference_convolve(h, f)])
+    assert (h + f) - f == h
+    assert convolve(h, f + g) == convolve(h, f) + convolve(h, g)
+
+
+@given(_exact_pairs(), st.sampled_from(sorted(_WEIGHTS)))
+@settings(max_examples=150)
+def test_weighted_norm_matches_a_running_fraction_sum(pair, weight_kind):
+    h, f = pair
+    weight = _WEIGHTS[weight_kind]
+    for el in (h, f, convolve(h, f), h - h):
+        got, want = el.norm(weight), reference_norm(el, weight)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)  # float sums keep their bits
+
+
+@given(_exact_pairs(), st.integers(1, 60))
+@settings(max_examples=100)
+def test_equal_elements_have_equal_storage(pair, k):
+    h, f = pair
+    den, nums = f.numerators()
+    if f.gaussian:
+        scaled = {x: (re * k, im * k) for x, (re, im) in nums.items()}
+    else:
+        scaled = {x: v * k for x, v in nums.items()}
+    g = AlgebraElement.from_numerators(f.group, scaled, den * k, f.gaussian)
+    assert g == f and g.numerators() == f.numerators()
+    # Pairs whose imaginary parts vanish are stored as ints.
+    paired = {x: (v, 0) for x, v in scaled.items()} if not f.gaussian else scaled
+    assert AlgebraElement.from_numerators(f.group, paired, den * k, True) == f
+    if not h.is_zero:
+        c = next(v for _, v in h.items())
+        assert f.scale(c).scale(1 / c) == f
+
+
+@given(_exact_pairs())
+@settings(max_examples=100)
+def test_exact_json_round_trip_and_text(pair):
+    for f in pair:
+        obj = element_to_json(f)
+        assert element_from_json(obj) == f
+        want = [(f.group.element_to_json(x), str(f.amplitude(x).re), str(f.amplitude(x).im))
+                for x in f.support]
+        assert [(t["x"], t["re"], t["im"]) for t in obj["terms"]] == want
+
+
+def test_gaussian_product_that_turns_real_is_stored_real():
+    # (1 + i)(1 - i) = 2 on Z, over denominators 2 and 3.
+    h = AlgebraElement(Z, {(0,): QComplex.of("1/2", "1/2")}, True)
+    f = AlgebraElement(Z, {(1,): QComplex.of("1/3", "-1/3")}, True)
+    got = convolve(h, f)
+    assert not got.gaussian
+    assert got.numerators() == (3, {(1,): 1})
+    assert got == delta(Z, (1,), Fraction(1, 3), exact=True)
 
 
 def test_scalar_and_arithmetic_basics():

@@ -589,6 +589,20 @@ def test_certify_never_ends_in_a_traceback(capsys, el):
     _assert_verdict_or_one_error_line(capsys, rc)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["probe", "--input", INVERTIBLE, "--moduli=--"], "error: bad moduli token '--'\n"),
+    (["invert", "--input", INVERTIBLE, "--K=--"],
+     "error: argument --K: invalid int value: '--'\n"),
+    (["check-weight", "--weight=--", "--group", "{}", "--radius", "1"], None),
+])
+def test_option_value_double_dash_is_the_value(capsys, argv, message):
+    # argparse strips "--" from "--opt=--" and leaves the option an empty list.
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err == message if message else err.startswith("error: ")
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(st.sampled_from([INVERTIBLE, SINGULAR]), _elements.map(json.dumps)),

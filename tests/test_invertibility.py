@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from galab.algebra import (
     AlgebraElement,
     QComplex,
-    clear_denominators,
     convolve,
     delta,
     identity_element,
@@ -252,14 +251,21 @@ def square_systems(draw):
 def test_fraction_free_solve_matches_reference_gauss_jordan(system):
     rows, rhs, singular = system
     # Each augmented row times the LCM of its denominators: the same solutions.
-    mat = [clear_denominators([QComplex(*v) for v in row + [b]])[1] for row, b in zip(rows, rhs)]
+    mat = []
+    for row in (row + [b] for row, b in zip(rows, rhs)):
+        lcm = math.lcm(*(part.denominator for v in row for part in v))
+        mat.append([(re.numerator * (lcm // re.denominator), im.numerator * (lcm // im.denominator))
+                    for re, im in row])
     gaussian = any(im for row in mat for _, im in row)
     if not gaussian:
         mat = [[re for re, _ in row] for row in mat]
-    status, vec = _solve_exact(mat, gaussian)
+    status, den, vec = _solve_exact(mat, gaussian)
+    assert isinstance(den, int) and den > 0
     want_status, want_vec = reference_solve(rows, rhs)
     assert status == want_status
-    assert [(v.re, v.im) for v in vec] == want_vec
+    if not gaussian:
+        vec = [(v, 0) for v in vec]
+    assert [(Fraction(re, den), Fraction(im, den)) for re, im in vec] == want_vec
     if singular:
         assert status == "singular"
 

@@ -19,6 +19,7 @@ from galab.groups import (
     symmetric_group,
 )
 from galab.weights import (
+    CHECK_LOOP_PAIR_CAP,
     CHECK_PAIR_CAP,
     Character,
     ConstantWeight,
@@ -30,6 +31,7 @@ from galab.weights import (
     TableWeight,
     WeightCheckReport,
     character_twist,
+    check_pair_cap,
     check_weight,
     dominate_character,
     rescale_by_character,
@@ -400,3 +402,73 @@ def test_check_weight_caps_the_pairs_before_any_value(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_check_weight_cli_refuses_from_the_ball_size_before_building_it(capsys, monkeypatch):
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(Window, "__init__", no_window)
+    argv = ["check-weight", "--weight", '{"kind":"constant","value":1}',
+            "--group", '{"kind":"Z","rank":2}', "--radius", "499"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: window of 998001 elements has {998001**2} pairs, "
+                            f"cap is {CHECK_PAIR_CAP}\n")
+    # Past the ball cap the ball's own refusal still comes first.
+    argv[-1] = "1000"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: ball would hold 4004001 elements, cap is 1000000\n")
+
+
+@pytest.mark.parametrize("group, radius, n", [(FreeGroup(2), 6, 1457),
+                                              (symmetric_group(3), 1, 6)], ids=repr)
+def test_ball_size_counts_the_ball(group, radius, n):
+    assert group.ball_size(radius) == len(ball(group, radius)) == n
+    assert Z2.ball_size(22) == len(Z2.ball(22)) == 2025
+
+
+@pytest.mark.parametrize("weight", [ExpSymmetricWeight(2),
+                                    TableWeight({x: Fraction(1 + sum(map(abs, x)), 3)
+                                                 for x in Z2.ball(22)})],
+                         ids=["exp_symmetric-2", "fraction-table"])
+def test_per_pair_loop_has_its_own_lower_cap(weight, monkeypatch):
+    # On the Z^2 ball of radius 22 (2025 elements, 4100625 pairs) the values
+    # reach 2^44, or are Fractions, so the array scan cannot take them; the
+    # loop is refused before it takes a pair.
+    def no_pairs(*args):
+        raise AssertionError("a pair was scanned")
+
+    window = Z2.ball(22)
+    monkeypatch.setattr(LatticeGroup, "mul", no_pairs)
+    with pytest.raises(ResourceLimitError, match=f"4100625 pairs, cap is {CHECK_LOOP_PAIR_CAP}"):
+        check_weight(weight, window)
+
+
+def test_loop_cap_refuses_other_groups_before_any_value():
+    calls = []
+
+    class Counting(ConstantWeight):
+        def value(self, group, x):
+            calls.append(x)
+            return 1
+
+    f2 = FreeGroup(2)
+    with pytest.raises(ResourceLimitError, match="2122849 pairs"):
+        check_weight(Counting(), ball(f2, 6))
+    assert calls == []
+    assert check_weight(Counting(), ball(f2, 5)).submultiplicative  # 235225 pairs
+
+
+def test_pair_caps_are_inclusive():
+    side = math.isqrt(CHECK_LOOP_PAIR_CAP)
+    check_pair_cap(Z2, side, loop=True)
+    check_pair_cap(FreeGroup(2), side)
+    with pytest.raises(ResourceLimitError):
+        check_pair_cap(FreeGroup(2), side + 1)
+    check_pair_cap(Z2, side + 1)
+    check_pair_cap(Z2, math.isqrt(CHECK_PAIR_CAP))
+    with pytest.raises(ResourceLimitError):
+        check_pair_cap(Z2, math.isqrt(CHECK_PAIR_CAP) + 1)

@@ -49,7 +49,6 @@ from .operators import (
     input_window,
     pairing,
     symbol_grid,
-    weight_isometry,
 )
 from .scenarios import ScenarioReport, scenario_lp, scenario_torus
 from .weights import (

@@ -140,7 +140,7 @@ def _cmd_df_check(args) -> int:
     if f.group != g.group:
         raise UsageError("the two elements live over different groups")
     weight = _weight_arg(args.weight, f.group)
-    report = verify_direct_finiteness(f, g, weight, tol=args.tol, slack=args.slack)
+    report = verify_direct_finiteness(f, g, weight, tol=args.tol)
     payload = report.to_json()
     text = "\n".join(
         [
@@ -159,7 +159,7 @@ def _cmd_check_weight(args) -> int:
     # The pairs are capped from the ball's size, before the ball is built.
     check_pair_cap(group, group.ball_size(args.radius, DEFAULT_BALL_CAP))
     window = ball(group, args.radius)
-    report = check_weight(weight, window, rel_tol=args.rel_tol)
+    report = check_weight(weight, window)
     lines = [
         f"submultiplicative: {report.submultiplicative}",
         f"symmetric: {report.symmetric}",
@@ -191,7 +191,7 @@ def _cmd_dominate(args) -> int:
 def _cmd_probe(args) -> int:
     f = _element_arg(args.input)
     moduli = _parse_moduli(args.moduli)
-    report = probe_quotients(f, moduli, singular_tol=args.singular_tol)
+    report = probe_quotients(f, moduli)
     lines = []
     for p in report.probes:
         status = "SINGULAR" if not p.nonsingular else "nonsingular"
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="its candidate left inverse")
     p.add_argument("--weight")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--slack", type=float, default=10.0)
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_df_check)
 
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True,
                    help=f"ball radius; the n^2 pairs of its n elements may number at most "
                    f"{CHECK_PAIR_CAP} ({CHECK_LOOP_PAIR_CAP} off the lattice array scan)")
-    p.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_check_weight)
 
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="finite-quotient singularity probes")
     p.add_argument("--input", required=True)
     p.add_argument("--moduli", required=True, help='e.g. "2..64", "2,4,8", "4x6"')
-    p.add_argument("--singular-tol", type=float, default=1e-12, dest="singular_tol")
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_probe)
 

@@ -472,7 +472,7 @@ def ball(spec: GroupSpec, radius: int, *, cap: int = DEFAULT_BALL_CAP) -> Window
 
 def cyclic_group(n: int, name: str | None = None) -> CayleyGroup:
     """Z/nZ with addition mod n."""
-    n = int(n)
+    n = _integer(n, "cyclic group order")
     if n < 1:
         raise UsageError(f"cyclic group order must be >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -484,7 +484,7 @@ def symmetric_group(n: int) -> CayleyGroup:
 
     The product p*q composes right-to-left: (p*q)(x) = p(q(x)).
     """
-    n = int(n)
+    n = _integer(n, "symmetric_group n")
     if not 1 <= n <= 6:
         raise UsageError(f"symmetric_group supports 1 <= n <= 6, got {n}")
     perms = list(itertools.permutations(range(n)))
@@ -502,7 +502,7 @@ def dihedral_group(n: int) -> CayleyGroup:
     Index j*n + i encodes r^i s^j with r the rotation and s a reflection,
     so s r s = r^-1.
     """
-    n = int(n)
+    n = _integer(n, "dihedral_group n")
     if n < 1:
         raise UsageError(f"dihedral_group needs n >= 1, got {n}")
 

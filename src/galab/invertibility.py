@@ -54,6 +54,8 @@ CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle f
 MAX_INVERSE_SIZE = 4096     # wiener_certify: largest FFT inverse grid tried
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, within GRID_CAP
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
+SINGULAR_TOL = 1e-12        # probe_quotients: a quotient |symbol| minimum this small is singular
+DF_SLACK = 10.0             # verify_direct_finiteness: right residual allowed per unit of tol
 
 
 @dataclass
@@ -83,7 +85,6 @@ class DirectFinitenessReport:
     right_residual: object
     passed: bool
     tol: float
-    slack: float
 
     def to_json(self):
         return to_jsonable({
@@ -91,7 +92,7 @@ class DirectFinitenessReport:
             "right_residual": self.right_residual,
             "pass": self.passed,
             "tol": self.tol,
-            "slack": self.slack,
+            "slack": DF_SLACK,
         })
 
 
@@ -123,21 +124,30 @@ def _verified(kind: str, fields: dict, g: AlgebraElement, residual, tol: float,
                                     inverse=g, residual=residual)
 
 
+def _refuted(kind: str, fields: dict) -> InvertibilityCertificate:
+    """The not-invertible verdict; fields carry its witness."""
+    return InvertibilityCertificate(verdict=VERDICT_NOT_INVERTIBLE, kind=kind, fields=fields)
+
+
+def _inconclusive(kind: str, fields: dict, reason: str) -> InvertibilityCertificate:
+    """The inconclusive verdict of an oracle that has no inverse candidate."""
+    return InvertibilityCertificate(verdict=VERDICT_INCONCLUSIVE, kind=kind,
+                                    fields={**fields, "reason": reason})
+
+
 def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
                              weight: Weight | None = None, *,
-                             tol: float = 1e-10, slack: float = 10.0) -> DirectFinitenessReport:
+                             tol: float = 1e-10) -> DirectFinitenessReport:
     """Check that a left inverse is also a right inverse.
 
     Computes both residuals |g*f - e| and |f*g - e| in the (weighted) l1
     norm.  The report passes when the left residual being below tol forces
-    the right residual below slack*tol; a pair that is not even a left
+    the right residual below DF_SLACK*tol; a pair that is not even a left
     inverse passes vacuously.
     """
     left, right = _residuals(f, g, weight)
-    passed = (left > tol) or (right <= slack * tol)
-    return DirectFinitenessReport(
-        left_residual=left, right_residual=right, passed=passed, tol=tol, slack=slack
-    )
+    passed = (left > tol) or (right <= DF_SLACK * tol)
+    return DirectFinitenessReport(left_residual=left, right_residual=right, passed=passed, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +318,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
         if exact and kernel_residual != 0:
             raise ContractViolationError("exact kernel witness failed to annihilate")
         fields.update(kernel=element_to_json(g), kernel_residual=kernel_residual)
-        return InvertibilityCertificate(verdict=VERDICT_NOT_INVERTIBLE, kind=kind, fields=fields)
+        return _refuted(kind, fields)
 
     left, right = _residuals(f, g)
     fields.update(left_residual=left, right_residual=right)
@@ -365,17 +375,12 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     vals = symbol_grid(ff, (size,) * d)
     kmin, vmin = _grid_min(vals)
     if vmin < ZERO_TOL:
-        return InvertibilityCertificate(
-            verdict=VERDICT_INCONCLUSIVE,
-            kind="fft-candidate",
-            fields={
-                "size": size,
-                "flagged_frequency": list(kmin),
-                "flagged_angle": [2 * math.pi * k / size for k in kmin],
-                "flagged_value": vmin,
-                "reason": "symbol sample within zero tolerance; suspected non-invertible",
-            },
-        )
+        return _inconclusive("fft-candidate", {
+            "size": size,
+            "flagged_frequency": list(kmin),
+            "flagged_angle": [2 * math.pi * k / size for k in kmin],
+            "flagged_value": vmin,
+        }, "symbol sample within zero tolerance; suspected non-invertible")
     # The samples turn into the coefficients in place, so a single complex
     # grid is live through the division and the transform.
     coeff = np.divide(1.0, vals, out=vals)
@@ -426,12 +431,9 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     if grid**d > GRID_CAP:
         raise ResourceLimitError(f"grid of {grid**d} points exceeds cap {GRID_CAP}")
     if f.is_zero:
-        return InvertibilityCertificate(
-            verdict=VERDICT_NOT_INVERTIBLE,
-            kind="wiener-grid",
-            fields={"grid": grid, "grid_min": 0.0, "lipschitz": 0.0, "margin": 0.0,
-                    "witness_angle": [0.0] * d, "witness_value": 0.0},
-        )
+        return _refuted("wiener-grid", {"grid": grid, "grid_min": 0.0, "lipschitz": 0.0,
+                                        "margin": 0.0, "witness_angle": [0.0] * d,
+                                        "witness_value": 0.0})
     ff = f.to_float()
     _, grid_min = _grid_min(symbol_grid(ff, (grid,) * d))
     lipschitz = float(sum(group.word_length(n) * abs(amp) for n, amp in ff.items()))
@@ -455,30 +457,24 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
             size *= 2
             if size**d > GRID_CAP:
                 break  # the requested size is always tried; doublings stay within the cap
-        fields["reason"] = "margin is positive but no inverse met the tolerance up to the size cap"
-        return InvertibilityCertificate(
-            verdict=VERDICT_INCONCLUSIVE, kind="wiener-grid", fields=fields
-        )
+        return _inconclusive("wiener-grid", fields, "margin is positive but no inverse met "
+                             "the tolerance up to the size cap")
 
     # The companion-matrix eigensolve is O(span^3), so it runs only here,
     # where a root is the sole remaining way to a verdict.
     roots = _laurent_roots(ff) if d == 1 else np.array([], dtype=complex)
-    dists = np.abs(np.abs(roots) - 1.0) if roots.size else np.array([])
-    if d == 1 and roots.size and float(np.min(dists)) <= CIRCLE_TOL:
-        z = complex(roots[int(np.argmin(dists))])
-        angle = cmath.phase(z)
-        fields.update(witness_angle=angle, witness_value=abs(fourier_eval(ff, (angle,))),
-                      root={"re": z.real, "im": z.imag}, circle_tol=CIRCLE_TOL)
-        return InvertibilityCertificate(
-            verdict=VERDICT_NOT_INVERTIBLE, kind="wiener-grid", fields=fields
-        )
-
-    if dists.size:
-        fields["closest_root_distance"] = float(np.min(dists))
-    fields["reason"] = "margin not positive and no unit-circle root witness"
-    return InvertibilityCertificate(
-        verdict=VERDICT_INCONCLUSIVE, kind="wiener-grid", fields=fields
-    )
+    if roots.size:
+        dists = np.abs(np.abs(roots) - 1.0)
+        k = int(np.argmin(dists))
+        if dists[k] <= CIRCLE_TOL:
+            z = complex(roots[k])
+            angle = cmath.phase(z)
+            fields.update(witness_angle=angle, witness_value=abs(fourier_eval(ff, (angle,))),
+                          root={"re": z.real, "im": z.imag}, circle_tol=CIRCLE_TOL)
+            return _refuted("wiener-grid", fields)
+        fields["closest_root_distance"] = float(dists[k])
+    return _inconclusive("wiener-grid", fields,
+                         "margin not positive and no unit-circle root witness")
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +540,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
         "scalars": "exact" if f.exact else "float",
     }
     if ratio >= 1:
-        fields["reason"] = "series ratio is >= 1 at the chosen pivot"
-        return InvertibilityCertificate(
-            verdict=VERDICT_INCONCLUSIVE, kind="neumann-series", fields=fields
-        )
+        return _inconclusive("neumann-series", fields, "series ratio is >= 1 at the chosen pivot")
 
     partial = e
     for _ in range(terms):
@@ -585,7 +578,6 @@ class QuotientProbe:
 @dataclass
 class ProbeReport:
     probes: list
-    singular_tol: float
 
     @property
     def any_singular(self) -> bool:
@@ -593,7 +585,7 @@ class ProbeReport:
 
     def to_json(self):
         return {
-            "singular_tol": self.singular_tol,
+            "singular_tol": SINGULAR_TOL,
             "any_singular": self.any_singular,
             "results": [p.to_json() for p in self.probes],
         }
@@ -602,29 +594,22 @@ class ProbeReport:
         """A not-invertible certificate from the first singular quotient."""
         for p in self.probes:
             if not p.nonsingular:
-                return InvertibilityCertificate(
-                    verdict=VERDICT_NOT_INVERTIBLE,
-                    kind="quotient-witness",
-                    fields={
-                        "moduli": p.moduli,
-                        "frequency": p.frequency,
-                        "angle": p.angles,
-                        "value": p.min_modulus,
-                    },
-                )
+                return _refuted("quotient-witness", {
+                    "moduli": p.moduli, "frequency": p.frequency, "angle": p.angles,
+                    "value": p.min_modulus})
         return None
 
 
-def probe_quotients(f: AlgebraElement, moduli_list: Iterable, *,
-                    singular_tol: float = 1e-12) -> ProbeReport:
+def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
     """Test the pushforward of f for singularity on cyclic quotients.
 
-    A singular quotient certifies non-invertibility (the quotient symbol
-    vanishes at an exact rational frequency); nonsingular quotients are
-    evidence only.  Moduli are ints; scalars broadcast across the rank, so
-    4 on a rank-2 lattice means the quotient by (4Z)^2.  moduli_list is
-    read only until its quotients pass QUOTIENT_CAP points in all, before
-    any symbol is computed.
+    A singular quotient, one whose |symbol| minimum is at most SINGULAR_TOL,
+    certifies non-invertibility (the quotient symbol vanishes at an exact
+    rational frequency); nonsingular quotients are evidence only.  Moduli
+    are ints; scalars broadcast across the rank, so 4 on a rank-2 lattice
+    means the quotient by (4Z)^2.  moduli_list is read only until its
+    quotients pass QUOTIENT_CAP points in all, before any symbol is
+    computed.
     """
     group = _lattice_only(f, "probe_quotients")
     d = group.rank
@@ -645,13 +630,13 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable, *,
         probes.append(
             QuotientProbe(
                 moduli=mods,
-                nonsingular=vmin > singular_tol,
+                nonsingular=vmin > SINGULAR_TOL,
                 min_modulus=vmin,
                 frequency=kmin,
                 angles=tuple(2 * math.pi * k / m for k, m in zip(kmin, mods)),
             )
         )
-    return ProbeReport(probes=probes, singular_tol=singular_tol)
+    return ProbeReport(probes=probes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, QComplex, convolve, delta
 from .errors import ResourceLimitError, UsageError
-from .groups import LatticeGroup, Window
+from .groups import LatticeGroup, Window, _integer
 from .weights import Weight
 
 ENTRY_CAP = 10**7  # largest dense action matrix, in entries
@@ -49,8 +49,9 @@ def input_window(f: AlgebraElement, window: Window) -> Window:
         raise UsageError("element and window live over different groups")
     mul = window.group.mul
     pts = set(window.elements)
+    support = f.support
     for x in window:
-        for y, _ in f.items():
+        for y in support:
             pts.add(mul(x, y))
     return Window(window.group, pts, sort=True)
 
@@ -161,23 +162,6 @@ def action_matrix(f: AlgebraElement, window: Window,
                             matrix=mat, weight=weight)
 
 
-def weight_isometry(values: Mapping, weight: Weight, window: Window,
-                    *, inverse: bool = False) -> dict:
-    """Multiply (or divide) a window function pointwise by the weight.
-
-    This is the isometry between the sup-norm dual pictures of the plain
-    and weighted algebras; the round trip is the identity.
-    """
-    group = window.group
-    read = _reader(values)
-    out = {}
-    for t in window:
-        w = weight.value(group, t)
-        v = read(t)
-        out[t] = v / w if inverse else v * w
-    return out
-
-
 def conjugation_deviation(f: AlgebraElement, weight: Weight | None, window: Window) -> float:
     """Max entry gap between the two constructions of the weighted action.
 
@@ -232,7 +216,7 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     """
     if not isinstance(f.group, LatticeGroup):
         raise UsageError("symbol_grid needs a lattice element")
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(_integer(s, "grid size") for s in sizes)
     if len(sizes) != f.group.rank or any(s < 1 for s in sizes):
         raise UsageError(f"bad grid sizes {sizes!r} for rank {f.group.rank}")
     arr = np.zeros(sizes, dtype=complex)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .algebra import _fraction, delta, to_jsonable
 from .errors import ResourceLimitError, UsageError
-from .groups import LatticeGroup
-from .invertibility import wiener_certify
+from .groups import LatticeGroup, _integer
+from .invertibility import VERDICT_NOT_INVERTIBLE, wiener_certify
 from .operators import apply_convolution_action
 
 # Work limits, checked before anything is allocated.
@@ -108,7 +108,7 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
         const_residual == 0
         and forced_gap == 1
         and homogeneous_gap == 0
-        and certificate.verdict == "not-invertible"
+        and certificate.verdict == VERDICT_NOT_INVERTIBLE
     )
     return ScenarioReport(
         scenario="lp",
@@ -170,7 +170,7 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
             if n % 2
         }
     else:
-        phat = {int(n): complex(v) for n, v in target.items() if v != 0}
+        phat = {_integer(n, "target frequency"): complex(v) for n, v in target.items() if v != 0}
         if any(abs(n) > max_freq for n in phat):
             raise UsageError("target coefficients must have frequency <= max_freq")
     # Int true division rounds p^k / q^k correctly, as float(Fraction) does.

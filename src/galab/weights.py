@@ -21,7 +21,7 @@ from .algebra import AlgebraElement, to_jsonable
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
-_REL_TOL = 1e-12
+REL_TOL = 1e-12  # check_weight: relative slack of the submultiplicativity and symmetry tests
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
 CHECK_PAIR_CAP = 2**22  # most (x, y) pairs check_weight scans on lattice arrays
@@ -432,14 +432,15 @@ class WeightCheckReport:
         })
 
 
-def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -> WeightCheckReport:
+def check_weight(weight: Weight, window: Window) -> WeightCheckReport:
     """Exhaustive submultiplicativity and symmetry scan over a window.
 
     Pairs whose product leaves the window are skipped; the report carries
-    the minimum value and, if violated, the worst offending pair.  Pairs are
-    capped as check_pair_cap says: a window past the cap of its group is
-    refused before any value is taken, and a lattice window whose values
-    leave the array scan is refused before any pair is scanned.
+    the minimum value and, if some ratio w(xy) / (w(x) w(y)) passes
+    1 + REL_TOL, the worst offending pair.  Pairs are capped as
+    check_pair_cap says: a window past the cap of its group is refused
+    before any value is taken, and a lattice window whose values leave the
+    array scan is refused before any pair is scanned.
     """
     group = window.group
     check_pair_cap(group, len(window))
@@ -455,7 +456,7 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
         check_pair_cap(group, len(window), loop=True)
         worst = _pair_scan(window, vals)
     worst_ratio, worst_pair = worst
-    submultiplicative = worst_ratio <= 1 + rel_tol
+    submultiplicative = worst_ratio <= 1 + REL_TOL
 
     symmetric = True
     for x in window:
@@ -463,7 +464,7 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
         if xi not in window:
             continue
         a, b = float(vals[x]), float(vals[xi])
-        if abs(a - b) > rel_tol * max(abs(a), abs(b)):
+        if abs(a - b) > REL_TOL * max(abs(a), abs(b)):
             symmetric = False
             break
 
@@ -473,7 +474,7 @@ def check_weight(weight: Weight, window: Window, *, rel_tol: float = _REL_TOL) -
         min_value=float(min_value),
         min_at=min_at,
         worst_ratio=worst_ratio,
-        worst_pair=worst_pair if worst_ratio > 1 + rel_tol else None,
+        worst_pair=None if submultiplicative else worst_pair,
         window_size=len(window),
     )
 
@@ -683,7 +684,6 @@ class RescaleResult:
     rescaled: QuotientWeight
     twisted: AlgebraElement
     min_rescaled: float
-    domination_ok: bool
     twist_residuals: list
 
 
@@ -717,6 +717,5 @@ def rescale_by_character(weight: Weight, character: Character, element: AlgebraE
         rescaled=rescaled,
         twisted=character_twist(character, element),
         min_rescaled=min_val,
-        domination_ok=True,
         twist_residuals=residuals,
     )

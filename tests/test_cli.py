@@ -10,15 +10,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import galab
-from galab.algebra import canonical_json, delta, element_from_json
+from galab.algebra import AlgebraElement, canonical_json, delta, element_from_json
 from galab.cli import _parse_moduli, main
 from galab.errors import UsageError
 from galab.groups import LatticeGroup, ball, cyclic_group
 from galab.invertibility import (
     invert_finite,
+    invert_via_fft,
     neumann_invert,
     probe_quotients,
     verify_direct_finiteness,
+    wiener_certify,
 )
 from galab.scenarios import scenario_lp, scenario_torus
 from galab.weights import TableWeight, check_weight, dominate_character
@@ -281,11 +283,49 @@ GOLDEN_REPORTS = {
         '"value":17},{"name":"non-decay","value":true}],"parameters":{"degree":2,'
         '"max_freq":8,"ratio":"1/2"},"scenario":"torus","verdict":"confirmed"}'
     ),
+    # One entry for each remaining certificate exit: the not-invertible and
+    # inconclusive verdicts of every oracle.
+    "exact-kernel": (
+        '{"inverse":null,"kernel":{"group":{"identity":0,"kind":"cayley","name":"C3",'
+        '"order":3,"table":[[0,1,2],[1,2,0],[2,0,1]]},"scalars":"exact","terms":[{"im":"0",'
+        '"re":"1","x":0},{"im":"0","re":"1","x":1},{"im":"0","re":"1","x":2}]},'
+        '"kernel_residual":"0","kind":"exact-finite","order":3,"residual":null,'
+        '"scalars":"exact","verdict":"not-invertible"}'
+    ),
+    "fft-zero-sample": (
+        '{"flagged_angle":[0.0],"flagged_frequency":[0],"flagged_value":0.0,"inverse":null,'
+        '"kind":"fft-candidate",'
+        '"reason":"symbol sample within zero tolerance; suspected non-invertible",'
+        '"residual":null,"size":2,"verdict":"inconclusive"}'
+    ),
+    "wiener-zero": (
+        '{"grid":64,"grid_min":0.0,"inverse":null,"kind":"wiener-grid","lipschitz":0.0,'
+        '"margin":0.0,"residual":null,"verdict":"not-invertible","witness_angle":[0.0],'
+        '"witness_value":0.0}'
+    ),
+    "wiener-root": (
+        '{"circle_tol":1e-09,"grid":4,"grid_min":0.0,"inverse":null,"kind":"wiener-grid",'
+        '"lipschitz":1.0,"margin":-0.7853981633974483,"residual":null,'
+        '"root":{"im":-0.0,"re":1.0},"spacing":1.5707963267948966,"verdict":"not-invertible",'
+        '"witness_angle":-0.0,"witness_value":0.0}'
+    ),
+    "wiener-no-witness": (
+        '{"grid":4,"grid_min":0.0,"inverse":null,"kind":"wiener-grid","lipschitz":1.0,'
+        '"margin":-0.7853981633974483,'
+        '"reason":"margin not positive and no unit-circle root witness","residual":null,'
+        '"spacing":1.5707963267948966,"verdict":"inconclusive"}'
+    ),
+    "neumann-ratio-one": (
+        '{"inverse":null,"kind":"neumann-series","pivot":[0],"ratio":1.0,'
+        '"reason":"series ratio is >= 1 at the chosen pivot","residual":null,'
+        '"scalars":"float","terms":40,"verdict":"inconclusive"}'
+    ),
 }
 
 
 def _golden_payload(kind):
     c3, z = cyclic_group(3), LatticeGroup(1)
+    z_diff = delta(z, (0,), 1.0) - delta(z, (1,), 1.0)
     if kind == "exact-cert":
         return invert_finite(
             delta(c3, 0, 2, exact=True) + delta(c3, 1, Fraction(1, 2), exact=True)
@@ -297,7 +337,7 @@ def _golden_payload(kind):
             delta(c3, 0, 2, exact=True), delta(c3, 0, Fraction(1, 3), exact=True)
         ).to_json()
     if kind == "probe":  # as the probe command assembles it
-        report = probe_quotients(delta(z, (0,), 1.0) - delta(z, (1,), 1.0), [2, (4,)])
+        report = probe_quotients(z_diff, [2, (4,)])
         return {**report.to_json(), "certificate": report.to_certificate().to_json()}
     if kind == "check-weight":
         return check_weight(TableWeight.on_ball(z, 2, [5, 1, 1, 1, 5]), ball(z, 2)).to_json()
@@ -305,6 +345,19 @@ def _golden_payload(kind):
         return dominate_character(TableWeight.on_ball(z, 1, [0.5, 1, 0.5]), z, 1).to_json()
     if kind == "scenario-lp":
         return scenario_lp(3).to_json()
+    if kind == "exact-kernel":
+        return invert_finite(delta(c3, 0, 1, exact=True) - delta(c3, 1, 1, exact=True)).to_json()
+    if kind == "fft-zero-sample":
+        return invert_via_fft(z_diff, 2).to_json()
+    if kind == "wiener-zero":
+        return wiener_certify(AlgebraElement.zero(z)).to_json()
+    if kind == "wiener-root":
+        return wiener_certify(z_diff, 4).to_json()
+    if kind == "wiener-no-witness":
+        z2 = LatticeGroup(2)
+        return wiener_certify(delta(z2, (0, 0), 1.0) - delta(z2, (1, 0), 1.0), 4).to_json()
+    if kind == "neumann-ratio-one":
+        return neumann_invert(delta(z, (0,), 1.0) + delta(z, (1,), 1.0)).to_json()
     return scenario_torus("1/2", 8, 2).to_json()
 
 
@@ -331,6 +384,20 @@ def test_envelope_weight_on_a_long_word(capsys):
                          "entries": [[[0], 1.0], [[1], 1.0], [[-1], 1.0]]})
     assert main(["invert", "--input", el, "--weight", weight, "--K", "2", "--tol", "0.1"]) == 0
     assert "ratio = 0.3333333333333333" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--input", SINGULAR, "--moduli", "2", "--singular-tol", "0.1"],
+    ["df-check", "--f", SINGULAR, "--g", SINGULAR, "--slack", "5"],
+    ["check-weight", "--weight", '{"kind": "constant", "value": 1}',
+     "--group", '{"kind": "Z", "rank": 1}', "--radius", "1", "--rel-tol", "1e-6"],
+], ids=["singular-tol", "slack", "rel-tol"])
+def test_tolerance_flags_are_gone(argv, capsys):
+    # The thresholds are the constants SINGULAR_TOL, DF_SLACK and REL_TOL.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unrecognized arguments: " + " ".join(argv[-2:])]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galab.algebra import delta
 from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
     LATTICE_RANK_CAP,
@@ -18,6 +19,8 @@ from galab.groups import (
     spec_from_json,
     symmetric_group,
 )
+from galab.operators import symbol_grid
+from galab.scenarios import scenario_torus
 
 # ---------------------------------------------------------------------------
 # oracle: permutations of (0,1,2) in lexicographic order, composed by hand.
@@ -271,3 +274,15 @@ def test_cayley_json_declared_order_checked():
     obj["order"] = 5
     with pytest.raises(UsageError):
         spec_from_json(obj)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cyclic_group(3.5),
+    lambda: dihedral_group(2.9),
+    lambda: symmetric_group(3.2),
+    lambda: symbol_grid(delta(LatticeGroup(1), (1,), 1.0), (4.9,)),
+    lambda: scenario_torus(target={2.7: 1.0}),
+], ids=["cyclic", "dihedral", "symmetric", "symbol-grid", "torus-target"])
+def test_non_integer_arguments_are_refused_not_truncated(call):
+    with pytest.raises(UsageError, match="must be an integer"):
+        call()

@@ -18,7 +18,6 @@ from galab.operators import (
     input_window,
     pairing,
     symbol_grid,
-    weight_isometry,
 )
 from galab.weights import ConstantWeight, ExpSymmetricWeight, PolynomialWeight
 
@@ -222,16 +221,6 @@ def test_pairing_duality_random():
             rhs = pairing(h, apply_convolution_action(f, g, group.ball(3)))
             scale = float(f.norm()) * float(h.norm()) * max(abs(v) for v in g.values())
             assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
-
-
-def test_weight_isometry_round_trip_and_norm():
-    w = ExpSymmetricWeight(2)
-    win = Z.ball(4)
-    vals = {x: complex(i, -i) for i, x in enumerate(win)}
-    up = weight_isometry(vals, w, win)
-    assert up[(2,)] == vals[(2,)] * 4
-    back = weight_isometry(up, w, win, inverse=True)
-    assert all(back[x] == complex(vals[x]) for x in win)
 
 
 def test_conjugation_deviation_small_for_real_weights():

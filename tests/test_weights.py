@@ -228,7 +228,6 @@ def test_rescale_by_character():
     f = delta(Z, (1,), 1.0)
     out = rescale_by_character(w, result.character, f, Z.ball(50))
     assert out.min_rescaled >= 1 - 1e-12
-    assert out.domination_ok
     nu = out.rescaled
     rep = check_weight(nu, Z.ball(10))
     assert rep.submultiplicative

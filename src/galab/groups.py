@@ -34,6 +34,13 @@ def _integer(value, what: str) -> int:
     raise UsageError(f"{what} must be an integer, got {value!r}")
 
 
+def _radius(value) -> int:
+    radius = _integer(value, "ball radius")
+    if radius < 0:
+        raise UsageError(f"ball radius must be >= 0, got {radius}")
+    return radius
+
+
 def _rank(value, what: str) -> int:
     rank = _integer(value, f"{what} rank")
     if rank < 1:
@@ -134,14 +141,14 @@ class LatticeGroup(GroupSpec):
         return a
 
     def ball_size(self, radius, cap=None):
-        if radius < 0:
-            raise UsageError(f"ball radius must be >= 0, got {radius}")
+        radius = _radius(radius)
         size = (2 * radius + 1) ** self.rank
         if cap is not None and size > cap:
             raise ResourceLimitError(f"ball would hold {size} elements, cap is {cap}")
         return size
 
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+        radius = _radius(radius)
         self.ball_size(radius, cap)
         span = range(-radius, radius + 1)
         elements = itertools.product(span, repeat=self.rank)
@@ -217,8 +224,7 @@ class FreeGroup(GroupSpec):
         words plus their letters, what the ball stores, pass the cap; long
         words on rank one count for their length.
         """
-        if radius < 0:
-            raise UsageError(f"ball radius must be >= 0, got {radius}")
+        radius = _radius(radius)
         total = 1
         stored = 1
         sphere = 2 * self.rank
@@ -233,6 +239,7 @@ class FreeGroup(GroupSpec):
         return total
 
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+        radius = _radius(radius)
         self.ball_size(radius, cap)
         letters = self._letters()
         words = [()]
@@ -342,13 +349,13 @@ class CayleyGroup(GroupSpec):
         return a
 
     def ball_size(self, radius, cap=None):
-        if radius < 0:
-            raise UsageError(f"ball radius must be >= 0, got {radius}")
+        radius = _radius(radius)
         if cap is not None and self.order > cap:
             raise ResourceLimitError(f"group order {self.order} exceeds cap {cap}")
         return 1 if radius == 0 else self.order
 
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
+        radius = _radius(radius)
         self.ball_size(radius, cap)
         if radius == 0:
             return Window(self, [self._identity], sort=False)
@@ -548,9 +555,41 @@ def quaternion_group() -> CayleyGroup:
 # ---------------------------------------------------------------------------
 # JSON
 
+# Decoded Cayley groups, oldest first.  Checking a table costs far more than
+# looking it up, and a process often decodes many elements over one group.
+CAYLEY_CACHE_GROUPS = 32
+CAYLEY_CACHE_CELLS = 2**18  # table cells of all cached groups
+_cayley_cache: dict = {}
+
+
+def _cayley_from_json(table, identity, name) -> CayleyGroup:
+    """CayleyGroup(table, identity, name), interned by (rows, identity, name).
+
+    Only a table of lists of exact ints, an int identity and a str or None
+    name are looked up, since True == 1 and 1.0 == 1 as dict keys and a
+    list name is unhashable; anything else goes to the constructor.  A
+    refused table raises there and is never stored.
+    """
+    if not (type(table) is list and all(type(row) is list for row in table)
+            and type(identity) is int and (name is None or type(name) is str)
+            and list(map(type, itertools.chain.from_iterable(table))).count(int)
+            == sum(map(len, table))):
+        return CayleyGroup(table, identity=identity, name=name)
+    key = (tuple(map(tuple, table)), identity, name)
+    group = _cayley_cache.get(key)
+    if group is None:
+        group = CayleyGroup(table, identity=identity, name=name)
+        if group.order**2 <= CAYLEY_CACHE_CELLS:
+            _cayley_cache[group.table, identity, name] = group
+            while (len(_cayley_cache) > CAYLEY_CACHE_GROUPS
+                   or sum(g.order**2 for g in _cayley_cache.values()) > CAYLEY_CACHE_CELLS):
+                del _cayley_cache[next(iter(_cayley_cache))]
+    return group
+
 
 def spec_from_json(obj: dict) -> GroupSpec:
-    """Rebuild a group from its JSON description."""
+    """Rebuild a group from its JSON description; equal Cayley descriptions
+    give one interned CayleyGroup while it stays in the bounded cache."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError(f"not a group description: {obj!r}")
     kind = obj["kind"]
@@ -563,7 +602,7 @@ def spec_from_json(obj: dict) -> GroupSpec:
     if kind == "cayley":
         if "table" not in obj:
             raise UsageError("group of kind 'cayley' needs a 'table'")
-        group = CayleyGroup(obj["table"], identity=obj.get("identity", 0), name=obj.get("name"))
+        group = _cayley_from_json(obj["table"], obj.get("identity", 0), obj.get("name"))
         if "order" in obj and _integer(obj["order"], "declared order") != group.order:
             raise UsageError(f"declared order {obj['order']} != table size {group.order}")
         return group

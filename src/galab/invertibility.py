@@ -212,7 +212,9 @@ def _solve_exact(mat: list, gaussian: bool):
     matrices are sparse, so most rows skip most steps.  Returns
     ("solution", L, x) with A @ (x / L) = b, or ("singular", L, v) with v / L
     the reduced-row-echelon kernel vector of the first free column of A; L
-    is a positive int and the entries are in the matrix's ring.
+    is a positive int and the entries are in the matrix's ring.  The work is
+    O(n^3) ring operations on growing entries; invert_finite calls it on one
+    |K| x |K| coset block at a time, never on the whole group matrix.
     """
     n = len(mat)
     if gaussian:
@@ -269,6 +271,68 @@ def _solve_float(mat: list):
     return "solution", np.linalg.solve(a, aug[:, -1])
 
 
+def _invert_exact(f: AlgebraElement) -> tuple:
+    """(status, g) for g*f = e over an exact f on a Cayley group; see invert_finite."""
+    group = f.group
+    table, e = group.table, group.identity
+    # Row z of the group matrix holds f(y) at column z y^-1, so f's
+    # numerators over its one denominator L make every block integral.
+    den, terms = f.numerators()
+    gaussian = f.gaussian
+    zero, one = ((0, 0), (den, 0)) if gaussian else (0, den)
+    y0_inv = group.inv(min(terms, default=e))
+    shifted = {table[y][y0_inv]: amp for y, amp in terms.items()}
+    sub, todo = {e}, [e]  # K, the subgroup generated by the shifts
+    while todo:
+        row = table[todo.pop()]
+        for s in shifted:
+            if row[s] not in sub:
+                sub.add(row[s])
+                todo.append(row[s])
+
+    def solve(coset, rhs: bool):
+        """(status, den, {column: entry}) on the block [A | b] of one left coset of K.
+
+        Column c meets row c*y = (c*s)*y0 with s = y*y0^-1 in K, so that row
+        is labelled c*s; the columns are in increasing index order.
+        """
+        cols = sorted(coset)
+        pos = {c: i for i, c in enumerate(cols)}
+        mat = [[zero] * (len(cols) + 1) for _ in cols]
+        for j, c in enumerate(cols):
+            row = table[c]
+            for s, amp in shifted.items():
+                mat[pos[row[s]]][j] = amp
+        if rhs:
+            mat[pos[y0_inv]][-1] = one  # the row labelled y0^-1 is row e
+        status, den, vec = _solve_exact(mat, gaussian)
+        return status, den, dict(zip(cols, vec))
+
+    status, den, vec = solve([table[y0_inv][k] for k in sub], True)
+    if status == "singular":
+        # Every block is the same matrix relabelled, so all are singular.  The
+        # whole matrix's first free column is the first free column of some
+        # block, and its kernel vector lives on that block: search the cosets
+        # by their least element until none can hold an earlier free column.
+        home = min(vec)
+        best = max(c for c, v in vec.items() if v != zero), den, vec
+        covered = set()
+        for u in range(group.order):
+            if u >= best[0]:
+                break
+            if u in covered:
+                continue
+            coset = {table[u][k] for k in sub}
+            covered |= coset
+            if u != home:
+                _, den, vec = solve(coset, False)
+                free = max(c for c, v in vec.items() if v != zero)
+                if free < best[0]:
+                    best = free, den, vec
+        _, den, vec = best
+    return status, AlgebraElement.from_numerators(group, vec, den, gaussian)
+
+
 def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCertificate:
     """Solve g*f = e on a finite Cayley group and verify both residuals.
 
@@ -280,6 +344,18 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     kind "exact-finite".  Float elements are solved by numpy, called
     invertible when both residuals are at most tol, and have kind
     "float-finite".
+
+    The exact solve never builds the whole n x n group matrix.  With y0 a
+    support point and K the subgroup generated by the y*y0^-1, y in the
+    support, the matrix splits into one block per left coset uK, each the
+    same |K| x |K| matrix relabelled, and only the block of y0^-1 K holds
+    row e.  So f is invertible in l1(G) exactly when f*delta(y0^-1), which
+    lives on K, is invertible in l1(K); the inverse lives on y0^-1 K, and
+    the cost is |K|^3 per eliminated block instead of n^3.  A singular
+    block has singular twins; the kernel witness is then taken from the
+    block holding the first free column of the whole matrix, so it is the
+    vector whole-matrix elimination gives.  Float elements keep the
+    whole-matrix SVD.
     """
     group = f.group
     if not isinstance(group, CayleyGroup):
@@ -289,24 +365,15 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
         raise ResourceLimitError(f"group order {n} exceeds cap {FINITE_ORDER_CAP}")
     exact = f.exact
     if exact:
-        # Row z of the group matrix holds f(y) at column z y^-1, so f's
-        # numerators over its one denominator L make the whole matrix integral.
-        den, terms = f.numerators()
-        gaussian = f.gaussian
-        zero, one = ((0, 0), (den, 0)) if gaussian else (0, den)
+        status, g = _invert_exact(f)
     else:
-        terms, zero, one = dict(f.items()), 0j, 1 + 0j
-    # The augmented matrix [A | b] of g*f = e: A[u y][u] = f(y), b = delta_e.
-    mat = [[zero] * (n + 1) for _ in range(n)]
-    for y, amp in terms.items():
-        for u in range(n):
-            # Column y of the table is a permutation, so each entry is set once.
-            mat[group.mul(u, y)][u] = amp
-    mat[group.identity][n] = one
-    if exact:
-        status, den, vec = _solve_exact(mat, gaussian)
-        g = AlgebraElement.from_numerators(group, dict(enumerate(vec)), den, gaussian)
-    else:
+        # The augmented matrix [A | b] of g*f = e: A[u y][u] = f(y), b = delta_e.
+        mat = [[0j] * (n + 1) for _ in range(n)]
+        for y, amp in f.items():
+            for u in range(n):
+                # Column y of the table is a permutation, so each entry is set once.
+                mat[group.mul(u, y)][u] = amp
+        mat[group.identity][n] = 1 + 0j
         status, vec = _solve_float(mat)
         g = AlgebraElement(group, dict(enumerate(vec)), False)
     kind = "exact-finite" if exact else "float-finite"
@@ -365,8 +432,7 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     """
     group = _lattice_only(f, "invert_via_fft")
     d = group.rank
-    if size is None:
-        size = _default_inverse_size(d)
+    size = _default_inverse_size(d) if size is None else _integer(size, "grid size")
     if size < 2 or size & (size - 1):
         raise UsageError(f"grid size must be a power of two >= 2, got {size}")
     if size**d > GRID_CAP:
@@ -508,6 +574,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     """
     if f.is_zero:
         raise UsageError("cannot invert the zero element")
+    terms = _integer(terms, "terms")
     if terms < 0:
         raise UsageError(f"terms must be >= 0, got {terms}")
     w = weight if weight is not None else ConstantWeight(1)

@@ -71,6 +71,7 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
     homogeneous recursion carries gap 0.  No solution can therefore decay
     at both ends, and the symbol oracle confirms the unit-circle witness.
     """
+    radius = _integer(radius, "radius")
     if radius < 1:
         raise UsageError(f"radius must be >= 1, got {radius}")
     if radius > LP_RADIUS_CAP:
@@ -144,6 +145,8 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
     r = _fraction(ratio)
     if not 0 < r < 1:
         raise UsageError(f"ratio must lie strictly between 0 and 1, got {ratio}")
+    max_freq = _integer(max_freq, "max_freq")
+    degree = _integer(degree, "degree")
     if max_freq < 4:
         raise UsageError(f"max_freq must be >= 4, got {max_freq}")
     if degree < 1:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galab import groups
 from galab.algebra import delta
 from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
@@ -19,8 +20,9 @@ from galab.groups import (
     spec_from_json,
     symmetric_group,
 )
+from galab.invertibility import invert_via_fft, neumann_invert
 from galab.operators import symbol_grid
-from galab.scenarios import scenario_torus
+from galab.scenarios import scenario_lp, scenario_torus
 
 # ---------------------------------------------------------------------------
 # oracle: permutations of (0,1,2) in lexicographic order, composed by hand.
@@ -282,7 +284,87 @@ def test_cayley_json_declared_order_checked():
     lambda: symmetric_group(3.2),
     lambda: symbol_grid(delta(LatticeGroup(1), (1,), 1.0), (4.9,)),
     lambda: scenario_torus(target={2.7: 1.0}),
-], ids=["cyclic", "dihedral", "symmetric", "symbol-grid", "torus-target"])
+    lambda: scenario_torus("1/2", 8.5),
+    lambda: scenario_torus("1/2", 8, 2.5),
+    lambda: scenario_lp(3.5),
+    lambda: invert_via_fft(delta(LatticeGroup(1), (0,), 2.0) + delta(LatticeGroup(1), (1,), 1.0),
+                           8.0),
+    lambda: neumann_invert(delta(LatticeGroup(1), (0,), 2.0) + delta(LatticeGroup(1), (1,), 1.0),
+                           terms=2.5),
+    lambda: LatticeGroup(1).ball(2.5),
+    lambda: LatticeGroup(2).ball_size(2.5),
+    lambda: FreeGroup(2).ball(2.5),
+    lambda: FreeGroup(2).ball_size(2.5),
+    lambda: cyclic_group(4).ball(2.5),
+    lambda: cyclic_group(4).ball_size(2.5),
+    lambda: LatticeGroup(1).ball(True),
+    lambda: FreeGroup(1).ball_size(True),
+    lambda: cyclic_group(4).ball(True),
+    lambda: ball(cyclic_group(4), True),
+], ids=["cyclic", "dihedral", "symmetric", "symbol-grid", "torus-target", "torus-max-freq",
+        "torus-degree", "lp-radius", "fft-size", "neumann-terms", "lattice-ball",
+        "lattice-ball-size", "free-ball", "free-ball-size", "cayley-ball", "cayley-ball-size",
+        "lattice-ball-bool", "free-ball-size-bool", "cayley-ball-bool", "ball-function-bool"])
 def test_non_integer_arguments_are_refused_not_truncated(call):
     with pytest.raises(UsageError, match="must be an integer"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# interned Cayley groups
+
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _c3_json(**changes):
+    return {"kind": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], **changes}
+
+
+@pytest.mark.parametrize("obj", [
+    _c3_json(table=[[0, 1, 2], [1, 2, 0], [2, 0, True]]),
+    _c3_json(table=[[0, 1, 2], [1, 2, 0], [2, 0, 1.0]]),
+    _c3_json(identity=1),
+    _c3_json(identity=True),
+    {"kind": "cayley", "table": LOOP5},
+], ids=["bool-cell", "float-cell", "wrong-identity", "bool-identity", "loop5"])
+def test_cached_group_never_stands_in_for_a_refused_table(obj):
+    spec_from_json(_c3_json())  # the valid table these resemble is cached
+    for _ in range(3):
+        with pytest.raises(UsageError):
+            spec_from_json(obj)
+
+
+def test_declared_order_is_checked_on_a_cache_hit():
+    assert spec_from_json(_c3_json(order=3)).order == 3
+    for _ in range(2):
+        with pytest.raises(UsageError, match="declared order"):
+            spec_from_json(_c3_json(order=4))
+
+
+def test_equal_json_gives_the_same_group_and_names_stay_apart():
+    first = spec_from_json(_c3_json(name="C3"))
+    assert spec_from_json(_c3_json(name="C3")) is first
+    other = spec_from_json(_c3_json(name="Z3"))
+    unnamed = spec_from_json(_c3_json())
+    assert other is not first and unnamed is not first
+    assert other == first  # the same group, under another name
+    assert other.to_json()["name"] == "Z3" and first.to_json()["name"] == "C3"
+    assert "name" not in unnamed.to_json()
+    # An unhashable name is decoded as before, without the cache.
+    assert spec_from_json(_c3_json(name=["C", 3])).to_json()["name"] == ["C", 3]
+
+
+def test_group_cache_stays_within_its_bounds():
+    for k in range(groups.CAYLEY_CACHE_GROUPS + 5):
+        spec_from_json(cyclic_group(3, name=f"C3-{k}").to_json())
+        assert len(groups._cayley_cache) <= groups.CAYLEY_CACHE_GROUPS
+    newest = cyclic_group(3, name=f"C3-{groups.CAYLEY_CACHE_GROUPS + 4}").to_json()
+    assert spec_from_json(newest) is spec_from_json(newest)
+    # 2 * 400^2 cells pass the cell bound, so the first of two such tables is dropped.
+    assert 2 * 400**2 > groups.CAYLEY_CACHE_CELLS >= 400**2
+    big = [cyclic_group(400, name=f"C400-{k}").to_json() for k in range(2)]
+    kept = [spec_from_json(obj) for obj in big]
+    cells = sum(g.order**2 for g in groups._cayley_cache.values())
+    assert cells <= groups.CAYLEY_CACHE_CELLS
+    assert spec_from_json(big[1]) is kept[1]
+    assert spec_from_json(big[0]) is not kept[0]

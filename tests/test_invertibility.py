@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galab import invertibility
 from galab.algebra import (
     AlgebraElement,
     QComplex,
     convolve,
     delta,
+    element_to_json,
     identity_element,
 )
 from galab.errors import ResourceLimitError, UsageError
@@ -314,6 +316,111 @@ def test_singular_gaussian_element_has_exact_kernel_witness():
         assert cert.fields["kernel"]["terms"]
         assert cert.fields["kernel_residual"] == 0
         assert isinstance(cert.fields["kernel_residual"], Fraction)
+
+
+def whole_matrix_solve(f):
+    """(verdict, g) from one elimination of the whole n x n group matrix."""
+    group, n = f.group, f.group.order
+    den, terms = f.numerators()
+    zero, one = ((0, 0), (den, 0)) if f.gaussian else (0, den)
+    mat = [[zero] * (n + 1) for _ in range(n)]
+    for y, amp in terms.items():
+        for u in range(n):
+            mat[group.mul(u, y)][u] = amp
+    mat[group.identity][n] = one
+    status, den, vec = _solve_exact(mat, f.gaussian)
+    g = AlgebraElement.from_numerators(group, dict(enumerate(vec)), den, f.gaussian)
+    return ("invertible" if status == "solution" else "not-invertible"), g
+
+
+def _seeded_element(group, rng, k, gaussian, zero_divisor):
+    def amp():
+        return QComplex.of(Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)),
+                           Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) if gaussian else 0)
+
+    f = AlgebraElement(group, {y: amp() for y in rng.sample(range(group.order), k)}, True)
+    if zero_divisor:
+        # h * (d_e - d_s) is a zero divisor for any h and any s != e
+        s = rng.randrange(1, group.order)
+        f = convolve(f, delta(group, group.identity, exact=True) - delta(group, s, exact=True))
+    return f
+
+
+def _spy_block_sizes(monkeypatch):
+    sizes = []
+
+    def spy(mat, gaussian):
+        sizes.append(len(mat))
+        return _solve_exact(mat, gaussian)
+
+    monkeypatch.setattr(invertibility, "_solve_exact", spy)
+    return sizes
+
+
+def _support_subgroup(f):
+    """K, generated by y * y0^-1 for y in the support of f."""
+    group = f.group
+    y0_inv = group.inv(f.support[0])
+    gens = [group.mul(y, y0_inv) for y in f.support]
+    sub = {group.identity}
+    while True:
+        grown = sub | {group.mul(x, s) for x in sub for s in gens}
+        if grown == sub:
+            return sub
+        sub = grown
+
+
+@pytest.mark.parametrize("group", [C8xC8, dihedral_group(16), cyclic_group(48),
+                                   symmetric_group(4)], ids=["C8xC8", "D16", "C48", "S4"])
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+@pytest.mark.parametrize("zero_divisor", [False, True], ids=["unit", "zero-divisor"])
+def test_block_solve_matches_whole_matrix_elimination(group, gaussian, zero_divisor,
+                                                      monkeypatch):
+    rng = random.Random(f"{group.name}-{gaussian}-{zero_divisor}")
+    elements = [_seeded_element(group, rng, k, gaussian, zero_divisor)
+                for k in (1, 2, 2, 3, 3, 4)]
+    if not zero_divisor:
+        elements.append(identity_element(group, exact=True) * 0)  # the zero element
+    sizes = _spy_block_sizes(monkeypatch)
+    for f in elements:
+        verdict, g = whole_matrix_solve(f)
+        sizes.clear()
+        cert = invert_finite(f)
+        assert cert.verdict == verdict
+        if verdict == "invertible":
+            assert element_to_json(cert.inverse) == element_to_json(g)
+        else:
+            assert cert.fields["kernel"] == element_to_json(g)
+        # Each eliminated block is |K| x |K|; K is {e} for the zero element.
+        assert set(sizes) == {len(_support_subgroup(f)) if f.n_terms else 1}
+
+
+def test_kernel_witness_outside_the_identity_block_is_the_whole_matrix_one(monkeypatch):
+    # On C8, d2 - d6 has K = {0, 4}; the inverse's block y0^-1 K is {2, 6},
+    # but the whole matrix's first free column is 4, in the block {0, 4}.
+    c8 = cyclic_group(8)
+    f = delta(c8, 2, exact=True) - delta(c8, 6, exact=True)
+    sizes = _spy_block_sizes(monkeypatch)
+    cert = invert_finite(f)
+    assert cert.verdict == "not-invertible"
+    _, g = whole_matrix_solve(f)
+    assert cert.fields["kernel"] == element_to_json(g)
+    assert set(g.support) == {0, 4}
+    # The block of {2, 6}, then those of {0, 4}, {1, 5} and {3, 7}, whose least
+    # elements lie below 4; no block can hold a free column before its least element.
+    assert sizes == [2, 2, 2, 2]
+
+
+def test_inverse_of_an_element_on_a_proper_subgroup_coset_lives_on_its_block():
+    # Support {5, 17, 29} in C48: K = <12> has order 4 and y0^-1 K = {7, 19, 31, 43}.
+    c48 = cyclic_group(48)
+    f = AlgebraElement(c48, {5: QComplex.of(3), 17: QComplex.of(Fraction(-1, 2)),
+                             29: QComplex.of(0, 1)}, True)
+    assert sorted(_support_subgroup(f)) == [0, 12, 24, 36]
+    cert = invert_finite(f)
+    assert cert.verdict == "invertible" and cert.residual == 0
+    assert set(cert.inverse.support) <= {7, 19, 31, 43}
+    assert cert.inverse == whole_matrix_solve(f)[1]
 
 
 def test_invert_finite_rejects_lattice_input():

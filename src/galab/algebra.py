@@ -548,16 +548,15 @@ def canonical_json(payload) -> str:
     return text + "\n"
 
 
-def element_from_json(obj: dict, group: GroupSpec | None = None) -> AlgebraElement:
-    """Parse an element; rationals may arrive as strings like "1/4"."""
+def element_from_json(obj: dict) -> AlgebraElement:
+    """Parse an element and the group it embeds; rationals may arrive as strings like "1/4"."""
     from .groups import spec_from_json
 
     if not isinstance(obj, dict) or "terms" not in obj:
         raise UsageError(f"not an algebra element description: {obj!r}")
-    if group is None:
-        if "group" not in obj:
-            raise UsageError("element description lacks a group and none was supplied")
-        group = spec_from_json(obj["group"])
+    if "group" not in obj:
+        raise UsageError("element description lacks a group")
+    group = spec_from_json(obj["group"])
     raw = obj["terms"]
     if not isinstance(raw, list):
         raise UsageError(f"'terms' must be a list of term objects, got {raw!r}")

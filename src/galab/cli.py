@@ -28,10 +28,10 @@ from .weights import (CHECK_LOOP_PAIR_CAP, CHECK_PAIR_CAP, check_pair_cap, check
                       dominate_character, weight_from_json)
 
 
-def _parse_json(text: str):
+def _parse_json(text: str | bytes):
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed, or an int past the interpreter's digit limit
+    except ValueError as exc:  # malformed, not UTF-8/16/32, or an int past the digit limit
         raise UsageError(f"invalid JSON: {exc}") from None
 
 
@@ -39,7 +39,12 @@ def _load_json(arg: str):
     text = arg.strip()
     if text.startswith("{") or text.startswith("["):
         return _parse_json(text)
-    return _parse_json(Path(arg).read_text())
+    # Bytes, so json.loads detects UTF-8/16/32 instead of the locale decoding them.
+    try:
+        data = Path(arg).read_bytes()
+    except ValueError as exc:  # an embedded NUL
+        raise UsageError(f"bad input path {arg!r}: {exc}") from None
+    return _parse_json(data)
 
 
 def _emit(payload, text: str, report_path) -> None:
@@ -110,12 +115,9 @@ def _parse_moduli(text: str):
 def _cmd_invert(args) -> int:
     f = _element_arg(args.input)
     weight = _weight_arg(args.weight, f.group)
-    pivot = None
-    if args.pivot is not None:
-        pivot = f.group.element_from_json(_parse_json(args.pivot))
     cert = auto_invert(
         f, weight, method=args.method, grid=args.grid,
-        size=args.N, terms=args.K, pivot=pivot, tol=args.tol,
+        size=args.N, terms=args.K, tol=args.tol,
     )
     payload = cert.to_json()
     _emit(payload, _cert_text(payload), args.report)
@@ -256,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "finite", "wiener", "fft", "neumann"],
         default="auto",
     )
-    p.add_argument("--pivot", help="pivot element as JSON (series method)")
     p.add_argument("--grid", type=int, default=64, help="symbol scan points per axis")
     p.add_argument("--N", type=int,
                    help="FFT grid size (power of two); default 512, or less where "

@@ -51,8 +51,6 @@ def _rank(value, what: str) -> int:
 class GroupSpec(ABC):
     """Shared interface of the concrete group carriers."""
 
-    kind = "abstract"
-
     @property
     @abstractmethod
     def identity(self):
@@ -76,7 +74,7 @@ class GroupSpec(ABC):
 
     @abstractmethod
     def sort_key(self, a):
-        """Key for the deterministic element order used by windows."""
+        """Key for the deterministic element order; each ball lists its elements in it."""
 
     @abstractmethod
     def ball_size(self, radius: int, cap: int | None = None) -> int:
@@ -85,7 +83,7 @@ class GroupSpec(ABC):
 
     @abstractmethod
     def ball(self, radius, *, cap=DEFAULT_BALL_CAP):
-        """Window of all elements of length <= radius (box on lattices)."""
+        """Window of all elements of length <= radius (box on lattices), in sort_key order."""
 
     @abstractmethod
     def to_json(self):
@@ -103,7 +101,6 @@ class GroupSpec(ABC):
 class LatticeGroup(GroupSpec):
     """The lattice Z^d written additively; elements are length-d int tuples."""
 
-    kind = "Z"
     __slots__ = ("rank", "_identity")
 
     def __init__(self, rank: int):
@@ -152,7 +149,7 @@ class LatticeGroup(GroupSpec):
         self.ball_size(radius, cap)
         span = range(-radius, radius + 1)
         elements = itertools.product(span, repeat=self.rank)
-        return Window(self, elements, sort=False)
+        return Window(self, elements)
 
     def to_json(self):
         return {"kind": "Z", "rank": self.rank}
@@ -175,7 +172,6 @@ class FreeGroup(GroupSpec):
     eagerly, so every stored word stays reduced.
     """
 
-    kind = "free"
     __slots__ = ("rank",)
 
     def __init__(self, rank: int):
@@ -242,6 +238,8 @@ class FreeGroup(GroupSpec):
         radius = _radius(radius)
         self.ball_size(radius, cap)
         letters = self._letters()
+        # Each level extends the sorted level before it by letters in increasing
+        # order, so the words come out in sort_key order.
         words = [()]
         level = [()]
         for _ in range(radius):
@@ -254,7 +252,7 @@ class FreeGroup(GroupSpec):
                     nxt.append(w + (letter,))
             level = nxt
             words.extend(nxt)
-        return Window(self, words, sort=True)
+        return Window(self, words)
 
     def to_json(self):
         return {"kind": "free", "rank": self.rank}
@@ -278,7 +276,6 @@ class CayleyGroup(GroupSpec):
     row/column indices.
     """
 
-    kind = "cayley"
     __slots__ = ("table", "order", "_identity", "_inverse", "name", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
@@ -358,8 +355,8 @@ class CayleyGroup(GroupSpec):
         radius = _radius(radius)
         self.ball_size(radius, cap)
         if radius == 0:
-            return Window(self, [self._identity], sort=False)
-        return Window(self, range(self.order), sort=False)
+            return Window(self, [self._identity])
+        return Window(self, range(self.order))
 
     def is_associative(self) -> bool:
         """Whether (a*b)*c == a*(b*c) for all a, b, c; the constructor requires it.
@@ -418,16 +415,14 @@ class CayleyGroup(GroupSpec):
 
 
 class Window:
-    """Ordered finite set of distinct group elements with positional lookup."""
+    """Finite set of distinct group elements, in the order given, with positional lookup."""
 
     __slots__ = ("group", "elements", "_pos")
 
-    def __init__(self, group: GroupSpec, elements: Iterable, *, sort: bool = True):
+    def __init__(self, group: GroupSpec, elements: Iterable):
         elems = list(elements)
         for x in elems:
             group.validate(x)
-        if sort:
-            elems.sort(key=group.sort_key)
         pos = {}
         for i, x in enumerate(elems):
             if x in pos:
@@ -451,11 +446,6 @@ class Window:
             return self._pos[x]
         except KeyError:
             raise UsageError(f"element {x!r} is not in the window") from None
-
-    def union(self, extra: Iterable) -> "Window":
-        merged = set(self.elements)
-        merged.update(extra)
-        return Window(self.group, merged, sort=True)
 
     def __eq__(self, other):
         return (

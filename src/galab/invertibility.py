@@ -53,6 +53,7 @@ CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of t
 CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
 MAX_INVERSE_SIZE = 4096     # wiener_certify: largest FFT inverse grid tried
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, within GRID_CAP
+ROOT_SPAN_CAP = 1024        # wiener_certify: widest rank-one degree span given to the root finder
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
 SINGULAR_TOL = 1e-12        # probe_quotients: a quotient |symbol| minimum this small is singular
 DF_SLACK = 10.0             # verify_direct_finiteness: right residual allowed per unit of tol
@@ -257,18 +258,18 @@ def _solve_exact(mat: list, gaussian: bool):
 # finite groups
 
 
-def _solve_float(mat: list):
-    """Float counterpart of _solve_exact on the same augmented [A | b] layout.
+def _solve_float(a: np.ndarray, row: int):
+    """Float counterpart of _solve_exact: A x = delta_row for a complex array A.
 
     One SVD of A gives both the rank test (smallest singular value at most
     SINGULAR_REL of the largest) and, when it fails, the kernel vector.
     """
-    aug = np.array(mat, dtype=complex)
-    a = aug[:, :-1]
     _, svals, vh = np.linalg.svd(a)
     if svals[-1] <= SINGULAR_REL * svals[0]:
         return "singular", vh[-1].conj()
-    return "solution", np.linalg.solve(a, aug[:, -1])
+    b = np.zeros(len(a), dtype=complex)
+    b[row] = 1
+    return "solution", np.linalg.solve(a, b)
 
 
 def _invert_exact(f: AlgebraElement) -> tuple:
@@ -367,14 +368,14 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     if exact:
         status, g = _invert_exact(f)
     else:
-        # The augmented matrix [A | b] of g*f = e: A[u y][u] = f(y), b = delta_e.
-        mat = [[0j] * (n + 1) for _ in range(n)]
+        # g*f = e as A g = delta_e with A[u y][u] = f(y).  Column y of the
+        # table is a permutation, so each entry is set once.
+        table = np.array(group.table)
+        cols = np.arange(n)
+        a = np.zeros((n, n), dtype=complex)
         for y, amp in f.items():
-            for u in range(n):
-                # Column y of the table is a permutation, so each entry is set once.
-                mat[group.mul(u, y)][u] = amp
-        mat[group.identity][n] = 1 + 0j
-        status, vec = _solve_float(mat)
+            a[table[:, y], cols] = amp
+        status, vec = _solve_float(a, group.identity)
         g = AlgebraElement(group, dict(enumerate(vec)), False)
     kind = "exact-finite" if exact else "float-finite"
     fields = {"order": n, "scalars": "exact" if exact else "float"}
@@ -487,8 +488,9 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     inverse_size (default as in invert_via_fft) and doubled while the grid
     stays within GRID_CAP.  In rank one
     a companion-matrix root within CIRCLE_TOL of the unit circle certifies
-    non-invertibility with the offending angle as witness.  Anything else
-    is inconclusive and the diagnostics say how close the call was.
+    non-invertibility with the offending angle as witness; a degree span
+    over ROOT_SPAN_CAP is not searched for roots.  Anything else is
+    inconclusive and the diagnostics say how close the call was.
     """
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
@@ -526,8 +528,16 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
         return _inconclusive("wiener-grid", fields, "margin is positive but no inverse met "
                              "the tolerance up to the size cap")
 
-    # The companion-matrix eigensolve is O(span^3), so it runs only here,
-    # where a root is the sole remaining way to a verdict.
+    # The companion-matrix eigensolve is O(span^3) in time and O(span^2) in
+    # memory, so it runs only here, where a root is the sole remaining way to
+    # a verdict, and only up to ROOT_SPAN_CAP.
+    if d == 1:
+        support = ff.support  # in increasing degree
+        span = support[-1][0] - support[0][0]
+        if span > ROOT_SPAN_CAP:
+            return _inconclusive("wiener-grid", fields, f"margin not positive and the degree "
+                                 f"span {span} exceeds ROOT_SPAN_CAP = {ROOT_SPAN_CAP}, "
+                                 "so no root witness was sought")
     roots = _laurent_roots(ff) if d == 1 else np.array([], dtype=complex)
     if roots.size:
         dists = np.abs(np.abs(roots) - 1.0)
@@ -562,15 +572,15 @@ def _tail_bound(norm, ratio, terms: int) -> float:
 
 
 def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
-                   pivot=None, terms: int = 40,
-                   tol: float = 1e-10) -> InvertibilityCertificate:
+                   terms: int = 40, tol: float = 1e-10) -> InvertibilityCertificate:
     """Geometric-series inverse around a dominant support point.
 
     Write f = u + rest with u the pivot term.  When the weighted norm of
     r = e - u^-1 * f is below one, the truncated series
     (e + r + ... + r^terms) * u^-1 approximates the inverse with tail bound
     |u^-1| * ratio^(terms+1) / (1 - ratio); both residuals are verified.
-    The default pivot minimizes the ratio over the support.
+    The pivot is the support point of least ratio (ties to the first in
+    sort_key order), since the ratio sets both convergence and tail bound.
     """
     if f.is_zero:
         raise UsageError("cannot invert the zero element")
@@ -581,24 +591,15 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     group = f.group
     e = identity_element(group, exact=f.exact)
 
-    def series_data(a):
+    best = None
+    for a in f.support:
         u_inv = delta(group, group.inv(a), 1 / f.amplitude(a), exact=f.exact)
         r = e - convolve(u_inv, f)
-        return u_inv, r, r.norm(w)
-
-    if pivot is None:
-        best = None
-        for a in f.support:
-            u_inv, r, ratio = series_data(a)
-            key = (_to_float(ratio), group.sort_key(a))
-            if best is None or key < best[0]:
-                best = (key, a, u_inv, r, ratio)
-        _, pivot, u_inv, r, ratio = best
-    else:
-        group.validate(pivot)
-        if f.amplitude(pivot) == 0:
-            raise UsageError(f"pivot {pivot!r} is not in the support")
-        u_inv, r, ratio = series_data(pivot)
+        ratio = r.norm(w)
+        key = (_to_float(ratio), group.sort_key(a))
+        if best is None or key < best[0]:
+            best = (key, a, u_inv, r, ratio)
+    _, pivot, u_inv, r, ratio = best
 
     fields = {
         "pivot": group.element_to_json(pivot),
@@ -712,8 +713,7 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
 
 def auto_invert(f: AlgebraElement, weight: Weight | None = None, *,
                 method: str = "auto", grid: int = 64, size: int | None = None,
-                terms: int = 40, pivot=None,
-                tol: float = 1e-10) -> InvertibilityCertificate:
+                terms: int = 40, tol: float = 1e-10) -> InvertibilityCertificate:
     """Pick an oracle by group kind (or run the requested one)."""
     if method == "auto":
         if weight is not None:
@@ -735,5 +735,5 @@ def auto_invert(f: AlgebraElement, weight: Weight | None = None, *,
     if method == "fft":
         return invert_via_fft(f, size, tol=tol)
     if method == "neumann":
-        return neumann_invert(f, weight, pivot=pivot, terms=terms, tol=tol)
+        return neumann_invert(f, weight, terms=terms, tol=tol)
     raise UsageError(f"unknown method {method!r}")

@@ -53,7 +53,7 @@ def input_window(f: AlgebraElement, window: Window) -> Window:
     for x in window:
         for y in support:
             pts.add(mul(x, y))
-    return Window(window.group, pts, sort=True)
+    return Window(window.group, sorted(pts, key=window.group.sort_key))
 
 
 def apply_convolution_action(f: AlgebraElement, g, window: Window,

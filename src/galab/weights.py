@@ -89,11 +89,6 @@ class Weight:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def __mul__(self, other):
-        if isinstance(other, Weight):
-            return ProductWeight((self, other))
-        return NotImplemented
-
 
 class ConstantWeight(Weight):
     """w(x) = value, a constant >= 1 (1 gives the plain l1 algebra)."""
@@ -663,19 +658,14 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     return DominationResult(feasible=True, character=Character(c), radius=radius)
 
 
-def character_twist(character: Character, element: AlgebraElement, *,
-                    inverse: bool = False) -> AlgebraElement:
+def character_twist(character: Character, element: AlgebraElement) -> AlgebraElement:
     """Multiply each amplitude by phi(x); an isomorphism of the two algebras.
 
     The twist intertwines convolution because phi is multiplicative:
-    twist(a*b) = twist(a) * twist(b).  inverse=True divides instead.
+    twist(a*b) = twist(a) * twist(b).  Twisting by the character of -c
+    undoes it.
     """
-    out = {}
-    for x, v in element.items():
-        factor = character.value(x)
-        if inverse:
-            factor = 1.0 / factor
-        out[x] = complex(v) * factor
+    out = {x: complex(v) * character.value(x) for x, v in element.items()}
     return AlgebraElement(element.group, out, False)
 
 

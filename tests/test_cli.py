@@ -77,7 +77,7 @@ def test_invert_inconclusive_exit_code(capsys):
     assert main(["invert", "--input", near]) == 3
 
 
-def test_invert_neumann_with_weight_and_pivot(capsys):
+def test_invert_neumann_with_weight(capsys):
     f = element_json(
         [{"x": [0], "re": "1", "im": "0"}, {"x": [1], "re": "-1/4", "im": "0"}],
         scalars="exact",
@@ -86,18 +86,40 @@ def test_invert_neumann_with_weight_and_pivot(capsys):
         [
             "invert", "--input", f,
             "--weight", '{"kind":"exp_symmetric","base":2}',
-            "--method", "neumann", "--pivot", "[0]", "--K", "40",
+            "--method", "neumann", "--K", "40",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "ratio = 0.5" in out
+    assert "pivot = [0]" in out and "ratio = 0.5" in out
+
+
+def test_pivot_flag_is_gone(capsys):
+    # The series always takes the least-ratio pivot.
+    argv = ["invert", "--input", INVERTIBLE, "--method", "neumann", "--pivot", "[1]"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unrecognized arguments: --pivot [1]"]
 
 
 def test_invert_reads_input_from_file(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(INVERTIBLE)
     assert main(["invert", "--input", str(path)]) == 0
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00bad", b"\x80"], ids=["utf-16-bom", "bad-utf-8"])
+def test_input_file_that_is_not_json_text_is_a_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "f.json"
+    path.write_bytes(data)
+    assert main(["invert", "--input", str(path)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_input_path_with_a_nul_is_a_usage_error(capsys):
+    assert main(["invert", "--input", "f\0.json"]) == 1
+    assert _one_error_line(capsys)
 
 
 def test_certify_dispatches_on_group_kind(tmp_path):
@@ -320,6 +342,23 @@ GOLDEN_REPORTS = {
         '"reason":"series ratio is >= 1 at the chosen pivot","residual":null,'
         '"scalars":"float","terms":40,"verdict":"inconclusive"}'
     ),
+    # The float finite solve: LAPACK's SVD and solve, pinned on one machine.
+    "float-finite-cert": (
+        '{"inverse":{"group":{"identity":0,"kind":"cayley","name":"C3","order":3,"table":[[0,'
+        '1,2],[1,2,0],[2,0,1]]},"scalars":"float","terms":[{"im":0.0,"re":0.49230769230769234,'
+        '"x":0},{"im":0.0,"re":-0.12307692307692308,"x":1},{"im":0.0,'
+        '"re":0.03076923076923077,"x":2}]},"kind":"float-finite","left_residual":0.0,'
+        '"order":3,"residual":0.0,"right_residual":0.0,"scalars":"float",'
+        '"verdict":"invertible"}'
+    ),
+    "float-finite-kernel": (
+        '{"inverse":null,"kernel":{"group":{"identity":0,"kind":"cayley","name":"C3",'
+        '"order":3,"table":[[0,1,2],[1,2,0],[2,0,1]]},"scalars":"float","terms":[{"im":-0.0,'
+        '"re":-0.5773502691896256,"x":0},{"im":-0.0,"re":-0.5773502691896261,"x":1},'
+        '{"im":-0.0,"re":-0.577350269189626,"x":2}]},"kernel_residual":8.881784197001252e-16,'
+        '"kind":"float-finite","order":3,"residual":null,"scalars":"float",'
+        '"verdict":"not-invertible"}'
+    ),
 }
 
 
@@ -345,6 +384,10 @@ def _golden_payload(kind):
         return dominate_character(TableWeight.on_ball(z, 1, [0.5, 1, 0.5]), z, 1).to_json()
     if kind == "scenario-lp":
         return scenario_lp(3).to_json()
+    if kind == "float-finite-cert":
+        return invert_finite(delta(c3, 0, 2.0) + delta(c3, 1, 0.5)).to_json()
+    if kind == "float-finite-kernel":
+        return invert_finite(delta(c3, 0, 1.0) - delta(c3, 1, 1.0)).to_json()
     if kind == "exact-kernel":
         return invert_finite(delta(c3, 0, 1, exact=True) - delta(c3, 1, 1, exact=True)).to_json()
     if kind == "fft-zero-sample":
@@ -441,9 +484,6 @@ def test_neumann_tail_bound_past_the_float_range(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["tail_bound"] == 0.0 and payload["ratio"] == 0.0
     assert payload["residual"] == "1/1" + "0" * 2000
-    # With pivot z the ratio itself is 10^400: inf, and the series is not run.
-    assert main(argv + ["--pivot", "[1]"]) == 3
-    assert "ratio = inf" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("moduli", ["a", "4x", "2..x", "3.5", "x", "1..2..3", "-"])

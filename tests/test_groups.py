@@ -255,10 +255,20 @@ def test_window_position_reports_missing_element():
         win.position((5,))
 
 
-def test_window_union():
+@pytest.mark.parametrize("group, radius", [
+    (LatticeGroup(1), 3), (LatticeGroup(2), 2), (LatticeGroup(3), 1),
+    (FreeGroup(1), 4), (FreeGroup(2), 3), (FreeGroup(3), 2),
+    (dihedral_group(4), 0), (dihedral_group(4), 1),
+])
+def test_balls_come_out_in_sort_key_order(group, radius):
+    # Window keeps the order it is given, so each ball must build its own in order.
+    elements = list(ball(group, radius))
+    assert elements == sorted(elements, key=group.sort_key)
+
+
+def test_window_keeps_the_order_it_is_given():
     z = LatticeGroup(1)
-    win = ball(z, 1).union([(4,)])
-    assert list(win) == [(-1,), (0,), (1,), (4,)]
+    assert list(Window(z, [(4,), (-1,), (0,)])) == [(4,), (-1,), (0,)]
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,20 @@ def test_wiener_inconclusive_without_witness():
     assert cert.fields["closest_root_distance"] == pytest.approx(0.01, rel=1e-6)
 
 
+def test_wiener_root_search_stops_at_the_span_cap(monkeypatch):
+    # 1 + z^(10^12) would ask the root finder for a 10^12 x 10^12 companion matrix.
+    cert = wiener_certify(delta(Z, (0,)) + delta(Z, (10**12,)))
+    assert cert.verdict == "inconclusive"
+    assert "ROOT_SPAN_CAP = 1024" in cert.fields["reason"]
+    # Span 8 is searched and 1 - z^8 has its root witness; span 9 is not searched.
+    monkeypatch.setattr(invertibility, "ROOT_SPAN_CAP", 8)
+    assert wiener_certify(delta(Z, (0,)) - delta(Z, (8,))).verdict == "not-invertible"
+    cert = wiener_certify(delta(Z, (-4,)) - delta(Z, (5,)))
+    assert cert.verdict == "inconclusive"
+    assert "span 9 exceeds ROOT_SPAN_CAP = 8" in cert.fields["reason"]
+    assert "closest_root_distance" not in cert.fields
+
+
 def test_wiener_rank2():
     z2 = LatticeGroup(2)
     f = delta(z2, (0, 0), 4) + delta(z2, (1, 0)) + delta(z2, (0, 1))
@@ -723,22 +737,16 @@ def test_neumann_free_group_branching_remainder():
     assert float(cert.residual) <= 2.0**-12
 
 
-def test_neumann_pivot_must_be_in_support():
-    f = delta(Z, (0,)) + delta(Z, (1,), 0.25)
-    with pytest.raises(UsageError):
-        neumann_invert(f, pivot=(7,))
+def test_neumann_refuses_the_zero_element():
     with pytest.raises(UsageError):
         neumann_invert(AlgebraElement.zero(Z))
 
 
-def test_neumann_explicit_pivot_changes_series():
-    f = delta(Z, (0,), 0.25) + delta(Z, (1,))
-    best = neumann_invert(f)  # auto picks the dominant d1
+def test_neumann_picks_the_least_ratio_pivot():
+    # Pivot d0 would give ratio 4; the dominant d1 gives 1/4.
+    best = neumann_invert(delta(Z, (0,), 0.25) + delta(Z, (1,)))
     assert best.fields["pivot"] == [1]
     assert best.fields["ratio"] == pytest.approx(0.25)
-    worse = neumann_invert(f, pivot=(0,))
-    assert worse.verdict == "inconclusive"
-    assert worse.fields["ratio"] == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,8 @@ def _invert_exact(f: AlgebraElement) -> tuple:
         # whole matrix's first free column is the first free column of some
         # block, and its kernel vector lives on that block: search the cosets
         # by their least element until none can hold an earlier free column.
+        # A nonzero f puts a pivot on a block's least column, so only a block
+        # whose second column comes first can win; zero f has 1 x 1 blocks.
         home = min(vec)
         best = max(c for c, v in vec.items() if v != zero), den, vec
         covered = set()
@@ -323,9 +325,9 @@ def _invert_exact(f: AlgebraElement) -> tuple:
                 break
             if u in covered:
                 continue
-            coset = {table[u][k] for k in sub}
-            covered |= coset
-            if u != home:
+            coset = sorted(table[u][k] for k in sub)
+            covered.update(coset)
+            if u != home and (len(coset) == 1 or coset[1] < best[0]):
                 _, den, vec = solve(coset, False)
                 free = max(c for c, v in vec.items() if v != zero)
                 if free < best[0]:

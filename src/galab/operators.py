@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, QComplex, convolve, delta
+from .algebra import AlgebraElement, convolve, delta
 from .errors import ResourceLimitError, UsageError
 from .groups import LatticeGroup, Window, _integer
 from .weights import Weight
 
 ENTRY_CAP = 10**7  # largest dense action matrix, in entries
-_ZERO = Fraction(0)
 
 
 def _reader(g):
@@ -61,50 +59,27 @@ def apply_convolution_action(f: AlgebraElement, g, window: Window,
     """Apply the (weighted) action of f to g on the window; returns {x: value}.
 
     g must cover input_window(f, window); a mapping that misses a point
-    raises UsageError naming it.  Exact amplitudes and exact g values keep
-    the result exact when no weight is involved.
+    raises UsageError naming it.  Each output is summed product by product
+    in the scalars' own arithmetic: exact f and g keep it exact when no
+    weight is involved, at one rational product per term and point.
+    Unweighted, this is g * f~ with f~(y) = f(y^-1) (see algebra.convolve).
     """
     if f.group != window.group:
         raise UsageError("element and window live over different groups")
     group = window.group
     mul = group.mul
     read = _reader(g)
-
-    def summed(x):
-        # Product by product in the scalars' own arithmetic: float f, a
-        # weight, and exact f at a point that reads a float or complex value.
+    terms = f.items()
+    out = {}
+    for x in window:
         total = 0
-        for y, amp in f.items():
+        for y, amp in terms:
             xy = mul(x, y)
             val = read(xy) * amp
             if weight is not None:
                 val = complex(val) * (weight.value(group, xy) / weight.value(group, x))
             total = total + val
-        return total
-
-    if weight is not None or not f.exact or f.is_zero:  # zero f: int 0 everywhere
-        return {x: summed(x) for x in window}
-    # f = n / L with n integral (Gaussian pairs), so each output is the sum of
-    # g(x*y) n_y -- on plain ints when g is -- divided by L once.
-    lf, nums = f.numerators()
-    fterms = [(y, *(v if f.gaussian else (v, 0))) for y, v in nums.items()]
-    out = {}
-    for x in window:
-        re = im = 0
-        for y, fr, fi in fterms:
-            v = read(mul(x, y))
-            t = type(v)
-            if t is int or t is Fraction:
-                re += v * fr
-                im += v * fi
-            elif t is QComplex:
-                re += v.re * fr - v.im * fi
-                im += v.re * fi + v.im * fr
-            else:
-                out[x] = summed(x)
-                break
-        else:
-            out[x] = QComplex(Fraction(re, lf), Fraction(im, lf) if im else _ZERO)
+        out[x] = total
     return out
 
 

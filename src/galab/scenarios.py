@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _fraction, delta, to_jsonable
+from .algebra import AlgebraElement, _fraction, convolve, delta, to_jsonable
 from .errors import ResourceLimitError, UsageError
 from .groups import LatticeGroup, _integer
 from .invertibility import VERDICT_NOT_INVERTIBLE, wiener_certify
-from .operators import apply_convolution_action
 
 # Work limits, checked before anything is allocated.
 LP_RADIUS_CAP = 10**5   # scenario_lp: largest window radius
@@ -78,13 +77,14 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
         raise ResourceLimitError(f"radius {radius} exceeds cap {LP_RADIUS_CAP}")
     group = LatticeGroup(1)
     f = delta(group, (0,), 1, exact=True) - delta(group, (1,), 1, exact=True)
-    window = group.ball(radius)
 
-    ones = {(x,): 1 for x in range(-radius, radius + 2)}
-    acted = apply_convolution_action(f, ones, window)
-    # f's amplitudes are the integers 1 and -1 and g is 1, so every value is a
-    # real integer: the maximum is taken on the numerators.
-    const_residual = Fraction(max(abs(v.re.numerator) for v in acted.values()))
+    # The action (rho_f g)(x) = sum_y g(x+y) f(y) is (g * f~)(x) with
+    # f~(y) = f(-y) = d0 - d-1; g = 1 on the input window [-N, N+1].
+    ones = AlgebraElement.from_numerators(
+        group, {(x,): 1 for x in range(-radius, radius + 2)}, 1, False)
+    acted = convolve(ones, AlgebraElement.from_numerators(group, {(0,): 1, (-1,): -1}, 1, False))
+    const_residual = max((abs(v) for (x,), v in acted.items() if abs(x) <= radius),
+                         default=Fraction(0))
 
     a = {-radius: 0}
     for x in range(-radius, radius):

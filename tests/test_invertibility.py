@@ -406,9 +406,22 @@ def test_kernel_witness_outside_the_identity_block_is_the_whole_matrix_one(monke
     _, g = whole_matrix_solve(f)
     assert cert.fields["kernel"] == element_to_json(g)
     assert set(g.support) == {0, 4}
-    # The block of {2, 6}, then those of {0, 4}, {1, 5} and {3, 7}, whose least
-    # elements lie below 4; no block can hold a free column before its least element.
-    assert sizes == [2, 2, 2, 2]
+    # The block of {2, 6}, then that of {0, 4}, whose second element lies
+    # below 6.  {1, 5} and {3, 7} are skipped: a block's least column always
+    # holds a pivot, and their second elements do not lie below 4.
+    assert sizes == [2, 2]
+
+
+def test_zero_element_kernel_is_the_first_column_whatever_the_identity():
+    # C3 with identity 1: the zero element's blocks are 1 x 1 and all free,
+    # so the search must still reach the block of column 0.
+    c3 = CayleyGroup([[2, 0, 1], [0, 1, 2], [1, 2, 0]], identity=1)
+    f = AlgebraElement.zero(c3, exact=True)
+    cert = invert_finite(f)
+    assert cert.verdict == "not-invertible"
+    _, g = whole_matrix_solve(f)
+    assert cert.fields["kernel"] == element_to_json(g)
+    assert g.support == (0,)
 
 
 def test_inverse_of_an_element_on_a_proper_subgroup_coset_lives_on_its_block():

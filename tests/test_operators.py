@@ -19,6 +19,7 @@ from galab.operators import (
     pairing,
     symbol_grid,
 )
+from galab.scenarios import scenario_lp
 from galab.weights import ConstantWeight, ExpSymmetricWeight, PolynomialWeight
 
 Z = LatticeGroup(1)
@@ -63,7 +64,7 @@ def test_exact_action_missing_point_is_reported():
 
 
 def _reference_action(f, g, window, weight=None):
-    """The per-product loop apply_convolution_action ran before its integer kernel."""
+    """The action written out as a per-product loop, independently of galab."""
     group = window.group
     mul = group.mul
     out = {}
@@ -148,6 +149,35 @@ def test_exact_action_of_zero_matches_the_per_product_loop():
     g = {x: 1 for x in Z.ball(2)}
     _assert_same_action(apply_convolution_action(f, g, Z.ball(2)),
                         _reference_action(f, g, Z.ball(2)))
+
+
+@pytest.mark.parametrize("g_kind", ["int", "fraction", "qcomplex"])
+@pytest.mark.parametrize("f_kind", ["real", "gaussian"])
+@pytest.mark.parametrize("group_name", ["Z", "Z2", "D4"])
+def test_exact_action_is_the_convolution_with_the_reflected_element(group_name, f_kind,
+                                                                     g_kind):
+    # (rho_f g)(x) = sum_y g(x y) f(y) = (g * f~)(x) with f~(y) = f(y^-1);
+    # D4 is not abelian, so the inverse is not a sign flip there.
+    rng = random.Random(f"reflected:{group_name}:{f_kind}:{g_kind}")
+    f, window = _action_case(group_name, f_kind, rng)
+    group = f.group
+    values = {z: _G_VALUES[g_kind](rng) for z in input_window(f, window)}
+    g = AlgebraElement(group, values, True)
+    f_reflected = AlgebraElement(group, {group.inv(y): amp for y, amp in f.items()}, True)
+    product = convolve(g, f_reflected)
+    acted = apply_convolution_action(f, values, window)
+    assert list(acted) == list(window)
+    for x in window:
+        assert acted[x] == product.amplitude(x), x
+
+
+@pytest.mark.parametrize("radius", [1, 2, 7])
+def test_scenario_lp_residual_is_the_constant_action(radius):
+    f = delta(Z, (0,), 1, exact=True) - delta(Z, (1,), 1, exact=True)
+    ones = {(x,): 1 for x in range(-radius, radius + 2)}
+    acted = apply_convolution_action(f, ones, Z.ball(radius))
+    findings = dict(scenario_lp(radius).findings)
+    assert findings["constant-action-residual"] == max(abs(v) for v in acted.values())
 
 
 def test_weighted_action_frozen_values():

@@ -1,8 +1,12 @@
-"""README's Quick tour runs as written and prints what its comments say."""
+"""README's Quick tour and command-line transcripts run as written and print
+what the README shows."""
 
 import ast
+import shlex
 from fractions import Fraction
 from pathlib import Path
+
+from galab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +38,58 @@ def test_quick_tour_runs_verbatim_and_matches_its_comments():
     assert Fraction(2) ** -41 in values
     assert values[-1] == 0 and isinstance(values[-1], Fraction)
     assert namespace["g"].n_terms == 44
+
+
+def _transcripts() -> list:
+    """(argv, expected stdout lines) of each ``$ galab ...`` block, in order.
+
+    A command runs on while a line ends in a backslash or a quote is open.
+    """
+    blocks = []
+    lines = README.read_text(encoding="utf-8").splitlines()
+    i = 0
+    while i < len(lines):
+        if not lines[i].startswith("$ galab "):
+            i += 1
+            continue
+        command = lines[i][2:]
+        while True:
+            try:
+                argv = shlex.split(command.replace("\\\n", " "))
+            except ValueError:  # a quote spans the line break
+                argv = None
+            if argv is not None and not command.endswith("\\"):
+                break
+            i += 1
+            command += "\n" + lines[i]
+        i += 1
+        start = i
+        while lines[i] != "```":
+            i += 1
+        blocks.append((argv[1:], lines[start:i]))
+    return blocks
+
+
+def _shows_in_order(expected: list, got: list) -> bool:
+    """Whether every line of expected but the "..." ones appears in got, in order."""
+    rest = iter(got)
+    return all(line in rest for line in expected if line.strip() != "...")
+
+
+def test_command_line_transcripts_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    blocks = _transcripts()
+    assert len(blocks) == 9
+    monkeypatch.chdir(tmp_path)
+    previous_input = None
+    for argv, expected in blocks:
+        if "difference_filter.json" in argv:
+            # The probe block reads the filter of the block before it.
+            (tmp_path / "difference_filter.json").write_text(previous_input, encoding="utf-8")
+        main(argv)
+        out = capsys.readouterr().out
+        if any(line.strip() == "..." for line in expected):
+            assert _shows_in_order(expected, out.splitlines()), (argv, out)
+        else:
+            assert out == "\n".join(expected) + "\n", argv
+        if "--input" in argv:
+            previous_input = argv[argv.index("--input") + 1]

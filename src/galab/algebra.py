@@ -439,19 +439,20 @@ def _convolve_exact(group, h: AlgebraElement, f: AlgebraElement) -> AlgebraEleme
     mul = group.mul
     den = h._den * f._den
     acc: dict = {}
+    get = acc.get
     if h.gaussian or f.gaussian:
         fterms = [(y, fr, fi) for y, (fr, fi) in f._pairs(1).items()]
         for x, (hr, hi) in h._pairs(1).items():
             for y, fr, fi in fterms:
                 z = mul(x, y)
-                re, im = acc.get(z, (0, 0))
+                re, im = get(z, (0, 0))
                 acc[z] = (re + hr * fr - hi * fi, im + hr * fi + hi * fr)
         return AlgebraElement.from_numerators(group, acc, den, True)
     fterms = list(f._terms.items())
     for x, hn in h._terms.items():
         for y, fn in fterms:
             z = mul(x, y)
-            acc[z] = acc.get(z, 0) + hn * fn
+            acc[z] = get(z, 0) + hn * fn
     return AlgebraElement.from_numerators(group, acc, den, False)
 
 
@@ -463,11 +464,13 @@ def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
         return _convolve_exact(group, a, b)
     mul = group.mul
     acc: dict = {}
+    get = acc.get
+    bterms = list(b._terms.items())
     for x, av in a._terms.items():
-        for y, bv in b._terms.items():
+        for y, bv in bterms:
             z = mul(x, y)
             prod = av * bv
-            cur = acc.get(z)
+            cur = get(z)
             acc[z] = prod if cur is None else cur + prod
     return _make(group, False, {z: v for z, v in acc.items() if v != 0})
 

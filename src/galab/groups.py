@@ -116,6 +116,11 @@ class LatticeGroup(GroupSpec):
     def mul(self, a, b):
         if len(a) != self.rank or len(b) != self.rank:
             raise UsageError(f"operands {a!r}, {b!r} do not belong to Z^{self.rank}")
+        # Ranks one and two are unrolled: the kernels call mul once per product.
+        if self.rank == 1:
+            return (a[0] + b[0],)
+        if self.rank == 2:
+            return (a[0] + b[0], a[1] + b[1])
         return tuple(map(operator.add, a, b))
 
     def inv(self, a):
@@ -182,6 +187,8 @@ class FreeGroup(GroupSpec):
         return ()
 
     def mul(self, a, b):
+        if not a or not b or a[-1] != -b[0]:
+            return a + b
         i = len(a)
         j = 0
         nb = len(b)

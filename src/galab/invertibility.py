@@ -29,6 +29,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    _make,
     convolve,
     delta,
     element_to_json,
@@ -459,9 +460,10 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     # np.nonzero walks the grid in C (row-major) order, which fixes the order
     # of the kept terms and so the summation order of the verifying
     # convolution.  Indices past the middle wrap to negative exponents.
+    # Keys are int tuples from .tolist(); kept amplitudes are finite and nonzero.
     idx = np.nonzero(mags > CHOP_REL * float(np.max(mags)))
     keys = zip(*(np.where(i >= (size + 1) // 2, i - size, i).tolist() for i in idx))
-    g = AlgebraElement(group, dict(zip(keys, coeff[idx].tolist())), False)
+    g = _make(group, False, dict(zip(keys, coeff[idx].tolist())))
     residual = float((convolve(g, ff) - identity_element(group)).norm())
     return _verified("fft-candidate", {"size": size, "chop": CHOP_REL, "grid_min": vmin},
                      g, residual, tol, "candidate residual above tolerance; increase the grid")

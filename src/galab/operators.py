@@ -195,14 +195,22 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     if len(sizes) != f.group.rank or any(s < 1 for s in sizes):
         raise UsageError(f"bad grid sizes {sizes!r} for rank {f.group.rank}")
     arr = np.zeros(sizes, dtype=complex)
+    lines = set()
     for n, amp in f.items():
         idx = tuple(ni % s for ni, s in zip(n, sizes))
         arr[idx] += complex(amp)
+        lines.add(idx[:-1])
     scale = 1
     for s in sizes:
         scale *= s
     # In place (numpy >= 2.0 FFTs take out=): the transform and the scaling
-    # allocate no second grid.
-    np.fft.ifftn(arr, out=arr)
+    # allocate no second grid.  ifftn transforms the last axis first, when only
+    # the lines holding a term are nonzero, so that pass runs on those alone.
+    if len(sizes) > 1 and lines:
+        occupied = tuple(zip(*lines))
+        arr[occupied] = np.fft.ifft(arr[occupied], axis=-1)
+        np.fft.ifftn(arr, axes=tuple(range(len(sizes) - 1)), out=arr)
+    else:
+        np.fft.ifftn(arr, out=arr)
     arr *= scale
     return arr

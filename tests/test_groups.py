@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -194,24 +195,44 @@ def test_free_validate_rejects_unreduced():
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6)
 
 
+def _reduce(letters):
+    """Free reduction by a stack: the reference for FreeGroup.mul."""
+    out = []
+    for s in letters:
+        if out and out[-1] == -s:
+            out.pop()
+        else:
+            out.append(s)
+    return tuple(out)
+
+
 @given(words, words, words)
 @settings(max_examples=60)
 def test_free_group_axioms(u, v, w):
     f2 = FreeGroup(2)
-
-    def reduce(letters):
-        out = []
-        for s in letters:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return tuple(out)
-
-    x, y, z = reduce(u), reduce(v), reduce(w)
+    x, y, z = _reduce(u), _reduce(v), _reduce(w)
     assert f2.mul(f2.mul(x, y), z) == f2.mul(x, f2.mul(y, z))
     assert f2.mul(x, f2.inv(x)) == ()
     assert f2.mul((), x) == x
+
+
+def test_free_mul_matches_stack_reduction():
+    # mul concatenates at once when the boundary letters do not cancel.
+    f3 = FreeGroup(3)
+    rng = random.Random("free-mul")
+
+    def word():
+        return _reduce(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 8)))
+
+    for _ in range(600):
+        a = word()
+        k = rng.randint(0, len(a))
+        b = rng.choice([
+            f3.inv(a),  # cancels fully
+            _reduce(f3.inv(a[len(a) - k:]) + word()),  # cancels at least k letters
+            word(),
+        ])
+        assert f3.mul(a, b) == _reduce(a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +247,22 @@ def test_lattice_group_laws(a, b):
     assert z2.mul(a, b) == z2.mul(b, a)
     assert z2.mul(a, z2.inv(a)) == (0, 0)
     assert z2.word_length(a) == abs(a[0]) + abs(a[1])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_lattice_mul_is_the_sum_of_operands_of_the_rank(rank):
+    # Ranks one and two have unrolled branches; each keeps the length check.
+    group = LatticeGroup(rank)
+    rng = random.Random(f"lattice-mul:{rank}")
+    for _ in range(50):
+        a, b = (tuple(rng.randint(-99, 99) for _ in range(rank)) for _ in range(2))
+        assert group.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    good = (0,) * rank
+    for bad in [(0,) * (rank - 1), (0,) * (rank + 1)]:
+        with pytest.raises(UsageError):
+            group.mul(good, bad)
+        with pytest.raises(UsageError):
+            group.mul(bad, good)
 
 
 def test_lattice_rank_cap():

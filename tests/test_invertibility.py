@@ -583,13 +583,38 @@ def test_default_inverse_size_fits_the_grid_cap():
 
 
 def test_symbol_grid_matches_out_of_place_transform():
+    # symbol_grid runs its last-axis pass on occupied lines only; the dense
+    # transform is the reference, on odd, even and mixed per-axis sizes.
     rng = random.Random("symbol-grid")
-    for d, size in [(1, 64), (2, 32), (3, 8)]:
-        f = _dominant_element(rng, LatticeGroup(d), 3)
-        arr = np.zeros((size,) * d, dtype=complex)
+    z2 = LatticeGroup(2)
+    square = [(1, 64), (2, 32), (3, 8), (2, 3), (2, 6), (2, 12)]  # then the probe moduli
+    cases = [(_dominant_element(rng, LatticeGroup(d), 3), (size,) * d) for d, size in square]
+    cases += [(_dominant_element(rng, LatticeGroup(len(s)), 3), s) for s in [(6, 4), (3, 5, 2)]]
+    cases += [
+        (delta(z2, (1, 2), 0.5) + delta(z2, (1, -3), -1j), (4, 8)),  # two terms on one line
+        (AlgebraElement(z2, {(i, i * i): 1 + i / 4 for i in range(5)}, False), (5, 7)),  # every line
+        (AlgebraElement.zero(z2), (4, 4)),
+    ]
+    for f, sizes in cases:
+        arr = np.zeros(sizes, dtype=complex)
         for n, amp in f.items():
-            arr[tuple(i % size for i in n)] += amp
-        assert symbol_grid(f, (size,) * d).tobytes() == (np.fft.ifftn(arr) * size**d).tobytes()
+            arr[tuple(i % s for i, s in zip(n, sizes))] += amp
+        expected = np.fft.ifftn(arr) * math.prod(sizes)
+        assert symbol_grid(f, sizes).tobytes() == expected.tobytes(), (f, sizes)
+
+
+def test_fft_candidate_is_a_valid_element_with_no_zero_amplitude():
+    # invert_via_fft builds its candidate without the constructor's checks.
+    rng = random.Random("fft-candidate")
+    z1 = LatticeGroup(1)
+    certs = [invert_via_fft(_dominant_element(rng, LatticeGroup(d), 3)) for d in (1, 2)]
+    slow = wiener_certify(AlgebraElement(z1, {(0,): 1.5, (1,): -1.5 * 0.94}, False), 1024)
+    assert slow.fields["inverse_size"] > 512  # a failed doubling built a candidate too
+    for cert in certs + [slow]:
+        assert cert.verdict == "invertible"
+        g = cert.inverse
+        assert g == AlgebraElement(g.group, dict(g.items()), False)
+        assert all(amp != 0 for _, amp in g.items())
 
 
 def test_fft_inverse_peak_memory_below_three_grids():

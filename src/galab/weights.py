@@ -81,8 +81,6 @@ def _exp(exponents, what: str) -> float:
 class Weight:
     """Base class; subclasses implement value(group, x) > 0."""
 
-    kind = "abstract"
-
     def value(self, group: GroupSpec, x):
         raise NotImplementedError
 
@@ -92,8 +90,6 @@ class Weight:
 
 class ConstantWeight(Weight):
     """w(x) = value, a constant >= 1 (1 gives the plain l1 algebra)."""
-
-    kind = "constant"
 
     def __init__(self, value=1):
         if value < 1:
@@ -110,8 +106,6 @@ class ConstantWeight(Weight):
 class ExpSymmetricWeight(Weight):
     """w(x) = base ** length(x); symmetric since length(x) = length(x^-1)."""
 
-    kind = "exp_symmetric"
-
     def __init__(self, base):
         if base <= 0:
             raise UsageError(f"exp_symmetric base must be positive, got {base}")
@@ -126,8 +120,6 @@ class ExpSymmetricWeight(Weight):
 
 class PolynomialWeight(Weight):
     """w(x) = (1 + length(x)) ** beta with beta >= 0."""
-
-    kind = "polynomial"
 
     def __init__(self, beta):
         if beta < 0:
@@ -147,8 +139,6 @@ class ExpDirectionalWeight(Weight):
     The rectified form grows in the positive directions and is flat in the
     negative ones, so it is genuinely one-sided (and not symmetric).
     """
-
-    kind = "exp_directional"
 
     def __init__(self, coefficients: Sequence[float], *, rectified: bool = True):
         self.coefficients = tuple(float(c) for c in coefficients)
@@ -174,86 +164,31 @@ class ExpDirectionalWeight(Weight):
 class TableWeight(Weight):
     """Weight given by explicit values on a finite table of elements.
 
-    extension="error" refuses evaluation outside the table;
-    extension="envelope" extends by the cheapest product of table factors,
-    which keeps submultiplicativity relative to the tabulated values.
+    A table is a lookup: evaluation outside it is refused.  Each value must
+    be positive and within the float range, as every other weight value is.
     """
 
-    kind = "table"
-
-    def __init__(self, values: Mapping, *, extension: str = "error", radius: int | None = None):
-        if extension not in ("error", "envelope"):
-            raise UsageError(f"unknown table extension rule {extension!r}")
+    def __init__(self, values: Mapping):
         if not values:
             raise UsageError("table weight needs at least one entry")
-        for v in values.values():
-            if v <= 0:
-                raise UsageError(f"weights must be strictly positive, got {v}")
-        self.values = dict(values)
-        self.extension = extension
-        self.radius = radius
-        self._envelope_cache: dict = {}
+        self.values = {x: _checked(v, "table weight") for x, v in values.items()}
 
     def value(self, group, x):
-        if x in self.values:
-            return self.values[x]
-        if self.extension == "error":
+        if x not in self.values:
             raise UsageError(f"element {x!r} is outside the weight table")
-        best = self._envelope(group, x)
-        if best is None:
-            raise UsageError(f"element {x!r} is not reachable by products of table entries")
-        return _checked(best, "table envelope value")
-
-    def _envelope(self, group, x):
-        """Least w(u) * w(rest) over table entries u != e with x = u * rest and
-        rest shorter than x, rest valued by the table or else by the same rule;
-        None when no such product reaches x.  The words it needs are gathered
-        with an explicit stack, not one recursion level per letter, and then
-        valued shortest first; every result is memoised.
-        """
-        memo, table = self._envelope_cache, self.values
-        rests_of = {}
-        todo = [x]
-        while todo:
-            y = todo.pop()
-            if y in table or y in memo or y in rests_of:
-                continue
-            length = group.word_length(y)
-            rests = [(wu, group.mul(group.inv(u), y)) for u, wu in table.items()
-                     if u != group.identity]
-            rests_of[y] = [(wu, r) for wu, r in rests if group.word_length(r) < length]
-            todo.extend(r for _, r in rests_of[y])
-        for y in sorted(rests_of, key=group.word_length):  # each rest before its word
-            known = [(wu, table[r] if r in table else memo[r]) for wu, r in rests_of[y]]
-            memo[y] = min((wu * w for wu, w in known if w is not None), default=None)
-        return memo[x]
+        return self.values[x]
 
     def to_json(self):
-        # Values listed in canonical ball order when a radius is recorded;
-        # otherwise as explicit (element, value) pairs.
-        if self.radius is not None:
-            return {
-                "kind": "table",
-                "ball_radius": self.radius,
-                "values": list(self.values.values()),
-                "extension": self.extension,
-            }
-        return {
-            "kind": "table",
-            "entries": [[x, v] for x, v in self.values.items()],
-            "extension": self.extension,
-        }
+        return {"kind": "table", "entries": [[x, v] for x, v in self.values.items()]}
 
     @staticmethod
-    def on_ball(group: GroupSpec, radius: int, values: Sequence[float], *,
-                extension: str = "error") -> "TableWeight":
+    def on_ball(group: GroupSpec, radius: int, values: Sequence[float]) -> "TableWeight":
         window = ball(group, radius)
         if len(values) != len(window):
             raise UsageError(
                 f"expected {len(window)} values for ball({radius}), got {len(values)}"
             )
-        mapping = dict(zip(window.elements, values))
-        return TableWeight(mapping, extension=extension, radius=radius)
+        return TableWeight(dict(zip(window.elements, values)))
 
 
 @dataclass(frozen=True)
@@ -277,8 +212,6 @@ class Character:
 class QuotientWeight(Weight):
     """w(x) / phi(x) for a weight w and character phi; the rescaled weight."""
 
-    kind = "quotient"
-
     def __init__(self, numerator: Weight, character: Character):
         self.numerator = numerator
         self.character = character
@@ -300,8 +233,6 @@ class QuotientWeight(Weight):
 
 class ProductWeight(Weight):
     """Pointwise product of weights (submultiplicative whenever the factors are)."""
-
-    kind = "product"
 
     def __init__(self, factors: Sequence[Weight]):
         flat = []
@@ -372,18 +303,17 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
                 _numbers(obj["coefficients"], "exp_directional coefficients"), rectified=rectified
             )
         if kind == "table":
-            extension = obj.get("extension", "error")
+            if obj.get("extension", "error") != "error":
+                raise UsageError('weight tables are lookup-only; "extension" must be "error"')
             if "ball_radius" in obj:
                 if group is None:
                     raise UsageError("ball-aligned weight tables need the group to decode")
                 radius = _integer(obj["ball_radius"], "table ball_radius")
-                return TableWeight.on_ball(
-                    group, radius, _numbers(obj["values"], "table values"), extension=extension
-                )
+                return TableWeight.on_ball(group, radius, _numbers(obj["values"], "table values"))
             entries = _list(obj["entries"], "table entries")
             if group is None:
                 raise UsageError("weight tables need the group to decode their elements")
-            return TableWeight(dict(_table_entry(e, group) for e in entries), extension=extension)
+            return TableWeight(dict(_table_entry(e, group) for e in entries))
         if kind == "quotient":
             character = obj["character"]
             if not isinstance(character, dict):

@@ -25,6 +25,9 @@ from galab.invertibility import (
 from galab.scenarios import scenario_lp, scenario_torus
 from galab.weights import TableWeight, check_weight, dominate_character
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 
 def element_json(terms, rank=1, scalars="float"):
     return json.dumps(
@@ -420,13 +423,14 @@ def test_report_with_a_non_finite_value_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_envelope_weight_on_a_long_word(capsys):
-    # The envelope of x^3000 peels 3000 letters, more than the recursion limit allows.
-    el = element_json([{"x": [0], "re": 3.0}, {"x": [3000], "re": 1.0}])
-    weight = json.dumps({"kind": "table", "extension": "envelope",
-                         "entries": [[[0], 1.0], [[1], 1.0], [[-1], 1.0]]})
-    assert main(["invert", "--input", el, "--weight", weight, "--K", "2", "--tol", "0.1"]) == 0
-    assert "ratio = 0.3333333333333333" in capsys.readouterr().out
+def test_table_extension_other_than_error_is_refused(capsys):
+    # series-weighted's table-envelope slot: tables are lookup-only, so the
+    # weight that certified the non-invertible delta_0 - delta_1 is refused.
+    name, weight, terms = workloads.SERIES_DEFECTS[1]
+    assert name == "table-envelope"
+    el = element_json([{"x": [x], "re": float(c)} for x, c in terms])
+    assert main(["invert", "--input", el, "--weight", json.dumps(weight), "--K", "40"]) == 1
+    assert _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("argv", [

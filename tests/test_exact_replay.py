@@ -4,6 +4,9 @@ The digests below are sha256 sums of the canonical output texts of every
 query in the cycle, joined in query order.  They were recorded before exact
 elements moved to one-denominator storage, so any change to a verdict, a
 certificate field or a printed amplitude on these paths shows up here.
+The series-weighted digest was re-recorded when weight tables became
+lookup-only: query 6, the table-envelope slot, changed from an
+`invertible` certificate to a refusal, and no other query changed.
 
     PYTHONPATH=src python -m pytest -q tests/test_exact_replay.py
 """
@@ -34,7 +37,7 @@ CLI_EXACT = ("invert-neumann", "invert-finite", "certify", "df-check", "scenario
 
 GOLDEN = {
     "finite-exact": "30b6514525720b3fc974204f3847c32c4f6bf9f0658b872a43456f0231caafa7",
-    "series-weighted": "85aee74511d49bf953a48089d53d4643adaebf6f8bb2a155dbf9d6a6970c60b8",
+    "series-weighted": "d4a063817dae43e089bc808b4693c0d79e1331c965b5476caef6bb1302fdaae8",
     "cli-readme": "b7a5f0d01af2c13bdde4c895fbd67a2604991e7f1b2b0c2665ba3849a2d8d9c7",
 }
 

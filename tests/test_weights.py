@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,9 @@ from galab.weights import (
     weight_from_json,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 Z = LatticeGroup(1)
 Z2 = LatticeGroup(2)
 
@@ -65,7 +70,6 @@ def test_weight_values_stay_within_the_float_range():
         (ExpDirectionalWeight([-1000.0], rectified=False), (1,)),  # underflows to 0
         (QuotientWeight(ConstantWeight(), Character((-746.0,))), (1,)),
         (ProductWeight([ExpSymmetricWeight(1e200), ExpSymmetricWeight(1e200)]), (1,)),
-        (TableWeight({(1,): 1e200}, extension="envelope"), (2,)),
     ]
     for weight, x in outside:
         with pytest.raises(UsageError, match="float range"):
@@ -96,20 +100,33 @@ def test_check_weight_flags_directional_asymmetry():
 
 def test_check_weight_catches_violation():
     # values dip below 1 at +/-1 while 1 at 0: w(1)*w(-1) < w(0) fails
-    tw = TableWeight({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, extension="error")
+    tw = TableWeight({(0,): 1.0, (1,): 0.5, (-1,): 0.5})
     rep = check_weight(tw, Z.ball(1))
     assert not rep.submultiplicative
     assert rep.worst_ratio > 1
     assert rep.worst_pair is not None
 
 
-def test_table_weight_envelope_extension():
-    tw = TableWeight({(0,): 1.0, (1,): 2.0, (-1,): 2.0}, extension="envelope")
-    # cheapest product reaching 3 = three single steps
-    assert tw.value(Z, (3,)) == pytest.approx(8.0)
-    strict = TableWeight({(0,): 1.0, (1,): 2.0}, extension="error")
-    with pytest.raises(UsageError):
+def test_table_weight_is_lookup_only():
+    # An extension of a table to products of its entries need not be
+    # submultiplicative: {0: 1, +-1: 0.1} would certify the non-invertible
+    # delta_0 - delta_1.  So only "extension": "error" decodes.
+    name, weight, _ = workloads.SERIES_DEFECTS[1]
+    assert name == "table-envelope"
+    with pytest.raises(UsageError, match="lookup-only"):
+        weight_from_json(weight, Z)
+    assert weight_from_json({**weight, "extension": "error"}, Z).value(Z, (1,)) == 0.1
+    strict = TableWeight({(0,): 1.0, (1,): 2.0})
+    with pytest.raises(UsageError, match="outside the weight table"):
         strict.value(Z, (2,))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2**2000, 0, -1.0])
+def test_table_weight_values_are_checked(value):
+    # The constructor refuses what JSON decoding refuses, so a table built in
+    # Python cannot carry a NaN or overflow a float norm later.
+    with pytest.raises(UsageError, match="float range"):
+        TableWeight({(0,): 1.0, (1,): value, (-1,): 1.0})
 
 
 def test_table_weight_on_ball_checks_length():
@@ -125,11 +142,14 @@ def test_weight_json_round_trip():
         ExpDirectionalWeight([0.5, -0.25], rectified=False),
         ProductWeight((ExpSymmetricWeight(2), PolynomialWeight(1))),
         QuotientWeight(ExpSymmetricWeight(2), Character((0.1,))),
+        TableWeight({(2,): 3, (0,): 1.0}),
+        TableWeight.on_ball(Z, 2, [4, 2, 1, 2, 4.5]),
     ]
     for w in weights:
-        again = weight_from_json(w.to_json(), Z2 if w.kind == "exp_directional" else Z)
-        probe = (1, -2) if w.kind == "exp_directional" else (2,)
-        group = Z2 if w.kind == "exp_directional" else Z
+        group = Z2 if isinstance(w, ExpDirectionalWeight) else Z
+        probe = (1, -2) if group is Z2 else (2,)
+        again = weight_from_json(w.to_json(), group)
+        assert type(again) is type(w)
         assert again.value(group, probe) == pytest.approx(w.value(group, probe))
 
 
@@ -181,9 +201,7 @@ def test_dominate_character_lies_below_weight():
 
 def test_dominate_infeasible_has_certificate():
     # w(n) = 2^-|n| decays both ways; no exp(cn) fits under it on both sides
-    decay = TableWeight(
-        {(n,): 2.0 ** -abs(n) for n in range(-3, 4)}, extension="error"
-    )
+    decay = TableWeight({(n,): 2.0 ** -abs(n) for n in range(-3, 4)})
     result = dominate_character(decay, Z, 3)
     assert not result.feasible
     assert result.character is None

@@ -15,8 +15,6 @@ import operator
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ResourceLimitError, UsageError
 
 DEFAULT_BALL_CAP = 10**6
@@ -368,23 +366,26 @@ class CayleyGroup(GroupSpec):
     def is_associative(self) -> bool:
         """Whether (a*b)*c == a*(b*c) for all a, b, c; the constructor requires it.
 
-        Row a passes when numpy finds the n x n arrays T[T[a]] and T[a][T]
-        equal.  The rows that pass are closed under the product (Light's
-        test): if a and a' pass, ((a a') b) c = (a (a' b)) c = a ((a' b) c)
-        = a (a' (b c)) = (a a') (b c).  So only the rows of a generating set
-        are compared, chosen greedily; a group of order n needs at most
-        log2(n) + 1 of them, and memory stays O(n^2).
+        Row a passes when, for every b, row b of (a*b)*c, which is the table
+        row T[T[a][b]], equals row b of a*(b*c), which is T[a] read at the
+        indices T[b] (one itemgetter per table row, built once).  The rows
+        that pass are closed under the product (Light's test): if a and a'
+        pass, ((a a') b) c = (a (a' b)) c = a ((a' b) c) = a (a' (b c)) =
+        (a a') (b c).  So only the rows of a generating set are compared,
+        chosen greedily; a group of order n needs at most log2(n) + 1 of
+        them, and memory stays O(n^2).
         """
         table = self.table
-        index = np.array(table, dtype=np.intp)
-        # The narrowest dtype keeps the gathered arrays in cache.
-        values = index.astype(np.min_scalar_type(self.order - 1))
+        if self.order == 1:
+            return True  # an itemgetter of one index returns an int, not a row
+        getters = [operator.itemgetter(*row) for row in table]
         gens: list[int] = []
         span: set[int] = set()  # right products of generators: all pass
         for a in range(self.order):
             if a in span:
                 continue
-            if not np.array_equal(values.take(index[a], axis=0), values[a].take(index)):
+            row = table[a]
+            if list(map(table.__getitem__, row)) != [get(row) for get in getters]:
                 return False
             gens.append(a)
             todo = [a] + [table[x][a] for x in span]

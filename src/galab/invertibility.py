@@ -23,9 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .algebra import (
     AlgebraElement,
@@ -40,6 +38,9 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, _integer
 from .operators import fourier_eval, symbol_grid
 from .weights import ConstantWeight, Weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VERDICT_INVERTIBLE = "invertible"
 VERDICT_NOT_INVERTIBLE = "not-invertible"
@@ -265,6 +266,7 @@ def _solve_float(a: np.ndarray, row: int):
     One SVD of A gives both the rank test (smallest singular value at most
     SINGULAR_REL of the largest) and, when it fails, the kernel vector.
     """
+    import numpy as np
     _, svals, vh = np.linalg.svd(a)
     if svals[-1] <= SINGULAR_REL * svals[0]:
         return "singular", vh[-1].conj()
@@ -371,6 +373,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     if exact:
         status, g = _invert_exact(f)
     else:
+        import numpy as np
         # g*f = e as A g = delta_e with A[u y][u] = f(y).  Column y of the
         # table is a permutation, so each entry is set once.
         table = np.array(group.table)
@@ -402,6 +405,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
 
 def _grid_min(vals: np.ndarray) -> tuple:
     """(k, |vals[k]|) at the first minimum of |vals| in C order; k is a tuple of ints."""
+    import numpy as np
     mags = np.abs(vals)
     k = np.unravel_index(int(np.argmin(mags)), mags.shape)
     return tuple(int(i) for i in k), float(mags[k])
@@ -434,6 +438,7 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     the grid is the largest power of two <= DEFAULT_INVERSE_SIZE per axis
     that keeps it within GRID_CAP points; a given size over the cap raises.
     """
+    import numpy as np
     group = _lattice_only(f, "invert_via_fft")
     d = group.rank
     size = _default_inverse_size(d) if size is None else _integer(size, "grid size")
@@ -471,6 +476,7 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
 
 def _laurent_roots(f: AlgebraElement) -> np.ndarray:
     """Roots of the rank-one symbol polynomial via the companion matrix."""
+    import numpy as np
     degs = sorted(n[0] for n, _ in f.items())
     lo, hi = degs[0], degs[-1]
     if hi == lo:
@@ -542,6 +548,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
             return _inconclusive("wiener-grid", fields, f"margin not positive and the degree "
                                  f"span {span} exceeds ROOT_SPAN_CAP = {ROOT_SPAN_CAP}, "
                                  "so no root witness was sought")
+    import numpy as np
     roots = _laurent_roots(ff) if d == 1 else np.array([], dtype=complex)
     if roots.size:
         dists = np.abs(np.abs(roots) - 1.0)

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import AlgebraElement, convolve, delta
 from .errors import ResourceLimitError, UsageError
 from .groups import LatticeGroup, Window, _integer
 from .weights import Weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENTRY_CAP = 10**7  # largest dense action matrix, in entries
 
@@ -108,6 +109,7 @@ class WindowedOperator:
     weight: Weight | None = None
 
     def apply(self, g) -> np.ndarray:
+        import numpy as np
         read = _reader(g)
         vec = np.array([complex(read(z)) for z in self.input_window])
         return self.matrix @ vec
@@ -121,6 +123,7 @@ def action_matrix(f: AlgebraElement, window: Window,
         raise ResourceLimitError(
             f"matrix would hold {len(window) * len(win_in)} entries, cap is {ENTRY_CAP}"
         )
+    import numpy as np
     group = window.group
     mul = group.mul
     mat = np.zeros((len(window), len(win_in)), dtype=complex)
@@ -149,6 +152,7 @@ def conjugation_deviation(f: AlgebraElement, weight: Weight | None, window: Wind
     direct = action_matrix(f, window, weight)
     win_in = direct.input_window
     group = window.group
+    import numpy as np
     # Right-convolution matrix on coefficients: column x holds delta_x * f.
     conv = np.zeros((len(win_in), len(window)), dtype=complex)
     for j, x in enumerate(window):
@@ -194,6 +198,7 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     sizes = tuple(_integer(s, "grid size") for s in sizes)
     if len(sizes) != f.group.rank or any(s < 1 for s in sizes):
         raise UsageError(f"bad grid sizes {sizes!r} for rank {f.group.rank}")
+    import numpy as np
     arr = np.zeros(sizes, dtype=complex)
     lines = set()
     for n, amp in f.items():

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .algebra import AlgebraElement, to_jsonable
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
@@ -92,6 +90,7 @@ class ConstantWeight(Weight):
     """w(x) = value, a constant >= 1 (1 gives the plain l1 algebra)."""
 
     def __init__(self, value=1):
+        value = _checked(value, "constant weight value")
         if value < 1:
             raise UsageError(f"a constant weight below 1 is not submultiplicative: {value}")
         self.constant = value
@@ -465,6 +464,7 @@ def _lattice_pair_scan(window: Window, vals: dict):
     spans = [2 * (h - low) + 1 for low, h in zip(lo, hi)]
     if math.prod(spans) > _SCAN_KEY_BOUND:
         return None
+    import numpy as np
     strides = np.cumprod([1] + spans[:0:-1])[::-1]
     offsets = np.array(elements, dtype=np.int64) - np.array(lo, dtype=np.int64)
     keys = offsets @ strides
@@ -559,6 +559,7 @@ def dominate_character(weight: Weight, group: LatticeGroup,
             upper=None if math.isinf(upper) else upper,
         )
 
+    import numpy as np
     from scipy.optimize import linprog
 
     d = group.rank

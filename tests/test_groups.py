@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -143,16 +144,86 @@ def _reduced_latin_squares(n):
 def test_constructor_accepts_exactly_the_associative_loops(n, groups):
     # Every loop of order 4 is a group; of the 56 reduced loops of order 5
     # only the 6 labelings of C5 are.  The triple loop is the reference.
-    rng = range(n)
     accepted = 0
     for table in _reduced_latin_squares(n):
-        if all(table[table[a][b]][c] == table[a][table[b][c]] for a in rng for b in rng for c in rng):
+        if _associative_by_triples(table):
             assert CayleyGroup(table).is_associative()
             accepted += 1
         else:
             with pytest.raises(UsageError):
                 CayleyGroup(table)
     assert accepted == groups
+
+
+def _associative_by_triples(table) -> bool:
+    """The O(n^3) reference: (a*b)*c == a*(b*c) for every triple."""
+    rng = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in rng for b in rng for c in rng)
+
+
+def _is_associative(table) -> bool:
+    """CayleyGroup.is_associative on a table the constructor has not vetted.
+
+    Only associativity is asked, so a loop without two-sided inverses, which
+    the constructor refuses first, is judged too.
+    """
+    rows = tuple(map(tuple, table))
+    return CayleyGroup.is_associative(SimpleNamespace(table=rows, order=len(rows)))
+
+
+def _c4_by_c4():
+    return [[4 * ((a // 4 + b // 4) % 4) + (a + b) % 4 for b in range(16)] for a in range(16)]
+
+
+def _switched_loops(table, rng, count):
+    """count loops with identity 0 near table, a group table with identity 0.
+
+    Loop i relabels table by a random permutation that fixes 0, then
+    switches i % 4 intercalates away from row and column 0: cells (r, c),
+    (r, d), (s, c), (s, d) holding x, y, y, x become y, x, x, y, which keeps
+    the square Latin and 0 its identity.  Without a switch the loop is the
+    group itself, relabelled; a loop isotopic to a group is isomorphic to it
+    (Albert), so relabellings stand in for its isotopes.
+    """
+    n = len(table)
+    for i in range(count):
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        inv = sorted(range(n), key=perm.__getitem__)
+        loop = [[perm[table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+        for _ in range(i % 4):
+            col = [{x: c for c, x in enumerate(row)} for row in loop]  # col[r][x]: x's column
+            quads = [(r, c, s, d) for r in range(1, n) for s in range(r + 1, n)
+                     for c in range(1, n) for d in [col[r][loop[s][c]]]
+                     if d > 0 and loop[s][d] == loop[r][c]]
+            r, c, s, d = rng.choice(quads)
+            loop[r][c], loop[r][d], loop[s][c], loop[s][d] = (
+                loop[r][d], loop[r][c], loop[s][d], loop[s][c])
+        yield loop
+
+
+@pytest.mark.parametrize("name, table", [
+    ("C8", cyclic_group(8).table), ("Q8", quaternion_group().table),
+    ("D4", dihedral_group(4).table), ("C4xC4", _c4_by_c4()), ("S4", symmetric_group(4).table),
+])
+def test_associativity_agrees_with_the_triple_loop_on_loops_near_groups(name, table):
+    # Light's test checks only a generating set of rows, so a table that fails
+    # in a few cells of one row must still be caught.
+    rng = random.Random(f"switched {name}")
+    verdicts = []
+    for loop in _switched_loops(table, rng, 12):
+        assert all(sorted(row) == list(range(len(loop))) for row in loop)
+        assert loop[0] == list(range(len(loop))) and [row[0] for row in loop] == loop[0]
+        verdicts.append(_associative_by_triples(loop))
+        assert _is_associative(loop) == verdicts[-1]
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
+def test_associativity_of_every_built_in_group_up_to_order_64():
+    built = ([cyclic_group(n) for n in range(1, 65)] + [dihedral_group(n) for n in range(1, 33)]
+             + [symmetric_group(n) for n in range(1, 5)] + [quaternion_group()])
+    for group in built:
+        assert group.is_associative() and _associative_by_triples(group.table), group
 
 
 def test_cyclic_group_is_addition_mod_n():

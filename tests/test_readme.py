@@ -2,7 +2,10 @@
 what the README shows."""
 
 import ast
+import json
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,3 +96,29 @@ def test_command_line_transcripts_print_what_the_readme_shows(tmp_path, monkeypa
             assert out == "\n".join(expected) + "\n", argv
         if "--input" in argv:
             previous_input = argv[argv.index("--input") + 1]
+
+
+COLD_START = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import galab, galab.cli
+after_import = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+for argv in json.loads(sys.argv[2]):
+    galab.cli.main(argv)
+print(json.dumps([after_import, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    # numpy takes most of a command's cold start, and the exact Neumann
+    # series, the exact finite solve and the direct-finiteness check never
+    # call it, so neither importing galab nor running those lines loads it.
+    exact = [argv for argv, _ in _transcripts()
+             if argv[0] in ("certify", "df-check") or "neumann" in argv]
+    assert [argv[0] for argv in exact] == ["invert", "certify", "df-check"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", COLD_START, str(src), json.dumps(exact)],
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    after_import, numpy_after_commands = json.loads(run.stdout.splitlines()[-1])
+    assert after_import == []
+    assert not numpy_after_commands

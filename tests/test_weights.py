@@ -122,11 +122,14 @@ def test_table_weight_is_lookup_only():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2**2000, 0, -1.0])
-def test_table_weight_values_are_checked(value):
-    # The constructor refuses what JSON decoding refuses, so a table built in
-    # Python cannot carry a NaN or overflow a float norm later.
+def test_table_and_constant_weight_values_are_checked(value):
+    # The constructors refuse what JSON decoding refuses, so a weight built in
+    # Python cannot carry a NaN or overflow a float norm later.  A NaN constant
+    # passed the "< 1" test and gave the Neumann series a NaN ratio.
     with pytest.raises(UsageError, match="float range"):
         TableWeight({(0,): 1.0, (1,): value, (-1,): 1.0})
+    with pytest.raises(UsageError, match="float range"):
+        ConstantWeight(value)
 
 
 def test_table_weight_on_ball_checks_length():

@@ -107,10 +107,23 @@ def _to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+_last_products = (None,) * 4  # _residuals' last (f, g, g*f - e, f*g - e)
+
+
 def _residuals(f: AlgebraElement, g: AlgebraElement, weight: Weight | None = None) -> tuple:
-    """(|g*f - e|, |f*g - e|) in the (weighted) l1 norm; exact when f and g are."""
-    e = identity_element(f.group, exact=f.exact and g.exact)
-    return (convolve(g, f) - e).norm(weight), (convolve(f, g) - e).norm(weight)
+    """(|g*f - e|, |f*g - e|) in the (weighted) l1 norm; exact when f and g are.
+
+    The last pair's products are reused for the same f and g objects, so the
+    direct-finiteness check of an oracle's own inverse runs no convolution.
+    Elements are immutable: only their constructors and _make, which always
+    gets a fresh dict, set the terms.  The norms are taken with each weight.
+    """
+    global _last_products
+    last = _last_products
+    if last[0] is not f or last[1] is not g:
+        e = identity_element(f.group, exact=f.exact and g.exact)
+        last = _last_products = (f, g, convolve(g, f) - e, convolve(f, g) - e)
+    return last[2].norm(weight), last[3].norm(weight)
 
 
 def _verified(kind: str, fields: dict, g: AlgebraElement, residual, tol: float,
@@ -146,7 +159,8 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
     Computes both residuals |g*f - e| and |f*g - e| in the (weighted) l1
     norm.  The report passes when the left residual being below tol forces
     the right residual below DF_SLACK*tol; a pair that is not even a left
-    inverse passes vacuously.
+    inverse passes vacuously.  On the f and inverse that an oracle just
+    verified, its products are reused and only the two norms are taken.
     """
     left, right = _residuals(f, g, weight)
     passed = (left > tol) or (right <= DF_SLACK * tol)

@@ -40,13 +40,19 @@ def _out_of_range(what: str) -> UsageError:
 def _checked(value, what: str):
     """A weight value, refused unless it is positive and within the float range.
 
-    Weight values feed float norms and reports, so an int past the float
-    range, an infinity, a NaN or an underflow to 0 is refused where it arises.
+    Weight values feed float norms and reports, so an int or a Fraction past
+    the float range, an infinity, a NaN or an underflow to 0 is refused where
+    it arises.  A value that passes is kept as given.
     """
     if isinstance(value, int):
         ok = 0 < value and value.bit_length() <= _FLOAT_BITS
-    else:
+    elif isinstance(value, float):
         ok = 0 < value < math.inf
+    else:
+        try:
+            ok = 0 < float(value) < math.inf
+        except OverflowError:
+            ok = False
     if not ok:
         raise _out_of_range(what)
     return value

@@ -39,7 +39,7 @@ from galab.invertibility import (
     wiener_certify,
 )
 from galab.operators import symbol_grid
-from galab.weights import ExpSymmetricWeight
+from galab.weights import ConstantWeight, ExpSymmetricWeight
 
 Z = LatticeGroup(1)
 
@@ -876,6 +876,57 @@ def test_df_check_json_shape():
     assert obj["pass"] is True
     assert obj["left_residual"] == "0"
     assert obj["right_residual"] == "0"
+
+
+def _certified_pair(case):
+    """(f, certificate, weight) of an oracle run that verified an inverse."""
+    if case == "exact-Z":  # README's weighted series
+        w = ExpSymmetricWeight(2)
+        f = delta(Z, (0,), 1, exact=True) - delta(Z, (1,), Fraction(1, 4), exact=True)
+        return f, neumann_invert(f, w, terms=40), w
+    if case in ("exact-F2", "float-F2"):
+        f2, exact = FreeGroup(2), case == "exact-F2"
+        w = ExpSymmetricWeight(Fraction(3, 2))
+        f = (delta(f2, (), 1, exact=exact) - delta(f2, (1,), Fraction(1, 4), exact=exact)
+             + delta(f2, (-2,), Fraction(1, 8), exact=exact))
+        return f, neumann_invert(f, w, terms=6), w
+    s3 = symmetric_group(3)
+    f = delta(s3, 0, 3, exact=True) + delta(s3, 4, Fraction(1, 2), exact=True)
+    return f, invert_finite(f), None
+
+
+@pytest.mark.parametrize("case", ["exact-Z", "exact-F2", "float-F2", "exact-S3"])
+def test_df_check_reuses_the_products_its_oracle_verified(case, monkeypatch):
+    calls = []
+    real = invertibility.convolve
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(invertibility, "convolve", counted)
+    f, cert, w = _certified_pair(case)
+    g = cert.inverse
+    assert g is not None and f.exact == (case != "float-F2")
+    calls.clear()
+    report = verify_direct_finiteness(f, g, w)
+    # The norms are taken with the weight given, from the kept products.
+    other = verify_direct_finiteness(f, g, ConstantWeight(3))
+    assert calls == []
+    copy = AlgebraElement(g.group, dict(g.items()), g.exact)
+    assert copy is not g and copy == g
+    assert report.to_json() == verify_direct_finiteness(f, copy, w).to_json()
+    assert other.to_json() == verify_direct_finiteness(f, copy, ConstantWeight(3)).to_json()
+    assert len(calls) == 2
+    assert (other.to_json() == report.to_json()) == (case == "exact-S3")
+    # One entry: another f or g in between makes the pair convolve again.
+    f_copy = AlgebraElement(f.group, dict(f.items()), f.exact)
+    for between in ((f, copy), (f_copy, g)):
+        verify_direct_finiteness(f, g, w)
+        calls.clear()
+        verify_direct_finiteness(*between, w)
+        assert verify_direct_finiteness(f, g, w).to_json() == report.to_json()
+        assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from galab.groups import (
     quaternion_group,
     symmetric_group,
 )
+from galab.invertibility import neumann_invert
 from galab.weights import (
     CHECK_LOOP_PAIR_CAP,
     CHECK_PAIR_CAP,
@@ -130,6 +131,23 @@ def test_table_and_constant_weight_values_are_checked(value):
         TableWeight({(0,): 1.0, (1,): value, (-1,): 1.0})
     with pytest.raises(UsageError, match="float range"):
         ConstantWeight(value)
+
+
+def test_fraction_weight_values_past_the_float_range_are_refused():
+    # 0 < value < inf held for a Fraction past the float range, so the float
+    # norm ended in an OverflowError, or the 401-digit value came back.
+    huge = Fraction(10**400)
+    f = delta(Z, (0,), 3.0) + delta(Z, (1,), 1.0)
+    with pytest.raises(UsageError, match="float range"):
+        neumann_invert(f, ConstantWeight(huge), terms=2)
+    with pytest.raises(UsageError, match="float range"):
+        neumann_invert(f, TableWeight({(0,): 1, (1,): huge, (-1,): 1}), terms=2)
+    with pytest.raises(UsageError, match="float range"):
+        ExpSymmetricWeight(huge).value(Z, (1,))
+    w = ConstantWeight(Fraction(3, 2))
+    assert w.constant == Fraction(3, 2)
+    g = delta(Z, (0,), 3, exact=True) - delta(Z, (1,), Fraction(1, 2), exact=True)
+    assert g.norm(w) == Fraction(21, 4)
 
 
 def test_table_weight_on_ball_checks_length():

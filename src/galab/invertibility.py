@@ -418,11 +418,20 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
 
 
 def _grid_min(vals: np.ndarray) -> tuple:
-    """(k, |vals[k]|) at the first minimum of |vals| in C order; k is a tuple of ints."""
+    """(k, |vals[k]|) at the first minimum of |vals| in C order; k is a tuple of ints.
+
+    The first index is the first whose slice holds the minimum, and so on
+    down the axes: each step is a reduction, so a column-major grid (as
+    symbol_grid returns) is read in place, never copied into C order.  A
+    NaN counts as the minimum, as in np.argmin.
+    """
     import numpy as np
     mags = np.abs(vals)
-    k = np.unravel_index(int(np.argmin(mags)), mags.shape)
-    return tuple(int(i) for i in k), float(mags[k])
+    k, sub = [], mags
+    while sub.ndim:
+        k.append(int(np.argmin(sub.min(axis=tuple(range(1, sub.ndim))))))
+        sub = sub[k[-1]]
+    return tuple(k), float(sub)
 
 
 def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
@@ -446,6 +455,9 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     Samples the symbol on the uniform grid, divides 1 by it, transforms
     back, and keeps the coefficients on the centered fundamental domain
     (amplitudes below CHOP_REL of the peak are dropped as FFT dust).  The
+    chop reads the unscaled transform and only the kept coefficients are
+    divided by the number of grid points, a power of two, so the terms are
+    those of scaling first and chopping after, bit for bit.  The
     candidate is only as good as its verified residual: aliasing from slow
     coefficient decay shows up there, and a near-vanishing sample aborts
     with the offending frequency instead of an inverse.  Without a size,
@@ -462,8 +474,9 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
         raise ResourceLimitError(f"grid of {size**d} points exceeds cap {GRID_CAP}")
     ff = f.to_float()
     vals = symbol_grid(ff, (size,) * d)
-    kmin, vmin = _grid_min(vals)
+    vmin = float(np.abs(vals).min())
     if vmin < ZERO_TOL:
+        kmin, vmin = _grid_min(vals)
         return _inconclusive("fft-candidate", {
             "size": size,
             "flagged_frequency": list(kmin),
@@ -474,15 +487,21 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     # grid is live through the division and the transform.
     coeff = np.divide(1.0, vals, out=vals)
     np.fft.fftn(coeff, out=coeff)
-    coeff /= size**d
-    mags = np.abs(coeff)
-    # np.nonzero walks the grid in C (row-major) order, which fixes the order
-    # of the kept terms and so the summation order of the verifying
+    # The chop runs on the unscaled transform: size**d is a power of two, so
+    # dividing by it changes neither the order of the moduli nor their
+    # comparison with the threshold, and only the kept terms are divided.
+    # The grid is column-major, so its transpose is scanned contiguously;
+    # the kept indices are then sorted into C (row-major) order, which fixes
+    # the order of the terms and so the summation order of the verifying
     # convolution.  Indices past the middle wrap to negative exponents.
     # Keys are int tuples from .tolist(); kept amplitudes are finite and nonzero.
-    idx = np.nonzero(mags > CHOP_REL * float(np.max(mags)))
+    mags = np.abs(coeff.T)
+    flat = np.flatnonzero(mags > CHOP_REL * float(mags.max()))
+    rev = np.unravel_index(flat, mags.shape)  # the axes of coeff, last first
+    order = np.lexsort(rev)
+    idx = tuple(i[order] for i in reversed(rev))
     keys = zip(*(np.where(i >= (size + 1) // 2, i - size, i).tolist() for i in idx))
-    g = _make(group, False, dict(zip(keys, coeff[idx].tolist())))
+    g = _make(group, False, dict(zip(keys, (coeff[idx] / size**d).tolist())))
     residual = float((convolve(g, ff) - identity_element(group)).norm())
     return _verified("fft-candidate", {"size": size, "chop": CHOP_REL, "grid_min": vmin},
                      g, residual, tol, "candidate residual above tolerance; increase the grid")
@@ -518,6 +537,9 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     """
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
+    grid = _integer(grid, "grid")
+    if inverse_size is not None:
+        inverse_size = _integer(inverse_size, "inverse size")
     if grid < 2:
         raise UsageError(f"grid must have at least 2 points per axis, got {grid}")
     if grid**d > GRID_CAP:

@@ -11,6 +11,7 @@ as a dense |W| x |W_in| matrix for inspection and linear algebra.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -191,7 +192,9 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
 
     Returns an array of shape sizes; entry k equals the symbol at the
     frequencies 2 pi k / sizes, computed by an FFT of the coefficient
-    array folded modulo the grid.
+    array folded modulo the grid.  The array is column-major (Fortran
+    order), so the pass along axis 0 reads contiguous lines; its values,
+    and its C-order .tobytes(), are those of the row-major transform.
     """
     if not isinstance(f.group, LatticeGroup):
         raise UsageError("symbol_grid needs a lattice element")
@@ -199,23 +202,22 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     if len(sizes) != f.group.rank or any(s < 1 for s in sizes):
         raise UsageError(f"bad grid sizes {sizes!r} for rank {f.group.rank}")
     import numpy as np
-    arr = np.zeros(sizes, dtype=complex)
-    lines = set()
+    # The last axis is transformed first, and only the lines holding a term
+    # are nonzero there: their terms are summed into one row-major block, one
+    # row per line, which is transformed once and scattered into the grid.
+    rows, cells = {}, []
     for n, amp in f.items():
         idx = tuple(ni % s for ni, s in zip(n, sizes))
-        arr[idx] += complex(amp)
-        lines.add(idx[:-1])
-    scale = 1
-    for s in sizes:
-        scale *= s
-    # In place (numpy >= 2.0 FFTs take out=): the transform and the scaling
-    # allocate no second grid.  ifftn transforms the last axis first, when only
-    # the lines holding a term are nonzero, so that pass runs on those alone.
-    if len(sizes) > 1 and lines:
-        occupied = tuple(zip(*lines))
-        arr[occupied] = np.fft.ifft(arr[occupied], axis=-1)
+        cells.append((rows.setdefault(idx[:-1], len(rows)), idx[-1], complex(amp)))
+    block = np.zeros((len(rows), sizes[-1]), dtype=complex)
+    for row, k, amp in cells:
+        block[row, k] += amp
+    np.fft.ifft(block, axis=-1, out=block)
+    arr = np.zeros(sizes, dtype=complex, order="F")
+    if rows:
+        arr[tuple(zip(*rows))] = block
+    # In place (numpy >= 2.0 FFTs take out=): no second grid is allocated.
+    if len(sizes) > 1:
         np.fft.ifftn(arr, axes=tuple(range(len(sizes) - 1)), out=arr)
-    else:
-        np.fft.ifftn(arr, out=arr)
-    arr *= scale
+    arr *= math.prod(sizes)
     return arr

@@ -24,6 +24,7 @@ DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
 CHECK_PAIR_CAP = 2**22  # most (x, y) pairs check_weight scans on lattice arrays
 CHECK_LOOP_PAIR_CAP = 2**18  # most pairs its per-pair loop scans
+CHECK_ARRAY_MIN_PAIRS = 150  # fewest pairs it scans on lattice arrays; the loop is faster below
 # _lattice_pair_scan: values whose float64 products are exact (ints) or finite
 # and normal (floats), coordinates and keys that fit int64, pairs per chunk.
 _SCAN_INT_BOUND = 2**26
@@ -367,7 +368,10 @@ def check_weight(weight: Weight, window: Window) -> WeightCheckReport:
 
     Pairs whose product leaves the window are skipped; the report carries
     the minimum value and, if some ratio w(xy) / (w(x) w(y)) passes
-    1 + REL_TOL, the worst offending pair.  Pairs are capped as
+    1 + REL_TOL, the worst offending pair.  A lattice window of at least
+    CHECK_ARRAY_MIN_PAIRS pairs is scanned on numpy arrays where the bits
+    agree (_lattice_pair_scan); smaller ones, where the loop is faster, and
+    other groups go through the per-pair loop.  Pairs are capped as
     check_pair_cap says: a window past the cap of its group is refused
     before any value is taken, and a lattice window whose values leave the
     array scan is refused before any pair is scanned.
@@ -381,7 +385,8 @@ def check_weight(weight: Weight, window: Window) -> WeightCheckReport:
     min_at = min(vals, key=lambda x: (vals[x], group.sort_key(x)))
     min_value = vals[min_at]
 
-    worst = _lattice_pair_scan(window, vals) if isinstance(group, LatticeGroup) else None
+    arrays = isinstance(group, LatticeGroup) and len(window) ** 2 >= CHECK_ARRAY_MIN_PAIRS
+    worst = _lattice_pair_scan(window, vals) if arrays else None
     if worst is None:
         check_pair_cap(group, len(window), loop=True)
         worst = _pair_scan(window, vals)

@@ -29,6 +29,7 @@ from galab.groups import (
 )
 from galab.invertibility import (
     CHOP_REL,
+    _grid_min,
     _solve_exact,
     auto_invert,
     invert_finite,
@@ -583,9 +584,11 @@ def test_default_inverse_size_fits_the_grid_cap():
 
 
 def test_symbol_grid_matches_out_of_place_transform():
-    # symbol_grid runs its last-axis pass on occupied lines only; the dense
-    # transform is the reference, on odd, even and mixed per-axis sizes.
+    # symbol_grid runs its last-axis pass on occupied lines only and returns
+    # a column-major grid; the dense row-major transform is the reference,
+    # on odd, even and mixed per-axis sizes.
     rng = random.Random("symbol-grid")
+    z1 = LatticeGroup(1)
     z2 = LatticeGroup(2)
     square = [(1, 64), (2, 32), (3, 8), (2, 3), (2, 6), (2, 12)]  # then the probe moduli
     cases = [(_dominant_element(rng, LatticeGroup(d), 3), (size,) * d) for d, size in square]
@@ -594,13 +597,58 @@ def test_symbol_grid_matches_out_of_place_transform():
         (delta(z2, (1, 2), 0.5) + delta(z2, (1, -3), -1j), (4, 8)),  # two terms on one line
         (AlgebraElement(z2, {(i, i * i): 1 + i / 4 for i in range(5)}, False), (5, 7)),  # every line
         (AlgebraElement.zero(z2), (4, 4)),
+        # exponents that fold onto one cell of the grid
+        (AlgebraElement(z1, {(1,): 0.5, (9,): -0.25, (-7,): 1j}, False), (8,)),
+        (AlgebraElement(z2, {(1, 2): 0.5, (5, 2): -0.25, (1, -2): 1j, (0, 0): 2.0}, False),
+         (4, 4)),
+        (AlgebraElement(z2, {(3, 0): 1.5, (0, 3): -1j, (0, 0): 0.25}, False), (3, 3)),
     ]
     for f, sizes in cases:
         arr = np.zeros(sizes, dtype=complex)
         for n, amp in f.items():
             arr[tuple(i % s for i, s in zip(n, sizes))] += amp
         expected = np.fft.ifftn(arr) * math.prod(sizes)
-        assert symbol_grid(f, sizes).tobytes() == expected.tobytes(), (f, sizes)
+        grid = symbol_grid(f, sizes)
+        assert grid.tobytes() == expected.tobytes(), (f, sizes)
+        assert grid.flags.f_contiguous or len(sizes) == 1, (f, sizes)
+
+
+def test_grid_min_is_the_first_minimum_in_c_order():
+    # The grid is column-major, so its memory order is not C order: the
+    # first minimum and the first NaN in C order come later in memory.
+    grid = np.asfortranarray(np.full((3, 4), 2.0 + 1j))
+    grid[1, 0] = grid[0, 3] = grid[2, 2] = 1.0  # tied minima
+    assert _grid_min(grid) == ((0, 3), 1.0)
+    grid[2, 1] = grid[1, 2] = np.nan
+    k, value = _grid_min(grid)
+    assert k == (1, 2) and math.isnan(value)
+    rng = np.random.default_rng(7)
+    for shape in [(9,), (5, 6), (3, 4, 5)]:
+        for _ in range(20):
+            vals = rng.integers(0, 3, size=shape) + 1j * rng.integers(0, 2, size=shape)
+            if rng.random() < 0.5:
+                vals.flat[rng.integers(vals.size)] = np.nan
+            mags = np.abs(vals)
+            first = np.unravel_index(int(np.argmin(mags)), shape)
+            k, value = _grid_min(np.asfortranarray(vals))
+            assert type(value) is float and all(type(i) is int for i in k)
+            assert k == first and mags[first].tobytes() == np.float64(value).tobytes()
+
+
+def test_grid_min_does_not_copy_a_column_major_grid():
+    # One real modulus grid is allocated; a copy into C order would be a second.
+    f = delta(LatticeGroup(2), (0, 0), 2.0) + delta(LatticeGroup(2), (1, 3), 0.5)
+    grid = symbol_grid(f, (512, 512))
+    assert grid.flags.f_contiguous
+    tracemalloc.start()
+    try:
+        k, value = _grid_min(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid.size * np.dtype(float).itemsize
+    first = np.unravel_index(int(np.argmin(np.abs(np.ascontiguousarray(grid)))), grid.shape)
+    assert k == first and value == abs(grid[first])
 
 
 def test_fft_candidate_is_a_valid_element_with_no_zero_amplitude():
@@ -661,20 +709,35 @@ def _bits(terms):
     return [(k, v.real.hex(), v.imag.hex()) for k, v in terms]
 
 
-@pytest.mark.parametrize("size", [2, 64, 512])
-@pytest.mark.parametrize("rank", [1, 2])
+def _real_even_element(group):
+    """-(2d + 1) d0 + the unit neighbours: a real, even symbol, so the
+    inverse's coefficients are real, with an exactly zero imaginary part
+    (and, before the scaling, some negative zeros) on small grids."""
+    d = group.rank
+    terms = {(0,) * d: -(2.0 * d + 1)}
+    for axis in range(d):
+        for step in (1, -1):
+            terms[tuple(step if i == axis else 0 for i in range(d))] = 1.0
+    return AlgebraElement(group, terms, False)
+
+
+@pytest.mark.parametrize("rank, size", [(1, 2), (1, 64), (1, 512), (2, 2), (2, 64), (2, 512),
+                                        (3, 2), (3, 8), (3, 32)])
 def test_fft_chop_matches_index_scan(rank, size):
     rng = random.Random(f"chop:{rank}:{size}")
     group = LatticeGroup(rank)
     # delta at size/2 inverts to the grid index size/2, which maps to -size/2
     half = delta(group, (size // 2,) * rank)
     assert invert_via_fft(half, size).inverse.support == ((-(size // 2),) * rank,)
-    for f in [half] + [_dominant_element(rng, group, 3) for _ in range(4)]:
+    even = _real_even_element(group)
+    for f in [half, even] + [_dominant_element(rng, group, 3) for _ in range(4)]:
         kept = list(invert_via_fft(f, size).inverse.items())
         assert _bits(kept) == _bits(_reference_chop(f.to_float(), size).items())
         for key, value in kept:
             assert type(key) is tuple and all(type(i) is int for i in key)
             assert type(value) is complex
+        if f is even and size <= 8:
+            assert all(value.imag == 0 for _, value in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +893,13 @@ def test_probe_rejects_bad_moduli():
 def test_probe_moduli_must_be_integers(moduli):
     with pytest.raises(UsageError, match="modulus must be an integer"):
         probe_quotients(delta(Z, (0,)), moduli)
+
+
+@pytest.mark.parametrize("kwargs", [{"grid": "64"}, {"grid": True}, {"inverse_size": "512"}],
+                         ids=["grid-str", "grid-bool", "inverse-size-str"])
+def test_wiener_grid_and_inverse_size_must_be_integers(kwargs):
+    with pytest.raises(UsageError, match="must be an integer"):
+        wiener_certify(delta(Z, (0,), 2.0) + delta(Z, (1,)), **kwargs)
 
 
 def test_probe_cap_bounds_all_quotients_before_any_symbol(monkeypatch):

@@ -111,11 +111,12 @@ print(json.dumps([after_import, "numpy" in sys.modules]))
 
 def test_exact_commands_start_without_numpy(tmp_path):
     # numpy takes most of a command's cold start, and the exact Neumann
-    # series, the exact finite solve and the direct-finiteness check never
-    # call it, so neither importing galab nor running those lines loads it.
+    # series, the exact finite solve, the direct-finiteness check and the
+    # weight check of a window under CHECK_ARRAY_MIN_PAIRS pairs never call
+    # it, so neither importing galab nor running those lines loads it.
     exact = [argv for argv, _ in _transcripts()
-             if argv[0] in ("certify", "df-check") or "neumann" in argv]
-    assert [argv[0] for argv in exact] == ["invert", "certify", "df-check"]
+             if argv[0] in ("certify", "df-check", "check-weight") or "neumann" in argv]
+    assert [argv[0] for argv in exact] == ["invert", "certify", "df-check", "check-weight"]
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run([sys.executable, "-c", COLD_START, str(src), json.dumps(exact)],
                          cwd=tmp_path, capture_output=True, text=True, check=True)

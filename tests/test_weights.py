@@ -21,7 +21,9 @@ from galab.groups import (
     symmetric_group,
 )
 from galab.invertibility import neumann_invert
+from galab import weights
 from galab.weights import (
+    CHECK_ARRAY_MIN_PAIRS,
     CHECK_LOOP_PAIR_CAP,
     CHECK_PAIR_CAP,
     Character,
@@ -39,6 +41,8 @@ from galab.weights import (
     dominate_character,
     rescale_by_character,
     weight_from_json,
+    _lattice_pair_scan,
+    _pair_scan,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -383,7 +387,27 @@ def lattice_windows(draw):
 def test_pair_scan_matches_the_loop(window, data):
     kind = data.draw(st.sampled_from(sorted(_VALUES)))
     values = data.draw(st.lists(_VALUES[kind], min_size=len(window), max_size=len(window)))
-    assert_same_report(TableWeight(dict(zip(window, values))), window)
+    weight = TableWeight(dict(zip(window, values)))
+    assert_same_report(weight, window)
+    # Windows under CHECK_ARRAY_MIN_PAIRS pairs take the loop; the array scan
+    # agrees on them too.
+    vals = {x: weight.value(window.group, x) for x in window}
+    scan = _lattice_pair_scan(window, vals)
+    assert scan is None or scan == _pair_scan(window, vals)
+
+
+def test_small_lattice_windows_take_the_per_pair_loop(monkeypatch):
+    scans = []
+
+    def counting_scan(window, vals):
+        scans.append(len(window))
+        return _lattice_pair_scan(window, vals)
+
+    monkeypatch.setattr(weights, "_lattice_pair_scan", counting_scan)
+    assert 11**2 < CHECK_ARRAY_MIN_PAIRS <= 13**2
+    for radius in (5, 6):  # 11 and 13 elements
+        assert_same_report(ExpSymmetricWeight(2), Z.ball(radius))
+    assert scans == [13]
 
 
 @pytest.mark.parametrize("weight", [PolynomialWeight(2), PolynomialWeight(0.5),

@@ -53,7 +53,7 @@ GRID_CAP = 2**22            # symbol grid points in invert_via_fft and wiener_ce
 ZERO_TOL = 1e-12            # invert_via_fft: a smaller |symbol| sample aborts
 CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
 CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
-MAX_INVERSE_SIZE = 4096     # wiener_certify: largest FFT inverse grid tried
+MAX_INVERSE_SIZE = 4096     # wiener_certify: doublings of the FFT inverse grid stop here
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, within GRID_CAP
 ROOT_SPAN_CAP = 1024        # wiener_certify: widest rank-one degree span given to the root finder
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
@@ -107,23 +107,48 @@ def _to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-_last_products = (None,) * 4  # _residuals' last (f, g, g*f - e, f*g - e)
+class _Memo(Weight):
+    """A weight's values, kept for one oracle call only (never on the weight);
+    a value the weight refuses raises from the weight and is never kept."""
+
+    def __init__(self, weight: Weight):
+        self.weight, self.values = weight, {}
+
+    def value(self, group, x):
+        v = self.values.get(x)
+        if v is None:
+            v = self.values[x] = self.weight.value(group, x)
+        return v
+
+
+_last_pair = (None,) * 5  # _residuals' last (f, g, g*f - e, f*g - e, (weight, norms) or ())
 
 
 def _residuals(f: AlgebraElement, g: AlgebraElement, weight: Weight | None = None) -> tuple:
     """(|g*f - e|, |f*g - e|) in the (weighted) l1 norm; exact when f and g are.
 
-    The last pair's products are reused for the same f and g objects, so the
-    direct-finiteness check of an oracle's own inverse runs no convolution.
-    Elements are immutable: only their constructors and _make, which always
-    gets a fresh dict, set the terms.  The norms are taken with each weight.
+    The last pair's products are reused for the same f and g objects, and
+    its two norms too for the same weight object (a _Memo counts as the
+    weight it wraps), so the direct-finiteness check of an oracle's own
+    inverse runs no convolution and evaluates no weight.  Elements are
+    immutable: only their constructors and _make, which always gets a fresh
+    dict, set the terms; a weight is taken to be unchanged between calls as
+    well.  New norms share one _Memo, the caller's when it passes one.
     """
-    global _last_products
-    last = _last_products
+    global _last_pair
+    base = weight.weight if isinstance(weight, _Memo) else weight
+    last = _last_pair
     if last[0] is not f or last[1] is not g:
         e = identity_element(f.group, exact=f.exact and g.exact)
-        last = _last_products = (f, g, convolve(g, f) - e, convolve(f, g) - e)
-    return last[2].norm(weight), last[3].norm(weight)
+        # The old norms go with the old products, before a new norm can raise.
+        last = _last_pair = (f, g, convolve(g, f) - e, convolve(f, g) - e, ())
+    elif last[4] and last[4][0] is base:
+        return last[4][1]
+    if weight is base and base is not None:
+        weight = _Memo(base)
+    norms = last[2].norm(weight), last[3].norm(weight)
+    _last_pair = (*last[:4], (base, norms))
+    return norms
 
 
 def _verified(kind: str, fields: dict, g: AlgebraElement, residual, tol: float,
@@ -160,7 +185,8 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
     norm.  The report passes when the left residual being below tol forces
     the right residual below DF_SLACK*tol; a pair that is not even a left
     inverse passes vacuously.  On the f and inverse that an oracle just
-    verified, its products are reused and only the two norms are taken.
+    verified, its products are reused, and with the same weight object its
+    norms too; otherwise each point's weight is evaluated once.
     """
     left, right = _residuals(f, g, weight)
     passed = (left > tol) or (right <= DF_SLACK * tol)
@@ -440,11 +466,19 @@ def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
     return f.group
 
 
-def _default_inverse_size(d: int) -> int:
-    """Largest power of two <= DEFAULT_INVERSE_SIZE whose d-th power is within GRID_CAP."""
-    size = DEFAULT_INVERSE_SIZE
-    while size > 2 and size**d > GRID_CAP:
-        size //= 2
+def _inverse_size(size, d: int) -> int:
+    """A checked FFT grid size per axis on Z^d, a power of two >= 2 within
+    GRID_CAP; None gives the largest such size <= DEFAULT_INVERSE_SIZE."""
+    if size is None:
+        size = DEFAULT_INVERSE_SIZE
+        while size > 2 and size**d > GRID_CAP:
+            size //= 2
+        return size
+    size = _integer(size, "grid size")
+    if size < 2 or size & (size - 1):
+        raise UsageError(f"grid size must be a power of two >= 2, got {size}")
+    if size**d > GRID_CAP:
+        raise ResourceLimitError(f"grid of {size**d} points exceeds cap {GRID_CAP}")
     return size
 
 
@@ -467,11 +501,7 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     import numpy as np
     group = _lattice_only(f, "invert_via_fft")
     d = group.rank
-    size = _default_inverse_size(d) if size is None else _integer(size, "grid size")
-    if size < 2 or size & (size - 1):
-        raise UsageError(f"grid size must be a power of two >= 2, got {size}")
-    if size**d > GRID_CAP:
-        raise ResourceLimitError(f"grid of {size**d} points exceeds cap {GRID_CAP}")
+    size = _inverse_size(size, d)
     ff = f.to_float()
     vals = symbol_grid(ff, (size,) * d)
     vmin = float(np.abs(vals).min())
@@ -527,9 +557,9 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     A uniform grid scan of |symbol| combined with the Lipschitz bound
     L = sum |n|_1 |f(n)| proves a positive lower bound on the whole torus
     whenever margin = grid_min - L * spacing / 2 is positive; the verdict
-    then comes with an FFT inverse and its verified residual, tried from
-    inverse_size (default as in invert_via_fft) and doubled while the grid
-    stays within GRID_CAP.  In rank one
+    then comes with an FFT inverse and its verified residual, tried at
+    inverse_size (default and checks as in invert_via_fft, whatever the
+    element) and doubled up to MAX_INVERSE_SIZE within GRID_CAP.  In rank one
     a companion-matrix root within CIRCLE_TOL of the unit circle certifies
     non-invertibility with the offending angle as witness; a degree span
     over ROOT_SPAN_CAP is not searched for roots.  Anything else is
@@ -538,8 +568,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
     grid = _integer(grid, "grid")
-    if inverse_size is not None:
-        inverse_size = _integer(inverse_size, "inverse size")
+    size = _inverse_size(inverse_size, d)
     if grid < 2:
         raise UsageError(f"grid must have at least 2 points per axis, got {grid}")
     if grid**d > GRID_CAP:
@@ -562,15 +591,14 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     }
 
     if margin > 0:
-        size = _default_inverse_size(d) if inverse_size is None else inverse_size
-        while size <= MAX_INVERSE_SIZE:
+        while True:
             candidate = invert_via_fft(ff, size, tol=tol)
             if candidate.invertible:
                 fields["inverse_size"] = size
                 return replace(candidate, kind="wiener-grid", fields=fields)
             size *= 2
-            if size**d > GRID_CAP:
-                break  # the requested size is always tried; doublings stay within the cap
+            if size > MAX_INVERSE_SIZE or size**d > GRID_CAP:
+                break  # the requested size is always tried; doublings stay within both caps
         return _inconclusive("wiener-grid", fields, "margin is positive but no inverse met "
                              "the tolerance up to the size cap")
 
@@ -628,13 +656,15 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     |u^-1| * ratio^(terms+1) / (1 - ratio); both residuals are verified.
     The pivot is the support point of least ratio (ties to the first in
     sort_key order), since the ratio sets both convergence and tail bound.
+    All the call's norms share one _Memo, so the weight is evaluated once
+    per point; a direct-finiteness check with it reuses the residual norms.
     """
     if f.is_zero:
         raise UsageError("cannot invert the zero element")
     terms = _integer(terms, "terms")
     if terms < 0:
         raise UsageError(f"terms must be >= 0, got {terms}")
-    w = weight if weight is not None else ConstantWeight(1)
+    w = _Memo(weight if weight is not None else ConstantWeight(1))
     group = f.group
     e = identity_element(group, exact=f.exact)
 

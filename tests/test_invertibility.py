@@ -40,7 +40,7 @@ from galab.invertibility import (
     wiener_certify,
 )
 from galab.operators import symbol_grid
-from galab.weights import ConstantWeight, ExpSymmetricWeight
+from galab.weights import ConstantWeight, ExpSymmetricWeight, TableWeight
 
 Z = LatticeGroup(1)
 
@@ -555,6 +555,27 @@ def test_wiener_doubling_stops_at_grid_cap():
     assert "up to the size cap" in cert.fields["reason"]
 
 
+@pytest.mark.parametrize("f", [delta(Z, (0,)) - delta(Z, (1,)), delta(Z, (0,), 2) + delta(Z, (1,)),
+                               AlgebraElement.zero(Z)], ids=["no-margin", "margin", "zero"])
+def test_wiener_inverse_size_is_checked_whatever_the_element(f):
+    # The size used to be checked only once the margin was positive, so a
+    # vanishing symbol returned not-invertible on a size the others refuse.
+    with pytest.raises(UsageError, match="power of two"):
+        wiener_certify(f, inverse_size=100)
+    f3 = AlgebraElement(LatticeGroup(3), {x + (0, 0): amp for x, amp in f.items()}, False)
+    with pytest.raises(ResourceLimitError):
+        wiener_certify(f3, inverse_size=512)  # 512^3 points exceed GRID_CAP
+
+
+def test_wiener_tries_a_requested_size_past_the_doubling_limit():
+    # 8192 is past MAX_INVERSE_SIZE but within GRID_CAP on Z: it is tried
+    # once, and only its doublings stop at the limit.
+    f = delta(Z, (0,), 2) + delta(Z, (1,))
+    cert = wiener_certify(f, inverse_size=8192)
+    assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 8192
+    assert cert.to_json()["inverse"] == invert_via_fft(f, 8192).to_json()["inverse"]
+
+
 def test_wiener_positive_margin_skips_the_root_solve(monkeypatch):
     def no_roots(f):
         raise AssertionError("companion-matrix roots computed on a positive margin")
@@ -997,6 +1018,63 @@ def test_df_check_reuses_the_products_its_oracle_verified(case, monkeypatch):
         verify_direct_finiteness(*between, w)
         assert verify_direct_finiteness(f, g, w).to_json() == report.to_json()
         assert len(calls) == 4
+
+
+class CountingWeight(ExpSymmetricWeight):
+    """An exp_symmetric weight that records each point it is evaluated at."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.points = []
+
+    def value(self, group, x):
+        self.points.append(x)
+        return super().value(group, x)
+
+
+def _residual_bits(report):
+    return [repr(report.left_residual), repr(report.right_residual)]
+
+
+@pytest.mark.parametrize("case", ["exact-Z", "exact-F2", "float-F2"])
+def test_weighted_norms_evaluate_each_point_once_and_are_reused(case):
+    f, plain, w0 = _certified_pair(case)
+    w = CountingWeight(w0.base)
+    cert = neumann_invert(f, w, terms=plain.fields["terms"])
+    assert cert.to_json() == plain.to_json()
+    assert w.points and len(w.points) == len(set(w.points))
+    assert vars(w).keys() == {"base", "points"}  # no memo is left on the weight
+    g = cert.inverse
+    e = identity_element(f.group, exact=f.exact)
+    direct = [repr((convolve(g, f) - e).norm(w0)), repr((convolve(f, g) - e).norm(w0))]
+    # The check of the oracle's own inverse with its weight evaluates nothing.
+    w.points.clear()
+    report = verify_direct_finiteness(f, g, w)
+    assert w.points == [] and _residual_bits(report) == direct
+    assert [float(report.left_residual), float(report.right_residual)] == [
+        cert.fields["left_residual"], cert.fields["right_residual"]]
+    # An equal weight object is evaluated afresh, once per point, to the same bits.
+    other = CountingWeight(w0.base)
+    assert _residual_bits(verify_direct_finiteness(f, g, other)) == direct
+    assert other.points and len(other.points) == len(set(other.points))
+    # So are fresh copies of f and g, whose products are computed again.
+    copies = [AlgebraElement(x.group, dict(x.items()), x.exact) for x in (f, g)]
+    assert _residual_bits(verify_direct_finiteness(*copies, w)) == direct
+    assert w.points and len(w.points) == len(set(w.points))
+
+
+def test_df_check_never_returns_an_earlier_pairs_norms():
+    # The kept norms belong to the kept products: when the products are
+    # computed again, the old norms are dropped before a new norm can raise.
+    table = TableWeight({(-1,): 1.5, (0,): 1, (1,): 1.5})
+    f2 = delta(Z, (0,), 4, exact=True) + delta(Z, (1,), 1, exact=True)
+    g2 = neumann_invert(f2).inverse  # its residuals sit at (41,), outside the table
+    f = delta(Z, (0,), 2, exact=True) + delta(Z, (1,), 1, exact=True)
+    cert = neumann_invert(f, table, terms=0)  # every norm lies inside the table
+    assert cert.fields["left_residual"] == cert.fields["right_residual"] == 0.75
+    for _ in range(2):
+        with pytest.raises(UsageError, match=r"element \(41,\) is outside the weight table"):
+            verify_direct_finiteness(f2, g2, table)
 
 
 # ---------------------------------------------------------------------------

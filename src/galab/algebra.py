@@ -426,53 +426,66 @@ def delta(group: GroupSpec, x, amplitude=1, *, exact: bool = False) -> AlgebraEl
 
 
 def identity_element(group: GroupSpec, *, exact: bool = False) -> AlgebraElement:
-    return delta(group, group.identity, 1, exact=exact)
+    """delta(group, group.identity, 1, exact=exact), built from its storage."""
+    return _make(group, exact, {group.identity: 1 if exact else 1 + 0j})
 
 
-def _convolve_exact(group, h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
-    """The exact product h*f on numerators, keyed in x-then-y order.
+# The product loops of convolve and of the Neumann series: each adds every
+# product h(x) f(y) into acc at mul(x, y), in x-then-y order, from (x, value)
+# pairs of h and f.
 
-    The double loop adds plain int products (Gaussian-int pairs when some
-    imaginary part is nonzero) over L_h * L_f, and one gcd over the result
-    brings it to lowest terms.
-    """
-    mul = group.mul
-    den = h._den * f._den
-    acc: dict = {}
+
+def _float_products(mul, acc: dict, hitems, fitems) -> None:
+    """Complex products; an unset slot, or one holding None, takes the product as it is."""
     get = acc.get
-    if h.gaussian or f.gaussian:
-        fterms = [(y, fr, fi) for y, (fr, fi) in f._pairs(1).items()]
-        for x, (hr, hi) in h._pairs(1).items():
-            for y, fr, fi in fterms:
-                z = mul(x, y)
-                re, im = get(z, (0, 0))
-                acc[z] = (re + hr * fr - hi * fi, im + hr * fi + hi * fr)
-        return AlgebraElement.from_numerators(group, acc, den, True)
-    fterms = list(f._terms.items())
-    for x, hn in h._terms.items():
-        for y, fn in fterms:
+    fitems = list(fitems)
+    for x, hv in hitems:
+        for y, fv in fitems:
+            z = mul(x, y)
+            prod = hv * fv
+            cur = get(z)
+            acc[z] = prod if cur is None else cur + prod
+
+
+def _int_products(mul, acc: dict, hitems, fitems) -> None:
+    """Int numerator products."""
+    get = acc.get
+    fitems = list(fitems)
+    for x, hn in hitems:
+        for y, fn in fitems:
             z = mul(x, y)
             acc[z] = get(z, 0) + hn * fn
-    return AlgebraElement.from_numerators(group, acc, den, False)
+
+
+def _gaussian_products(mul, acc: dict, hitems, fitems) -> None:
+    """Gaussian-int numerator products, as (re, im) pairs."""
+    get = acc.get
+    fterms = [(y, fr, fi) for y, (fr, fi) in fitems]
+    for x, (hr, hi) in hitems:
+        for y, fr, fi in fterms:
+            z = mul(x, y)
+            re, im = get(z, (0, 0))
+            acc[z] = (re + hr * fr - hi * fi, im + hr * fi + hi * fr)
 
 
 def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
-    """(h*f)(z) = sum_y h(z y^-1) f(y); exact in exact mode."""
+    """(h*f)(z) = sum_y h(z y^-1) f(y); exact in exact mode, keyed in x-then-y order.
+
+    The exact product adds plain int numerators (Gaussian-int pairs when
+    some imaginary part is nonzero) over L_h * L_f, and one gcd over the
+    result brings it to lowest terms.
+    """
     a, b, exact = h._align(f)
-    group = a.group
-    if exact:
-        return _convolve_exact(group, a, b)
-    mul = group.mul
-    acc: dict = {}
-    get = acc.get
-    bterms = list(b._terms.items())
-    for x, av in a._terms.items():
-        for y, bv in bterms:
-            z = mul(x, y)
-            prod = av * bv
-            cur = get(z)
-            acc[z] = prod if cur is None else cur + prod
-    return _make(group, False, {z: v for z, v in acc.items() if v != 0})
+    group, acc = a.group, {}
+    if not exact:
+        _float_products(group.mul, acc, a._terms.items(), b._terms.items())
+        return _make(group, False, {z: v for z, v in acc.items() if v != 0})
+    gaussian = a.gaussian or b.gaussian
+    if gaussian:
+        _gaussian_products(group.mul, acc, a._pairs(1).items(), b._pairs(1).items())
+    else:
+        _int_products(group.mul, acc, a._terms.items(), b._terms.items())
+    return AlgebraElement.from_numerators(group, acc, a._den * b._den, gaussian)
 
 
 # ---------------------------------------------------------------------------

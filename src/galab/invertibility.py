@@ -27,6 +27,9 @@ from typing import TYPE_CHECKING, Iterable
 
 from .algebra import (
     AlgebraElement,
+    _float_products,
+    _gaussian_products,
+    _int_products,
     _make,
     convolve,
     delta,
@@ -37,7 +40,7 @@ from .algebra import (
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, _integer
 from .operators import fourier_eval, symbol_grid
-from .weights import ConstantWeight, Weight
+from .weights import Weight
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,6 +62,7 @@ ROOT_SPAN_CAP = 1024        # wiener_certify: widest rank-one degree span given 
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
 SINGULAR_TOL = 1e-12        # probe_quotients: a quotient |symbol| minimum this small is singular
 DF_SLACK = 10.0             # verify_direct_finiteness: right residual allowed per unit of tol
+SERIES_STEP_CAP = 2**16     # neumann_invert: most products of one series term
 
 
 @dataclass
@@ -132,8 +136,10 @@ def _residuals(f: AlgebraElement, g: AlgebraElement, weight: Weight | None = Non
     weight it wraps), so the direct-finiteness check of an oracle's own
     inverse runs no convolution and evaluates no weight.  Elements are
     immutable: only their constructors and _make, which always gets a fresh
-    dict, set the terms; a weight is taken to be unchanged between calls as
-    well.  New norms share one _Memo, the caller's when it passes one.
+    dict, set the terms.  So are weights: Weight freezes its attributes once
+    constructed and TableWeight's values are read-only, so the same weight
+    object gives the same norms.  New norms share one _Memo, the caller's
+    when it passes one.
     """
     global _last_pair
     base = weight.weight if isinstance(weight, _Memo) else weight
@@ -656,21 +662,25 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     |u^-1| * ratio^(terms+1) / (1 - ratio); both residuals are verified.
     The pivot is the support point of least ratio (ties to the first in
     sort_key order), since the ratio sets both convergence and tail bound.
-    All the call's norms share one _Memo, so the weight is evaluated once
-    per point; a direct-finiteness check with it reuses the residual norms.
+    Exact candidates u^-1 come from f's numerators.  The series is summed
+    by _series, which refuses a term of more than SERIES_STEP_CAP products
+    with ResourceLimitError.  With a weight, all the call's norms share one
+    _Memo, so the weight is evaluated once per point; a direct-finiteness
+    check with the same weight object (or with none, when the call had
+    none) reuses the residual norms.
     """
     if f.is_zero:
         raise UsageError("cannot invert the zero element")
     terms = _integer(terms, "terms")
     if terms < 0:
         raise UsageError(f"terms must be >= 0, got {terms}")
-    w = _Memo(weight if weight is not None else ConstantWeight(1))
+    w = _Memo(weight) if weight is not None else None
     group = f.group
     e = identity_element(group, exact=f.exact)
 
     best = None
     for a in f.support:
-        u_inv = delta(group, group.inv(a), 1 / f.amplitude(a), exact=f.exact)
+        u_inv = _point_inverse(f, a)
         r = e - convolve(u_inv, f)
         ratio = r.norm(w)
         key = (_to_float(ratio), group.sort_key(a))
@@ -687,15 +697,73 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     if ratio >= 1:
         return _inconclusive("neumann-series", fields, "series ratio is >= 1 at the chosen pivot")
 
-    partial = e
-    for _ in range(terms):
-        partial = e + convolve(r, partial)
-    g = convolve(partial, u_inv)
+    g = convolve(_series(r, terms), u_inv)
     left, right = _residuals(f, g, w)
     fields.update(tail_bound=_tail_bound(u_inv.norm(w), ratio, terms),
                   left_residual=_to_float(left), right_residual=_to_float(right))
     return _verified("neumann-series", fields, g, max(left, right), tol,
                      "series converges but the truncation is above tolerance")
+
+
+def _point_inverse(f: AlgebraElement, a) -> AlgebraElement:
+    """The inverse (f(a) delta_a)^-1 = f(a)^-1 delta_{a^-1} of f's term at a.
+
+    An exact amplitude n / L inverts to L / n on the numerators, and
+    (p + qi) / L to L (p - qi) / (p^2 + q^2).
+    """
+    group = f.group
+    if not f.exact:
+        return delta(group, group.inv(a), 1 / f.amplitude(a))
+    den, nums = f.numerators()
+    n = nums[a]
+    if f.gaussian:
+        p, q = n
+        return AlgebraElement.from_numerators(group, {group.inv(a): (den * p, -den * q)},
+                                              p * p + q * q, True)
+    return AlgebraElement.from_numerators(group, {group.inv(a): den if n > 0 else -den},
+                                          abs(n), False)
+
+
+def _series(r: AlgebraElement, terms: int) -> AlgebraElement:
+    """e + r + ... + r^terms by Horner's rule, partial = e + r*partial, with
+    the storage, key order and float bits that loop gets from convolve and +.
+
+    Each step adds r's products into an accumulator that holds the identity
+    first, then drops zero sums.  A float step makes the identity 1 plus its
+    sum, or 1 where no product reached it.  An exact step keeps int
+    numerators over den(r)^k; one gcd at the end brings them to lowest
+    terms.  A step of more than SERIES_STEP_CAP products is refused before
+    it runs.
+    """
+    group = r.group
+    mul, one = group.mul, group.identity
+    if not r.exact:
+        rterms, partial = list(r.items()), {one: 1 + 0j}
+        for _ in range(terms):
+            _series_budget(rterms, partial)
+            acc = {one: None}
+            _float_products(mul, acc, rterms, partial.items())
+            s = acc[one]
+            acc[one] = 1 + 0j if s is None else (1 + 0j) + s
+            partial = {x: v for x, v in acc.items() if v != 0}
+        return _make(group, False, partial)
+    den, rnums = r.numerators()
+    gaussian = r.gaussian
+    products, zero = (_gaussian_products, (0, 0)) if gaussian else (_int_products, 0)
+    rterms, partial, scale = list(rnums.items()), {one: (1, 0) if gaussian else 1}, 1
+    for _ in range(terms):
+        _series_budget(rterms, partial)
+        scale *= den
+        acc = {one: (scale, 0) if gaussian else scale}
+        products(mul, acc, rterms, partial.items())
+        partial = {x: v for x, v in acc.items() if v != zero}
+    return AlgebraElement.from_numerators(group, partial, scale, gaussian)
+
+
+def _series_budget(rterms: list, partial: dict) -> None:
+    work = len(rterms) * len(partial)
+    if work > SERIES_STEP_CAP:
+        raise ResourceLimitError(f"a series term of {work} products exceeds cap {SERIES_STEP_CAP}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement, to_jsonable
@@ -83,8 +84,34 @@ def _exp(exponents, what: str) -> float:
         raise _out_of_range(what) from None
 
 
-class Weight:
-    """Base class; subclasses implement value(group, x) > 0."""
+class _Immutable(type):
+    """Weights are immutable: their attributes are set while the outermost
+    constructor runs (a subclass's __init__ included) and frozen after."""
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        object.__setattr__(obj, "_frozen", True)
+        return obj
+
+
+class Weight(metaclass=_Immutable):
+    """Base class; subclasses implement value(group, x) > 0.
+
+    A weight's value at a point never changes, so a caller may keep the
+    values it has read for as long as it holds the same weight object.
+    """
+
+    __slots__ = ("_frozen",)  # a slot, so vars() shows only a weight's own attributes
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"{type(self).__name__} objects are immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"{type(self).__name__} objects are immutable")
+        object.__delattr__(self, name)
 
     def value(self, group: GroupSpec, x):
         raise NotImplementedError
@@ -170,14 +197,16 @@ class ExpDirectionalWeight(Weight):
 class TableWeight(Weight):
     """Weight given by explicit values on a finite table of elements.
 
-    A table is a lookup: evaluation outside it is refused.  Each value must
-    be positive and within the float range, as every other weight value is.
+    A table is a read-only lookup over a private copy of the values given:
+    evaluation outside it is refused.  Each value must be positive and
+    within the float range, as every other weight value is.
     """
 
     def __init__(self, values: Mapping):
         if not values:
             raise UsageError("table weight needs at least one entry")
-        self.values = {x: _checked(v, "table weight") for x, v in values.items()}
+        self.values = MappingProxyType({x: _checked(v, "table weight")
+                                        for x, v in values.items()})
 
     def value(self, group, x):
         if x not in self.values:

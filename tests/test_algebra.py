@@ -21,6 +21,14 @@ from galab.weights import ExpSymmetricWeight, Weight
 Z = LatticeGroup(1)
 
 
+@pytest.mark.parametrize("group", [Z, LatticeGroup(2), FreeGroup(2), symmetric_group(3)], ids=repr)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_identity_element_has_the_storage_of_its_delta(group, exact):
+    e, d = identity_element(group, exact=exact), delta(group, group.identity, 1, exact=exact)
+    assert (e.exact, e._den, e.gaussian) == (d.exact, d._den, d.gaussian)
+    assert [(x, repr(v)) for x, v in e._terms.items()] == [(x, repr(v)) for x, v in d._terms.items()]
+
+
 # ---------------------------------------------------------------------------
 # oracle: plain dict-of-exponents Laurent multiplication, written separately
 # from the convolution code.

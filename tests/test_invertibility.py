@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galab import invertibility
+from galab.cli import main
 from galab.algebra import (
     AlgebraElement,
     QComplex,
@@ -871,6 +874,147 @@ def test_neumann_picks_the_least_ratio_pivot():
     assert best.fields["ratio"] == pytest.approx(0.25)
 
 
+def _reference_series(r, terms):
+    """e + r + ... + r^terms by the plain Horner loop on convolve and +."""
+    e = identity_element(r.group, exact=r.exact)
+    partial = e
+    for _ in range(terms):
+        partial = e + convolve(r, partial)
+    return partial
+
+
+def _storage(el):
+    """An element's storage: denominator, mode and terms in order, float bits as hex."""
+    terms = list(el._terms.items())
+    if not el.exact:
+        terms = [(x, v.real.hex(), v.imag.hex()) for x, v in terms]
+    return el._den, el.gaussian, terms
+
+
+_SERIES_POINTS = {
+    "Z": (Z, [(1,), (-2,), (0,)]),
+    "Z2": (LatticeGroup(2), [(1, 0), (0, -1), (1, 1)]),
+    "F2": (FreeGroup(2), [(1,), (-2,)]),
+    "F3": (FreeGroup(3), [(3,), (1, -2)]),
+    "S3": (symmetric_group(3), [1, 3, 4]),
+}
+_SERIES_SCALARS = {
+    "exact": (True, [Fraction(1, 3), Fraction(-1, 4), Fraction(2, 7)]),
+    "gaussian": (True, [QComplex.of(Fraction(1, 3), Fraction(-1, 5)), QComplex.of(Fraction(-1, 4)),
+                        QComplex.of(0, Fraction(2, 7))]),
+    "float": (False, [complex(0.3, -0.0), complex(-0.25, 0.1), 0.125]),
+}
+
+
+@pytest.mark.parametrize("terms", [0, 1, 8])
+@pytest.mark.parametrize("scalars", sorted(_SERIES_SCALARS))
+@pytest.mark.parametrize("name", sorted(_SERIES_POINTS))
+def test_series_matches_the_plain_horner_loop_bit_for_bit(name, scalars, terms):
+    group, points = _SERIES_POINTS[name]
+    exact, coefs = _SERIES_SCALARS[scalars]
+    r = AlgebraElement(group, dict(zip(points, coefs)), exact)
+    assert r.gaussian == (scalars == "gaussian")
+    got = invertibility._series(r, terms)
+    assert _storage(got) == _storage(_reference_series(r, terms))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_series_matches_the_plain_loop_when_the_identity_sum_cancels(exact):
+    # r = d0 + d1 - d-1: the identity sum of r * (e + r) is 2 - 1 - 1 = 0.
+    r = AlgebraElement(Z, {(0,): 1, (1,): 1, (-1,): -1}, exact)
+    e = identity_element(Z, exact=exact)
+    assert (0,) not in convolve(r, e + r)._terms
+    assert _storage(invertibility._series(r, 8)) == _storage(_reference_series(r, 8))
+
+
+def test_series_matches_the_plain_loop_on_a_negative_zero_sum():
+    # Each identity product of r * (e + r) underflows to -0.0, and the
+    # product at (2,) to 0.0; both sums are dropped, as convolve drops them.
+    r = AlgebraElement(Z, {(1,): 1e-200, (-1,): -1e-200}, False)
+    acc = {Z.identity: None}
+    invertibility._float_products(Z.mul, acc, r.items(), (identity_element(Z) + r).items())
+    assert math.copysign(1.0, acc[Z.identity].real) == -1.0 and acc[Z.identity] == 0
+    assert _storage(invertibility._series(r, 3)) == _storage(_reference_series(r, 3))
+
+
+@pytest.mark.parametrize("amp", [Fraction(-3, 4), Fraction(5), QComplex.of(Fraction(2, 3), -1),
+                                 QComplex.of(0, Fraction(-1, 6))], ids=repr)
+def test_exact_pivot_candidates_from_numerators(amp):
+    # A Gaussian f whose term at a is real still gives a real candidate.
+    f2 = FreeGroup(2)
+    f = AlgebraElement(f2, {(1, 2): amp, (): QComplex.of(Fraction(1, 7), Fraction(1, 9))}, True)
+    for a in f.support:
+        expected = delta(f2, f2.inv(a), 1 / f.amplitude(a), exact=True)
+        assert _storage(invertibility._point_inverse(f, a)) == _storage(expected)
+
+
+def _exploding_f2():
+    """1 + a/2 + 3b/10 over F2: its series support doubles with each term."""
+    f2 = FreeGroup(2)
+    return (delta(f2, (), 1, exact=True) + delta(f2, (1,), Fraction(1, 2), exact=True)
+            + delta(f2, (2,), Fraction(3, 10), exact=True))
+
+
+def test_neumann_series_work_is_capped(capsys):
+    f = _exploding_f2()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="131070 products exceeds cap 65536"):
+        neumann_invert(f, terms=40)
+    assert time.perf_counter() - start < 1.0
+    assert neumann_invert(f, terms=8).verdict == "inconclusive"
+    argv = ["invert", "--input", json.dumps(element_to_json(f)), "--method", "neumann"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_series_cap_is_inclusive_and_refuses_before_any_product(monkeypatch):
+    # r has 2 terms and the partial sums 1, 3, 7, 15, 31 terms: the steps
+    # take 2, 6, 14, 30 products, and the fifth would take 62.
+    f = _exploding_f2()
+    r = identity_element(f.group, exact=True) - f
+    products = []
+    real = FreeGroup.mul
+
+    def counted(self, x, y):
+        products.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(invertibility, "SERIES_STEP_CAP", 30)
+    monkeypatch.setattr(FreeGroup, "mul", counted)
+    assert invertibility._series(r, 4).n_terms == 31
+    products.clear()
+    with pytest.raises(ResourceLimitError, match="62 products exceeds cap 30"):
+        invertibility._series(r, 5)
+    assert len(products) == 2 + 6 + 14 + 30
+
+
+@pytest.mark.parametrize("scalars", ["exact", "gaussian", "float"])
+def test_unweighted_df_check_reuses_the_oracles_norms(scalars, monkeypatch):
+    exact, coefs = _SERIES_SCALARS[scalars]
+    f = AlgebraElement(Z, {(0,): 1, (1,): coefs[1], (-2,): coefs[0] / 8}, exact)
+    # Norms with no weight are the norms with the weight 1.
+    plain = neumann_invert(f, ConstantWeight(1), terms=6)
+    cert = neumann_invert(f, terms=6)
+    assert cert.to_json() == plain.to_json()
+    g = cert.inverse
+    e = identity_element(Z, exact=exact)
+    direct = [repr((convolve(g, f) - e).norm()), repr((convolve(f, g) - e).norm())]
+    calls = []
+    real = AlgebraElement.norm
+
+    def counted(self, weight=None):
+        calls.append(weight)
+        return real(self, weight)
+
+    monkeypatch.setattr(AlgebraElement, "norm", counted)
+    report = verify_direct_finiteness(f, g)
+    assert calls == [] and _residual_bits(report) == direct
+
+
 # ---------------------------------------------------------------------------
 # quotient probes
 
@@ -1075,6 +1219,22 @@ def test_df_check_never_returns_an_earlier_pairs_norms():
     for _ in range(2):
         with pytest.raises(UsageError, match=r"element \(41,\) is outside the weight table"):
             verify_direct_finiteness(f2, g2, table)
+
+
+def test_df_check_norms_cannot_go_stale():
+    # Weights are immutable, so the kept norms of a weight object stay its norms.
+    table = TableWeight({(-1,): 1.5, (0,): 1, (1,): 1.5})
+    f = delta(Z, (0,), 2, exact=True) + delta(Z, (1,), 1, exact=True)
+    cert = neumann_invert(f, table, terms=0)
+    with pytest.raises(TypeError):
+        table.values[(1,)] = 1.9
+    with pytest.raises(AttributeError):
+        table.values = {(-1,): 1.5, (0,): 1, (1,): 1.9}
+    report = verify_direct_finiteness(f, cert.inverse, table)
+    assert report.left_residual == report.right_residual == 0.75
+    fresh = TableWeight({(-1,): 1.5, (0,): 1, (1,): 1.9})
+    report = verify_direct_finiteness(f, cert.inverse, fresh)
+    assert report.left_residual == report.right_residual == 0.95
 
 
 # ---------------------------------------------------------------------------

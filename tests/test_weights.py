@@ -126,6 +126,46 @@ def test_table_weight_is_lookup_only():
         strict.value(Z, (2,))
 
 
+@pytest.mark.parametrize("weight", [
+    ConstantWeight(2), ExpSymmetricWeight(2), PolynomialWeight(1), ExpDirectionalWeight([0.5]),
+    TableWeight({(0,): 1, (1,): 2}), QuotientWeight(ExpSymmetricWeight(2), Character((0.5,))),
+    ProductWeight([ConstantWeight(2), PolynomialWeight(1)])], ids=lambda w: w.to_json()["kind"])
+def test_weights_are_immutable_once_built(weight):
+    # Callers keep the values of a weight object, so no value may change.
+    name = next(iter(vars(weight)))
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(weight, name, getattr(weight, name))
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(weight, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        weight.extra = 1
+
+
+def test_table_values_are_a_read_only_private_copy():
+    given = {(0,): 1, (1,): 1.5}
+    table = TableWeight(given)
+    given[(1,)] = 1.9
+    with pytest.raises(TypeError):
+        table.values[(1,)] = 1.9
+    assert table.value(Z, (1,)) == 1.5
+    assert table.to_json() == {"kind": "table", "entries": [[(0,), 1], [(1,), 1.5]]}
+
+
+def test_weight_subclasses_set_attributes_in_their_own_constructor():
+    class Scaled(ExpSymmetricWeight):
+        def __init__(self, base, factor):
+            super().__init__(base)
+            self.factor = factor
+
+        def value(self, group, x):
+            return self.factor * super().value(group, x)
+
+    w = Scaled(2, 3)
+    assert (w.base, w.factor, w.value(Z, (2,))) == (2, 3, 12)
+    with pytest.raises(AttributeError, match="immutable"):
+        w.factor = 4
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2**2000, 0, -1.0])
 def test_table_and_constant_weight_values_are_checked(value):
     # The constructors refuse what JSON decoding refuses, so a weight built in

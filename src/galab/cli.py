@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid", type=int, default=64, help="symbol scan points per axis")
     p.add_argument("--N", type=int,
-                   help="FFT grid size (power of two); default 512, or less where "
-                   "512^rank points exceed the grid cap")
+                   help="FFT grid size (power of two); default the largest <= 512 "
+                   "whose grid has at most 2^16 points (512, 256, 32 on Z, Z^2, Z^3)")
     p.add_argument("--K", type=int, default=40, help="series truncation order")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--report", help="write canonical JSON here")

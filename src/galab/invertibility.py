@@ -57,7 +57,8 @@ ZERO_TOL = 1e-12            # invert_via_fft: a smaller |symbol| sample aborts
 CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
 CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
 MAX_INVERSE_SIZE = 4096     # wiener_certify: doublings of the FFT inverse grid stop here
-DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, within GRID_CAP
+DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, at most:
+DEFAULT_INVERSE_POINTS = 2**16  # points of that default grid, so 512, 256, 32 on Z, Z^2, Z^3
 ROOT_SPAN_CAP = 1024        # wiener_certify: widest rank-one degree span given to the root finder
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
 SINGULAR_TOL = 1e-12        # probe_quotients: a quotient |symbol| minimum this small is singular
@@ -474,15 +475,20 @@ def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
 
 def _inverse_size(size, d: int) -> int:
     """A checked FFT grid size per axis on Z^d, a power of two >= 2 within
-    GRID_CAP; None gives the largest such size <= DEFAULT_INVERSE_SIZE."""
+    GRID_CAP.  None gives the largest power of two <= DEFAULT_INVERSE_SIZE
+    whose grid has at most DEFAULT_INVERSE_POINTS points (512 on Z, 256 on
+    Z^2, 32 on Z^3): the verified residual, not the size, makes a
+    certificate sound, so the first try is kept small and wiener_certify
+    doubles it when the residual misses.  Past rank 22 even 2 per axis
+    exceeds GRID_CAP, and the default raises as a given size does."""
     if size is None:
         size = DEFAULT_INVERSE_SIZE
-        while size > 2 and size**d > GRID_CAP:
+        while size > 2 and size**d > DEFAULT_INVERSE_POINTS:
             size //= 2
-        return size
-    size = _integer(size, "grid size")
-    if size < 2 or size & (size - 1):
-        raise UsageError(f"grid size must be a power of two >= 2, got {size}")
+    else:
+        size = _integer(size, "grid size")
+        if size < 2 or size & (size - 1):
+            raise UsageError(f"grid size must be a power of two >= 2, got {size}")
     if size**d > GRID_CAP:
         raise ResourceLimitError(f"grid of {size**d} points exceeds cap {GRID_CAP}")
     return size
@@ -502,7 +508,9 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     coefficient decay shows up there, and a near-vanishing sample aborts
     with the offending frequency instead of an inverse.  Without a size,
     the grid is the largest power of two <= DEFAULT_INVERSE_SIZE per axis
-    that keeps it within GRID_CAP points; a given size over the cap raises.
+    that keeps it within DEFAULT_INVERSE_POINTS points (512 on Z, 256 on
+    Z^2, 32 on Z^3); a grid over GRID_CAP points raises, whether its size
+    was given or is the default past rank 22.
     """
     import numpy as np
     group = _lattice_only(f, "invert_via_fft")
@@ -565,11 +573,12 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     whenever margin = grid_min - L * spacing / 2 is positive; the verdict
     then comes with an FFT inverse and its verified residual, tried at
     inverse_size (default and checks as in invert_via_fft, whatever the
-    element) and doubled up to MAX_INVERSE_SIZE within GRID_CAP.  In rank one
-    a companion-matrix root within CIRCLE_TOL of the unit circle certifies
-    non-invertibility with the offending angle as witness; a degree span
-    over ROOT_SPAN_CAP is not searched for roots.  Anything else is
-    inconclusive and the diagnostics say how close the call was.
+    element: 512 per axis on Z, 256 on Z^2, 32 on Z^3) and doubled up to
+    MAX_INVERSE_SIZE within GRID_CAP.  In rank one a companion-matrix root
+    within CIRCLE_TOL of the unit circle certifies non-invertibility with
+    the offending angle as witness; a degree span over ROOT_SPAN_CAP is not
+    searched for roots.  Anything else is inconclusive and the diagnostics
+    say how close the call was.
     """
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
@@ -662,7 +671,9 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     |u^-1| * ratio^(terms+1) / (1 - ratio); both residuals are verified.
     The pivot is the support point of least ratio (ties to the first in
     sort_key order), since the ratio sets both convergence and tail bound.
-    Exact candidates u^-1 come from f's numerators.  The series is summed
+    Exact candidates u^-1 come from f's numerators.  The pivot search
+    takes n^2 products for an n-term f, so more than SERIES_STEP_CAP of
+    them raise ResourceLimitError before any runs.  The series is summed
     by _series, which refuses a term of more than SERIES_STEP_CAP products
     with ResourceLimitError.  With a weight, all the call's norms share one
     _Memo, so the weight is evaluated once per point; a direct-finiteness
@@ -678,6 +689,9 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     group = f.group
     e = identity_element(group, exact=f.exact)
 
+    work = f.n_terms ** 2
+    if work > SERIES_STEP_CAP:
+        raise ResourceLimitError(f"a pivot search of {work} products exceeds cap {SERIES_STEP_CAP}")
     best = None
     for a in f.support:
         u_inv = _point_inverse(f, a)

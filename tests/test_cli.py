@@ -724,10 +724,11 @@ def test_probe_never_ends_in_a_traceback(capsys, el, moduli):
 
 
 def test_z3_element_certifies_at_the_default_size(capsys):
-    # 512^3 points exceed the grid cap; the default inverse size drops to 128.
+    # The default inverse size on Z^3 is 32 (2^15 points); this inverse
+    # misses the tolerance there and certifies after one doubling, at 64.
     el = element_json([{"x": [0, 0, 0], "re": 2.0}, {"x": [1, 0, 0], "re": 0.5}], rank=3)
     assert main(["invert", "--input", el]) == 0
-    assert "inverse_size = 128" in capsys.readouterr().out
+    assert "inverse_size = 64" in capsys.readouterr().out
     assert main(["invert", "--input", el, "--N", "512"]) == 1  # an explicit size is kept
     assert "exceeds cap" in capsys.readouterr().err
 

@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from galab.algebra import (
     QComplex,
     convolve,
     delta,
+    element_from_json,
     element_to_json,
     identity_element,
 )
@@ -44,6 +47,9 @@ from galab.invertibility import (
 )
 from galab.operators import symbol_grid
 from galab.weights import ConstantWeight, ExpSymmetricWeight, TableWeight
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 Z = LatticeGroup(1)
 
@@ -594,17 +600,41 @@ def test_wiener_positive_margin_skips_the_root_solve(monkeypatch):
 
 
 def test_default_inverse_size_fits_the_grid_cap():
-    # 512^3 points exceed GRID_CAP, so Z^3 starts from 128; Z and Z^2 keep 512.
-    for d, size in [(1, 512), (2, 512), (3, 128)]:
+    # The default grid has at most DEFAULT_INVERSE_POINTS = 2^16 points: Z
+    # keeps 512, Z^2 starts from 256 and Z^3 from 32, where this inverse's
+    # residual misses the tolerance and wiener_certify doubles once to 64.
+    for d, first, certified in [(1, 512, 512), (2, 256, 256), (3, 32, 64)]:
         group = LatticeGroup(d)
         f = delta(group, (0,) * d, 2) + delta(group, (1,) + (0,) * (d - 1), 0.5)
-        assert invert_via_fft(f).fields["size"] == size
+        assert invert_via_fft(f).fields["size"] == first
         cert = wiener_certify(f)
-        assert cert.verdict == "invertible" and cert.fields["inverse_size"] == size
+        assert cert.verdict == "invertible" and cert.fields["inverse_size"] == certified
     with pytest.raises(ResourceLimitError):
         invert_via_fft(f, 512)
     with pytest.raises(ResourceLimitError):
         wiener_certify(f, inverse_size=512)
+    # Rank one keeps 512, so its default certificate is the one asked for at 512.
+    f = delta(Z, (0,), 2) + delta(Z, (1,), 0.5)
+    assert wiener_certify(f).to_json() == wiener_certify(f, inverse_size=512).to_json()
+    assert invert_via_fft(f).to_json() == invert_via_fft(f, 512).to_json()
+    # Past rank 22 even 2 per axis exceeds GRID_CAP: the default size is
+    # refused before any grid is built, as a given one is.
+    f23 = delta(LatticeGroup(23), (0,) * 23, 2)
+    with pytest.raises(ResourceLimitError, match="grid of 8388608 points exceeds cap"):
+        invert_via_fft(f23)
+
+
+def test_wiener_doubles_a_rank_two_default_size_that_misses():
+    # Slot 14 of lattice-fft seed 5 (an r2-inv query) misses the tolerance
+    # at the default 256 per axis and passes after one doubling, at 512.
+    query = workloads.generate("lattice-fft", 5, n_cycles=1)[14]
+    assert query["cat"] == "r2-inv"
+    f = element_from_json(json.loads(query["element"]))
+    tol = 1e-10
+    assert not invert_via_fft(f, tol=tol).invertible
+    cert = wiener_certify(f, query["grid"], tol=tol)
+    assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 512
+    assert cert.residual <= tol
 
 
 def test_symbol_grid_matches_out_of_place_transform():
@@ -990,6 +1020,32 @@ def test_series_cap_is_inclusive_and_refuses_before_any_product(monkeypatch):
     with pytest.raises(ResourceLimitError, match="62 products exceeds cap 30"):
         invertibility._series(r, 5)
     assert len(products) == 2 + 6 + 14 + 30
+
+
+def _wide_z(n):
+    """2n at 0 and 1 at 1 .. n-1 on Z, float: n terms, dominated by the first."""
+    return AlgebraElement(Z, {(k,): (2.0 * n if k == 0 else 1.0) for k in range(n)}, False)
+
+
+def test_neumann_pivot_search_work_is_capped(capsys):
+    # The pivot search takes n^2 products: 2000^2 are refused before any runs.
+    f = _wide_z(2000)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="pivot search of 4000000 products exceeds"):
+        neumann_invert(f, terms=1)
+    assert time.perf_counter() - start < 1.0
+    argv = ["invert", "--input", json.dumps(element_to_json(f)), "--method", "neumann", "--K", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_pivot_search_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(invertibility, "SERIES_STEP_CAP", 16)
+    assert neumann_invert(_wide_z(4), terms=0).verdict == "inconclusive"  # 16 products
+    with pytest.raises(ResourceLimitError, match="25 products exceeds cap 16"):
+        neumann_invert(_wide_z(5), terms=0)
 
 
 @pytest.mark.parametrize("scalars", ["exact", "gaussian", "float"])

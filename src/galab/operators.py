@@ -129,14 +129,13 @@ def action_matrix(f: AlgebraElement, window: Window,
     mul = group.mul
     mat = np.zeros((len(window), len(win_in)), dtype=complex)
     for i, x in enumerate(window):
-        if weight is None:
-            for y, amp in f.items():
-                mat[i, win_in.position(mul(x, y))] += complex(amp)
-        else:
-            wx = weight.value(group, x)
-            for y, amp in f.items():
-                z = mul(x, y)
-                mat[i, win_in.position(z)] += complex(amp) * (weight.value(group, z) / wx)
+        wx = None if weight is None else weight.value(group, x)
+        for y, amp in f.items():
+            z = mul(x, y)
+            c = complex(amp)
+            if weight is not None:
+                c *= weight.value(group, z) / wx
+            mat[i, win_in.position(z)] += c
     return WindowedOperator(element=f, window=window, input_window=win_in,
                             matrix=mat, weight=weight)
 

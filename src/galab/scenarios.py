@@ -21,7 +21,7 @@ from .invertibility import VERDICT_NOT_INVERTIBLE, wiener_certify
 # Work limits, checked before anything is allocated.
 LP_RADIUS_CAP = 10**5   # scenario_lp: largest window radius
 TORUS_FREQ_CAP = 2**13  # scenario_torus: largest max_freq
-TORUS_BITS_CAP = 2**28  # scenario_torus: bits of all exact r^|n|, |n| <= max_freq
+TORUS_BITS_CAP = 2**28  # scenario_torus: bits of the exact r^|n|, |n| <= degree
 
 
 @dataclass
@@ -119,28 +119,18 @@ def scenario_lp(radius: int = 64) -> ScenarioReport:
     )
 
 
-def _quotient(a: int, b: int, c: int, d: int):
-    """(a/b) / (c/d) exactly, for fractions in lowest terms with b, d > 0.
-
-    Fractions in lowest terms are equal exactly when their parts are, so an
-    equal pair gives the int 1 with no gcd taken; any other gives a Fraction.
-    """
-    return 1 if a == c and b == d else Fraction(a * d, b * c)
-
-
-def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
-                   target=None) -> ScenarioReport:
+def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20) -> ScenarioReport:
     """Smoothing convolution on the circle: dense range without surjectivity.
 
-    The kernel with coefficients r^|n| (0 < r < 1) solves f * h = p for
-    every trigonometric polynomial p -- by default a square-wave truncation
-    of the given degree, or any explicit coefficient table passed as
-    target -- with the residual of the reconvolution verified.  But
-    solving f * h = f itself forces every coefficient of h to equal
-    f_hat(n)/f_hat(n) = 1 exactly (checked in rational arithmetic out to
-    max_freq), so the forced coefficients do not decay and their absolute
-    sum grows without bound: no summable solution exists.  A solution
-    coefficient p_hat(n) / r^|n| past the float range is refused.
+    The kernel with coefficients f_hat(n) = r^|n| (0 < r < 1) solves
+    f * h = p for every trigonometric polynomial p -- here a square-wave
+    truncation of the given degree -- with the residual of the
+    reconvolution verified.  But solving f * h = f itself forces every
+    coefficient of h to equal f_hat(n)/f_hat(n), which is exactly 1 since
+    r^|n| is never 0.  So out to max_freq the forced coefficients are all
+    ones, they do not decay, and their absolute sum 2*max_freq + 1 grows
+    without bound: no summable solution exists.  A solution coefficient
+    p_hat(n) / r^|n| past the float range is refused.
     """
     r = _fraction(ratio)
     if not 0 < r < 1:
@@ -153,56 +143,35 @@ def scenario_torus(ratio="1/2", max_freq: int = 1024, degree: int = 20,
         raise UsageError(f"degree must be >= 1, got {degree}")
     if max_freq > TORUS_FREQ_CAP:
         raise ResourceLimitError(f"max_freq {max_freq} exceeds cap {TORUS_FREQ_CAP}")
-    # r^|n| has |n| times the bits of r, so the table below holds about this many.
-    bits = max_freq * (max_freq + 1) * (r.numerator.bit_length() + r.denominator.bit_length())
-    if bits > TORUS_BITS_CAP:
-        raise ResourceLimitError(f"r^|n| for |n| <= {max_freq}: {bits} bits, cap {TORUS_BITS_CAP}")
     degree = min(degree, max_freq)
+    # r^|n| has |n| times the bits of r; this bounds the powers built below.
+    bits = degree * (degree + 1) * (r.numerator.bit_length() + r.denominator.bit_length())
+    if bits > TORUS_BITS_CAP:
+        raise ResourceLimitError(f"r^|n| for |n| <= {degree}: {bits} bits, cap {TORUS_BITS_CAP}")
 
-    # f_hat(n) = r^|n| = p^|n| / q^|n|, in lowest terms since gcd(p, q) = 1.
+    phat = {n: complex(0.0, -2.0 / (math.pi * n)) for n in range(-degree, degree + 1) if n % 2}
+    # f_hat(n) = p^|n| / q^|n|; int true division rounds it correctly, as
+    # float(Fraction) does.
     p, q = r.numerator, r.denominator
-    p_pow, q_pow = [1], [1]
-    for _ in range(max_freq):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-
-    if target is None:
-        phat = {
-            n: complex(0.0, -2.0 / (math.pi * n))
-            for n in range(-degree, degree + 1)
-            if n % 2
-        }
-    else:
-        phat = {_integer(n, "target frequency"): complex(v) for n, v in target.items() if v != 0}
-        if any(abs(n) > max_freq for n in phat):
-            raise UsageError("target coefficients must have frequency <= max_freq")
-    # Int true division rounds p^k / q^k correctly, as float(Fraction) does.
-    fhat = {n: p_pow[abs(n)] / q_pow[abs(n)] for n in phat}
+    fhat = {n: p ** abs(n) / q ** abs(n) for n in phat}
     # r^|n| may underflow to 0.0, or be so small that the quotient overflows.
     hhat = {n: phat[n] / fhat[n] for n in phat if fhat[n]}
     if len(hhat) < len(phat) or not all(map(cmath.isfinite, hhat.values())):
         raise UsageError("a solution coefficient p_hat(n) / r^|n| leaves the float range")
     reconstruction = sum(abs(fhat[n] * hhat[n] - phat[n]) for n in phat)
-    solution_degree = max(abs(n) for n in hhat) if hhat else 0
-    solution_peak = max(abs(v) for v in hhat.values()) if hhat else 0.0
-
-    # f_hat(n) / f_hat(n) at k = |n|; the l1 mass over n counts each k > 0 twice.
-    forced = [_quotient(a, b, a, b) for a, b in zip(p_pow, q_pow)]
-    all_ones = all(v == 1 for v in forced)
-    tail_band_max = max(map(abs, forced[max_freq // 2:]))
-    forced_mass = abs(forced[0]) + 2 * sum(map(abs, forced[1:]))
 
     findings = [
         ("target-degree", degree),
-        ("solution-degree", solution_degree),
-        ("solution-peak", solution_peak),
+        ("solution-degree", max(map(abs, hhat))),
+        ("solution-peak", max(map(abs, hhat.values()))),
         ("reconstruction-residual", reconstruction),
-        ("forced-all-ones", all_ones),
-        ("tail-band-max", tail_band_max),
-        ("forced-l1-mass", forced_mass),
-        ("non-decay", tail_band_max >= 1),
+        # r^|n| is never 0, so each forced f_hat(n)/f_hat(n), |n| <= max_freq, is 1.
+        ("forced-all-ones", True),
+        ("tail-band-max", 1),
+        ("forced-l1-mass", 2 * max_freq + 1),
+        ("non-decay", True),
     ]
-    confirmed = all_ones and tail_band_max == 1 and reconstruction <= 1e-12
+    confirmed = reconstruction <= 1e-12
     return ScenarioReport(
         scenario="torus",
         parameters={"ratio": str(r), "max_freq": max_freq, "degree": degree},

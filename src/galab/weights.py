@@ -405,6 +405,8 @@ def check_weight(weight: Weight, window: Window) -> WeightCheckReport:
     before any value is taken, and a lattice window whose values leave the
     array scan is refused before any pair is scanned.
     """
+    if not len(window):
+        raise UsageError("check_weight needs a nonempty window")
     group = window.group
     check_pair_cap(group, len(window))
     vals = {x: weight.value(group, x) for x in window}

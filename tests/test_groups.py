@@ -401,7 +401,6 @@ def test_cayley_json_declared_order_checked():
     lambda: dihedral_group(2.9),
     lambda: symmetric_group(3.2),
     lambda: symbol_grid(delta(LatticeGroup(1), (1,), 1.0), (4.9,)),
-    lambda: scenario_torus(target={2.7: 1.0}),
     lambda: scenario_torus("1/2", 8.5),
     lambda: scenario_torus("1/2", 8, 2.5),
     lambda: scenario_lp(3.5),
@@ -419,7 +418,7 @@ def test_cayley_json_declared_order_checked():
     lambda: FreeGroup(1).ball_size(True),
     lambda: cyclic_group(4).ball(True),
     lambda: ball(cyclic_group(4), True),
-], ids=["cyclic", "dihedral", "symmetric", "symbol-grid", "torus-target", "torus-max-freq",
+], ids=["cyclic", "dihedral", "symmetric", "symbol-grid", "torus-max-freq",
         "torus-degree", "lp-radius", "fft-size", "neumann-terms", "lattice-ball",
         "lattice-ball-size", "free-ball", "free-ball-size", "cayley-ball", "cayley-ball-size",
         "lattice-ball-bool", "free-ball-size-bool", "cayley-ball-bool", "ball-function-bool"])

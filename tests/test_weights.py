@@ -112,6 +112,13 @@ def test_check_weight_catches_violation():
     assert rep.worst_pair is not None
 
 
+@pytest.mark.parametrize("group", [Z, FreeGroup(2), dihedral_group(3)], ids=["Z", "F2", "cayley"])
+def test_check_weight_refuses_an_empty_window(group):
+    # Weight's own value() raises NotImplementedError: the refusal takes no value.
+    with pytest.raises(UsageError, match="nonempty window"):
+        check_weight(weights.Weight(), Window(group, []))
+
+
 def test_table_weight_is_lookup_only():
     # An extension of a table to products of its entries need not be
     # submultiplicative: {0: 1, +-1: 0.1} would certify the non-invertible

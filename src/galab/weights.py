@@ -12,6 +12,7 @@ weight with values >= 1 and a multiplicative change of variables
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -39,20 +40,29 @@ def _out_of_range(what: str) -> UsageError:
     return UsageError(f"{what} is not a positive number within the float range")
 
 
+def _real(value, what: str):
+    """value, refused unless it is a real number; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def _checked(value, what: str):
     """A weight value, refused unless it is positive and within the float range.
 
     Weight values feed float norms and reports, so an int or a Fraction past
     the float range, an infinity, a NaN or an underflow to 0 is refused where
-    it arises.  A value that passes is kept as given.
+    it arises, as is anything that is not a real number.  A value that passes
+    is kept as given.
     """
-    if isinstance(value, int):
+    kind = type(value)  # exact types first: a bool is an int, but no weight value
+    if kind is int:
         ok = 0 < value and value.bit_length() <= _FLOAT_BITS
-    elif isinstance(value, float):
+    elif kind is float:
         ok = 0 < value < math.inf
     else:
         try:
-            ok = 0 < float(value) < math.inf
+            ok = 0 < float(_real(value, what)) < math.inf
         except OverflowError:
             ok = False
     if not ok:
@@ -140,7 +150,7 @@ class ExpSymmetricWeight(Weight):
     """w(x) = base ** length(x); symmetric since length(x) = length(x^-1)."""
 
     def __init__(self, base):
-        if base <= 0:
+        if _real(base, "exp_symmetric base") <= 0:
             raise UsageError(f"exp_symmetric base must be positive, got {base}")
         self.base = base
 
@@ -155,7 +165,7 @@ class PolynomialWeight(Weight):
     """w(x) = (1 + length(x)) ** beta with beta >= 0."""
 
     def __init__(self, beta):
-        if beta < 0:
+        if _real(beta, "polynomial beta") < 0:
             raise UsageError(f"polynomial weight needs beta >= 0, got {beta}")
         self.beta = beta
 
@@ -565,6 +575,7 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     """
     if not isinstance(group, LatticeGroup):
         raise UsageError("character domination is available on lattices only")
+    radius = _integer(radius, "radius")
     if radius < 1:
         raise UsageError(f"radius must be >= 1, got {radius}")
     window = ball(group, radius, cap=DOMINATE_BALL_CAP)

@@ -1,21 +1,17 @@
 import cmath
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from galab.algebra import canonical_json
+from galab.algebra import AlgebraElement, canonical_json, convolve, delta
 from galab.cli import main
 from galab.errors import ResourceLimitError, UsageError
-from galab.scenarios import (
-    LP_RADIUS_CAP,
-    TORUS_BITS_CAP,
-    TORUS_FREQ_CAP,
-    ScenarioReport,
-    scenario_lp,
-    scenario_torus,
-)
+from galab.groups import LatticeGroup
+from galab.invertibility import VERDICT_NOT_INVERTIBLE, wiener_certify
+from galab.scenarios import TORUS_BITS_CAP, ScenarioReport, scenario_lp, scenario_torus
 
 
 def findings_of(report):
@@ -127,17 +123,10 @@ def test_torus_solution_past_the_float_range_is_refused(capsys, ratio, max_freq,
     assert _one_error_line(capsys)
 
 
-def test_lp_radius_is_capped(capsys):
-    with pytest.raises(ResourceLimitError):
-        scenario_lp(LP_RADIUS_CAP + 1)
-    assert main(["scenario", "lp", "--N", str(LP_RADIUS_CAP + 1)]) == 1
-    assert _one_error_line(capsys)
-
-
-def test_torus_max_freq_is_capped(capsys):
-    with pytest.raises(ResourceLimitError):
-        scenario_torus("1/2", TORUS_FREQ_CAP + 1, 1)
-    assert main(["scenario", "torus", "--N", str(TORUS_FREQ_CAP + 1)]) == 1
+@pytest.mark.parametrize("which", ["lp", "torus"])
+def test_scenario_size_too_long_for_int_is_a_usage_error(capsys, which):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    assert main(["scenario", which, "--N", digits]) == 1
     assert _one_error_line(capsys)
 
 
@@ -176,8 +165,81 @@ def test_torus_memory_does_not_grow_with_max_freq():
         lambda: scenario_torus("1/2", 8, 8))
 
 
-def test_torus_at_the_frequency_cap_is_confirmed():
-    assert scenario_torus("1/2", TORUS_FREQ_CAP, 1).verdict == "confirmed"
+def test_torus_at_a_trillion_frequencies_is_confirmed_in_constant_memory():
+    report = scenario_torus("1/2", 10**12, 8)
+    assert report.verdict == "confirmed"
+    assert dict(report.findings)["forced-l1-mass"] == 2 * 10**12 + 1
+    assert _peak(lambda: scenario_torus("1/2", 10**12, 8)) <= _peak(
+        lambda: scenario_torus("1/2", 8, 8))
+
+
+def test_lp_makes_no_convolution_at_any_radius(monkeypatch):
+    calls = []
+
+    def spy(h, f):
+        calls.append((h, f))
+        return convolve(h, f)
+
+    # Every galab module that holds convolve, so a call from any of them is seen.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galab") and getattr(module, "convolve", None) is convolve:
+            monkeypatch.setattr(module, "convolve", spy)
+    report = scenario_lp(10**12)
+    assert calls == []
+    assert report.verdict == "confirmed"
+    assert dict(report.findings) == dict(scenario_lp(100).findings)
+
+
+def test_lp_memory_does_not_grow_with_radius():
+    # Over a process's first calls the traced peak falls by a few bytes a
+    # call, as the interpreter's free lists fill, so the reference comes first.
+    one = _peak(lambda: scenario_lp(1))
+    assert _peak(lambda: scenario_lp(10**12)) <= one
+
+
+def lp_reference(radius):
+    """scenario_lp computed on its window: the constant 1 on [-N, N+1]
+    convolved with f~ = d0 - d-1 and read on |x| <= N, and both forward
+    substitutions run over [-N, N]."""
+    group = LatticeGroup(1)
+    f = delta(group, (0,), 1, exact=True) - delta(group, (1,), 1, exact=True)
+    ones = AlgebraElement(group, {(x,): 1 for x in range(-radius, radius + 2)}, True)
+    reflected = AlgebraElement(group, {(0,): 1, (-1,): -1}, True)
+    acted = convolve(ones, reflected)
+    const_residual = max((abs(v) for (x,), v in acted.items() if abs(x) <= radius),
+                         default=Fraction(0))
+    a = {-radius: 0}
+    for x in range(-radius, radius):
+        a[x + 1] = a[x] - (1 if x == 0 else 0)
+    forced_gap = Fraction(a[-radius] - a[radius])
+    b = {-radius: 1}
+    for x in range(-radius, radius):
+        b[x + 1] = b[x]
+    homogeneous_gap = Fraction(b[-radius] - b[radius])
+    certificate = wiener_certify(f.to_float())
+    findings = [
+        ("constant-action-residual", const_residual),
+        ("forced-endpoint-gap", forced_gap),
+        ("homogeneous-endpoint-gap", homogeneous_gap),
+        ("symbol-verdict", certificate.verdict),
+        ("witness-angle", certificate.fields.get("witness_angle")),
+    ]
+    confirmed = (const_residual == 0 and forced_gap == 1 and homogeneous_gap == 0
+                 and certificate.verdict == VERDICT_NOT_INVERTIBLE)
+    return ScenarioReport(
+        scenario="lp",
+        parameters={"radius": radius},
+        findings=findings,
+        verdict="confirmed" if confirmed else "failed",
+    )
+
+
+@pytest.mark.parametrize("radius", [1, 2, 7, 100, 1000])
+def test_lp_matches_the_window_reference(radius):
+    got = scenario_lp(radius)
+    want = lp_reference(radius)
+    assert canonical_json(got.to_json()) == canonical_json(want.to_json())
+    assert got.text() == want.text()
 
 
 def torus_reference(ratio, max_freq, degree):

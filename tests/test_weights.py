@@ -184,6 +184,27 @@ def test_table_and_constant_weight_values_are_checked(value):
         ConstantWeight(value)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ConstantWeight(True),
+    lambda: ConstantWeight("2"),
+    lambda: TableWeight({(0,): "2", (1,): 3, (-1,): 3}),
+    lambda: TableWeight({(0,): 1, (1,): True, (-1,): 1}),
+    lambda: TableWeight({(0,): 1, (1,): 2j, (-1,): 1}),
+    lambda: ExpSymmetricWeight("2"),
+    lambda: ExpSymmetricWeight(True),
+    lambda: PolynomialWeight("1"),
+    lambda: PolynomialWeight(False),
+    lambda: dominate_character(ExpSymmetricWeight(2), Z, "3"),
+], ids=["constant-bool", "constant-str", "table-str", "table-bool", "table-complex",
+        "exp-str", "exp-bool", "poly-str", "poly-bool", "dominate-str"])
+def test_weights_refuse_what_is_not_a_number(build):
+    # A bool or a numeric string was kept as a weight value, and its JSON
+    # ("value": true, "2") was refused by weight_from_json; a string base,
+    # beta or radius ended in a bare TypeError from a comparison.
+    with pytest.raises(UsageError, match="must be a"):
+        build()
+
+
 def test_fraction_weight_values_past_the_float_range_are_refused():
     # 0 < value < inf held for a Fraction past the float range, so the float
     # norm ended in an OverflowError, or the 401-digit value came back.

@@ -11,6 +11,7 @@ operations read as ``spec.mul(a, b)``.
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
@@ -561,24 +562,27 @@ _cayley_cache: dict = {}
 
 
 def _cayley_from_json(table, identity, name) -> CayleyGroup:
-    """CayleyGroup(table, identity, name), interned by (rows, identity, name).
+    """CayleyGroup(table, identity, name), interned by (table, identity, name).
 
-    Only a table of lists of exact ints, an int identity and a str or None
-    name are looked up, since True == 1 and 1.0 == 1 as dict keys and a
-    list name is unhashable; anything else goes to the constructor.  A
-    refused table raises there and is never stored.
+    The table is keyed by its version-2 marshal bytes, which write int, bool
+    and float cells with different type codes and hold no back-references,
+    so equal keys mean equal cells of equal types, where a key of tuples
+    would take True or 1.0 for 1.  A table marshal refuses, an identity
+    that is not an exact int and a name that is not a str or None go to
+    the constructor uncached.  A refused table raises there and is never
+    stored.
     """
-    if not (type(table) is list and all(type(row) is list for row in table)
-            and type(identity) is int and (name is None or type(name) is str)
-            and list(map(type, itertools.chain.from_iterable(table))).count(int)
-            == sum(map(len, table))):
+    try:
+        key = marshal.dumps(table, 2), identity, name
+    except ValueError:
+        key = None
+    if key is None or type(identity) is not int or not (name is None or type(name) is str):
         return CayleyGroup(table, identity=identity, name=name)
-    key = (tuple(map(tuple, table)), identity, name)
     group = _cayley_cache.get(key)
     if group is None:
         group = CayleyGroup(table, identity=identity, name=name)
         if group.order**2 <= CAYLEY_CACHE_CELLS:
-            _cayley_cache[group.table, identity, name] = group
+            _cayley_cache[key] = group
             while (len(_cayley_cache) > CAYLEY_CACHE_GROUPS
                    or sum(g.order**2 for g in _cayley_cache.values()) > CAYLEY_CACHE_CELLS):
                 del _cayley_cache[next(iter(_cayley_cache))]

@@ -7,8 +7,9 @@ freshly computed convolution residual; no verdict is ever emitted on the
 strength of intermediate numerics alone.
 
 Oracles:
-  invert_finite        exact solve on a finite Cayley group, by fraction-free
-                       elimination over Z or Z[i] (float elements: numpy)
+  invert_finite        exact solve on a finite Cayley group, by forward
+                       fraction-free (Bareiss) elimination, then fraction-free
+                       back substitution, over Z or Z[i] (float elements: numpy)
   wiener_certify       grid-plus-Lipschitz lower bound for lattice symbols,
                        with companion-matrix root witnesses in rank one
   invert_via_fft       sampled-symbol division inverse candidate
@@ -201,12 +202,13 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: fraction-free elimination over Z or Z[i]
+# exact linear algebra: forward fraction-free (Bareiss) elimination, then
+# fraction-free back substitution, over Z or Z[i]
 #
 # A Gaussian integer is an (re, im) pair of ints.  The caller hands over an
 # integral matrix (an exact element's numerators); each ring supplies the
-# step that combines two rows, and the result comes back over one positive
-# int denominator.
+# step that combines two rows and the step that back-substitutes one row,
+# and the result comes back over one positive int denominator.
 
 
 def _integer_combine(p, f, d, xs, ys) -> list:
@@ -233,59 +235,62 @@ def _gaussian_combine(p, f, d, xs, ys) -> list:
             for (xr, xi), (yr, yi) in zip(xs, ys)]
 
 
-def _over_one_denominator(values: list, scales: list, gaussian: bool) -> tuple:
-    """(L, nums) with values[i] / scales[i] == nums[i] / L for one positive int L.
+def _integer_substitute(row, i, w) -> None:
+    """w[i] = -(row[k] * w[k] summed over i < k < len(w)) / row[i] over Z; an exact division."""
+    w[i] = -sum(u * x for u, x in zip(row[i + 1:], w[i + 1:]) if u) // row[i]
 
-    Over Z[i], v / s is v * conj(s) / |s|^2, so L is the lcm of the norms.
-    """
-    if gaussian:
-        norms = [sr * sr + si * si for sr, si in scales]
-        den = math.lcm(*norms)
-        return den, [((vr * sr + vi * si) * (den // q), (vi * sr - vr * si) * (den // q))
-                     for (vr, vi), (sr, si), q in zip(values, scales, norms)]
-    den = math.lcm(*scales)
-    return den, [v * (den // s) for v, s in zip(values, scales)]
+
+def _gaussian_substitute(row, i, w) -> None:
+    """w[i] = -(row[k] * w[k] summed over i < k < len(w)) / row[i] over Z[i]; an exact division."""
+    sr = si = 0
+    for (ur, ui), (xr, xi) in zip(row[i + 1:], w[i + 1:]):
+        if ur or ui:
+            sr += ur * xr - ui * xi
+            si += ur * xi + ui * xr
+    qr, qi = row[i]
+    norm = qr * qr + qi * qi
+    w[i] = ((-sr * qr - si * qi) // norm, (sr * qi - si * qr) // norm)
 
 
 def _solve_exact(mat: list, gaussian: bool):
-    """Fraction-free Gauss-Jordan (Bareiss) elimination over Z or Z[i].
+    """Forward fraction-free (Bareiss) elimination, then fraction-free back
+    substitution, over Z or Z[i].
 
     mat is an augmented n x (n+1) matrix [A | b] as a list of rows, of ints,
     or of Gaussian-int (re, im) pairs when gaussian is true; it is
-    eliminated in place.  The step with pivot p replaces every other row r
-    by (p*r - r[c]*pivot row) / previous pivot, an exact division (Bareiss
-    1968), so after the last step each pivot row reads final pivot times
-    its reduced-row-echelon row.  A row with r[c] == 0 would only be
-    multiplied by p / previous pivot, so it is left as it is: each row keeps
-    the pivot it was last brought to (its scale), and its next combination
-    divides by that scale instead, which is still exact.  The group-algebra
-    matrices are sparse, so most rows skip most steps.  Returns
-    ("solution", L, x) with A @ (x / L) = b, or ("singular", L, v) with v / L
-    the reduced-row-echelon kernel vector of the first free column of A; L
-    is a positive int and the entries are in the matrix's ring.  The work is
-    O(n^3) ring operations on growing entries; invert_finite calls it on one
-    |K| x |K| coset block at a time, never on the whole group matrix.
+    eliminated in place.  The step with pivot p replaces every row r below
+    the pivot row by (p*r - r[c]*pivot row) / previous pivot, an exact
+    division (Bareiss 1968), so pivot row i ends as row i of an upper
+    triangular U with the i-th leading minor of the row-permuted A at
+    U[i][i], and the last pivot D is +-det A.  A row with r[c] == 0 would
+    only be multiplied by p / previous pivot, so it is left as it is and
+    keeps the pivot it was last brought to (its scale): its next combination
+    divides by that scale instead, and a stale pivot row is first brought
+    to the previous pivot.  The group-algebra matrices are sparse, so most
+    rows skip most steps.  Back substitution (Nakos, Turner & Williams 1997)
+    then solves upward for D*x, D*x_i = (D*b_i - sum over k > i of
+    U[i][k]*D*x_k) / U[i][i], exact because D*x is integral by Cramer's
+    rule.  Returns ("solution", L, x) with A @ (x / L) = b, or ("singular",
+    L, v) with v / L the kernel vector of the first free column c of A (1 at
+    c, 0 past it, found the same way with D the c-th pivot); L is a positive
+    int and the entries are in the matrix's ring.  The work is O(n^3) ring
+    operations on growing entries; invert_finite calls it on one |K| x |K|
+    coset block at a time, never on the whole group matrix.
     """
     n = len(mat)
     if gaussian:
-        zero, prev, combine = (0, 0), (1, 0), _gaussian_combine
+        zero, prev, combine, substitute = (0, 0), (1, 0), _gaussian_combine, _gaussian_substitute
     else:
-        zero, prev, combine = 0, 1, _integer_combine
-    # Row i of the eliminated matrix is mat[i] * prev / scale[i].
+        zero, prev, combine, substitute = 0, 1, _integer_combine, _integer_substitute
+    # Row i below the pivot rows is mat[i] * prev / scale[i].
     scale = [prev] * n
+    free = n  # the first column without a pivot; column n holds b
     for c in range(n):
         # Columns 0..c-1 all have pivots, so the pivot of column c goes to row c.
         pr = next((i for i in range(c, n) if mat[i][c] != zero), None)
         if pr is None:
-            # Later steps would only scale column c of rows 0..c-1, so it
-            # already holds the first free column of the echelon form.
-            den, kernel = _over_one_denominator([mat[i][c] for i in range(c)], scale[:c],
-                                                gaussian)
-            if gaussian:
-                kernel, one = [(-re, -im) for re, im in kernel], (den, 0)
-            else:
-                kernel, one = [-v for v in kernel], den
-            return "singular", den, kernel + [one] + [zero] * (n - c - 1)
+            free = c
+            break
         mat[c], mat[pr] = mat[pr], mat[c]
         scale[c], scale[pr] = scale[pr], scale[c]
         pivot_row = mat[c]
@@ -293,14 +298,31 @@ def _solve_exact(mat: list, gaussian: bool):
             pivot_row[c:] = combine(prev, zero, scale[c], pivot_row[c:], ())
         p = pivot_row[c]
         tail = pivot_row[c + 1:]
-        for i in range(n):
+        for i in range(c + 1, n):
             row = mat[i]
-            if i != c and row[c] != zero:
+            if row[c] != zero:
                 # Columns before c+1 are not read again; only the tail is kept current.
                 row[c + 1:] = combine(p, row[c], scale[i], row[c + 1:], tail)
                 scale[i] = p
-        scale[c] = prev = p
-    return ("solution", *_over_one_denominator([row[n] for row in mat], scale, gaussian))
+        prev = p
+    # U's rows 0..free-1 annihilate w over columns 0..free, where w[free] is
+    # D for a free column and -D for b; U is current in those columns.  Over
+    # Z, |D| serves as D, since -D*x is as integral as D*x.
+    if gaussian:
+        dr, di = prev
+        den, last = dr * dr + di * di, prev if free < n else (-dr, -di)
+    else:
+        den = abs(prev)
+        last = den if free < n else -den
+    w = [zero] * free + [last]
+    for i in range(free - 1, -1, -1):
+        substitute(mat[i], i, w)
+    if gaussian:
+        # x = w / D = w * conj(D) / |D|^2
+        w = [(wr * dr + wi * di, wi * dr - wr * di) for wr, wi in w]
+    if free == n:
+        return "solution", den, w[:n]
+    return "singular", den, w + [zero] * (n - free - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +411,9 @@ def _invert_exact(f: AlgebraElement) -> tuple:
 def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCertificate:
     """Solve g*f = e on a finite Cayley group and verify both residuals.
 
-    Exact elements go through fraction-free elimination over Z or Z[i]
-    (_solve_exact), so success means both residuals are exactly zero; a
+    Exact elements go through forward fraction-free (Bareiss) elimination,
+    then fraction-free back substitution, over Z or Z[i] (_solve_exact), so
+    success means both residuals are exactly zero; a
     singular system yields a not-invertible certificate carrying an exact
     kernel witness with witness*f = 0.  Both outcomes are checked again by
     exact convolution, whatever the solver did.  These certificates have

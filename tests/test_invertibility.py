@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galab import invertibility
@@ -258,6 +258,43 @@ def square_systems(draw):
     return rows, rhs, singular
 
 
+def _block_system(f):
+    """(rows, rhs, False): the one block invert_finite eliminates for an f whose
+    support spans its group, as Fraction pairs.  With y0 = f's first support
+    point, column c holds f(y) in the row labelled c*y*y0^-1, and b is 1 in
+    the row labelled y0^-1."""
+    group = f.group
+    y0_inv = group.inv(f.support[0])
+    rows = [[(F0, F0)] * group.order for _ in range(group.order)]
+    for y, amp in f.items():
+        s = group.mul(y, y0_inv)
+        for c in range(group.order):
+            rows[group.mul(c, s)][c] = (amp.re, amp.im)
+    return rows, [(F1 if r == y0_inv else F0, F0) for r in range(group.order)], False
+
+
+def _two_term(group, y, a, z, b):
+    return AlgebraElement(group, {y: QComplex.of(*a), z: QComplex.of(*b)}, True)
+
+
+C4xC4 = CayleyGroup([[4 * ((i // 4 + j // 4) % 4) + (i + j) % 4 for j in range(16)]
+                     for i in range(16)], identity=0, name="C4xC4")
+
+# Row 2 skips steps 0 and 1, so it becomes the pivot of column 2 at a stale
+# scale and is rescaled; column 3 = column 0 - column 2 is then the first free one.
+_STALE_THEN_FREE = [[2, 1, 1, 1], [1, 3, 0, 1], [0, 0, 5, -5], [4, 2, 2, 2]]
+
+
+# The blocks the benchmark eliminates, at their full sizes, and a singular one.
+@example(_block_system(AlgebraElement(C4xC4, {y: QComplex.of(Fraction(y - 7, y % 5 + 1),
+                                                             Fraction(3 - y, y % 3 + 2))
+                                              for y in range(16)}, True)))
+@example(_block_system(_two_term(cyclic_group(48), 5, (Fraction(1, 2), Fraction(1, 3)),
+                                 6, (Fraction(-2, 7), Fraction(3, 4)))))
+@example(_block_system(_two_term(cyclic_group(64), 3, (Fraction(5, 3), 0),
+                                 8, (Fraction(-4, 9), 0))))
+@example(([[(Fraction(v), F0) for v in row] for row in _STALE_THEN_FREE],
+          [(F1, F0), (F0, F0), (F0, F0), (F0, F0)], True))
 @given(square_systems())
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_solve_matches_reference_gauss_jordan(system):
@@ -308,6 +345,25 @@ def test_exact_inverse_at_order_64_has_zero_residuals(group, gaussian):
     assert cert.fields["left_residual"] == 0 and isinstance(cert.fields["left_residual"], Fraction)
     assert cert.fields["right_residual"] == 0
     assert cert.residual == 0
+
+
+def test_forward_elimination_combines_each_pair_of_rows_once(monkeypatch):
+    # Every entry of the 8 x 8 block of a full-support element on C8 is
+    # nonzero and stays so, so no row skips a step: each step combines the
+    # rows below its pivot, n(n-1)/2 = 28 in all, and no pivot row is rescaled.
+    c8 = cyclic_group(8)
+    f = AlgebraElement(c8, {y: QComplex.of(Fraction(y * y + 3, y + 2)) for y in range(8)}, True)
+    factors = []
+    combine = invertibility._integer_combine
+
+    def spy(p, factor, d, xs, ys):
+        factors.append(factor)
+        return combine(p, factor, d, xs, ys)
+
+    monkeypatch.setattr(invertibility, "_integer_combine", spy)
+    cert = invert_finite(f)
+    assert cert.verdict == "invertible" and cert.residual == 0
+    assert len(factors) == 28 and all(factors)
 
 
 def test_singular_gaussian_element_has_exact_kernel_witness():

@@ -11,7 +11,8 @@ Oracles:
                        fraction-free (Bareiss) elimination, then fraction-free
                        back substitution, over Z or Z[i] (float elements: numpy)
   wiener_certify       grid-plus-Lipschitz lower bound for lattice symbols,
-                       with companion-matrix root witnesses in rank one
+                       with symbol-zero witnesses refined from the grid
+                       minimum in rank one
   invert_via_fft       sampled-symbol division inverse candidate
   neumann_invert       geometric series around a dominant pivot, any group,
                        weighted norms supported
@@ -40,7 +41,7 @@ from .algebra import (
 )
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, _integer
-from .operators import fourier_eval, symbol_grid
+from .operators import symbol_grid
 from .weights import Weight
 
 if TYPE_CHECKING:
@@ -56,13 +57,11 @@ SINGULAR_REL = 1e-12        # float solve: relative singular-value rank threshol
 GRID_CAP = 2**22            # symbol grid points in invert_via_fft and wiener_certify
 ZERO_TOL = 1e-12            # invert_via_fft: a smaller |symbol| sample aborts
 CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
-CIRCLE_TOL = 1e-9           # wiener_certify: root distance to the unit circle for a witness
 MAX_INVERSE_SIZE = 4096     # wiener_certify: doublings of the FFT inverse grid stop here
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, at most:
 DEFAULT_INVERSE_POINTS = 2**16  # points of that default grid, so 512, 256, 32 on Z, Z^2, Z^3
-ROOT_SPAN_CAP = 1024        # wiener_certify: widest rank-one degree span given to the root finder
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
-SINGULAR_TOL = 1e-12        # probe_quotients: a quotient |symbol| minimum this small is singular
+SINGULAR_TOL = 1e-12        # probe_quotients and rank-one wiener_certify: |symbol| <= this is zero
 DF_SLACK = 10.0             # verify_direct_finiteness: right residual allowed per unit of tol
 SERIES_STEP_CAP = 2**16     # neumann_invert: most products of one series term
 
@@ -184,6 +183,14 @@ def _inconclusive(kind: str, fields: dict, reason: str) -> InvertibilityCertific
                                     fields={**fields, "reason": reason})
 
 
+def _proven(weight: Weight | None, group) -> None:
+    """Refuse a weight not proven submultiplicative: only then is the weighted
+    l1 space a Banach algebra, whose norms bound products and series."""
+    if weight is not None and weight.submultiplicative_proof(group) is None:
+        raise UsageError(f"{type(weight).__name__} is not proven submultiplicative "
+                         "(w(xy) <= w(x) w(y)), so its norms prove nothing")
+
+
 def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
                              weight: Weight | None = None, *,
                              tol: float = 1e-10) -> DirectFinitenessReport:
@@ -194,8 +201,10 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
     the right residual below DF_SLACK*tol; a pair that is not even a left
     inverse passes vacuously.  On the f and inverse that an oracle just
     verified, its products are reused, and with the same weight object its
-    norms too; otherwise each point's weight is evaluated once.
+    norms too; otherwise each point's weight is evaluated once.  A weight
+    without a submultiplicative_proof is refused with UsageError.
     """
+    _proven(weight, f.group)
     left, right = _residuals(f, g, weight)
     passed = (left > tol) or (right <= DF_SLACK * tol)
     return DirectFinitenessReport(left_residual=left, right_residual=right, passed=passed, tol=tol)
@@ -574,17 +583,32 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
                      g, residual, tol, "candidate residual above tolerance; increase the grid")
 
 
-def _laurent_roots(f: AlgebraElement) -> np.ndarray:
-    """Roots of the rank-one symbol polynomial via the companion matrix."""
-    import numpy as np
-    degs = sorted(n[0] for n, _ in f.items())
-    lo, hi = degs[0], degs[-1]
-    if hi == lo:
-        return np.array([], dtype=complex)
-    coeff = np.zeros(hi - lo + 1, dtype=complex)
-    for n, amp in f.items():
-        coeff[n[0] - lo] = complex(amp)
-    return np.roots(coeff[::-1])
+def _refine_min(f: AlgebraElement, theta: float) -> tuple:
+    """(angle, |s|) at the least |s| that Gauss-Newton steps on the rank-one
+    symbol s reach from theta.
+
+    A step is theta - Re(conj(s') s) / |s'|^2, with s and s' from one pass
+    over the terms: O(terms) whatever the degree span.  The steps stop at
+    the first that does not lower |s|, or after 32: near a simple zero they
+    converge quadratically, and near a zero of multiplicity m each keeps
+    (m-1)/m of the distance, so 32 cut a double zero's |s| by 4^-32.
+    """
+    terms = [(n, complex(amp)) for (n,), amp in f.items()]
+    best = theta, math.inf
+    for _ in range(33):
+        val = der = 0j  # s(theta) and s'(theta) / i
+        for n, amp in terms:
+            v = amp * cmath.exp(1j * (n * theta))
+            val += v
+            der += n * v
+        if not abs(val) < best[1]:
+            break
+        best = theta, abs(val)
+        norm = der.real * der.real + der.imag * der.imag
+        if not norm:
+            break
+        theta -= (der.conjugate() * val).imag / norm
+    return best
 
 
 def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
@@ -597,11 +621,12 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     then comes with an FFT inverse and its verified residual, tried at
     inverse_size (default and checks as in invert_via_fft, whatever the
     element: 512 per axis on Z, 256 on Z^2, 32 on Z^3) and doubled up to
-    MAX_INVERSE_SIZE within GRID_CAP.  In rank one a companion-matrix root
-    within CIRCLE_TOL of the unit circle certifies non-invertibility with
-    the offending angle as witness; a degree span over ROOT_SPAN_CAP is not
-    searched for roots.  Anything else is inconclusive and the diagnostics
-    say how close the call was.
+    MAX_INVERSE_SIZE within GRID_CAP.  In rank one a non-positive margin
+    sends the grid minimum to _refine_min, and |symbol| <= SINGULAR_TOL
+    there (probe_quotients' test) refutes with the angle t as witness:
+    x(n) = exp(i n t) is bounded with rho_f x = 0, and |symbol| is the l1
+    distance from f to the singular f - symbol(t) delta_0.  Anything else
+    is inconclusive and the diagnostics say how close the call was.
     """
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
@@ -616,7 +641,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
                                         "margin": 0.0, "witness_angle": [0.0] * d,
                                         "witness_value": 0.0})
     ff = f.to_float()
-    _, grid_min = _grid_min(symbol_grid(ff, (grid,) * d))
+    kmin, grid_min = _grid_min(symbol_grid(ff, (grid,) * d))
     lipschitz = float(sum(group.word_length(n) * abs(amp) for n, amp in ff.items()))
     spacing = 2 * math.pi / grid
     margin = grid_min - lipschitz * (spacing / 2)
@@ -640,28 +665,13 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
         return _inconclusive("wiener-grid", fields, "margin is positive but no inverse met "
                              "the tolerance up to the size cap")
 
-    # The companion-matrix eigensolve is O(span^3) in time and O(span^2) in
-    # memory, so it runs only here, where a root is the sole remaining way to
-    # a verdict, and only up to ROOT_SPAN_CAP.
     if d == 1:
-        support = ff.support  # in increasing degree
-        span = support[-1][0] - support[0][0]
-        if span > ROOT_SPAN_CAP:
-            return _inconclusive("wiener-grid", fields, f"margin not positive and the degree "
-                                 f"span {span} exceeds ROOT_SPAN_CAP = {ROOT_SPAN_CAP}, "
-                                 "so no root witness was sought")
-    import numpy as np
-    roots = _laurent_roots(ff) if d == 1 else np.array([], dtype=complex)
-    if roots.size:
-        dists = np.abs(np.abs(roots) - 1.0)
-        k = int(np.argmin(dists))
-        if dists[k] <= CIRCLE_TOL:
-            z = complex(roots[k])
-            angle = cmath.phase(z)
-            fields.update(witness_angle=angle, witness_value=abs(fourier_eval(ff, (angle,))),
-                          root={"re": z.real, "im": z.imag}, circle_tol=CIRCLE_TOL)
+        angle, value = _refine_min(ff, 2 * math.pi * kmin[0] / grid)
+        if value <= SINGULAR_TOL:
+            fields.update(witness_angle=angle, witness_value=value,
+                          root={"re": math.cos(angle), "im": math.sin(angle)})
             return _refuted("wiener-grid", fields)
-        fields["closest_root_distance"] = float(dists[k])
+        fields["refined_min"] = value
     return _inconclusive("wiener-grid", fields,
                          "margin not positive and no unit-circle root witness")
 
@@ -698,7 +708,8 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     takes n^2 products for an n-term f, so more than SERIES_STEP_CAP of
     them raise ResourceLimitError before any runs.  The series is summed
     by _series, which refuses a term of more than SERIES_STEP_CAP products
-    with ResourceLimitError.  With a weight, all the call's norms share one
+    with ResourceLimitError.  A weight without a submultiplicative_proof is
+    refused with UsageError.  With a weight, all the call's norms share one
     _Memo, so the weight is evaluated once per point; a direct-finiteness
     check with the same weight object (or with none, when the call had
     none) reuses the residual norms.
@@ -708,6 +719,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     terms = _integer(terms, "terms")
     if terms < 0:
         raise UsageError(f"terms must be >= 0, got {terms}")
+    _proven(weight, f.group)
     w = _Memo(weight) if weight is not None else None
     group = f.group
     e = identity_element(group, exact=f.exact)

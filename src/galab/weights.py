@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -129,6 +130,10 @@ class Weight(metaclass=_Immutable):
     def to_json(self) -> dict:
         raise NotImplementedError
 
+    def submultiplicative_proof(self, group: GroupSpec) -> str | None:
+        """Why w(x*y) <= w(x) * w(y) holds on group, or None when it is not proven."""
+        return None
+
 
 class ConstantWeight(Weight):
     """w(x) = value, a constant >= 1 (1 gives the plain l1 algebra)."""
@@ -141,6 +146,9 @@ class ConstantWeight(Weight):
 
     def value(self, group, x):
         return self.constant
+
+    def submultiplicative_proof(self, group):
+        return "a constant c >= 1 has c <= c * c"
 
     def to_json(self):
         return {"kind": "constant", "value": self.constant}
@@ -157,6 +165,9 @@ class ExpSymmetricWeight(Weight):
     def value(self, group, x):
         return _power(self.base, group.word_length(x), "exp_symmetric weight value")
 
+    def submultiplicative_proof(self, group):
+        return "word length is subadditive and the base is >= 1" if self.base >= 1 else None
+
     def to_json(self):
         return {"kind": "exp_symmetric", "base": self.base}
 
@@ -171,6 +182,9 @@ class PolynomialWeight(Weight):
 
     def value(self, group, x):
         return _power(1 + group.word_length(x), self.beta, "polynomial weight value")
+
+    def submultiplicative_proof(self, group):
+        return "1 + |xy| <= (1 + |x|) (1 + |y|) by subadditive word length, and beta >= 0"
 
     def to_json(self):
         return {"kind": "polynomial", "beta": self.beta}
@@ -195,6 +209,13 @@ class ExpDirectionalWeight(Weight):
         else:
             s = (c * v for c, v in zip(self.coefficients, x))
         return _exp(s, "exp_directional weight value")
+
+    def submultiplicative_proof(self, group):
+        if not self.rectified:
+            return "exp(<a, x>) is a character: w(xy) = w(x) w(y)"
+        if min(self.coefficients, default=0) >= 0:
+            return "(x + y)^+ <= x^+ + y^+ in each coordinate, and every coefficient is >= 0"
+        return None
 
     def to_json(self):
         return {
@@ -222,6 +243,18 @@ class TableWeight(Weight):
         if x not in self.values:
             raise UsageError(f"element {x!r} is outside the weight table")
         return self.values[x]
+
+    def submultiplicative_proof(self, group):
+        """An exact scan of the table's pairs whose product is in the table (a
+        product outside it has no value), within check_pair_cap's loop cap."""
+        check_pair_cap(group, len(self.values), loop=True)
+        exact = {x: _fraction(v) for x, v in self.values.items()}
+        for x, wx in exact.items():
+            for y, wy in exact.items():
+                wz = exact.get(group.mul(x, y))
+                if wz is not None and wz > wx * wy:
+                    return None
+        return f"checked exactly on the {len(exact) ** 2} pairs of table points"
 
     def to_json(self):
         return {"kind": "table", "entries": [[x, v] for x, v in self.values.items()]}
@@ -268,6 +301,11 @@ class QuotientWeight(Weight):
             self.numerator.value(group, x) / self.character.value(x), "quotient weight value"
         )
 
+    def submultiplicative_proof(self, group):
+        if self.numerator.submultiplicative_proof(group) is None:
+            return None
+        return "a proven weight divided by a character, which is multiplicative"
+
     def to_json(self):
         return {
             "kind": "quotient",
@@ -296,8 +334,18 @@ class ProductWeight(Weight):
             out = out * f.value(group, x)
         return _checked(out, "product weight value")
 
+    def submultiplicative_proof(self, group):
+        if any(f.submultiplicative_proof(group) is None for f in self.factors):
+            return None
+        return "a product of proven weights"
+
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
+
+
+def _fraction(v) -> Fraction:
+    """A weight value as an exact Fraction; numpy floats go by as_integer_ratio."""
+    return Fraction(v) if isinstance(v, numbers.Rational) else Fraction(*v.as_integer_ratio())
 
 
 def _number(v, what: str):

@@ -329,10 +329,10 @@ GOLDEN_REPORTS = {
         '"witness_value":0.0}'
     ),
     "wiener-root": (
-        '{"circle_tol":1e-09,"grid":4,"grid_min":0.0,"inverse":null,"kind":"wiener-grid",'
+        '{"grid":4,"grid_min":0.0,"inverse":null,"kind":"wiener-grid",'
         '"lipschitz":1.0,"margin":-0.7853981633974483,"residual":null,'
-        '"root":{"im":-0.0,"re":1.0},"spacing":1.5707963267948966,"verdict":"not-invertible",'
-        '"witness_angle":-0.0,"witness_value":0.0}'
+        '"root":{"im":0.0,"re":1.0},"spacing":1.5707963267948966,"verdict":"not-invertible",'
+        '"witness_angle":0.0,"witness_value":0.0}'
     ),
     "wiener-no-witness": (
         '{"grid":4,"grid_min":0.0,"inverse":null,"kind":"wiener-grid","lipschitz":1.0,'

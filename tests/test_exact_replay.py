@@ -6,7 +6,11 @@ elements moved to one-denominator storage, so any change to a verdict, a
 certificate field or a printed amplitude on these paths shows up here.
 The series-weighted digest was re-recorded when weight tables became
 lookup-only: query 6, the table-envelope slot, changed from an
-`invertible` certificate to a refusal, and no other query changed.
+`invertible` certificate to a refusal, and no other query changed.  It
+was re-recorded again when the weighted oracles began to refuse weights
+not proven submultiplicative: queries 8 (exp-directional-rectified) and
+14 (exp-symmetric-half) changed from `invertible` certificates to
+refusals, and no other query changed.
 
     PYTHONPATH=src python -m pytest -q tests/test_exact_replay.py
 """
@@ -37,7 +41,7 @@ CLI_EXACT = ("invert-neumann", "invert-finite", "certify", "df-check", "scenario
 
 GOLDEN = {
     "finite-exact": "30b6514525720b3fc974204f3847c32c4f6bf9f0658b872a43456f0231caafa7",
-    "series-weighted": "d4a063817dae43e089bc808b4693c0d79e1331c965b5476caef6bb1302fdaae8",
+    "series-weighted": "9e0177ac8a265443f665caff3ace320ef08a6f01a279564e7a5ebf08dfe75aa2",
     "cli-readme": "b7a5f0d01af2c13bdde4c895fbd67a2604991e7f1b2b0c2665ba3849a2d8d9c7",
 }
 

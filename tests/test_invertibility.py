@@ -45,7 +45,7 @@ from galab.invertibility import (
     verify_direct_finiteness,
     wiener_certify,
 )
-from galab.operators import symbol_grid
+from galab.operators import fourier_eval, symbol_grid
 from galab.weights import ConstantWeight, ExpSymmetricWeight, TableWeight
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -571,27 +571,63 @@ def test_difference_filter_root_witness():
 
 
 def test_wiener_inconclusive_without_witness():
-    # symbol vanishes at two conjugate interior angles? pick near-circle root
-    # at radius 0.99: margin goes negative but no unit-circle root exists.
+    # 1 - z/0.99 has its root at radius 0.99: the margin is not positive, but
+    # the least |symbol| on the circle is 1/0.99 - 1, at angle 0.
     f = delta(Z, (0,), 1.0) - delta(Z, (1,), 1 / 0.99)
     cert = wiener_certify(f)
     assert cert.verdict == "inconclusive"
     assert cert.exit_code == 3
-    assert cert.fields["closest_root_distance"] == pytest.approx(0.01, rel=1e-6)
+    assert cert.fields["refined_min"] == pytest.approx(1 / 0.99 - 1, rel=1e-9)
 
 
-def test_wiener_root_search_stops_at_the_span_cap(monkeypatch):
-    # 1 + z^(10^12) would ask the root finder for a 10^12 x 10^12 companion matrix.
-    cert = wiener_certify(delta(Z, (0,)) + delta(Z, (10**12,)))
+class _NoLinalg:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.linalg.{name} called")
+
+
+def test_wiener_rank_one_runs_no_eigensolve(monkeypatch):
+    def no_roots(*args):
+        raise AssertionError("numpy.roots called")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    # 1 + z^(10^12) and 2 + z^1000 cost the refinement O(terms), not the span.
+    for f in (delta(Z, (0,)) + delta(Z, (10**12,)), delta(Z, (0,), 2) + delta(Z, (1000,))):
+        cert = wiener_certify(f)
+        assert cert.fields["margin"] <= 0
+        assert cert.verdict == "inconclusive" and cert.fields["refined_min"] >= 1
+    # 2 cos(t) - 3 is least at the grid point t = 0, where its derivative is 0.
+    cert = wiener_certify(delta(Z, (-1,)) + delta(Z, (1,)) - delta(Z, (0,), 3), grid=4)
+    assert cert.verdict == "inconclusive" and cert.fields["refined_min"] == 1
+    # No span cap is left: 1 - z^8 and z^-4 - z^5 (span 9) have their witnesses.
+    for f in (delta(Z, (0,)) - delta(Z, (8,)), delta(Z, (-4,)) - delta(Z, (5,))):
+        cert = wiener_certify(f)
+        assert cert.verdict == "not-invertible"
+        assert abs(fourier_eval(f, (cert.fields["witness_angle"],))) <= invertibility.SINGULAR_TOL
+
+
+@pytest.mark.parametrize("power", [1, 2], ids=["simple", "double"])
+def test_wiener_refines_a_zero_between_grid_points(power):
+    # 1 - 2 cos(0.3) z + z^2 vanishes at t = +-0.3, between the 64 grid
+    # points; its square has double zeros there, which each step nears only
+    # by half the distance.
+    g = delta(Z, (0,), 1.0) - delta(Z, (1,), 2 * math.cos(0.3)) + delta(Z, (2,), 1.0)
+    f = g if power == 1 else convolve(g, g)
+    cert = wiener_certify(f)
+    assert cert.verdict == "not-invertible"
+    assert abs(abs(math.remainder(cert.fields["witness_angle"], 2 * math.pi)) - 0.3) <= 1e-5
+    assert cert.fields["witness_value"] <= invertibility.SINGULAR_TOL
+
+
+def test_wiener_near_root_off_the_circle_is_not_refuted():
+    # Exact 1 - z + 10^-9 z^2 is invertible: its roots lie about 10^-9 off the
+    # unit circle, and |symbol| >= 10^-9 - 10^-18 on it.  A root-distance
+    # threshold of 1e-9 once called it not-invertible.
+    f = (delta(Z, (0,), 1, exact=True) - delta(Z, (1,), 1, exact=True)
+         + delta(Z, (2,), Fraction(1, 10**9), exact=True))
+    cert = wiener_certify(f)
     assert cert.verdict == "inconclusive"
-    assert "ROOT_SPAN_CAP = 1024" in cert.fields["reason"]
-    # Span 8 is searched and 1 - z^8 has its root witness; span 9 is not searched.
-    monkeypatch.setattr(invertibility, "ROOT_SPAN_CAP", 8)
-    assert wiener_certify(delta(Z, (0,)) - delta(Z, (8,))).verdict == "not-invertible"
-    cert = wiener_certify(delta(Z, (-4,)) - delta(Z, (5,)))
-    assert cert.verdict == "inconclusive"
-    assert "span 9 exceeds ROOT_SPAN_CAP = 8" in cert.fields["reason"]
-    assert "closest_root_distance" not in cert.fields
+    assert cert.fields["refined_min"] == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_wiener_rank2():
@@ -642,16 +678,16 @@ def test_wiener_tries_a_requested_size_past_the_doubling_limit():
 
 
 def test_wiener_positive_margin_skips_the_root_solve(monkeypatch):
-    def no_roots(f):
-        raise AssertionError("companion-matrix roots computed on a positive margin")
+    def no_refinement(f, theta):
+        raise AssertionError("zero refinement run on a positive margin")
 
-    monkeypatch.setattr("galab.invertibility._laurent_roots", no_roots)
+    monkeypatch.setattr("galab.invertibility._refine_min", no_refinement)
     f = delta(Z, (0,), 2) + delta(Z, (3,), 0.5)
     cert = wiener_certify(f)
     assert cert.fields["margin"] > 0
     assert cert.verdict == "invertible"
-    # A non-positive margin still needs the roots.
-    with pytest.raises(AssertionError, match="companion-matrix"):
+    # A non-positive margin still needs the refinement.
+    with pytest.raises(AssertionError, match="zero refinement"):
         wiener_certify(delta(Z, (0,)) - delta(Z, (1,)))
 
 

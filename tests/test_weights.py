@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -20,7 +21,7 @@ from galab.groups import (
     quaternion_group,
     symmetric_group,
 )
-from galab.invertibility import neumann_invert
+from galab.invertibility import neumann_invert, verify_direct_finiteness
 from galab import weights
 from galab.weights import (
     CHECK_ARRAY_MIN_PAIRS,
@@ -220,6 +221,64 @@ def test_fraction_weight_values_past_the_float_range_are_refused():
     assert w.constant == Fraction(3, 2)
     g = delta(Z, (0,), 3, exact=True) - delta(Z, (1,), Fraction(1, 2), exact=True)
     assert g.norm(w) == Fraction(21, 4)
+
+
+@pytest.mark.parametrize("weight", [ExpSymmetricWeight(0.5),
+                                    ExpDirectionalWeight([-1.0])], ids=["exp-half", "rectified"])
+def test_weighted_oracles_refuse_a_weight_not_proven_submultiplicative(weight):
+    # Both weights fail w(xy) <= w(x) w(y) (check_weight finds a pair), and
+    # the series used to call d0 - d1, whose symbol vanishes at 0, invertible.
+    f = delta(Z, (0,), 1.0) - delta(Z, (1,), 1.0)
+    assert not check_weight(weight, ball(Z, 2)).submultiplicative
+    assert weight.submultiplicative_proof(Z) is None
+    with pytest.raises(UsageError, match="not proven submultiplicative"):
+        neumann_invert(f, weight)
+    with pytest.raises(UsageError, match="not proven submultiplicative"):
+        verify_direct_finiteness(f, f, weight)
+    el = {"group": {"kind": "Z", "rank": 1},
+          "terms": [{"x": [0], "re": 1.0}, {"x": [1], "re": -1.0}]}
+    argv = ["invert", "--input", json.dumps(el), "--weight", json.dumps(weight.to_json())]
+    assert main(argv) == 1
+
+
+PROVEN = [ConstantWeight(1), ConstantWeight(Fraction(3, 2)), ExpSymmetricWeight(1),
+          ExpSymmetricWeight(2.5), PolynomialWeight(0), PolynomialWeight(1.5),
+          ExpDirectionalWeight([0.0, 0.7]), ExpDirectionalWeight([-1.0, 0.5], rectified=False),
+          QuotientWeight(ExpSymmetricWeight(2), Character((0.5, -0.25))),
+          ProductWeight([ExpSymmetricWeight(2), PolynomialWeight(1)])]
+UNPROVEN = [ExpSymmetricWeight(0.999), ExpDirectionalWeight([0.5, -0.1]),
+            QuotientWeight(ExpSymmetricWeight(0.5), Character((0.1, 0.1))),
+            ProductWeight([PolynomialWeight(1), ExpSymmetricWeight(0.5)])]
+
+
+@pytest.mark.parametrize("weight", PROVEN, ids=lambda w: w.to_json()["kind"])
+def test_a_proven_weight_passes_the_exhaustive_check(weight):
+    # Every closed-form proof is one check_weight agrees with on a ball.
+    assert weight.submultiplicative_proof(Z2)
+    assert check_weight(weight, ball(Z2, 4)).submultiplicative
+
+
+@pytest.mark.parametrize("weight", UNPROVEN, ids=lambda w: w.to_json()["kind"])
+def test_a_weight_is_unproven_when_a_part_of_it_is(weight):
+    assert weight.submultiplicative_proof(Z2) is None
+
+
+def test_a_table_weight_is_proven_by_an_exact_scan():
+    assert TableWeight({(-1,): 1.5, (0,): 1, (1,): 1.5}).submultiplicative_proof(Z)
+    # 1 > 0.5 * 0.5 at the pair ((1,), (-1,)).
+    assert TableWeight({(0,): 1.0, (1,): 0.5, (-1,): 0.5}).submultiplicative_proof(Z) is None
+    # The float 0.1 * 0.1 rounds up past the exact product of the two values,
+    # so w(2) > w(1) w(1), which a float comparison calls equal.
+    assert Fraction(0.1 * 0.1) > Fraction(0.1) ** 2
+    tight = TableWeight({(0,): 1, (1,): 0.1, (2,): 0.1 * 0.1})
+    assert tight.submultiplicative_proof(Z) is None
+    f = delta(Z, (0,), 1.0) + delta(Z, (1,), 0.5)
+    with pytest.raises(UsageError, match="not proven submultiplicative"):
+        neumann_invert(f, tight)
+    # The scan's pairs are capped as check_weight's loop is.
+    wide = TableWeight.on_ball(Z, 256, [1] * 513)
+    with pytest.raises(ResourceLimitError, match="cap is"):
+        neumann_invert(f, wide)
 
 
 def test_table_weight_on_ball_checks_length():

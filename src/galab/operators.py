@@ -194,6 +194,8 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     array folded modulo the grid.  The array is column-major (Fortran
     order), so the pass along axis 0 reads contiguous lines; its values,
     and its C-order .tobytes(), are those of the row-major transform.
+    An element whose l1 norm overflows the float range is refused with
+    UsageError: its samples, bounded only by that norm, would overflow too.
     """
     if not isinstance(f.group, LatticeGroup):
         raise UsageError("symbol_grid needs a lattice element")
@@ -204,10 +206,14 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     # The last axis is transformed first, and only the lines holding a term
     # are nonzero there: their terms are summed into one row-major block, one
     # row per line, which is transformed once and scattered into the grid.
-    rows, cells = {}, []
+    rows, cells, l1 = {}, [], 0.0
     for n, amp in f.items():
         idx = tuple(ni % s for ni, s in zip(n, sizes))
-        cells.append((rows.setdefault(idx[:-1], len(rows)), idx[-1], complex(amp)))
+        amp = complex(amp)
+        l1 += abs(amp)
+        cells.append((rows.setdefault(idx[:-1], len(rows)), idx[-1], amp))
+    if l1 == math.inf:
+        raise UsageError("the element's l1 norm overflows the float range")
     block = np.zeros((len(rows), sizes[-1]), dtype=complex)
     for row, k, amp in cells:
         block[row, k] += amp

@@ -412,15 +412,27 @@ def test_report_bytes_match_the_pinned_encoding(kind):
     assert canonical_json(_golden_payload(kind)) == GOLDEN_REPORTS[kind] + "\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy meets the overflow too
+@pytest.mark.filterwarnings("error")
 def test_report_with_a_non_finite_value_is_refused(tmp_path, capsys):
-    # The Lipschitz constant of 1e308 * (1 + z + z^2) overflows to inf,
-    # which JSON cannot hold, so the command writes neither text nor report.
+    # |f|_1 = 1e308 is a float, but the Lipschitz constant of 1e308 z^2
+    # overflows to inf, which JSON cannot hold, so the command writes
+    # neither text nor report; no numpy warning escapes on the way.
     out = tmp_path / "cert.json"
-    el = element_json([{"x": [k], "re": 1e308} for k in range(3)])
+    el = element_json([{"x": [2], "re": 1e308}])
     assert main(["invert", "--input", el, "--report", str(out)]) == 1
     assert _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["invert"], ["invert", "--method", "fft"],
+                                  ["probe", "--moduli", "3"]], ids=["wiener", "fft", "probe"])
+def test_an_element_whose_l1_norm_overflows_is_refused(argv, capsys):
+    # 1e308 + 1e308 z: each amplitude is a float, |f|_1 is not, and numpy's
+    # FFT used to overflow on it with two RuntimeWarnings and exit 3.
+    el = element_json([{"x": [k], "re": 1e308} for k in range(2)])
+    assert main([argv[0], "--input", el, *argv[1:]]) == 1
+    assert _one_error_line(capsys)
 
 
 def test_table_extension_other_than_error_is_refused(capsys):

@@ -17,6 +17,7 @@ from galab.cli import main
 from galab.algebra import (
     AlgebraElement,
     QComplex,
+    canonical_json,
     convolve,
     delta,
     element_from_json,
@@ -35,6 +36,9 @@ from galab.groups import (
 )
 from galab.invertibility import (
     CHOP_REL,
+    MAX_INVERSE_SIZE,
+    _corner_exceeds,
+    _fft_candidate,
     _grid_min,
     _solve_exact,
     auto_invert,
@@ -630,6 +634,31 @@ def test_wiener_near_root_off_the_circle_is_not_refuted():
     assert cert.fields["refined_min"] == pytest.approx(1e-9, rel=1e-6)
 
 
+@pytest.mark.parametrize("f, value", [
+    (delta(Z, (0,), 2e-13) + delta(Z, (100,), 1e-13), 1e-13),
+    (delta(Z, (0,), 5e-324), 5e-324),
+], ids=["small-scale", "subnormal"])
+def test_wiener_refutation_is_relative_to_the_norm(f, value):
+    # |symbol| >= value > 0 on the whole circle, so f is invertible, only
+    # small: |symbol| is compared with SINGULAR_TOL * |f|_1, not SINGULAR_TOL.
+    cert = wiener_certify(f)
+    assert cert.fields["margin"] <= 0
+    assert cert.verdict == "inconclusive" and cert.fields["refined_min"] == value
+    # A singular element scaled as small keeps its witness.
+    small = delta(Z, (0,), 1e-20) - delta(Z, (1,), 1e-20)
+    assert wiener_certify(small).verdict == "not-invertible"
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
+@pytest.mark.parametrize("oracle", [
+    lambda f: wiener_certify(f), lambda f: invert_via_fft(f), lambda f: probe_quotients(f, [3]),
+], ids=["wiener", "fft", "probe"])
+def test_an_l1_norm_past_the_float_range_is_refused(oracle):
+    f = delta(Z, (0,), 1e308) + delta(Z, (1,), 1e308)
+    with pytest.raises(UsageError, match="l1 norm overflows"):
+        oracle(f)
+
+
 def test_wiener_rank2():
     z2 = LatticeGroup(2)
     f = delta(z2, (0, 0), 4) + delta(z2, (1, 0)) + delta(z2, (0, 1))
@@ -727,6 +756,163 @@ def test_wiener_doubles_a_rank_two_default_size_that_misses():
     cert = wiener_certify(f, query["grid"], tol=tol)
     assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 512
     assert cert.residual <= tol
+
+
+def _corner_products(g, f):
+    """|g(x) f(y)| at the largest x, y, then at the smallest, in lexicographic
+    order; a pair whose sum is the identity gives 0."""
+    out = []
+    for pick in (max, min):
+        x, y = pick(g.support), pick(f.support)
+        keep = any(a + b for a, b in zip(x, y))
+        out.append(abs(g.amplitude(x) * f.amplitude(y)) if keep else 0.0)
+    return out
+
+
+def _ends(g):
+    """g's terms at its lexicographically largest and smallest keys."""
+    return tuple((x, g.amplitude(x)) for x in (max(g.support), min(g.support)))
+
+
+def _margin_fields(f, grid):
+    """wiener_certify's grid-scan fields, computed as its docstring states."""
+    d = f.group.rank
+    grid_min = _grid_min(symbol_grid(f, (grid,) * d))[1]
+    lipschitz = float(sum(sum(map(abs, n)) * abs(amp) for n, amp in f.items()))
+    spacing = 2 * math.pi / grid
+    return {"grid": grid, "grid_min": grid_min, "lipschitz": lipschitz, "spacing": spacing,
+            "margin": grid_min - lipschitz * (spacing / 2)}
+
+
+def _sizes(d):
+    """The doubling sizes of wiener_certify from the default, within both caps."""
+    size = invert_via_fft(delta(LatticeGroup(d), (0,) * d)).fields["size"]
+    while size <= MAX_INVERSE_SIZE and size**d <= invertibility.GRID_CAP:
+        yield size
+        size *= 2
+
+
+def _lattice_queries(seed, n_cycles):
+    for q in workloads.generate("lattice-fft", seed, n_cycles=n_cycles):
+        yield q, element_from_json(json.loads(q["element"])).to_float()
+
+
+def test_corner_rejection_is_sound_on_lattice_fft_elements():
+    # Every candidate the corner test rejects, up to the size that passes,
+    # fails invert_via_fft's verified residual, by at least the corner product.
+    tol, rejected = 1e-10, 0
+    for seed in (1, 2):
+        for q, f in _lattice_queries(seed, 1):
+            if _margin_fields(f, q["grid"])["margin"] <= 0:
+                continue
+            for size in _sizes(f.group.rank):
+                cert = invert_via_fft(f, size, tol=tol)
+                g, ends, _ = _fft_candidate(f, size)
+                assert ends == _ends(g)
+                if _corner_exceeds(ends, f, tol):
+                    rejected += 1
+                    assert not cert.invertible, (q["id"], size)
+                    assert cert.residual >= max(_corner_products(g, f)) > tol
+                if cert.invertible:
+                    break
+    assert rejected >= 10  # the r1-slow slots start well below their passing sizes
+
+
+def test_wiener_certify_matches_a_doubling_loop_that_verifies_every_size():
+    # The reference verifies every candidate by its full residual; skipping
+    # the convolution of a rejected candidate changes no output byte.
+    compared = 0
+    for q, f in _lattice_queries(7, 1):
+        cert = wiener_certify(f, q["grid"])
+        fields = _margin_fields(f, q["grid"])
+        if fields["margin"] <= 0:
+            assert "inverse_size" not in cert.fields  # the doubling loop never ran
+            continue
+        expected = _inconclusive_json(fields)
+        for size in _sizes(f.group.rank):
+            candidate = invert_via_fft(f, size)
+            if candidate.invertible:
+                found = candidate.to_json()
+                expected = {"verdict": "invertible", "kind": "wiener-grid", **fields,
+                            "inverse_size": size, "inverse": found["inverse"],
+                            "residual": found["residual"]}
+                break
+        assert canonical_json(cert.to_json()) == canonical_json(expected), q["id"]
+        compared += 1
+    assert compared >= 10
+
+
+def _inconclusive_json(fields):
+    return {"verdict": "inconclusive", "kind": "wiener-grid", **fields,
+            "reason": "margin is positive but no inverse met the tolerance up to the size cap",
+            "inverse": None, "residual": None}
+
+
+def _counting(monkeypatch):
+    """Count invertibility.convolve's calls (with their g's size) and LatticeGroup.mul's."""
+    seen, muls = [], [0]
+    convolve_ = invertibility.convolve
+    mul = LatticeGroup.mul
+
+    def counted_convolve(h, f):
+        seen.append(h.n_terms * f.n_terms)
+        return convolve_(h, f)
+
+    def counted_mul(self, a, b):
+        muls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(invertibility, "convolve", counted_convolve)
+    monkeypatch.setattr(LatticeGroup, "mul", counted_mul)
+    return seen, muls
+
+
+def test_a_rejected_candidate_runs_no_convolution(monkeypatch):
+    # 1 - 0.95z: the candidate at 512 misses by its corner product alone, so
+    # the only convolution verifies the candidate at 1024.
+    f = delta(Z, (0,), 1.0) - delta(Z, (1,), 0.95)
+    assert _corner_exceeds(_fft_candidate(f, 512)[1], f, 1e-10)
+    assert not invert_via_fft(f, 512).invertible
+    seen, muls = _counting(monkeypatch)
+    grids = []
+    symbol_grid_ = invertibility.symbol_grid
+
+    def counted_symbol_grid(f, sizes):
+        grids.append(sizes)
+        return symbol_grid_(f, sizes)
+
+    monkeypatch.setattr(invertibility, "symbol_grid", counted_symbol_grid)
+    cert = wiener_certify(f)
+    assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 1024
+    assert seen == [cert.inverse.n_terms * 2] and muls == [seen[0]]
+    # The grid scan, then one grid per size: invert_via_fft verifies the
+    # candidate at 1024 without building it again.
+    assert grids == [(64,), (512,), (1024,)]
+
+
+def test_a_failing_candidate_the_corners_miss_is_verified(monkeypatch):
+    # Slot 14 of lattice-fft seed 5 (r2-inv): its candidate at 256 per axis
+    # has small corners but misses the tolerance, which only its full
+    # residual shows; 512 then passes.
+    query = workloads.generate("lattice-fft", 5, n_cycles=1)[14]
+    f = element_from_json(json.loads(query["element"]))
+    assert not _corner_exceeds(_fft_candidate(f, 256)[1], f, 1e-10)
+    seen, _ = _counting(monkeypatch)
+    cert = wiener_certify(f, query["grid"])
+    assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 512
+    assert len(seen) == 2
+
+
+def test_corner_test_skips_identity_corners_and_nan():
+    one = delta(Z, (0,), 1.0)
+    f = one + delta(Z, (-1,), 1.0)
+    # A product at the identity, where e cancels it, is not tested.
+    assert not _corner_exceeds((((1,), 1.0), ((1,), 1.0)), delta(Z, (-1,), 1.0), 1e-10)
+    assert _corner_exceeds((((1,), 1e-9), ((1,), 1e-9)), f, 1e-10)
+    assert not _corner_exceeds((((1,), 1e-11), ((1,), 1e-11)), f, 1e-10)
+    assert _corner_exceeds((((0,), 1.0), ((2,), 1e-9)), f, 1e-10)  # the smallest corner
+    assert not _corner_exceeds((((1,), math.nan), ((1,), math.nan)), f, 1e-10)
+    assert not _corner_exceeds((), f, 1e-10)  # an empty candidate
 
 
 def test_symbol_grid_matches_out_of_place_transform():
@@ -879,6 +1065,8 @@ def test_fft_chop_matches_index_scan(rank, size):
     for f in [half, even] + [_dominant_element(rng, group, 3) for _ in range(4)]:
         kept = list(invert_via_fft(f, size).inverse.items())
         assert _bits(kept) == _bits(_reference_chop(f.to_float(), size).items())
+        g, ends, _ = _fft_candidate(f.to_float(), size)
+        assert ends == _ends(g)
         for key, value in kept:
             assert type(key) is tuple and all(type(i) is int for i in key)
             assert type(value) is complex

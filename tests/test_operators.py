@@ -297,3 +297,15 @@ def test_symbol_grid_rank2():
         for k2 in range(4):
             direct = fourier_eval(f, (2 * math.pi * k1 / 8, 2 * math.pi * k2 / 4))
             assert abs(grid[k1, k2] - direct) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
+def test_symbol_grid_refuses_an_l1_norm_past_the_float_range():
+    # Each amplitude is finite, but |f|_1 = 2e308 overflows, and so would
+    # the sample at angle 0.
+    f = delta(Z, (0,), 1e308) + delta(Z, (1,), 1e308)
+    with pytest.raises(UsageError, match="l1 norm overflows"):
+        symbol_grid(f, (8,))
+    # Just inside the range the grid is computed.
+    g = delta(Z, (0,), 1e308) + delta(Z, (1,), 7e307)
+    assert abs(symbol_grid(g, (8,))[0]) == pytest.approx(1.7e308)

@@ -17,6 +17,7 @@ Oracles:
   neumann_invert       geometric series around a dominant pivot, any group,
                        weighted norms supported
   probe_quotients      finite cyclic quotients as non-invertibility probes
+The symbol oracles share one zero test: |symbol| <= SINGULAR_TOL * |f|_1 (_vanishes).
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 FINITE_ORDER_CAP = 256      # largest group order invert_finite solves on
 SINGULAR_REL = 1e-12        # float solve: relative singular-value rank threshold
 GRID_CAP = 2**22            # symbol grid points in invert_via_fft and wiener_certify
-ZERO_TOL = 1e-12            # invert_via_fft: a smaller |symbol| sample aborts
 CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
 MAX_INVERSE_SIZE = 4096     # wiener_certify: doublings of the FFT inverse grid stop here
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, at most:
 DEFAULT_INVERSE_POINTS = 2**16  # points of that default grid, so 512, 256, 32 on Z, Z^2, Z^3
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
-SINGULAR_TOL = 1e-12        # |symbol| <= this is zero: in probe_quotients; times |f|_1 in wiener_certify
+SINGULAR_TOL = 1e-12        # |symbol| <= this times |f|_1 is zero in the symbol oracles
 DF_SLACK = 10.0             # verify_direct_finiteness: right residual allowed per unit of tol
 SERIES_STEP_CAP = 2**16     # neumann_invert: most products of one series term
 
@@ -526,16 +526,24 @@ def _inverse_size(size, d: int) -> int:
     return size
 
 
+def _vanishes(value: float, ff: AlgebraElement) -> bool:
+    """Whether |symbol(t)| = value of the float lattice element ff is zero:
+    at most SINGULAR_TOL * |ff|_1, since it is the l1 distance from ff to
+    the singular ff - symbol(t) delta_0, and scaling ff changes no verdict."""
+    return value <= SINGULAR_TOL * ff.norm()
+
+
 _last_candidate = (None, None, None)  # _fft_candidate's last (ff, size, result)
 
 
 def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     """(g, k, vmin): the sampled-symbol division candidate g of the float
-    lattice element ff on the size^d grid, and the least |sample| vmin.
-    When a sample lies within ZERO_TOL of zero, g is None and k is the
-    index of the first least sample.  Otherwise k holds g's terms (key,
-    amplitude) at its lexicographically largest and smallest keys, for
-    _corner_exceeds, or nothing when g is empty.
+    lattice element ff on the size^d grid, and the first least |sample|
+    vmin, at index k; g is None when vmin vanishes (_vanishes).  The
+    unscaled transform is bounded by size^d / vmin; past the float range
+    the element is refused with UsageError, as symbol_grid refuses an l1
+    norm past it, before numpy could warn: every finer grid holds these
+    samples, so no doubling of the size helps, and no verdict is implied.
 
     A candidate is handed to the next call for the same ff object and
     size, once, so the invert_via_fft call that verifies a candidate passing
@@ -550,10 +558,11 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     import numpy as np
     d = ff.group.rank
     vals = symbol_grid(ff, (size,) * d)
-    vmin = float(np.abs(vals).min())
-    if vmin < ZERO_TOL:
-        kmin, vmin = _grid_min(vals)
+    kmin, vmin = _grid_min(vals)
+    if _vanishes(vmin, ff):
         return None, kmin, vmin
+    if not math.isfinite(size**d / vmin):
+        raise UsageError("the element's FFT inverse would overflow the float range")
     # The samples turn into the coefficients in place, so a single complex
     # grid is live through the division and the transform.
     coeff = np.divide(1.0, vals, out=vals)
@@ -573,17 +582,15 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     idx = tuple(i[order] for i in reversed(rev))
     keys = zip(*(np.where(i >= (size + 1) // 2, i - size, i).tolist() for i in idx))
     terms = dict(zip(keys, (coeff[idx] / size**d).tolist()))
-    ends = tuple((x, terms[x]) for x in (max(terms), min(terms))) if terms else ()
-    _last_candidate = (ff, size, (_make(ff.group, False, terms), ends, vmin))
+    _last_candidate = (ff, size, (_make(ff.group, False, terms), kmin, vmin))
     return _last_candidate[2]
 
 
-def _corner_exceeds(ends: tuple, ff: AlgebraElement, tol: float) -> bool:
+def _corner_exceeds(g: AlgebraElement, ff: AlgebraElement, tol: float) -> bool:
     """True when one product of g*ff - e already exceeds tol, with no
-    convolution; ends holds g's terms at its lexicographically largest and
-    smallest keys, as _fft_candidate gives them.
+    convolution: g's term at its lexicographically largest (then smallest)
+    key times ff's term at its largest (then smallest) key.
 
-    Each is paired with ff's term at its largest (then smallest) key.
     Lexicographic order on Z^d is translation-invariant, so exactly one
     pair of support points reaches such a corner x + y, and convolve(g, ff)
     stores that one product g(x) ff(y) at x + y as it is.  Subtracting e
@@ -597,9 +604,10 @@ def _corner_exceeds(ends: tuple, ff: AlgebraElement, tol: float) -> bool:
     byte.  A NaN product compares false, so it rejects nothing, and an
     empty g has no corners to test.
     """
-    fi = ff.items()
-    for (x, gv), (y, fv) in zip(ends, (max(fi), min(fi))):
-        if any(a + b for a, b in zip(x, y)) and abs(gv * fv) > tol:
+    # Keys alone, from the float storage's dict view: (key, value) pairs compare at half speed.
+    gt, ft = g.items().mapping, ff.items().mapping
+    for x, y in zip((max(gt), min(gt)), (max(ft), min(ft))) if gt else ():
+        if any(a + b for a, b in zip(x, y)) and abs(gt[x] * ft[y]) > tol:
             return True
     return False
 
@@ -615,12 +623,13 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     divided by the number of grid points, a power of two, so the terms are
     those of scaling first and chopping after, bit for bit.  The
     candidate is only as good as its verified residual: aliasing from slow
-    coefficient decay shows up there, and a near-vanishing sample aborts
-    with the offending frequency instead of an inverse.  Without a size,
-    the grid is the largest power of two <= DEFAULT_INVERSE_SIZE per axis
-    that keeps it within DEFAULT_INVERSE_POINTS points (512 on Z, 256 on
-    Z^2, 32 on Z^3); a grid over GRID_CAP points raises, whether its size
-    was given or is the default past rank 22.
+    coefficient decay shows up there.  A vanishing sample (_vanishes) aborts
+    with the offending frequency; an element too small for a float inverse
+    is refused with UsageError (_fft_candidate).  Without a size, the grid
+    is the largest power of two <= DEFAULT_INVERSE_SIZE per axis that keeps
+    it within DEFAULT_INVERSE_POINTS points (512 on Z, 256 on Z^2, 32 on
+    Z^3); a grid over GRID_CAP points raises, whether its size was given or
+    is the default past rank 22.
     """
     group = _lattice_only(f, "invert_via_fft")
     size = _inverse_size(size, group.rank)
@@ -646,9 +655,12 @@ def _refine_min(f: AlgebraElement, theta: float) -> tuple:
     over the terms: O(terms) whatever the degree span.  The steps stop at
     the first that does not lower |s|, or after 32: near a simple zero they
     converge quadratically, and near a zero of multiplicity m each keeps
-    (m-1)/m of the distance, so 32 cut a double zero's |s| by 4^-32.
+    (m-1)/m of the distance, so 32 cut a double zero's |s| by 4^-32.  Terms
+    over 2^k ~ |f|_1 change no bit of a step but keep |s'|^2 in float range.
     """
-    terms = [(n, complex(amp)) for (n,), amp in f.items()]
+    k = math.frexp(f.norm())[1]
+    terms = [(n, complex(math.ldexp(a.real, -k), math.ldexp(a.imag, -k)))
+             for (n,), a in f.items()]
     best = theta, math.inf
     for _ in range(33):
         val = der = 0j  # s(theta) and s'(theta) / i
@@ -663,7 +675,7 @@ def _refine_min(f: AlgebraElement, theta: float) -> tuple:
         if not norm:
             break
         theta -= (der.conjugate() * val).imag / norm
-    return best
+    return best[0], math.ldexp(best[1], k)
 
 
 def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
@@ -679,12 +691,10 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     MAX_INVERSE_SIZE within GRID_CAP.  A candidate whose corner product
     already exceeds tol (_corner_exceeds) is doubled past without its
     verifying convolution.  In rank one a non-positive margin sends the
-    grid minimum to _refine_min, and |symbol| <= SINGULAR_TOL * |f|_1 there
-    refutes with the angle t as witness: x(n) = exp(i n t) is bounded with
-    rho_f x = 0, and |symbol| is the l1 distance from f to the singular
-    f - symbol(t) delta_0, so the test is on that distance relative to f's
-    own norm, whatever the scale of f.  Anything else is inconclusive and
-    the diagnostics say how close the call was.
+    grid minimum to _refine_min, and a |symbol| that vanishes there
+    (_vanishes) refutes with the angle t as witness: x(n) = exp(i n t) is
+    bounded with rho_f x = 0.  Anything else is inconclusive and the
+    diagnostics say how close the call was.
     """
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
@@ -713,11 +723,8 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 
     if margin > 0:
         while True:
-            # A candidate whose corner product exceeds tol is dropped before
-            # its verifying convolution; one that passes is verified (and
-            # not rebuilt) by invert_via_fft.
-            g, ends, _ = _fft_candidate(ff, size)
-            if g is not None and not _corner_exceeds(ends, ff, tol):
+            g, _, _ = _fft_candidate(ff, size)
+            if g is not None and not _corner_exceeds(g, ff, tol):
                 candidate = invert_via_fft(ff, size, tol=tol)
                 if candidate.invertible:
                     fields["inverse_size"] = size
@@ -730,7 +737,7 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 
     if d == 1:
         angle, value = _refine_min(ff, 2 * math.pi * kmin[0] / grid)
-        if value <= SINGULAR_TOL * float(ff.norm()):
+        if _vanishes(value, ff):
             fields.update(witness_angle=angle, witness_value=value,
                           root={"re": math.cos(angle), "im": math.sin(angle)})
             return _refuted("wiener-grid", fields)
@@ -928,9 +935,9 @@ class ProbeReport:
 def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
     """Test the pushforward of f for singularity on cyclic quotients.
 
-    A singular quotient, one whose |symbol| minimum is at most SINGULAR_TOL,
-    certifies non-invertibility (the quotient symbol vanishes at an exact
-    rational frequency); nonsingular quotients are evidence only.  Moduli
+    A quotient is singular when its least |symbol| vanishes (_vanishes), a
+    float test decided by a tolerance, not a proof; it is then a witness at
+    an exact rational frequency.  Nonsingular ones are evidence only.  Moduli
     are ints; scalars broadcast across the rank, so 4 on a rank-2 lattice
     means the quotient by (4Z)^2.  moduli_list is read only until its
     quotients pass QUOTIENT_CAP points in all, before any symbol is
@@ -952,15 +959,8 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
     probes = []
     for mods in quotients:
         kmin, vmin = _grid_min(symbol_grid(ff, mods))
-        probes.append(
-            QuotientProbe(
-                moduli=mods,
-                nonsingular=vmin > SINGULAR_TOL,
-                min_modulus=vmin,
-                frequency=kmin,
-                angles=tuple(2 * math.pi * k / m for k, m in zip(kmin, mods)),
-            )
-        )
+        angles = tuple(2 * math.pi * k / m for k, m in zip(kmin, mods))
+        probes.append(QuotientProbe(mods, not _vanishes(vmin, ff), vmin, kmin, angles))
     return ProbeReport(probes=probes)
 
 

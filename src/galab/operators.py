@@ -190,7 +190,8 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     """Symbol sampled on the uniform grid theta_j = 2 pi k_j / sizes_j.
 
     Returns an array of shape sizes; entry k equals the symbol at the
-    frequencies 2 pi k / sizes, computed by an FFT of the coefficient
+    frequencies 2 pi k / sizes, computed by an unscaled inverse FFT
+    (norm="forward", so subnormal amplitudes survive) of the coefficient
     array folded modulo the grid.  The array is column-major (Fortran
     order), so the pass along axis 0 reads contiguous lines; its values,
     and its C-order .tobytes(), are those of the row-major transform.
@@ -217,12 +218,11 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     block = np.zeros((len(rows), sizes[-1]), dtype=complex)
     for row, k, amp in cells:
         block[row, k] += amp
-    np.fft.ifft(block, axis=-1, out=block)
+    np.fft.ifft(block, axis=-1, norm="forward", out=block)
     arr = np.zeros(sizes, dtype=complex, order="F")
     if rows:
         arr[tuple(zip(*rows))] = block
     # In place (numpy >= 2.0 FFTs take out=): no second grid is allocated.
     if len(sizes) > 1:
-        np.fft.ifftn(arr, axes=tuple(range(len(sizes) - 1)), out=arr)
-    arr *= math.prod(sizes)
+        np.fft.ifftn(arr, axes=tuple(range(len(sizes) - 1)), norm="forward", out=arr)
     return arr

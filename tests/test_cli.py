@@ -435,6 +435,28 @@ def test_an_element_whose_l1_norm_overflows_is_refused(argv, capsys):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["probe", "--moduli", "3"], ["invert"],
+                                  ["invert", "--method", "fft"]], ids=["probe", "wiener", "fft"])
+def test_a_small_invertible_element_is_invertible(argv, capsys):
+    # 2e-13 + 1e-13 z has |symbol| >= 1e-13: an absolute zero test of 1e-12
+    # once gave probe a witness (exit 2) and invert an aborted FFT (exit 3).
+    el = element_json([{"x": [0], "re": 2e-13}, {"x": [1], "re": 1e-13}])
+    assert main([argv[0], "--input", el, *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["invert"], ["invert", "--method", "fft"]],
+                         ids=["wiener", "fft"])
+def test_an_element_whose_fft_inverse_overflows_is_refused(argv, capsys):
+    # 5e-324 delta_0 is invertible, and its sample 5e-324 is not zero relative
+    # to its norm, but 1 / 5e-324 is past the float range.
+    el = element_json([{"x": [0], "re": 5e-324}])
+    assert main([argv[0], "--input", el, *argv[1:]]) == 1
+    assert _one_error_line(capsys)
+
+
 def test_table_extension_other_than_error_is_refused(capsys):
     # series-weighted's table-envelope slot: tables are lookup-only, so the
     # weight that certified the non-invertible delta_0 - delta_1 is refused.

@@ -636,8 +636,7 @@ def test_wiener_near_root_off_the_circle_is_not_refuted():
 
 @pytest.mark.parametrize("f, value", [
     (delta(Z, (0,), 2e-13) + delta(Z, (100,), 1e-13), 1e-13),
-    (delta(Z, (0,), 5e-324), 5e-324),
-], ids=["small-scale", "subnormal"])
+], ids=["small-scale"])
 def test_wiener_refutation_is_relative_to_the_norm(f, value):
     # |symbol| >= value > 0 on the whole circle, so f is invertible, only
     # small: |symbol| is compared with SINGULAR_TOL * |f|_1, not SINGULAR_TOL.
@@ -647,6 +646,71 @@ def test_wiener_refutation_is_relative_to_the_norm(f, value):
     # A singular element scaled as small keeps its witness.
     small = delta(Z, (0,), 1e-20) - delta(Z, (1,), 1e-20)
     assert wiener_certify(small).verdict == "not-invertible"
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_and_fft_zero_tests_are_relative_to_the_norm():
+    # 1e-13 (2 + z): |symbol| >= 1e-13 on the whole circle, so f is
+    # invertible.  An absolute 1e-12 once made its quotient by 3Z a singular
+    # witness, and aborted its FFT candidate at every size from 512 to 4096.
+    f = delta(Z, (0,), 2e-13) + delta(Z, (1,), 1e-13)
+    report = probe_quotients(f, [3])
+    assert not report.any_singular and report.to_certificate() is None
+    assert report.to_json()["singular_tol"] == 1e-12
+    assert invert_via_fft(f).verdict == "invertible"
+    cert = wiener_certify(f)
+    assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 512
+    assert cert.residual <= 1e-10
+    # A singular element scaled as small is still caught by both.
+    small = delta(Z, (0,), 1e-13) - delta(Z, (1,), 1e-13)
+    assert probe_quotients(small, [3]).any_singular
+    cert = invert_via_fft(small)
+    assert cert.verdict == "inconclusive" and cert.fields["flagged_frequency"] == [0]
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
+@pytest.mark.parametrize("f, grid_min", [
+    (delta(Z, (0,), 2e-306) + delta(Z, (1,), 1e-306), 1e-306),
+    (delta(Z, (0,), 5e-324), 5e-324),
+], ids=["tiny", "subnormal"])
+def test_an_fft_inverse_past_the_float_range_is_refused(f, grid_min):
+    # Both elements are invertible, and no sample vanishes relative to
+    # |f|_1; but the FFT inverse's coefficients, bounded by size^d / vmin,
+    # would overflow, at every size.  The subnormal sample survives the grid.
+    value = _grid_min(symbol_grid(f, (64,)))[1]
+    assert value == pytest.approx(grid_min) and not invertibility._vanishes(value, f)
+    assert _margin_fields(f, 64)["margin"] > 0
+    for oracle in (wiener_certify, invert_via_fft):
+        with pytest.raises(UsageError, match="FFT inverse would overflow the float range"):
+            oracle(f)
+    assert not probe_quotients(f, [2, 3]).any_singular
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
+def test_symbol_oracle_verdicts_do_not_depend_on_the_scale():
+    # Each zero test is relative to |f|_1, and the rank-one refinement runs
+    # on f over a power of two, so c f gets f's verdicts for every c here,
+    # near both ends of the float range too.
+    slots = {"r1-fast", "r1-zero", "r2-inv", "r2-vanish"}
+
+    def verdicts(h, q):
+        report = probe_quotients(h, [2, 3, 4, 6, 8, 12])
+        return (wiener_certify(h, q["grid"]).verdict, invert_via_fft(h).verdict,
+                report.any_singular, [p.nonsingular for p in report.probes])
+
+    seen = set()
+    for q, f in _lattice_queries(1, 1):
+        if q["cat"] not in slots:
+            continue
+        expected = verdicts(f, q)
+        seen.add((q["cat"],) + expected[:3])
+        for k in (-290, -200, -100, -13, 0, 100, 200, 290):
+            c = 10.0**k
+            h = AlgebraElement(f.group, {x: c * v for x, v in f.items()}, False)
+            assert verdicts(h, q) == expected, (q["id"], q["cat"], k)
+    assert {cat for cat, *_ in seen} == slots
+    assert {w for _, w, *_ in seen} == {"invertible", "not-invertible", "inconclusive"}
+    assert {singular for *_, singular in seen} == {True, False}
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
@@ -769,11 +833,6 @@ def _corner_products(g, f):
     return out
 
 
-def _ends(g):
-    """g's terms at its lexicographically largest and smallest keys."""
-    return tuple((x, g.amplitude(x)) for x in (max(g.support), min(g.support)))
-
-
 def _margin_fields(f, grid):
     """wiener_certify's grid-scan fields, computed as its docstring states."""
     d = f.group.rank
@@ -807,9 +866,8 @@ def test_corner_rejection_is_sound_on_lattice_fft_elements():
                 continue
             for size in _sizes(f.group.rank):
                 cert = invert_via_fft(f, size, tol=tol)
-                g, ends, _ = _fft_candidate(f, size)
-                assert ends == _ends(g)
-                if _corner_exceeds(ends, f, tol):
+                g, _, _ = _fft_candidate(f, size)
+                if _corner_exceeds(g, f, tol):
                     rejected += 1
                     assert not cert.invertible, (q["id"], size)
                     assert cert.residual >= max(_corner_products(g, f)) > tol
@@ -871,7 +929,7 @@ def test_a_rejected_candidate_runs_no_convolution(monkeypatch):
     # 1 - 0.95z: the candidate at 512 misses by its corner product alone, so
     # the only convolution verifies the candidate at 1024.
     f = delta(Z, (0,), 1.0) - delta(Z, (1,), 0.95)
-    assert _corner_exceeds(_fft_candidate(f, 512)[1], f, 1e-10)
+    assert _corner_exceeds(_fft_candidate(f, 512)[0], f, 1e-10)
     assert not invert_via_fft(f, 512).invertible
     seen, muls = _counting(monkeypatch)
     grids = []
@@ -896,7 +954,7 @@ def test_a_failing_candidate_the_corners_miss_is_verified(monkeypatch):
     # residual shows; 512 then passes.
     query = workloads.generate("lattice-fft", 5, n_cycles=1)[14]
     f = element_from_json(json.loads(query["element"]))
-    assert not _corner_exceeds(_fft_candidate(f, 256)[1], f, 1e-10)
+    assert not _corner_exceeds(_fft_candidate(f, 256)[0], f, 1e-10)
     seen, _ = _counting(monkeypatch)
     cert = wiener_certify(f, query["grid"])
     assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 512
@@ -904,15 +962,15 @@ def test_a_failing_candidate_the_corners_miss_is_verified(monkeypatch):
 
 
 def test_corner_test_skips_identity_corners_and_nan():
-    one = delta(Z, (0,), 1.0)
-    f = one + delta(Z, (-1,), 1.0)
+    f = delta(Z, (0,), 1.0) + delta(Z, (-1,), 1.0)
     # A product at the identity, where e cancels it, is not tested.
-    assert not _corner_exceeds((((1,), 1.0), ((1,), 1.0)), delta(Z, (-1,), 1.0), 1e-10)
-    assert _corner_exceeds((((1,), 1e-9), ((1,), 1e-9)), f, 1e-10)
-    assert not _corner_exceeds((((1,), 1e-11), ((1,), 1e-11)), f, 1e-10)
-    assert _corner_exceeds((((0,), 1.0), ((2,), 1e-9)), f, 1e-10)  # the smallest corner
-    assert not _corner_exceeds((((1,), math.nan), ((1,), math.nan)), f, 1e-10)
-    assert not _corner_exceeds((), f, 1e-10)  # an empty candidate
+    assert not _corner_exceeds(delta(Z, (1,), 1.0), delta(Z, (-1,), 1.0), 1e-10)
+    assert _corner_exceeds(delta(Z, (1,), 1e-9), f, 1e-10)
+    assert not _corner_exceeds(delta(Z, (1,), 1e-11), f, 1e-10)
+    # The largest corner, 1e-11 z, passes; the smallest, 1e-9 z^-3, does not.
+    assert _corner_exceeds(delta(Z, (1,), 1e-11) + delta(Z, (-2,), 1e-9), f, 1e-10)
+    assert not _corner_exceeds(delta(Z, (1,), math.nan), f, 1e-10)
+    assert not _corner_exceeds(AlgebraElement.zero(Z), f, 1e-10)  # an empty candidate
 
 
 def test_symbol_grid_matches_out_of_place_transform():
@@ -939,7 +997,7 @@ def test_symbol_grid_matches_out_of_place_transform():
         arr = np.zeros(sizes, dtype=complex)
         for n, amp in f.items():
             arr[tuple(i % s for i, s in zip(n, sizes))] += amp
-        expected = np.fft.ifftn(arr) * math.prod(sizes)
+        expected = np.fft.ifftn(arr, norm="forward")
         grid = symbol_grid(f, sizes)
         assert grid.tobytes() == expected.tobytes(), (f, sizes)
         assert grid.flags.f_contiguous or len(sizes) == 1, (f, sizes)
@@ -1065,8 +1123,11 @@ def test_fft_chop_matches_index_scan(rank, size):
     for f in [half, even] + [_dominant_element(rng, group, 3) for _ in range(4)]:
         kept = list(invert_via_fft(f, size).inverse.items())
         assert _bits(kept) == _bits(_reference_chop(f.to_float(), size).items())
-        g, ends, _ = _fft_candidate(f.to_float(), size)
-        assert ends == _ends(g)
+        # One return shape: the candidate, and the first least sample.
+        ff = f.to_float()
+        g, kmin, vmin = _fft_candidate(ff, size)
+        assert (kmin, vmin) == _grid_min(symbol_grid(ff, (size,) * rank))
+        assert _bits(g.items()) == _bits(kept)
         for key, value in kept:
             assert type(key) is tuple and all(type(i) is int for i in key)
             assert type(value) is complex

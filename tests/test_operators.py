@@ -299,6 +299,16 @@ def test_symbol_grid_rank2():
             assert abs(grid[k1, k2] - direct) <= 1e-12
 
 
+@pytest.mark.parametrize("amp", [5e-324, 1e-320, 2.5e-310])
+@pytest.mark.parametrize("sizes", [(64,), (6,), (4, 3)])
+def test_symbol_grid_keeps_subnormal_amplitudes(amp, sizes):
+    # The transform is unscaled, so no sample is divided by the grid size and
+    # multiplied back: 5e-324 delta_0 once sampled as 0, and 1e-320 as 1.012e-320.
+    f = delta(LatticeGroup(len(sizes)), (0,) * len(sizes), amp)
+    grid = symbol_grid(f, sizes)
+    assert (grid == amp).all()
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
 def test_symbol_grid_refuses_an_l1_norm_past_the_float_range():
     # Each amplitude is finite, but |f|_1 = 2e308 overflows, and so would

@@ -24,8 +24,8 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, CayleyGroup, LatticeGroup, ball, spec_from_json
 from .invertibility import auto_invert, probe_quotients, verify_direct_finiteness
 from .scenarios import scenario_lp, scenario_torus
-from .weights import (CHECK_LOOP_PAIR_CAP, CHECK_PAIR_CAP, check_pair_cap, check_weight,
-                      dominate_character, weight_from_json)
+from .weights import (CHECK_PAIR_CAP, check_pair_cap, check_weight, dominate_character,
+                      weight_from_json)
 
 
 def _parse_json(text: str | bytes):
@@ -158,12 +158,15 @@ def _cmd_df_check(args) -> int:
 def _cmd_check_weight(args) -> int:
     group = spec_from_json(_load_json(args.group))
     weight = weight_from_json(_load_json(args.weight), group)
-    # The pairs are capped from the ball's size, before the ball is built.
-    check_pair_cap(group, group.ball_size(args.radius, DEFAULT_BALL_CAP))
+    # An unproven weight's pairs are capped from the ball's size, before the
+    # ball is built; a proven one scans no pairs.
+    if weight.submultiplicative_proof(group) is None:
+        check_pair_cap(group.ball_size(args.radius, DEFAULT_BALL_CAP))
     window = ball(group, args.radius)
     report = check_weight(weight, window)
     lines = [
         f"submultiplicative: {report.submultiplicative}",
+        f"proof: {report.proof}",
         f"symmetric: {report.symmetric}",
         f"min value = {report.min_value} at {report.min_at}",
         f"worst ratio = {report.worst_ratio}",
@@ -286,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--radius", type=int, required=True,
-                   help=f"ball radius; the n^2 pairs of its n elements may number at most "
-                   f"{CHECK_PAIR_CAP} ({CHECK_LOOP_PAIR_CAP} off the lattice array scan)")
+                   help=f"ball radius; a weight with no submultiplicativity proof has the "
+                   f"n^2 pairs of the ball's n elements scanned, at most {CHECK_PAIR_CAP}")
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_check_weight)
 

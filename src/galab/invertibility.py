@@ -533,17 +533,33 @@ def _vanishes(value: float, ff: AlgebraElement) -> bool:
     return value <= SINGULAR_TOL * ff.norm()
 
 
+def _over_norm(ff: AlgebraElement) -> tuple:
+    """(e, terms): the float element ff's terms divided by 2^e ~ |ff|_1.
+
+    Their l1 norm is in [1/2, 1), or in [2^-52, 4) where e stops at -1022
+    or 1022, the bounds within which 2^e and 2^-e are normal floats.  A
+    power of two scales floats exactly away from subnormals (the sign of a
+    zero part aside, which no sum of the terms keeps)."""
+    e = min(max(math.frexp(ff.norm())[1], -1022), 1022)
+    scale = 2.0**-e
+    return e, {n: a * scale for n, a in ff.items()}
+
+
 _last_candidate = (None, None, None)  # _fft_candidate's last (ff, size, result)
 
 
 def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     """(g, k, vmin): the sampled-symbol division candidate g of the float
     lattice element ff on the size^d grid, and the first least |sample|
-    vmin, at index k; g is None when vmin vanishes (_vanishes).  The
-    unscaled transform is bounded by size^d / vmin; past the float range
-    the element is refused with UsageError, as symbol_grid refuses an l1
-    norm past it, before numpy could warn: every finer grid holds these
-    samples, so no doubling of the size helps, and no verdict is implied.
+    vmin, at index k; g is None when vmin vanishes (_vanishes).  The grid
+    samples ff / 2^e (_over_norm), and the kept terms are scaled back by
+    2^-e, so they are those of ff's own transform bit for bit away from
+    subnormals.  Those samples are at most 4, and above SINGULAR_TOL * 2^-52
+    unless they vanish, so no reciprocal of one, or sum of them, leaves
+    the float range.  An element whose largest inverse coefficient is past
+    the float range is refused with UsageError before numpy could warn:
+    every finer grid holds these samples, so no doubling of the size
+    helps, and no verdict is implied.
 
     A candidate is handed to the next call for the same ff object and
     size, once, so the invert_via_fft call that verifies a candidate passing
@@ -557,12 +573,12 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     del last  # the old candidate goes before a new grid is built
     import numpy as np
     d = ff.group.rank
-    vals = symbol_grid(ff, (size,) * d)
+    e, scaled = _over_norm(ff)
+    vals = symbol_grid(_make(ff.group, False, scaled), (size,) * d)
     kmin, vmin = _grid_min(vals)
+    vmin *= 2.0**e
     if _vanishes(vmin, ff):
         return None, kmin, vmin
-    if not math.isfinite(size**d / vmin):
-        raise UsageError("the element's FFT inverse would overflow the float range")
     # The samples turn into the coefficients in place, so a single complex
     # grid is live through the division and the transform.
     coeff = np.divide(1.0, vals, out=vals)
@@ -576,12 +592,18 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     # convolution.  Indices past the middle wrap to negative exponents.
     # Keys are int tuples from .tolist(); kept amplitudes are finite and nonzero.
     mags = np.abs(coeff.T)
-    flat = np.flatnonzero(mags > CHOP_REL * float(mags.max()))
+    peak, back = float(mags.max()), 2.0**-e
+    if peak / size**d * back == math.inf:
+        raise UsageError("the element's FFT inverse would overflow the float range")
+    flat = np.flatnonzero(mags > CHOP_REL * peak)
     rev = np.unravel_index(flat, mags.shape)  # the axes of coeff, last first
     order = np.lexsort(rev)
     idx = tuple(i[order] for i in reversed(rev))
     keys = zip(*(np.where(i >= (size + 1) // 2, i - size, i).tolist() for i in idx))
-    terms = dict(zip(keys, (coeff[idx] / size**d).tolist()))
+    kept = coeff[idx] / size**d
+    parts = kept.view(np.float64)  # scaled part by part, so a zero keeps its sign
+    parts *= back
+    terms = dict(zip(keys, kept.tolist()))
     _last_candidate = (ff, size, (_make(ff.group, False, terms), kmin, vmin))
     return _last_candidate[2]
 
@@ -624,12 +646,12 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     those of scaling first and chopping after, bit for bit.  The
     candidate is only as good as its verified residual: aliasing from slow
     coefficient decay shows up there.  A vanishing sample (_vanishes) aborts
-    with the offending frequency; an element too small for a float inverse
-    is refused with UsageError (_fft_candidate).  Without a size, the grid
-    is the largest power of two <= DEFAULT_INVERSE_SIZE per axis that keeps
-    it within DEFAULT_INVERSE_POINTS points (512 on Z, 256 on Z^2, 32 on
-    Z^3); a grid over GRID_CAP points raises, whether its size was given or
-    is the default past rank 22.
+    with the offending frequency; an element whose inverse has a coefficient
+    past the float range is refused with UsageError (_fft_candidate).
+    Without a size, the grid is the largest power of two <=
+    DEFAULT_INVERSE_SIZE per axis that keeps it within DEFAULT_INVERSE_POINTS
+    points (512 on Z, 256 on Z^2, 32 on Z^3); a grid over GRID_CAP points
+    raises, whether its size was given or is the default past rank 22.
     """
     group = _lattice_only(f, "invert_via_fft")
     size = _inverse_size(size, group.rank)
@@ -656,11 +678,11 @@ def _refine_min(f: AlgebraElement, theta: float) -> tuple:
     the first that does not lower |s|, or after 32: near a simple zero they
     converge quadratically, and near a zero of multiplicity m each keeps
     (m-1)/m of the distance, so 32 cut a double zero's |s| by 4^-32.  Terms
-    over 2^k ~ |f|_1 change no bit of a step but keep |s'|^2 in float range.
+    over 2^k ~ |f|_1 (_over_norm) change no bit of a step but keep |s'|^2 in
+    float range.
     """
-    k = math.frexp(f.norm())[1]
-    terms = [(n, complex(math.ldexp(a.real, -k), math.ldexp(a.imag, -k)))
-             for (n,), a in f.items()]
+    k, scaled = _over_norm(f)
+    terms = [(n, amp) for (n,), amp in scaled.items()]
     best = theta, math.inf
     for _ in range(33):
         val = der = 0j  # s(theta) and s'(theta) / i
@@ -675,7 +697,7 @@ def _refine_min(f: AlgebraElement, theta: float) -> tuple:
         if not norm:
             break
         theta -= (der.conjugate() * val).imag / norm
-    return best[0], math.ldexp(best[1], k)
+    return best[0], best[1] * 2.0**k
 
 
 def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,

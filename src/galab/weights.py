@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -22,19 +23,10 @@ from .algebra import AlgebraElement, to_jsonable
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
-REL_TOL = 1e-12  # check_weight: relative slack of the submultiplicativity and symmetry tests
+REL_TOL = 1e-12  # check_weight: relative gap within which w(x) and w(x^-1) count as equal
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
-CHECK_PAIR_CAP = 2**22  # most (x, y) pairs check_weight scans on lattice arrays
-CHECK_LOOP_PAIR_CAP = 2**18  # most pairs its per-pair loop scans
-CHECK_ARRAY_MIN_PAIRS = 150  # fewest pairs it scans on lattice arrays; the loop is faster below
-# _lattice_pair_scan: values whose float64 products are exact (ints) or finite
-# and normal (floats), coordinates and keys that fit int64, pairs per chunk.
-_SCAN_INT_BOUND = 2**26
-_SCAN_FLOAT_MIN, _SCAN_FLOAT_MAX = 2.0**-511, 2.0**511
-_SCAN_COORD_BOUND = 2**31
-_SCAN_KEY_BOUND = 2**62
-_SCAN_CHUNK = 2**13
+CHECK_PAIR_CAP = 2**18  # most (x, y) pairs an exact pair scan takes (512 points)
 
 
 def _out_of_range(what: str) -> UsageError:
@@ -246,15 +238,11 @@ class TableWeight(Weight):
 
     def submultiplicative_proof(self, group):
         """An exact scan of the table's pairs whose product is in the table (a
-        product outside it has no value), within check_pair_cap's loop cap."""
-        check_pair_cap(group, len(self.values), loop=True)
-        exact = {x: _fraction(v) for x, v in self.values.items()}
-        for x, wx in exact.items():
-            for y, wy in exact.items():
-                wz = exact.get(group.mul(x, y))
-                if wz is not None and wz > wx * wy:
-                    return None
-        return f"checked exactly on the {len(exact) ** 2} pairs of table points"
+        product outside it has no value), within CHECK_PAIR_CAP."""
+        check_pair_cap(len(self.values))
+        if _pair_scan(group, self.values)[0] > 1:
+            return None
+        return f"checked exactly on the {len(self.values) ** 2} pairs of table points"
 
     def to_json(self):
         return {"kind": "table", "entries": [[x, v] for x, v in self.values.items()]}
@@ -430,7 +418,18 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
 
 @dataclass
 class WeightCheckReport:
+    """check_weight's findings on a window.
+
+    proof is the weight's submultiplicative_proof, or None; submultiplicative
+    holds exactly when there is one.  worst_ratio is the bound shown for
+    w(xy) / (w(x) w(y)) over the window's pairs whose product is in the
+    window: 1.0 under a proof, else the exact maximum, rounded to a float
+    (0.0 when no product is in the window).  worst_pair is a pair whose
+    ratio is that maximum and above 1, or None.
+    """
+
     submultiplicative: bool
+    proof: str | None
     symmetric: bool
     min_value: float
     min_at: object
@@ -441,6 +440,7 @@ class WeightCheckReport:
     def to_json(self):
         return to_jsonable({
             "submultiplicative": self.submultiplicative,
+            "proof": self.proof,
             "symmetric": self.symmetric,
             "min_value": self.min_value,
             "min_at": self.min_at,
@@ -451,36 +451,36 @@ class WeightCheckReport:
 
 
 def check_weight(weight: Weight, window: Window) -> WeightCheckReport:
-    """Exhaustive submultiplicativity and symmetry scan over a window.
+    """Submultiplicativity, symmetry and the least value of a weight on a window.
 
-    Pairs whose product leaves the window are skipped; the report carries
-    the minimum value and, if some ratio w(xy) / (w(x) w(y)) passes
-    1 + REL_TOL, the worst offending pair.  A lattice window of at least
-    CHECK_ARRAY_MIN_PAIRS pairs is scanned on numpy arrays where the bits
-    agree (_lattice_pair_scan); smaller ones, where the loop is faster, and
-    other groups go through the per-pair loop.  Pairs are capped as
-    check_pair_cap says: a window past the cap of its group is refused
-    before any value is taken, and a lattice window whose values leave the
-    array scan is refused before any pair is scanned.
+    The verdict is weight.submultiplicative_proof(group), the judgement the
+    weighted oracles take.  A proven weight has each value read once and no
+    pair scanned.  An unproven one has the window's pairs scanned exactly
+    (_pair_scan) for the worst ratio; a window of more than CHECK_PAIR_CAP
+    pairs is refused before any value is read.  symmetric holds when w(x)
+    and w(x^-1) agree within REL_TOL wherever both are in the window.
     """
     if not len(window):
         raise UsageError("check_weight needs a nonempty window")
     group = window.group
-    check_pair_cap(group, len(window))
+    proof = weight.submultiplicative_proof(group)
+    if proof is None:
+        check_pair_cap(len(window))
     vals = {x: weight.value(group, x) for x in window}
     for x, v in vals.items():
         if v <= 0:
             raise UsageError(f"weight is not strictly positive at {x!r}: {v}")
     min_at = min(vals, key=lambda x: (vals[x], group.sort_key(x)))
-    min_value = vals[min_at]
 
-    arrays = isinstance(group, LatticeGroup) and len(window) ** 2 >= CHECK_ARRAY_MIN_PAIRS
-    worst = _lattice_pair_scan(window, vals) if arrays else None
-    if worst is None:
-        check_pair_cap(group, len(window), loop=True)
-        worst = _pair_scan(window, vals)
-    worst_ratio, worst_pair = worst
-    submultiplicative = worst_ratio <= 1 + REL_TOL
+    worst_ratio, worst_pair = 1.0, None
+    if proof is None:
+        ratio, pair = _pair_scan(group, vals)
+        try:
+            worst_ratio = float(ratio)
+        except OverflowError:  # a ratio past the float range reads as the largest float
+            worst_ratio = sys.float_info.max
+        if ratio > 1:
+            worst_pair = pair
 
     symmetric = True
     for x in window:
@@ -493,105 +493,44 @@ def check_weight(weight: Weight, window: Window) -> WeightCheckReport:
             break
 
     return WeightCheckReport(
-        submultiplicative=submultiplicative,
+        submultiplicative=proof is not None,
+        proof=proof,
         symmetric=symmetric,
-        min_value=float(min_value),
+        min_value=float(vals[min_at]),
         min_at=min_at,
         worst_ratio=worst_ratio,
-        worst_pair=None if submultiplicative else worst_pair,
+        worst_pair=worst_pair,
         window_size=len(window),
     )
 
 
-def check_pair_cap(group: GroupSpec, n: int, *, loop: bool = False) -> None:
-    """Refuse a window of n elements whose n^2 pairs pass the cap of the scan
-    that takes them: CHECK_PAIR_CAP for a lattice's array scan, and the
-    lower CHECK_LOOP_PAIR_CAP for the per-pair loop (other groups, or loop)."""
-    lattice = isinstance(group, LatticeGroup) and not loop
-    cap = CHECK_PAIR_CAP if lattice else CHECK_LOOP_PAIR_CAP
-    if n * n > cap:
-        raise ResourceLimitError(f"window of {n} elements has {n * n} pairs, cap is {cap}")
+def check_pair_cap(n: int) -> None:
+    """Refuse n points whose n^2 pairs pass CHECK_PAIR_CAP."""
+    if n * n > CHECK_PAIR_CAP:
+        raise ResourceLimitError(
+            f"window of {n} elements has {n * n} pairs, cap is {CHECK_PAIR_CAP}")
 
 
-def _pair_scan(window: Window, vals: dict):
-    """(worst ratio, its pair) of w(xy) / (w(x) w(y)) over the pairs whose
-    product lies in the window: the first maximum in x-then-y order, or
-    (0.0, None) when no product does."""
-    group = window.group
-    worst_ratio = 0.0
-    worst_pair = None
-    for x in window:
-        wx = vals[x]
-        for y in window:
-            z = group.mul(x, y)
-            if z not in vals:
-                continue
-            ratio = float(vals[z] / (wx * vals[y]))
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_pair = (x, y)
-    return worst_ratio, worst_pair
+def _pair_scan(group: GroupSpec, vals: Mapping) -> tuple:
+    """(ratio, pair): the first exact maximum of w(xy) / (w(x) w(y)) in
+    x-then-y order over the pairs of vals's points whose product is one of
+    them, as a Fraction, or (0, None) when no product is.
 
-
-def _float_exact(v) -> bool:
-    """Whether v as a float64 gives _pair_scan's bits: a float whose products
-    stay finite and normal, or an int small enough that each product of two
-    is exact, so each ratio is one correctly rounded division either way."""
-    if type(v) is float:
-        return _SCAN_FLOAT_MIN < v < _SCAN_FLOAT_MAX
-    return type(v) is int and v < _SCAN_INT_BOUND
-
-
-def _lattice_pair_scan(window: Window, vals: dict):
-    """_pair_scan's result on int64/float64 arrays for a lattice window, or
-    None where the bits could differ (a value _float_exact refuses, or
-    coordinates whose keys would not fit in int64).
-
-    A point x is keyed by a(x) = sum_i (x_i - lo_i) S_i with the strides S
-    of the box [2 lo, 2 hi] that holds every sum, so x + y has key
-    a(x) + a(y), looked up among the window's keys with searchsorted.  Rows
-    of x go in chunks of about _SCAN_CHUNK pairs; argmax takes the first
-    maximum in each chunk and a strict > keeps the earliest across chunks.
+    Each value is an int ratio n / d, so a pair's ratio is
+    n_xy d_x d_y / (d_xy n_x n_y), compared with the best by cross
+    multiplication: no gcd runs per pair.
     """
-    group, elements = window.group, window.elements
-    values = list(vals.values())  # in window order
-    if not all(map(_float_exact, values)):
-        return None
-    lo = [min(axis) for axis in zip(*elements)]
-    hi = [max(axis) for axis in zip(*elements)]
-    if max(map(abs, lo + hi)) > _SCAN_COORD_BOUND:
-        return None
-    spans = [2 * (h - low) + 1 for low, h in zip(lo, hi)]
-    if math.prod(spans) > _SCAN_KEY_BOUND:
-        return None
-    import numpy as np
-    strides = np.cumprod([1] + spans[:0:-1])[::-1]
-    offsets = np.array(elements, dtype=np.int64) - np.array(lo, dtype=np.int64)
-    keys = offsets @ strides
-    # x - 2 lo keys a window point as a sum; points outside the box are no sum.
-    shifted = offsets - np.array(lo, dtype=np.int64)
-    inside = np.all((shifted >= 0) & (shifted < spans), axis=1)
-    targets = shifted[inside] @ strides
-    if not len(targets):
-        return 0.0, None
-    order = np.argsort(targets)
-    sorted_targets = targets[order]
-    target_index = np.flatnonzero(inside)[order]
-    v = np.array(values, dtype=np.float64)
-    n = len(elements)
-    rows = max(1, _SCAN_CHUNK // n)
-    worst_ratio, worst_pair = 0.0, None
-    for start in range(0, n, rows):
-        sums = keys[start:start + rows, None] + keys
-        at = np.minimum(np.searchsorted(sorted_targets, sums), len(sorted_targets) - 1)
-        hit = sorted_targets[at] == sums
-        ratio = v[target_index[at]] / (v[start:start + rows, None] * v)
-        ratio[~hit] = 0.0
-        k = int(ratio.argmax())
-        if ratio.flat[k] > worst_ratio:
-            worst_ratio = float(ratio.flat[k])
-            worst_pair = (elements[start + k // n], elements[k % n])
-    return worst_ratio, worst_pair
+    exact = {x: _fraction(v).as_integer_ratio() for x, v in vals.items()}
+    best_p, best_q, best_pair = 0, 1, None
+    for x, (nx, dx) in exact.items():
+        for y, (ny, dy) in exact.items():
+            z = exact.get(group.mul(x, y))
+            if z is None:
+                continue
+            p, q = z[0] * dx * dy, z[1] * nx * ny
+            if p * best_q > best_p * q:
+                best_p, best_q, best_pair = p, q, (x, y)
+    return Fraction(best_p, best_q), best_pair
 
 
 @dataclass
@@ -660,7 +599,6 @@ def dominate_character(weight: Weight, group: LatticeGroup,
             upper=None if math.isinf(upper) else upper,
         )
 
-    import numpy as np
     from scipy.optimize import linprog
 
     d = group.rank
@@ -673,7 +611,7 @@ def dominate_character(weight: Weight, group: LatticeGroup,
         b_ub.append(logs[x])
     cost = [0.0] * d + [-1.0]
     res = linprog(
-        cost, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+        cost, A_ub=a_ub, b_ub=b_ub,
         bounds=[(None, None)] * d + [(None, None)], method="highs",
     )
     if not res.success:

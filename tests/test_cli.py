@@ -286,8 +286,8 @@ GOLDEN_REPORTS = {
         '"min_modulus":0.0,"moduli":[4],"nonsingular":false}],"singular_tol":1e-12}'
     ),
     "check-weight": (
-        '{"min_at":[-1],"min_value":1.0,"submultiplicative":false,"symmetric":true,'
-        '"window_size":5,"worst_pair":[[-1],[-1]],"worst_ratio":5.0}'
+        '{"min_at":[-1],"min_value":1.0,"proof":null,"submultiplicative":false,'
+        '"symmetric":true,"window_size":5,"worst_pair":[[-1],[-1]],"worst_ratio":5.0}'
     ),
     "dominate": (
         '{"certificate_pair":[[-1],[1]],"feasible":false,"lower":0.6931471805599453,'

@@ -669,21 +669,36 @@ def test_probe_and_fft_zero_tests_are_relative_to_the_norm():
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
-@pytest.mark.parametrize("f, grid_min", [
-    (delta(Z, (0,), 2e-306) + delta(Z, (1,), 1e-306), 1e-306),
-    (delta(Z, (0,), 5e-324), 5e-324),
-], ids=["tiny", "subnormal"])
-def test_an_fft_inverse_past_the_float_range_is_refused(f, grid_min):
-    # Both elements are invertible, and no sample vanishes relative to
-    # |f|_1; but the FFT inverse's coefficients, bounded by size^d / vmin,
-    # would overflow, at every size.  The subnormal sample survives the grid.
+def test_an_fft_inverse_past_the_float_range_is_refused():
+    # 5e-324 delta_0 is invertible, and its sample does not vanish relative
+    # to |f|_1; but its inverse 2^1074 delta_0 is past the float range, at
+    # every size.  The subnormal sample survives the grid.
+    f = delta(Z, (0,), 5e-324)
     value = _grid_min(symbol_grid(f, (64,)))[1]
-    assert value == pytest.approx(grid_min) and not invertibility._vanishes(value, f)
+    assert value == 5e-324 and not invertibility._vanishes(value, f)
     assert _margin_fields(f, 64)["margin"] > 0
     for oracle in (wiener_certify, invert_via_fft):
         with pytest.raises(UsageError, match="FFT inverse would overflow the float range"):
             oracle(f)
     assert not probe_quotients(f, [2, 3]).any_singular
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
+def test_a_tiny_element_with_an_inverse_in_float_range_is_inverted():
+    # The FFT runs on f over a power of two near |f|_1, so 1e-306 (2 + z),
+    # whose inverse's coefficients are at most 1e306 / 2, is inverted.  A
+    # bound of size^d / min |f^| on the unscaled transform refused it.
+    f = delta(Z, (0,), 2e-306) + delta(Z, (1,), 1e-306)
+    unit = delta(Z, (0,), 2.0) + delta(Z, (1,), 1.0)
+    for oracle in (wiener_certify, invert_via_fft):
+        cert = oracle(f)
+        assert cert.verdict == "invertible" and cert.residual <= 1e-10
+        assert max(abs(a) for _, a in cert.inverse.items()) <= 0.5e306 * (1 + 1e-12)
+    # The terms are those of the unit element's inverse, scaled by 1e306.
+    g, one = invert_via_fft(f).inverse, invert_via_fft(unit).inverse
+    assert sorted(g.support) == sorted(one.support)
+    for x, a in one.items():
+        assert g.amplitude(x) == pytest.approx(a * 1e306, rel=1e-12, abs=1e-12 * 1e306)
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too

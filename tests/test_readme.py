@@ -112,11 +112,14 @@ print(json.dumps([after_import, "numpy" in sys.modules]))
 def test_exact_commands_start_without_numpy(tmp_path):
     # numpy takes most of a command's cold start, and the exact Neumann
     # series, the exact finite solve, the direct-finiteness check and the
-    # weight check of a window under CHECK_ARRAY_MIN_PAIRS pairs never call
-    # it, so neither importing galab nor running those lines loads it.
+    # weight check never call it, so neither importing galab nor running
+    # those lines loads it: nor does check-weight on the radius-6 ball of
+    # Z^2, as the benchmark runs it.
     exact = [argv for argv, _ in _transcripts()
              if argv[0] in ("certify", "df-check", "check-weight") or "neumann" in argv]
     assert [argv[0] for argv in exact] == ["invert", "certify", "df-check", "check-weight"]
+    exact.append(["check-weight", "--weight", '{"kind": "polynomial", "beta": 2}',
+                  "--group", '{"kind": "Z", "rank": 2}', "--radius", "6"])
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run([sys.executable, "-c", COLD_START, str(src), json.dumps(exact)],
                          cwd=tmp_path, capture_output=True, text=True, check=True)

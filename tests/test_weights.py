@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from galab.algebra import AlgebraElement, canonical_json, delta
@@ -24,8 +24,6 @@ from galab.groups import (
 from galab.invertibility import neumann_invert, verify_direct_finiteness
 from galab import weights
 from galab.weights import (
-    CHECK_ARRAY_MIN_PAIRS,
-    CHECK_LOOP_PAIR_CAP,
     CHECK_PAIR_CAP,
     Character,
     ConstantWeight,
@@ -35,15 +33,12 @@ from galab.weights import (
     ProductWeight,
     QuotientWeight,
     TableWeight,
-    WeightCheckReport,
     character_twist,
     check_pair_cap,
     check_weight,
     dominate_character,
     rescale_by_character,
     weight_from_json,
-    _lattice_pair_scan,
-    _pair_scan,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -251,11 +246,46 @@ UNPROVEN = [ExpSymmetricWeight(0.999), ExpDirectionalWeight([0.5, -0.1]),
             ProductWeight([PolynomialWeight(1), ExpSymmetricWeight(0.5)])]
 
 
+def exact_worst(weight, window):
+    """(ratio, pair): the first maximum of w(xy) / (w(x) w(y)) in x-then-y
+    order over the window's pairs whose product is in it, in Fractions,
+    or (0, None) when no product is."""
+    group = window.group
+    vals = {x: Fraction(weight.value(group, x)) for x in window}
+    worst, pair = Fraction(0), None
+    for x in window:
+        for y in window:
+            z = group.mul(x, y)
+            if z in vals and vals[z] / (vals[x] * vals[y]) > worst:
+                worst, pair = vals[z] / (vals[x] * vals[y]), (x, y)
+    return worst, pair
+
+
+# Every value of these is an int or a Fraction, so the exact scan is exact
+# about the weight itself; float values (characters, real powers) are not.
+EXACT_PROVEN = [ConstantWeight(1), ConstantWeight(Fraction(3, 2)), ExpSymmetricWeight(1),
+                ExpSymmetricWeight(2), ExpSymmetricWeight(Fraction(5, 2)), PolynomialWeight(0),
+                PolynomialWeight(1), PolynomialWeight(3),
+                ProductWeight([ExpSymmetricWeight(2), PolynomialWeight(1)]),
+                ProductWeight([ConstantWeight(Fraction(7, 6)), ExpSymmetricWeight(Fraction(4, 3))])]
+
+
+@pytest.mark.parametrize("weight", EXACT_PROVEN, ids=lambda w: canonical_json(w.to_json()).strip())
+@pytest.mark.parametrize("group", [Z2, FreeGroup(2), symmetric_group(3)], ids=repr)
+def test_a_proven_weight_passes_the_exhaustive_check(weight, group):
+    # Every closed-form proof is one the exact scan of a ball's pairs agrees with.
+    window = ball(group, 2)
+    assert weight.submultiplicative_proof(group)
+    assert exact_worst(weight, window)[0] <= 1
+    rep = check_weight(weight, window)
+    assert rep.submultiplicative and rep.proof == weight.submultiplicative_proof(group)
+    assert (rep.worst_ratio, rep.worst_pair) == (1.0, None)
+
+
 @pytest.mark.parametrize("weight", PROVEN, ids=lambda w: w.to_json()["kind"])
-def test_a_proven_weight_passes_the_exhaustive_check(weight):
-    # Every closed-form proof is one check_weight agrees with on a ball.
+def test_a_weight_is_proven_when_every_part_is(weight):
     assert weight.submultiplicative_proof(Z2)
-    assert check_weight(weight, ball(Z2, 4)).submultiplicative
+    assert check_weight(weight, ball(Z2, 2)).submultiplicative
 
 
 @pytest.mark.parametrize("weight", UNPROVEN, ids=lambda w: w.to_json()["kind"])
@@ -443,105 +473,128 @@ def test_random_symmetric_tables_are_valid_weights():
 
 
 # ---------------------------------------------------------------------------
-# check_weight's lattice array scan against a plain per-pair loop.
+# check_weight takes its verdict from the proof the weighted oracles take.
 
 
-def loop_check_weight(weight, window, rel_tol=1e-12):
-    """check_weight written as a plain loop over every pair of the window."""
-    group = window.group
-    vals = {x: weight.value(group, x) for x in window}
-    min_at = min(vals, key=lambda x: (vals[x], group.sort_key(x)))
-    worst_ratio, worst_pair = 0.0, None
-    for x in window:
-        for y in window:
-            z = group.mul(x, y)
-            if z in vals:
-                ratio = float(vals[z] / (vals[x] * vals[y]))
-                if ratio > worst_ratio:
-                    worst_ratio, worst_pair = ratio, (x, y)
-    symmetric = True
-    for x in window:
-        xi = group.inv(x)
-        if xi in window:
-            a, b = float(vals[x]), float(vals[xi])
-            if abs(a - b) > rel_tol * max(abs(a), abs(b)):
-                symmetric = False
-                break
-    return WeightCheckReport(
-        submultiplicative=worst_ratio <= 1 + rel_tol,
-        symmetric=symmetric,
-        min_value=float(vals[min_at]),
-        min_at=min_at,
-        worst_ratio=worst_ratio,
-        worst_pair=worst_pair if worst_ratio > 1 + rel_tol else None,
-        window_size=len(window),
-    )
+@pytest.mark.parametrize("values, ratio", [
+    ({(0,): 1, (1,): 0.1, (2,): 0.1 * 0.1}, 1.0),
+    ({(0,): 1, (1,): 2, (2,): 4 * (1 + 1e-13)}, 1.0000000000001),
+], ids=["tenth-squared", "four-plus"])
+def test_a_table_violating_by_a_float_rounding_is_not_submultiplicative(values, ratio, capsys):
+    # w(2) exceeds w(1) w(1) exactly, by less than a float ratio test's slack
+    # of 1e-12: the float scan called both tables submultiplicative, while
+    # their proofs are None and neumann_invert refuses them.
+    weight = TableWeight(values)
+    window = Window(Z, list(values))
+    assert weight.submultiplicative_proof(Z) is None
+    rep = check_weight(weight, window)
+    assert not rep.submultiplicative and rep.proof is None
+    assert rep.worst_ratio == ratio and rep.worst_pair == ((1,), (1,))
+    assert Fraction(values[(2,)]) > Fraction(values[(1,)]) ** 2
+    ball_values = [values[(abs(n),)] for n in range(-2, 3)]
+    argv = ["check-weight", "--weight", json.dumps({"kind": "table", "ball_radius": 2,
+                                                   "values": ball_values}),
+            "--group", '{"kind": "Z", "rank": 1}', "--radius", "2"]
+    assert main(argv) == 2
+    assert "proof: None" in capsys.readouterr().out
 
 
-def assert_same_report(weight, window):
-    got = canonical_json(check_weight(weight, window).to_json())
-    assert got == canonical_json(loop_check_weight(weight, window).to_json())
+def test_a_proven_weight_scans_no_pairs(monkeypatch, capsys):
+    # A proof bounds every ratio by 1, so no pair is taken and no pair cap
+    # applies: 10201 points on Z^2 are 104060401 pairs.
+    def no_pairs(*args):
+        raise AssertionError("a pair was scanned")
+
+    monkeypatch.setattr(LatticeGroup, "mul", no_pairs)
+    rep = check_weight(PolynomialWeight(1), Z2.ball(50))
+    assert rep.submultiplicative and rep.window_size == 10201
+    assert (rep.worst_ratio, rep.worst_pair) == (1.0, None)
+    rep = check_weight(ConstantWeight(3), Z.ball(2))
+    assert (rep.worst_ratio, rep.min_value) == (1.0, 3.0)
+    argv = ["check-weight", "--weight", '{"kind": "polynomial", "beta": 1}',
+            "--group", '{"kind": "Z", "rank": 2}', "--radius", "50"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "submultiplicative: True",
+        "proof: 1 + |xy| <= (1 + |x|) (1 + |y|) by subadditive word length, and beta >= 0"]
 
 
-# Few distinct values, so that tied worst pairs are common.  Ints of 2^26 and
-# more, and Fractions, take check_weight's loop; floats and smaller ints its
-# array scan.
-_VALUES = {
-    "float": st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 10.0)),
-    "small-int": st.integers(1, 2**26 - 1) | st.sampled_from([1, 2, 4]),
-    "large-int": st.integers(2**26, 2**36),
-    "fraction": st.fractions(Fraction(1, 9), 9).filter(lambda v: v > 0),
-}
+def test_a_ratio_past_the_float_range_reads_as_the_largest_float(capsys):
+    # 1 / (1e-200 * 1e-200) is 1e400: the float scan divided by the product,
+    # which underflows to 0, and ended in a ZeroDivisionError traceback.
+    weight = {"kind": "table", "entries": [[[0], 1.0], [[1], 1e-200], [[-1], 1e-200]]}
+    rep = check_weight(weight_from_json(weight, Z), Z.ball(1))
+    assert (rep.worst_ratio, rep.worst_pair) == (sys.float_info.max, ((-1,), (1,)))
+    argv = ["check-weight", "--weight", json.dumps(weight), "--group", '{"kind": "Z", "rank": 1}',
+            "--radius", "1"]
+    assert main(argv) == 2
+    assert "violating pair: ((-1,), (1,))" in capsys.readouterr().out
+
+
+_AGREEMENT_WINDOWS = [Z.ball(3), Z2.ball(1), Z2.ball(2), ball(FreeGroup(2), 1),
+                      ball(FreeGroup(2), 2), ball(symmetric_group(3), 1),
+                      ball(symmetric_group(3), 3)]
+# Small rationals and floats on both sides of 1, so that tables are both
+# proven and unproven, by wide and by last-bit margins.
+_SCALARS = st.one_of(st.sampled_from([1, 2, 3, 0.5, 0.25, 0.1, 1.5, 0.1 * 0.1]),
+                     st.fractions(Fraction(1, 4), 4).filter(lambda v: v > 0),
+                     st.integers(1, 6))
+
+
+def _weights(group, window):
+    """Weights of every JSON kind on group, tables covering window."""
+    lattice = isinstance(group, LatticeGroup)
+    coefficients = st.lists(st.sampled_from([-0.5, -0.1, 0.0, 0.3, 0.7]),
+                            min_size=group.rank, max_size=group.rank) if lattice else None
+    leaves = [
+        st.builds(ConstantWeight, st.sampled_from([1, 2, Fraction(3, 2), 1.25])),
+        st.builds(ExpSymmetricWeight, st.sampled_from([0.5, 0.9, 1, 1.5, 2, Fraction(3, 4)])),
+        st.builds(PolynomialWeight, st.sampled_from([0, 0.5, 1, 2])),
+        st.builds(lambda vs: TableWeight(dict(zip(window, vs))),
+                  st.lists(_SCALARS, min_size=len(window), max_size=len(window))),
+    ]
+    if lattice:
+        leaves.append(st.builds(ExpDirectionalWeight, coefficients, rectified=st.booleans()))
+    leaf = st.one_of(leaves)
+
+    def compound(inner):
+        parts = [st.builds(ProductWeight, st.lists(inner, min_size=1, max_size=3))]
+        if lattice:
+            parts.append(st.builds(QuotientWeight, inner, st.builds(Character, coefficients)))
+        return st.one_of(parts)
+
+    return st.recursive(leaf, compound, max_leaves=4)
 
 
 @st.composite
-def lattice_windows(draw):
-    rank = draw(st.integers(1, 3))
-    group = LatticeGroup(rank)
-    if draw(st.booleans()):
-        # Rank-1 balls past 90 elements span two chunks of the array scan.
-        radius = draw(st.integers(0, {1: 60, 2: 4, 3: 2}[rank]))
-        return ball(group, radius)
-    offset = draw(st.sampled_from([0, 0, 5, -7, 2**40]))
-    points = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=1, max_size=40,
-                           unique=True))
-    points = [tuple(c + offset for c in x) for x in points]
-    return Window(group, draw(st.permutations(points)))
+def weighted_windows(draw):
+    window = draw(st.sampled_from(_AGREEMENT_WINDOWS))
+    return draw(_weights(window.group, window)), window
 
 
-@settings(max_examples=150, deadline=None)
-@given(lattice_windows(), st.data())
-def test_pair_scan_matches_the_loop(window, data):
-    kind = data.draw(st.sampled_from(sorted(_VALUES)))
-    values = data.draw(st.lists(_VALUES[kind], min_size=len(window), max_size=len(window)))
-    weight = TableWeight(dict(zip(window, values)))
-    assert_same_report(weight, window)
-    # Windows under CHECK_ARRAY_MIN_PAIRS pairs take the loop; the array scan
-    # agrees on them too.
-    vals = {x: weight.value(window.group, x) for x in window}
-    scan = _lattice_pair_scan(window, vals)
-    assert scan is None or scan == _pair_scan(window, vals)
-
-
-def test_small_lattice_windows_take_the_per_pair_loop(monkeypatch):
-    scans = []
-
-    def counting_scan(window, vals):
-        scans.append(len(window))
-        return _lattice_pair_scan(window, vals)
-
-    monkeypatch.setattr(weights, "_lattice_pair_scan", counting_scan)
-    assert 11**2 < CHECK_ARRAY_MIN_PAIRS <= 13**2
-    for radius in (5, 6):  # 11 and 13 elements
-        assert_same_report(ExpSymmetricWeight(2), Z.ball(radius))
-    assert scans == [13]
-
-
-@pytest.mark.parametrize("weight", [PolynomialWeight(2), PolynomialWeight(0.5),
-                                    ExpSymmetricWeight(2), ExpSymmetricWeight(0.5),
-                                    ExpDirectionalWeight([1.0, -0.5])])
-def test_pair_scan_matches_the_loop_on_formula_weights(weight):
-    assert_same_report(weight, Z2.ball(6))
+@seed(31)
+@settings(max_examples=200, deadline=None)
+@given(weighted_windows())
+def test_check_weight_agrees_with_the_proof_the_oracles_take(weighted):
+    weight, window = weighted
+    group = window.group
+    proof = weight.submultiplicative_proof(group)
+    rep = check_weight(weight, window)
+    assert rep.submultiplicative == (proof is not None) and rep.proof == proof
+    f = delta(group, group.identity, 2.0)
+    if rep.submultiplicative:
+        assert neumann_invert(f, weight).invertible
+        assert (rep.worst_ratio, rep.worst_pair) == (1.0, None)
+    else:
+        with pytest.raises(UsageError, match="not proven submultiplicative"):
+            neumann_invert(f, weight)
+        worst, pair = exact_worst(weight, window)
+        assert rep.worst_ratio == float(worst)
+        assert rep.worst_pair == (pair if worst > 1 else None)
+    if rep.worst_pair is not None:
+        x, y = rep.worst_pair
+        values = [Fraction(weight.value(group, p)) for p in (group.mul(x, y), x, y)]
+        assert values[0] > values[1] * values[2]
 
 
 def test_worst_pair_is_the_first_maximum_in_x_then_y_order():
@@ -562,29 +615,40 @@ def test_worst_pair_is_the_first_maximum_in_x_then_y_order():
 
 @pytest.mark.parametrize("group", [FreeGroup(2), symmetric_group(3), dihedral_group(4),
                                    quaternion_group()], ids=repr)
-def test_pair_scan_on_free_and_cayley_groups_is_unchanged(group):
+def test_unproven_tables_on_free_and_cayley_groups_match_a_fraction_loop(group):
     rng = random.Random(f"{group!r}")
     window = ball(group, 3)
     for _ in range(10):
         values = [rng.choice([0.5, 1, 2, rng.uniform(0.5, 3)]) for _ in window]
-        assert_same_report(TableWeight(dict(zip(window, values))), window)
+        weight = TableWeight(dict(zip(window, values)))
+        rep = check_weight(weight, window)
+        assert weight.submultiplicative_proof(group) is None
+        worst, pair = exact_worst(weight, window)
+        assert (rep.worst_ratio, rep.worst_pair) == (float(worst), pair)
+
+
+class Unproven(weights.Weight):
+    """The weight 1 with no proof, counting the points it is read at."""
+
+    def __init__(self):
+        self.calls = []
+
+    def value(self, group, x):
+        self.calls.append(x)
+        return 1
 
 
 def test_check_weight_caps_the_pairs_before_any_value(capsys):
-    calls = []
-
-    class Counting(ConstantWeight):
-        def value(self, group, x):
-            calls.append(x)
-            return 1
-
-    window = Z2.ball(23)  # 2209 elements, 4879681 pairs
+    # An unproven weight's pairs are scanned, at most CHECK_PAIR_CAP of them.
+    weight = Unproven()
+    window = Z2.ball(11)  # 529 elements, 279841 pairs
     assert len(window) ** 2 > CHECK_PAIR_CAP
-    with pytest.raises(ResourceLimitError, match="pairs"):
-        check_weight(Counting(), window)
-    assert calls == []
-    assert check_weight(Counting(), Z2.ball(22)).submultiplicative  # 4100625 pairs
-    argv = ["check-weight", "--weight", '{"kind":"constant","value":1}',
+    with pytest.raises(ResourceLimitError, match="279841 pairs"):
+        check_weight(weight, window)
+    assert weight.calls == []
+    rep = check_weight(weight, Z2.ball(10))  # 194481 pairs
+    assert (rep.submultiplicative, rep.worst_ratio, rep.worst_pair) == (False, 1.0, None)
+    argv = ["check-weight", "--weight", '{"kind":"exp_symmetric","base":0.5}',
             "--group", '{"kind":"Z","rank":2}', "--radius", "100"]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -597,18 +661,20 @@ def test_check_weight_cli_refuses_from_the_ball_size_before_building_it(capsys, 
         raise AssertionError("a window was built")
 
     monkeypatch.setattr(Window, "__init__", no_window)
-    argv = ["check-weight", "--weight", '{"kind":"constant","value":1}',
+    argv = ["check-weight", "--weight", '{"kind":"exp_symmetric","base":0.5}',
             "--group", '{"kind":"Z","rank":2}', "--radius", "499"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: window of 998001 elements has {998001**2} pairs, "
                             f"cap is {CHECK_PAIR_CAP}\n")
-    # Past the ball cap the ball's own refusal still comes first.
-    argv[-1] = "1000"
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: ball would hold 4004001 elements, cap is 1000000\n")
+    # Past the ball cap the ball's own refusal still comes first, and it is
+    # the only cap on a proven weight.
+    for weight in ('{"kind":"exp_symmetric","base":0.5}', '{"kind":"constant","value":1}'):
+        argv[2], argv[-1] = weight, "1000"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ball would hold 4004001 elements, cap is 1000000\n")
 
 
 @pytest.mark.parametrize("group, radius, n", [(FreeGroup(2), 6, 1457),
@@ -618,45 +684,37 @@ def test_ball_size_counts_the_ball(group, radius, n):
     assert Z2.ball_size(22) == len(Z2.ball(22)) == 2025
 
 
-@pytest.mark.parametrize("weight", [ExpSymmetricWeight(2),
-                                    TableWeight({x: Fraction(1 + sum(map(abs, x)), 3)
-                                                 for x in Z2.ball(22)})],
-                         ids=["exp_symmetric-2", "fraction-table"])
-def test_per_pair_loop_has_its_own_lower_cap(weight, monkeypatch):
-    # On the Z^2 ball of radius 22 (2025 elements, 4100625 pairs) the values
-    # reach 2^44, or are Fractions, so the array scan cannot take them; the
-    # loop is refused before it takes a pair.
+@pytest.mark.parametrize("weight", [ExpSymmetricWeight(0.5),
+                                    ProductWeight([PolynomialWeight(1), Unproven()])],
+                         ids=["exp_symmetric-half", "product"])
+def test_an_unproven_window_past_the_cap_is_refused_before_any_pair(weight, monkeypatch):
     def no_pairs(*args):
         raise AssertionError("a pair was scanned")
 
-    window = Z2.ball(22)
     monkeypatch.setattr(LatticeGroup, "mul", no_pairs)
-    with pytest.raises(ResourceLimitError, match=f"4100625 pairs, cap is {CHECK_LOOP_PAIR_CAP}"):
-        check_weight(weight, window)
+    with pytest.raises(ResourceLimitError, match=f"4100625 pairs, cap is {CHECK_PAIR_CAP}"):
+        check_weight(weight, Z2.ball(22))
 
 
-def test_loop_cap_refuses_other_groups_before_any_value():
-    calls = []
+def test_a_table_past_the_cap_is_refused_by_its_proof():
+    # The proof scans the table's own pairs, under the same cap.
+    table = TableWeight({x: Fraction(1 + sum(map(abs, x)), 3) for x in Z2.ball(11)})
+    with pytest.raises(ResourceLimitError, match=f"279841 pairs, cap is {CHECK_PAIR_CAP}"):
+        check_weight(table, Z2.ball(1))
 
-    class Counting(ConstantWeight):
-        def value(self, group, x):
-            calls.append(x)
-            return 1
 
+def test_the_cap_refuses_other_groups_before_any_value():
+    weight = Unproven()
     f2 = FreeGroup(2)
     with pytest.raises(ResourceLimitError, match="2122849 pairs"):
-        check_weight(Counting(), ball(f2, 6))
-    assert calls == []
-    assert check_weight(Counting(), ball(f2, 5)).submultiplicative  # 235225 pairs
+        check_weight(weight, ball(f2, 6))
+    assert weight.calls == []
+    assert not check_weight(weight, ball(f2, 5)).submultiplicative  # 235225 pairs
 
 
-def test_pair_caps_are_inclusive():
-    side = math.isqrt(CHECK_LOOP_PAIR_CAP)
-    check_pair_cap(Z2, side, loop=True)
-    check_pair_cap(FreeGroup(2), side)
+def test_the_pair_cap_is_inclusive():
+    side = math.isqrt(CHECK_PAIR_CAP)
+    assert side == 512
+    check_pair_cap(side)
     with pytest.raises(ResourceLimitError):
-        check_pair_cap(FreeGroup(2), side + 1)
-    check_pair_cap(Z2, side + 1)
-    check_pair_cap(Z2, math.isqrt(CHECK_PAIR_CAP))
-    with pytest.raises(ResourceLimitError):
-        check_pair_cap(Z2, math.isqrt(CHECK_PAIR_CAP) + 1)
+        check_pair_cap(side + 1)

@@ -18,6 +18,7 @@ Oracles:
                        weighted norms supported
   probe_quotients      finite cyclic quotients as non-invertibility probes
 The symbol oracles share one zero test: |symbol| <= SINGULAR_TOL * |f|_1 (_vanishes).
+Every tol, verify_direct_finiteness's too, is refused outside [0, 1) (_tolerance).
 """
 
 from __future__ import annotations
@@ -191,6 +192,13 @@ def _proven(weight: Weight | None, group) -> None:
                          "(w(xy) <= w(x) w(y)), so its norms prove nothing")
 
 
+def _tolerance(tol) -> None:
+    """Refuse a tol that is not a number in [0, 1): only |g*f - e| < 1 makes
+    g*f invertible by its Neumann series, and so proves anything of f."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 <= tol < 1:
+        raise UsageError(f"tol must be a number in [0, 1), got {tol!r}")
+
+
 def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
                              weight: Weight | None = None, *,
                              tol: float = 1e-10) -> DirectFinitenessReport:
@@ -204,6 +212,7 @@ def verify_direct_finiteness(f: AlgebraElement, g: AlgebraElement,
     norms too; otherwise each point's weight is evaluated once.  A weight
     without a submultiplicative_proof is refused with UsageError.
     """
+    _tolerance(tol)
     _proven(weight, f.group)
     left, right = _residuals(f, g, weight)
     passed = (left > tol) or (right <= DF_SLACK * tol)
@@ -442,6 +451,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     vector whole-matrix elimination gives.  Float elements keep the
     whole-matrix SVD.
     """
+    _tolerance(tol)
     group = f.group
     if not isinstance(group, CayleyGroup):
         raise UsageError("invert_finite needs an element of a finite Cayley group")
@@ -545,9 +555,6 @@ def _over_norm(ff: AlgebraElement) -> tuple:
     return e, {n: a * scale for n, a in ff.items()}
 
 
-_last_candidate = (None, None, None)  # _fft_candidate's last (ff, size, result)
-
-
 def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     """(g, k, vmin): the sampled-symbol division candidate g of the float
     lattice element ff on the size^d grid, and the first least |sample|
@@ -560,17 +567,7 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     the float range is refused with UsageError before numpy could warn:
     every finer grid holds these samples, so no doubling of the size
     helps, and no verdict is implied.
-
-    A candidate is handed to the next call for the same ff object and
-    size, once, so the invert_via_fft call that verifies a candidate passing
-    wiener_certify's corner test does not build it again.  Elements are
-    immutable, so the same object gives the same candidate.
     """
-    global _last_candidate
-    last, _last_candidate = _last_candidate, (None, None, None)
-    if last[0] is ff and last[1] == size:
-        return last[2]
-    del last  # the old candidate goes before a new grid is built
     import numpy as np
     d = ff.group.rank
     e, scaled = _over_norm(ff)
@@ -604,8 +601,7 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     parts = kept.view(np.float64)  # scaled part by part, so a zero keeps its sign
     parts *= back
     terms = dict(zip(keys, kept.tolist()))
-    _last_candidate = (ff, size, (_make(ff.group, False, terms), kmin, vmin))
-    return _last_candidate[2]
+    return _make(ff.group, False, terms), kmin, vmin
 
 
 def _corner_exceeds(g: AlgebraElement, ff: AlgebraElement, tol: float) -> bool:
@@ -622,9 +618,9 @@ def _corner_exceeds(g: AlgebraElement, ff: AlgebraElement, tol: float) -> bool:
     and rounded addition of non-negative floats never lowers the sum, so
     the verified residual is at least |g(x) ff(y)| (or NaN).  A product
     above tol therefore fails the residual <= tol test of this same
-    candidate: rejecting it changes no chosen size, verdict or output
-    byte.  A NaN product compares false, so it rejects nothing, and an
-    empty g has no corners to test.
+    candidate: invert_via_fft then skips the convolution and loses no
+    invertible verdict, so wiener_certify chooses the same size and bytes.
+    A NaN product compares false, so it rejects nothing; an empty g has no corners.
     """
     # Keys alone, from the float storage's dict view: (key, value) pairs compare at half speed.
     gt, ft = g.items().mapping, ff.items().mapping
@@ -640,19 +636,17 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
 
     Samples the symbol on the uniform grid, divides 1 by it, transforms
     back, and keeps the coefficients on the centered fundamental domain
-    (amplitudes below CHOP_REL of the peak are dropped as FFT dust).  The
-    chop reads the unscaled transform and only the kept coefficients are
-    divided by the number of grid points, a power of two, so the terms are
-    those of scaling first and chopping after, bit for bit.  The
-    candidate is only as good as its verified residual: aliasing from slow
-    coefficient decay shows up there.  A vanishing sample (_vanishes) aborts
-    with the offending frequency; an element whose inverse has a coefficient
-    past the float range is refused with UsageError (_fft_candidate).
-    Without a size, the grid is the largest power of two <=
-    DEFAULT_INVERSE_SIZE per axis that keeps it within DEFAULT_INVERSE_POINTS
-    points (512 on Z, 256 on Z^2, 32 on Z^3); a grid over GRID_CAP points
-    raises, whether its size was given or is the default past rank 22.
+    whose amplitudes are at least CHOP_REL of the peak (_fft_candidate).
+    The candidate is only as good as its verified residual: aliasing from
+    slow coefficient decay shows up there.  One with a corner product
+    above tol (_corner_exceeds) cannot meet tol: it is inconclusive, kept
+    with residual None, and no convolution runs.  A vanishing sample
+    (_vanishes) aborts with the offending frequency; an element whose
+    inverse has a coefficient past the float range is refused with
+    UsageError.  The size, and its default of 512 per axis on Z, 256 on
+    Z^2 and 32 on Z^3, are checked by _inverse_size.
     """
+    _tolerance(tol)
     group = _lattice_only(f, "invert_via_fft")
     size = _inverse_size(size, group.rank)
     ff = f.to_float()
@@ -664,9 +658,13 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
             "flagged_angle": [2 * math.pi * k / size for k in kmin],
             "flagged_value": vmin,
         }, "symbol sample within zero tolerance; suspected non-invertible")
+    fields = {"size": size, "chop": CHOP_REL, "grid_min": vmin}
+    if _corner_exceeds(g, ff, tol):
+        return replace(_inconclusive("fft-candidate", fields, "a corner product of the "
+                                     "residual is above tolerance; increase the grid"), inverse=g)
     residual = float((convolve(g, ff) - identity_element(group)).norm())
-    return _verified("fft-candidate", {"size": size, "chop": CHOP_REL, "grid_min": vmin},
-                     g, residual, tol, "candidate residual above tolerance; increase the grid")
+    return _verified("fft-candidate", fields, g, residual, tol,
+                     "candidate residual above tolerance; increase the grid")
 
 
 def _refine_min(f: AlgebraElement, theta: float) -> tuple:
@@ -707,17 +705,15 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
     A uniform grid scan of |symbol| combined with the Lipschitz bound
     L = sum |n|_1 |f(n)| proves a positive lower bound on the whole torus
     whenever margin = grid_min - L * spacing / 2 is positive; the verdict
-    then comes with an FFT inverse and its verified residual, tried at
-    inverse_size (default and checks as in invert_via_fft, whatever the
-    element: 512 per axis on Z, 256 on Z^2, 32 on Z^3) and doubled up to
-    MAX_INVERSE_SIZE within GRID_CAP.  A candidate whose corner product
-    already exceeds tol (_corner_exceeds) is doubled past without its
-    verifying convolution.  In rank one a non-positive margin sends the
-    grid minimum to _refine_min, and a |symbol| that vanishes there
-    (_vanishes) refutes with the angle t as witness: x(n) = exp(i n t) is
-    bounded with rho_f x = 0.  Anything else is inconclusive and the
-    diagnostics say how close the call was.
+    then comes from the first invertible invert_via_fft, called at
+    inverse_size (default and checks as there) and at its doublings up to
+    MAX_INVERSE_SIZE within GRID_CAP.  In rank one a non-positive margin
+    sends the grid minimum to _refine_min, and a |symbol| that vanishes
+    there (_vanishes) refutes with the angle t as witness: x(n) =
+    exp(i n t) is bounded with rho_f x = 0.  Anything else is inconclusive
+    and the diagnostics say how close the call was.
     """
+    _tolerance(tol)
     group = _lattice_only(f, "wiener_certify")
     d = group.rank
     grid = _integer(grid, "grid")
@@ -745,12 +741,10 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 
     if margin > 0:
         while True:
-            g, _, _ = _fft_candidate(ff, size)
-            if g is not None and not _corner_exceeds(g, ff, tol):
-                candidate = invert_via_fft(ff, size, tol=tol)
-                if candidate.invertible:
-                    fields["inverse_size"] = size
-                    return replace(candidate, kind="wiener-grid", fields=fields)
+            candidate = invert_via_fft(ff, size, tol=tol)
+            if candidate.invertible:
+                fields["inverse_size"] = size
+                return replace(candidate, kind="wiener-grid", fields=fields)
             size *= 2
             if size > MAX_INVERSE_SIZE or size**d > GRID_CAP:
                 break  # the requested size is always tried; doublings stay within both caps
@@ -806,6 +800,7 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     check with the same weight object (or with none, when the call had
     none) reuses the residual norms.
     """
+    _tolerance(tol)
     if f.is_zero:
         raise UsageError("cannot invert the zero element")
     terms = _integer(terms, "terms")

@@ -222,7 +222,8 @@ class TableWeight(Weight):
 
     A table is a read-only lookup over a private copy of the values given:
     evaluation outside it is refused.  Each value must be positive and
-    within the float range, as every other weight value is.
+    within the float range, as every other weight value is.  The values
+    never change, so each group's proof is kept once found.
     """
 
     def __init__(self, values: Mapping):
@@ -230,6 +231,7 @@ class TableWeight(Weight):
             raise UsageError("table weight needs at least one entry")
         self.values = MappingProxyType({x: _checked(v, "table weight")
                                         for x, v in values.items()})
+        self._proofs = {}
 
     def value(self, group, x):
         if x not in self.values:
@@ -239,10 +241,11 @@ class TableWeight(Weight):
     def submultiplicative_proof(self, group):
         """An exact scan of the table's pairs whose product is in the table (a
         product outside it has no value), within CHECK_PAIR_CAP."""
-        check_pair_cap(len(self.values))
-        if _pair_scan(group, self.values)[0] > 1:
-            return None
-        return f"checked exactly on the {len(self.values) ** 2} pairs of table points"
+        if group not in self._proofs:
+            check_pair_cap(len(self.values))
+            self._proofs[group] = None if _pair_scan(group, self.values)[0] > 1 else (
+                f"checked exactly on the {len(self.values) ** 2} pairs of table points")
+        return self._proofs[group]
 
     def to_json(self):
         return {"kind": "table", "entries": [[x, v] for x, v in self.values.items()]}

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -454,6 +455,25 @@ def test_an_element_whose_fft_inverse_overflows_is_refused(argv, capsys):
     # to its norm, but 1 / 5e-324 is past the float range.
     el = element_json([{"x": [0], "re": 5e-324}])
     assert main([argv[0], "--input", el, *argv[1:]]) == 1
+    assert _one_error_line(capsys)
+
+
+# 1 - e^{0.001i} z, whose symbol vanishes at -0.001
+NEAR_ROOT = element_json([{"x": [0], "re": 1.0},
+                          {"x": [1], "re": -math.cos(0.001), "im": -math.sin(0.001)}])
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--method", "fft", "--input", NEAR_ROOT],
+    ["invert", "--input", NEAR_ROOT],
+    ["invert", "--method", "neumann", "--input", INVERTIBLE],
+    ["certify", "--input", NEAR_ROOT],
+    ["df-check", "--f", INVERTIBLE, "--g", INVERTIBLE],
+], ids=["fft", "wiener", "neumann", "certify", "df-check"])
+@pytest.mark.parametrize("tol", ["10", "1", "-0.5", "nan"])
+def test_a_tol_outside_the_unit_interval_exits_one(argv, tol, capsys):
+    # --tol 10 once made invert --method fft call NEAR_ROOT invertible.
+    assert main([*argv, f"--tol={tol}"]) == 1
     assert _one_error_line(capsys)
 
 

@@ -873,7 +873,8 @@ def _lattice_queries(seed, n_cycles):
 
 def test_corner_rejection_is_sound_on_lattice_fft_elements():
     # Every candidate the corner test rejects, up to the size that passes,
-    # fails invert_via_fft's verified residual, by at least the corner product.
+    # has a full residual |g*f - e| of at least its corner product, above tol;
+    # invert_via_fft keeps such a candidate unverified.
     tol, rejected = 1e-10, 0
     for seed in (1, 2):
         for q, f in _lattice_queries(seed, 1):
@@ -884,8 +885,10 @@ def test_corner_rejection_is_sound_on_lattice_fft_elements():
                 g, _, _ = _fft_candidate(f, size)
                 if _corner_exceeds(g, f, tol):
                     rejected += 1
-                    assert not cert.invertible, (q["id"], size)
-                    assert cert.residual >= max(_corner_products(g, f)) > tol
+                    assert cert.verdict == "inconclusive", (q["id"], size)
+                    assert cert.residual is None and _bits(cert.inverse.items()) == _bits(g.items())
+                    residual = float((convolve(g, f) - identity_element(f.group)).norm())
+                    assert residual >= max(_corner_products(g, f)) > tol
                 if cert.invertible:
                     break
     assert rejected >= 10  # the r1-slow slots start well below their passing sizes
@@ -940,6 +943,20 @@ def _counting(monkeypatch):
     return seen, muls
 
 
+def test_invert_via_fft_keeps_a_corner_rejected_candidate_unverified(monkeypatch):
+    # 1 - 0.95z at 512: the corner product alone is above tol, so the
+    # candidate is kept with no residual, and no convolution runs.
+    f = delta(Z, (0,), 1.0) - delta(Z, (1,), 0.95)
+    seen, muls = _counting(monkeypatch)
+    cert = invert_via_fft(f, 512)
+    assert (seen, muls) == ([], [0])
+    assert cert.verdict == "inconclusive" and cert.residual is None
+    assert cert.fields["reason"] == ("a corner product of the residual is above tolerance; "
+                                     "increase the grid")
+    assert _bits(cert.inverse.items()) == _bits(_fft_candidate(f, 512)[0].items())
+    assert cert.to_json()["residual"] is None
+
+
 def test_a_rejected_candidate_runs_no_convolution(monkeypatch):
     # 1 - 0.95z: the candidate at 512 misses by its corner product alone, so
     # the only convolution verifies the candidate at 1024.
@@ -958,8 +975,8 @@ def test_a_rejected_candidate_runs_no_convolution(monkeypatch):
     cert = wiener_certify(f)
     assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 1024
     assert seen == [cert.inverse.n_terms * 2] and muls == [seen[0]]
-    # The grid scan, then one grid per size: invert_via_fft verifies the
-    # candidate at 1024 without building it again.
+    # The grid scan, then one grid per size: each size's candidate is built
+    # once, by the invert_via_fft call that judges it.
     assert grids == [(64,), (512,), (1024,)]
 
 
@@ -1181,6 +1198,36 @@ def test_verdict_boundary_is_residual_at_most_tol(run, reason):
     assert below.inverse is not None and float(below.residual) == residual
 
 
+_TOL_ORACLES = [
+    lambda tol: invert_finite(delta(cyclic_group(3), 0, 2.0), tol=tol),
+    lambda tol: invert_via_fft(delta(Z, (0,), 2.0), 64, tol=tol),
+    lambda tol: wiener_certify(delta(Z, (0,), 2.0), tol=tol),
+    lambda tol: neumann_invert(delta(Z, (0,), 2.0), tol=tol),
+    lambda tol: verify_direct_finiteness(delta(Z, (0,), 2.0), delta(Z, (0,), 0.5), tol=tol),
+]
+_TOL_IDS = ["finite", "fft", "wiener", "neumann", "df-check"]
+
+
+@pytest.mark.parametrize("tol", [1, 1.0, 10.0, -1e-10, math.nan, math.inf, True, "1e-10", None])
+@pytest.mark.parametrize("run", _TOL_ORACLES, ids=_TOL_IDS)
+def test_a_tol_outside_the_unit_interval_is_refused_before_any_work(run, tol, monkeypatch):
+    # Only a residual below 1 proves invertibility: at tol = 10, invert_via_fft
+    # once called 1 - e^{0.001i} z, whose symbol vanishes, invertible.
+    def no_work(*args):
+        raise AssertionError("an oracle worked on a refused tol")
+
+    for name in ("convolve", "symbol_grid", "identity_element", "_solve_float"):
+        monkeypatch.setattr(invertibility, name, no_work)
+    with pytest.raises(UsageError, match=r"tol must be a number in \[0, 1\)"):
+        run(tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, Fraction(1, 2), math.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("run", _TOL_ORACLES, ids=_TOL_IDS)
+def test_a_tol_in_the_unit_interval_is_taken(run, tol):
+    run(tol)
+
+
 # ---------------------------------------------------------------------------
 # Neumann series
 
@@ -1204,9 +1251,9 @@ def test_neumann_weighted_flagship_values():
 def test_neumann_truncation_tightens_with_more_terms():
     f = delta(Z, (0,), 1, exact=True) - delta(Z, (1,), Fraction(1, 4), exact=True)
     w = ExpSymmetricWeight(2)
-    residuals = [neumann_invert(f, w, terms=k, tol=1.0).residual for k in (5, 10, 20)]
+    residuals = [neumann_invert(f, w, terms=k, tol=0.5).residual for k in (5, 10, 20)]
     assert residuals == [Fraction(1, 2**6), Fraction(1, 2**11), Fraction(1, 2**21)]
-    tails = [neumann_invert(f, w, terms=k, tol=1.0).fields["tail_bound"] for k in (5, 10, 20)]
+    tails = [neumann_invert(f, w, terms=k, tol=0.5).fields["tail_bound"] for k in (5, 10, 20)]
     assert all(float(r) <= t for r, t in zip(residuals, tails))
 
 

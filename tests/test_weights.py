@@ -656,6 +656,32 @@ def test_check_weight_caps_the_pairs_before_any_value(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+def test_a_table_scans_its_pairs_once_per_group(monkeypatch, capsys):
+    # A table's values never change, so its proof is kept: README's
+    # check-weight scans the table's 9 pairs once, for the CLI's pair cap and
+    # check_weight's verdict, then the window's 9.
+    mul, muls = LatticeGroup.mul, [0]
+
+    def counted_mul(self, a, b):
+        muls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(LatticeGroup, "mul", counted_mul)
+    argv = ["check-weight", "--weight",
+            '{"kind": "table", "entries": [[[0], 1.0], [[1], 0.5], [[-1], 0.5]]}',
+            "--group", '{"kind": "Z", "rank": 1}', "--radius", "1"]
+    assert main(argv) == 2
+    assert muls == [18]
+    # neumann_invert and the direct-finiteness check of its inverse share one scan.
+    scans, scan = [], weights._pair_scan
+    monkeypatch.setattr(weights, "_pair_scan", lambda *args: scans.append(args) or scan(*args))
+    table = TableWeight({(-1,): 1.5, (0,): 1, (1,): 1.5})
+    f = delta(Z, (0,), 2, exact=True) + delta(Z, (1,), 1, exact=True)
+    cert = neumann_invert(f, table, terms=0)
+    assert verify_direct_finiteness(f, cert.inverse, table).passed
+    assert len(scans) == 1
+
+
 def test_check_weight_cli_refuses_from_the_ball_size_before_building_it(capsys, monkeypatch):
     def no_window(*args, **kwargs):
         raise AssertionError("a window was built")

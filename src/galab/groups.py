@@ -567,16 +567,15 @@ def _cayley_from_json(table, identity, name) -> CayleyGroup:
     The table is keyed by its version-2 marshal bytes, which write int, bool
     and float cells with different type codes and hold no back-references,
     so equal keys mean equal cells of equal types, where a key of tuples
-    would take True or 1.0 for 1.  A table marshal refuses, an identity
-    that is not an exact int and a name that is not a str or None go to
-    the constructor uncached.  A refused table raises there and is never
-    stored.
+    would take True or 1.0 for 1.  A table marshal refuses and an identity
+    that is not an exact int go to the constructor uncached.  A refused
+    table raises there and is never stored.
     """
     try:
         key = marshal.dumps(table, 2), identity, name
     except ValueError:
         key = None
-    if key is None or type(identity) is not int or not (name is None or type(name) is str):
+    if key is None or type(identity) is not int:
         return CayleyGroup(table, identity=identity, name=name)
     group = _cayley_cache.get(key)
     if group is None:
@@ -604,7 +603,10 @@ def spec_from_json(obj: dict) -> GroupSpec:
     if kind == "cayley":
         if "table" not in obj:
             raise UsageError("group of kind 'cayley' needs a 'table'")
-        group = _cayley_from_json(obj["table"], obj.get("identity", 0), obj.get("name"))
+        name = obj.get("name")
+        if not (name is None or type(name) is str):
+            raise UsageError(f"Cayley group name must be a string, not {name!r}")
+        group = _cayley_from_json(obj["table"], obj.get("identity", 0), name)
         if "order" in obj and _integer(obj["order"], "declared order") != group.order:
             raise UsageError(f"declared order {obj['order']} != table size {group.order}")
         return group

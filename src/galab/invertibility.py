@@ -7,9 +7,10 @@ freshly computed convolution residual; no verdict is ever emitted on the
 strength of intermediate numerics alone.
 
 Oracles:
-  invert_finite        exact solve on a finite Cayley group, by forward
-                       fraction-free (Bareiss) elimination, then fraction-free
-                       back substitution, over Z or Z[i] (float elements: numpy)
+  invert_finite        one coset-block solve on a finite Cayley group, by
+                       forward fraction-free (Bareiss) elimination, then
+                       fraction-free back substitution, over Z or Z[i]
+                       (float elements: one numpy SVD of the same block)
   wiener_certify       grid-plus-Lipschitz lower bound for lattice symbols,
                        with symbol-zero witnesses refined from the grid
                        minimum in rank one
@@ -293,7 +294,7 @@ def _solve_exact(mat: list, gaussian: bool):
     c, 0 past it, found the same way with D the c-th pivot); L is a positive
     int and the entries are in the matrix's ring.  The work is O(n^3) ring
     operations on growing entries; invert_finite calls it on one |K| x |K|
-    coset block at a time, never on the whole group matrix.
+    coset block, never on the whole group matrix.
     """
     n = len(mat)
     if gaussian:
@@ -347,30 +348,38 @@ def _solve_exact(mat: list, gaussian: bool):
 # finite groups
 
 
-def _solve_float(a: np.ndarray, row: int):
-    """Float counterpart of _solve_exact: A x = delta_row for a complex array A.
+def _solve_float(mat: np.ndarray):
+    """Float counterpart of _solve_exact on an augmented complex array [A | b].
 
     One SVD of A gives both the rank test (smallest singular value at most
     SINGULAR_REL of the largest) and, when it fails, the kernel vector.
+    Returns ("solution", x) with A x = b, or ("singular", v) with v the
+    unit right singular vector of the smallest singular value.
     """
     import numpy as np
+    a = mat[:, :-1]
     _, svals, vh = np.linalg.svd(a)
     if svals[-1] <= SINGULAR_REL * svals[0]:
         return "singular", vh[-1].conj()
-    b = np.zeros(len(a), dtype=complex)
-    b[row] = 1
-    return "solution", np.linalg.solve(a, b)
+    return "solution", np.linalg.solve(a, mat[:, -1])
 
 
-def _invert_exact(f: AlgebraElement) -> tuple:
-    """(status, g) for g*f = e over an exact f on a Cayley group; see invert_finite."""
-    group = f.group
+def _invert_block(f: AlgebraElement) -> tuple:
+    """(status, g) for g*f = e on a Cayley group, from the block of y0^-1 K; see invert_finite.
+
+    Row z of the group matrix holds f(y) at column z y^-1, so column c of
+    the block meets row c*y = (c*s)*y0 with s = y*y0^-1 in K, and that row
+    is labelled c*s; the columns are in increasing index order.  Exact f
+    enters as its numerators over its one denominator L, so the block is
+    integral; float f enters as its amplitudes.
+    """
+    group, exact = f.group, f.exact
     table, e = group.table, group.identity
-    # Row z of the group matrix holds f(y) at column z y^-1, so f's
-    # numerators over its one denominator L make every block integral.
-    den, terms = f.numerators()
-    gaussian = f.gaussian
-    zero, one = ((0, 0), (den, 0)) if gaussian else (0, den)
+    if exact:
+        den, terms = f.numerators()
+        zero, one = ((0, 0), (den, 0)) if f.gaussian else (0, den)
+    else:
+        terms, zero, one = dict(f.items()), 0j, 1
     y0_inv = group.inv(min(terms, default=e))
     shifted = {table[y][y0_inv]: amp for y, amp in terms.items()}
     sub, todo = {e}, [e]  # K, the subgroup generated by the shifts
@@ -380,50 +389,20 @@ def _invert_exact(f: AlgebraElement) -> tuple:
             if row[s] not in sub:
                 sub.add(row[s])
                 todo.append(row[s])
-
-    def solve(coset, rhs: bool):
-        """(status, den, {column: entry}) on the block [A | b] of one left coset of K.
-
-        Column c meets row c*y = (c*s)*y0 with s = y*y0^-1 in K, so that row
-        is labelled c*s; the columns are in increasing index order.
-        """
-        cols = sorted(coset)
-        pos = {c: i for i, c in enumerate(cols)}
-        mat = [[zero] * (len(cols) + 1) for _ in cols]
-        for j, c in enumerate(cols):
-            row = table[c]
-            for s, amp in shifted.items():
-                mat[pos[row[s]]][j] = amp
-        if rhs:
-            mat[pos[y0_inv]][-1] = one  # the row labelled y0^-1 is row e
-        status, den, vec = _solve_exact(mat, gaussian)
-        return status, den, dict(zip(cols, vec))
-
-    status, den, vec = solve([table[y0_inv][k] for k in sub], True)
-    if status == "singular":
-        # Every block is the same matrix relabelled, so all are singular.  The
-        # whole matrix's first free column is the first free column of some
-        # block, and its kernel vector lives on that block: search the cosets
-        # by their least element until none can hold an earlier free column.
-        # A nonzero f puts a pivot on a block's least column, so only a block
-        # whose second column comes first can win; zero f has 1 x 1 blocks.
-        home = min(vec)
-        best = max(c for c, v in vec.items() if v != zero), den, vec
-        covered = set()
-        for u in range(group.order):
-            if u >= best[0]:
-                break
-            if u in covered:
-                continue
-            coset = sorted(table[u][k] for k in sub)
-            covered.update(coset)
-            if u != home and (len(coset) == 1 or coset[1] < best[0]):
-                _, den, vec = solve(coset, False)
-                free = max(c for c, v in vec.items() if v != zero)
-                if free < best[0]:
-                    best = free, den, vec
-        _, den, vec = best
-    return status, AlgebraElement.from_numerators(group, vec, den, gaussian)
+    cols = sorted(table[y0_inv][k] for k in sub)
+    pos = {c: i for i, c in enumerate(cols)}
+    mat = [[zero] * (len(cols) + 1) for _ in cols]
+    for j, c in enumerate(cols):
+        row = table[c]
+        for s, amp in shifted.items():
+            mat[pos[row[s]]][j] = amp
+    mat[pos[y0_inv]][-1] = one  # the row labelled y0^-1 is row e
+    if exact:
+        status, den, vec = _solve_exact(mat, f.gaussian)
+        return status, AlgebraElement.from_numerators(group, dict(zip(cols, vec)), den, f.gaussian)
+    import numpy as np
+    status, vec = _solve_float(np.array(mat, dtype=complex))
+    return status, AlgebraElement(group, dict(zip(cols, vec)), False)
 
 
 def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCertificate:
@@ -435,21 +414,19 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     singular system yields a not-invertible certificate carrying an exact
     kernel witness with witness*f = 0.  Both outcomes are checked again by
     exact convolution, whatever the solver did.  These certificates have
-    kind "exact-finite".  Float elements are solved by numpy, called
-    invertible when both residuals are at most tol, and have kind
-    "float-finite".
+    kind "exact-finite".  Float elements are solved by one numpy SVD
+    (_solve_float), called invertible when both residuals are at most tol,
+    and have kind "float-finite".
 
-    The exact solve never builds the whole n x n group matrix.  With y0 a
+    Neither solve builds the whole n x n group matrix.  With y0 the least
     support point and K the subgroup generated by the y*y0^-1, y in the
     support, the matrix splits into one block per left coset uK, each the
     same |K| x |K| matrix relabelled, and only the block of y0^-1 K holds
     row e.  So f is invertible in l1(G) exactly when f*delta(y0^-1), which
-    lives on K, is invertible in l1(K); the inverse lives on y0^-1 K, and
-    the cost is |K|^3 per eliminated block instead of n^3.  A singular
-    block has singular twins; the kernel witness is then taken from the
-    block holding the first free column of the whole matrix, so it is the
-    vector whole-matrix elimination gives.  Float elements keep the
-    whole-matrix SVD.
+    lives on K, is invertible in l1(K): the whole matrix is singular
+    exactly when that block is, and has its singular values, repeated.  The
+    inverse lives on y0^-1 K, and so does the witness of a singular f, the
+    block's own kernel vector; the cost is |K|^3 instead of n^3.
     """
     _tolerance(tol)
     group = f.group
@@ -459,19 +436,7 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     if n > FINITE_ORDER_CAP:
         raise ResourceLimitError(f"group order {n} exceeds cap {FINITE_ORDER_CAP}")
     exact = f.exact
-    if exact:
-        status, g = _invert_exact(f)
-    else:
-        import numpy as np
-        # g*f = e as A g = delta_e with A[u y][u] = f(y).  Column y of the
-        # table is a permutation, so each entry is set once.
-        table = np.array(group.table)
-        cols = np.arange(n)
-        a = np.zeros((n, n), dtype=complex)
-        for y, amp in f.items():
-            a[table[:, y], cols] = amp
-        status, vec = _solve_float(a, group.identity)
-        g = AlgebraElement(group, dict(enumerate(vec)), False)
+    status, g = _invert_block(f)
     kind = "exact-finite" if exact else "float-finite"
     fields = {"order": n, "scalars": "exact" if exact else "float"}
 

@@ -617,6 +617,17 @@ def test_non_associative_table_is_refused(capsys):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("name", [5, [1, 2], {"a": 1}, True])
+def test_a_cayley_name_that_is_not_a_string_is_refused(name, tmp_path, capsys):
+    # Such a name once exited 0 and was copied into the report's group JSON.
+    el = {"group": {"kind": "cayley", "table": [[0, 1], [1, 0]], "name": name},
+          "scalars": "exact", "terms": [{"x": 0, "re": "2"}, {"x": 1, "re": "1"}]}
+    report = tmp_path / "r.json"
+    assert main(["invert", "--input", json.dumps(el), "--report", str(report)]) == 1
+    assert _one_error_line(capsys)
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -10,7 +10,10 @@ lookup-only: query 6, the table-envelope slot, changed from an
 was re-recorded again when the weighted oracles began to refuse weights
 not proven submultiplicative: queries 8 (exp-directional-rectified) and
 14 (exp-symmetric-half) changed from `invertible` certificates to
-refusals, and no other query changed.
+refusals, and no other query changed.  The finite-exact digest was
+re-recorded when `invert_finite` began to take a singular element's kernel
+witness from the one coset block it solves: only `not-invertible` kernels
+changed, those of queries 3, 7, 8, 13, 21, 36 and 40, and no verdict moved.
 
     PYTHONPATH=src python -m pytest -q tests/test_exact_replay.py
 """
@@ -40,7 +43,7 @@ CLI_EXACT = ("invert-neumann", "invert-finite", "certify", "df-check", "scenario
              "scenario-torus")
 
 GOLDEN = {
-    "finite-exact": "30b6514525720b3fc974204f3847c32c4f6bf9f0658b872a43456f0231caafa7",
+    "finite-exact": "c1ca56f3fb87bdd569a62f9d383085f6eae2f1ab9db5e8469d33384fdb5c7156",
     "series-weighted": "9e0177ac8a265443f665caff3ace320ef08a6f01a279564e7a5ebf08dfe75aa2",
     "cli-readme": "b7a5f0d01af2c13bdde4c895fbd67a2604991e7f1b2b0c2665ba3849a2d8d9c7",
 }

@@ -467,8 +467,9 @@ def test_equal_json_gives_the_same_group_and_names_stay_apart():
     assert other == first  # the same group, under another name
     assert other.to_json()["name"] == "Z3" and first.to_json()["name"] == "C3"
     assert "name" not in unnamed.to_json()
-    # An unhashable name is decoded as before, without the cache.
-    assert spec_from_json(_c3_json(name=["C", 3])).to_json()["name"] == ["C", 3]
+    # A name that is not a string is refused, not copied into the group.
+    with pytest.raises(UsageError, match="name must be a string"):
+        spec_from_json(_c3_json(name=["C", 3]))
 
 
 def test_group_cache_stays_within_its_bounds():

@@ -139,8 +139,14 @@ def test_invert_finite_float_mode():
     assert sing.fields["kernel_residual"] <= 1e-10
 
 
+# C8 x C8 with element 8a + b standing for (a, b).
+C8xC8 = CayleyGroup([[8 * ((i // 8 + j // 8) % 8) + (i + j) % 8 for j in range(64)]
+                     for i in range(64)], identity=0, name="C8xC8")
+
+
 @pytest.mark.parametrize(
-    "group", [symmetric_group(3), dihedral_group(4), quaternion_group()], ids=lambda g: g.name
+    "group", [symmetric_group(3), dihedral_group(4), quaternion_group(), cyclic_group(48), C8xC8],
+    ids=lambda g: g.name
 )
 def test_exact_and_float_finite_solves_agree(group):
     rng = random.Random(group.order)
@@ -185,6 +191,34 @@ def test_float_finite_solve_runs_one_svd(monkeypatch):
     assert len(calls) == 1
     assert invert_finite(delta(c4, 0, 2.0) + delta(c4, 1, 0.5)).verdict == "invertible"
     assert len(calls) == 2
+
+
+def test_float_finite_solve_runs_on_the_identity_block(monkeypatch):
+    # Support {5, 17, 29} in C48: K = <12> has order 4, so the SVD sees one
+    # 4 x 4 block, not the 48 x 48 group matrix.
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    c48 = cyclic_group(48)
+    f = AlgebraElement(c48, {5: 3.0, 17: -0.5, 29: 1j}, False)
+    cert = invert_finite(f)
+    assert cert.verdict == "invertible" and cert.residual <= 1e-10
+    assert shapes == [(4, 4)]
+    assert set(cert.inverse.support) <= {7, 19, 31, 43}
+    # d5 - d29 has K = {0, 24}: the witness is the 2 x 2 block's kernel
+    # vector, with no SVD noise on the other 46 points.
+    sing = invert_finite(delta(c48, 5, 1.0) - delta(c48, 29, 1.0))
+    assert sing.verdict == "not-invertible" and sing.fields["kernel_residual"] <= 1e-10
+    assert len(sing.fields["kernel"]["terms"]) == 2
+    c8 = cyclic_group(8)
+    sing = invert_finite(delta(c8, 2, 1.0) - delta(c8, 6, 1.0))
+    assert sing.verdict == "not-invertible" and sing.fields["kernel_residual"] <= 1e-10
+    assert {t["x"] for t in sing.fields["kernel"]["terms"]} == {2, 6}
 
 
 # Reference for the fraction-free solver: textbook Gauss-Jordan over
@@ -323,11 +357,6 @@ def test_fraction_free_solve_matches_reference_gauss_jordan(system):
         assert status == "singular"
 
 
-# C8 x C8 with element 8a + b standing for (a, b).
-C8xC8 = CayleyGroup([[8 * ((i // 8 + j // 8) % 8) + (i + j) % 8 for j in range(64)]
-                     for i in range(64)], identity=0, name="C8xC8")
-
-
 @pytest.mark.parametrize(
     "group, gaussian",
     [(dihedral_group(32), False), (cyclic_group(64), False), (C8xC8, True)],
@@ -440,6 +469,25 @@ def _support_subgroup(f):
         sub = grown
 
 
+def _identity_block(f):
+    """y0^-1 K, the coset whose block invert_finite solves; {e} for the zero element."""
+    group = f.group
+    if f.is_zero:
+        return {group.identity}
+    y0_inv = group.inv(f.support[0])
+    return {group.mul(y0_inv, k) for k in _support_subgroup(f)}
+
+
+def _block_witness(cert, f):
+    """The kernel witness of a not-invertible cert, checked against the block contract:
+    exact, nonzero, witness*f = 0, and on y0^-1 K."""
+    assert cert.verdict == "not-invertible" and cert.kind == "exact-finite"
+    g = element_from_json(cert.fields["kernel"])
+    assert g.exact and not g.is_zero
+    assert convolve(g, f).is_zero and cert.fields["kernel_residual"] == 0
+    assert set(g.support) <= _identity_block(f)
+
+
 @pytest.mark.parametrize("group", [C8xC8, dihedral_group(16), cyclic_group(48),
                                    symmetric_group(4)], ids=["C8xC8", "D16", "C48", "S4"])
 @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
@@ -460,38 +508,35 @@ def test_block_solve_matches_whole_matrix_elimination(group, gaussian, zero_divi
         if verdict == "invertible":
             assert element_to_json(cert.inverse) == element_to_json(g)
         else:
-            assert cert.fields["kernel"] == element_to_json(g)
-        # Each eliminated block is |K| x |K|; K is {e} for the zero element.
-        assert set(sizes) == {len(_support_subgroup(f)) if f.n_terms else 1}
+            _block_witness(cert, f)
+        # One block is eliminated, |K| x |K|; K is {e} for the zero element.
+        assert sizes == [len(_identity_block(f))]
 
 
-def test_kernel_witness_outside_the_identity_block_is_the_whole_matrix_one(monkeypatch):
-    # On C8, d2 - d6 has K = {0, 4}; the inverse's block y0^-1 K is {2, 6},
-    # but the whole matrix's first free column is 4, in the block {0, 4}.
+def test_kernel_witness_is_the_identity_blocks_own_kernel_vector(monkeypatch):
+    # On C8, d2 - d6 has K = {0, 4} and y0^-1 K = {2, 6}; that block is
+    # [[1, -1], [-1, 1]], whose first free column gives d2 + d6.  Whole-matrix
+    # elimination would give a vector on {0, 4}, another coset's block.
     c8 = cyclic_group(8)
     f = delta(c8, 2, exact=True) - delta(c8, 6, exact=True)
     sizes = _spy_block_sizes(monkeypatch)
     cert = invert_finite(f)
-    assert cert.verdict == "not-invertible"
-    _, g = whole_matrix_solve(f)
-    assert cert.fields["kernel"] == element_to_json(g)
-    assert set(g.support) == {0, 4}
-    # The block of {2, 6}, then that of {0, 4}, whose second element lies
-    # below 6.  {1, 5} and {3, 7} are skipped: a block's least column always
-    # holds a pivot, and their second elements do not lie below 4.
-    assert sizes == [2, 2]
+    _block_witness(cert, f)
+    assert cert.fields["kernel"] == element_to_json(delta(c8, 2, exact=True)
+                                                    + delta(c8, 6, exact=True))
+    assert sizes == [2]
 
 
-def test_zero_element_kernel_is_the_first_column_whatever_the_identity():
-    # C3 with identity 1: the zero element's blocks are 1 x 1 and all free,
-    # so the search must still reach the block of column 0.
+def test_zero_element_kernel_is_the_identity_delta(monkeypatch):
+    # C3 with identity 1: the zero element's only block is the 1 x 1 block
+    # of the identity, so its witness is delta(1), not the first column.
     c3 = CayleyGroup([[2, 0, 1], [0, 1, 2], [1, 2, 0]], identity=1)
     f = AlgebraElement.zero(c3, exact=True)
+    sizes = _spy_block_sizes(monkeypatch)
     cert = invert_finite(f)
-    assert cert.verdict == "not-invertible"
-    _, g = whole_matrix_solve(f)
-    assert cert.fields["kernel"] == element_to_json(g)
-    assert g.support == (0,)
+    _block_witness(cert, f)
+    assert cert.fields["kernel"] == element_to_json(delta(c3, 1, exact=True))
+    assert sizes == [1]
 
 
 def test_inverse_of_an_element_on_a_proper_subgroup_coset_lives_on_its_block():

@@ -185,7 +185,7 @@ def _cmd_dominate(args) -> int:
     lines = [f"feasible: {result.feasible}", f"radius: {result.radius}"]
     if result.character is not None:
         lines.append(f"character c = {list(result.character.c)}")
-    if result.lower is not None or result.upper is not None:
+    if result.lower is not None:  # rank one: both ends are finite
         lines.append(f"admissible interval = [{result.lower}, {result.upper}]")
     if result.certificate_pair is not None:
         lines.append(f"conflicting constraints at {result.certificate_pair}")

@@ -285,6 +285,8 @@ class CayleyGroup(GroupSpec):
     __slots__ = ("table", "order", "_identity", "_inverse", "name", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0, name: str | None = None):
+        if not (name is None or type(name) is str):
+            raise UsageError(f"Cayley group name must be a string, not {name!r}")
         try:
             rows = tuple(tuple(map(operator.index, row)) for row in table)
         except TypeError:
@@ -562,21 +564,15 @@ _cayley_cache: dict = {}
 
 
 def _cayley_from_json(table, identity, name) -> CayleyGroup:
-    """CayleyGroup(table, identity, name), interned by (table, identity, name).
+    """CayleyGroup(table, identity, name), interned by the version-2 marshal
+    bytes of (table, identity, name); every JSON value marshals.
 
-    The table is keyed by its version-2 marshal bytes, which write int, bool
-    and float cells with different type codes and hold no back-references,
-    so equal keys mean equal cells of equal types, where a key of tuples
-    would take True or 1.0 for 1.  A table marshal refuses and an identity
-    that is not an exact int go to the constructor uncached.  A refused
-    table raises there and is never stored.
+    Marshal writes int, bool, float and str with different type codes and no
+    back-references, so equal keys mean equal values of equal types: a bool
+    or float cell or identity, or a name that is not a string, never meets a
+    valid entry, and the constructor refuses it and stores nothing.
     """
-    try:
-        key = marshal.dumps(table, 2), identity, name
-    except ValueError:
-        key = None
-    if key is None or type(identity) is not int:
-        return CayleyGroup(table, identity=identity, name=name)
+    key = marshal.dumps((table, identity, name), 2)
     group = _cayley_cache.get(key)
     if group is None:
         group = CayleyGroup(table, identity=identity, name=name)
@@ -603,10 +599,7 @@ def spec_from_json(obj: dict) -> GroupSpec:
     if kind == "cayley":
         if "table" not in obj:
             raise UsageError("group of kind 'cayley' needs a 'table'")
-        name = obj.get("name")
-        if not (name is None or type(name) is str):
-            raise UsageError(f"Cayley group name must be a string, not {name!r}")
-        group = _cayley_from_json(obj["table"], obj.get("identity", 0), name)
+        group = _cayley_from_json(obj["table"], obj.get("identity", 0), obj.get("name"))
         if "order" in obj and _integer(obj["order"], "declared order") != group.order:
             raise UsageError(f"declared order {obj['order']} != table size {group.order}")
         return group

@@ -18,7 +18,8 @@ Oracles:
   neumann_invert       geometric series around a dominant pivot, any group,
                        weighted norms supported
   probe_quotients      finite cyclic quotients as non-invertibility probes
-The symbol oracles share one zero test: |symbol| <= SINGULAR_TOL * |f|_1 (_vanishes).
+The float oracles share one zero test: |symbol|, or the least singular value
+of a float finite block, <= SINGULAR_TOL * |f|_1 (_vanishes).
 Every tol, verify_direct_finiteness's too, is refused outside [0, 1) (_tolerance).
 """
 
@@ -56,14 +57,13 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 # Work limits and numerical thresholds of the oracles.
 FINITE_ORDER_CAP = 256      # largest group order invert_finite solves on
-SINGULAR_REL = 1e-12        # float solve: relative singular-value rank threshold
 GRID_CAP = 2**22            # symbol grid points in invert_via_fft and wiener_certify
 CHOP_REL = 1e-13            # invert_via_fft: coefficients below this share of the peak drop
 MAX_INVERSE_SIZE = 4096     # wiener_certify: doublings of the FFT inverse grid stop here
 DEFAULT_INVERSE_SIZE = 512  # FFT inverse grid per axis when none is given, at most:
 DEFAULT_INVERSE_POINTS = 2**16  # points of that default grid, so 512, 256, 32 on Z, Z^2, Z^3
 QUOTIENT_CAP = 2**20        # probe_quotients: points of all quotients of one call
-SINGULAR_TOL = 1e-12        # |symbol| <= this times |f|_1 is zero in the symbol oracles
+SINGULAR_TOL = 1e-12        # |symbol| or sigma_min <= this times |f|_1 is zero (_vanishes)
 DF_SLACK = 10.0             # verify_direct_finiteness: right residual allowed per unit of tol
 SERIES_STEP_CAP = 2**16     # neumann_invert: most products of one series term
 
@@ -348,18 +348,19 @@ def _solve_exact(mat: list, gaussian: bool):
 # finite groups
 
 
-def _solve_float(mat: np.ndarray):
+def _solve_float(mat: np.ndarray, f: AlgebraElement):
     """Float counterpart of _solve_exact on an augmented complex array [A | b].
 
-    One SVD of A gives both the rank test (smallest singular value at most
-    SINGULAR_REL of the largest) and, when it fails, the kernel vector.
+    One SVD of A gives both the zero test of its smallest singular value
+    (_vanishes, relative to |f|_1 as in probe_quotients) and, when it
+    passes, the kernel vector.
     Returns ("solution", x) with A x = b, or ("singular", v) with v the
     unit right singular vector of the smallest singular value.
     """
     import numpy as np
     a = mat[:, :-1]
     _, svals, vh = np.linalg.svd(a)
-    if svals[-1] <= SINGULAR_REL * svals[0]:
+    if _vanishes(svals[-1], f):
         return "singular", vh[-1].conj()
     return "solution", np.linalg.solve(a, mat[:, -1])
 
@@ -401,7 +402,7 @@ def _invert_block(f: AlgebraElement) -> tuple:
         status, den, vec = _solve_exact(mat, f.gaussian)
         return status, AlgebraElement.from_numerators(group, dict(zip(cols, vec)), den, f.gaussian)
     import numpy as np
-    status, vec = _solve_float(np.array(mat, dtype=complex))
+    status, vec = _solve_float(np.array(mat, dtype=complex), f)
     return status, AlgebraElement(group, dict(zip(cols, vec)), False)
 
 
@@ -415,8 +416,9 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
     kernel witness with witness*f = 0.  Both outcomes are checked again by
     exact convolution, whatever the solver did.  These certificates have
     kind "exact-finite".  Float elements are solved by one numpy SVD
-    (_solve_float), called invertible when both residuals are at most tol,
-    and have kind "float-finite".
+    (_solve_float), called not-invertible when the block's least singular
+    value vanishes (_vanishes, as in probe_quotients) and invertible when
+    both residuals are at most tol, and have kind "float-finite".
 
     Neither solve builds the whole n x n group matrix.  With y0 the least
     support point and K the subgroup generated by the y*y0^-1, y in the
@@ -502,9 +504,11 @@ def _inverse_size(size, d: int) -> int:
 
 
 def _vanishes(value: float, ff: AlgebraElement) -> bool:
-    """Whether |symbol(t)| = value of the float lattice element ff is zero:
-    at most SINGULAR_TOL * |ff|_1, since it is the l1 distance from ff to
-    the singular ff - symbol(t) delta_0, and scaling ff changes no verdict."""
+    """Whether value is zero: at most SINGULAR_TOL * |ff|_1, so scaling ff moves
+    no verdict.  value is |symbol(t)| of a float lattice ff, the l1 distance
+    from ff to the singular ff - symbol(t) delta_0, or the least singular value
+    of a float finite ff's block (_solve_float), which on an abelian group is
+    the least |ff^(chi)|: one test for both."""
     return value <= SINGULAR_TOL * ff.norm()
 
 

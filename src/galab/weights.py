@@ -40,6 +40,16 @@ def _real(value, what: str):
     return value
 
 
+def _finite(value, what: str) -> float:
+    """float(value), refused unless value is a real number (_real) within the float range."""
+    try:
+        if math.isfinite(x := float(_real(value, what))):
+            return x
+    except OverflowError:
+        pass
+    raise UsageError(f"{what} must be a finite real number, got {value!r}")
+
+
 def _checked(value, what: str):
     """A weight value, refused unless it is positive and within the float range.
 
@@ -190,7 +200,7 @@ class ExpDirectionalWeight(Weight):
     """
 
     def __init__(self, coefficients: Sequence[float], *, rectified: bool = True):
-        self.coefficients = tuple(float(c) for c in coefficients)
+        self.coefficients = tuple(_finite(c, "exp_directional coefficient") for c in coefficients)
         self.rectified = rectified
 
     def value(self, group, x):
@@ -267,7 +277,7 @@ class Character:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        object.__setattr__(self, "c", tuple(_finite(v, "character coefficient") for v in self.c))
 
     def value(self, x) -> float:
         if len(x) != len(self.c):
@@ -558,10 +568,11 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     """Find a character phi = exp(<c, x>) with phi <= weight on ball(radius).
 
     Solves the linear constraints <c, x> <= log w(x) over the punctured
-    ball.  Rank 1 intersects intervals and returns the midpoint; higher
-    rank solves a Chebyshev-center linear program so the choice stays
-    deterministic.  Infeasibility comes back with a certifying pair of
-    constraints rather than an exception.
+    ball.  Rank 1 intersects intervals, whose ends are finite as the ball holds
+    1 and -1, and returns the midpoint, or the crossing pair as a certificate
+    of infeasibility.  Higher rank solves a Chebyshev-center linear program so
+    the choice stays deterministic, and reports infeasibility uncertified:
+    there two constraints need not certify it, since d + 1 can be needed.
     """
     if not isinstance(group, LatticeGroup):
         raise UsageError("character domination is available on lattices only")
@@ -580,54 +591,35 @@ def dominate_character(weight: Weight, group: LatticeGroup,
             if x[0] > 0:
                 if bound < upper:
                     upper, upper_at = bound, x
-            else:
-                if bound > lower:
-                    lower, lower_at = bound, x
+            elif bound > lower:
+                lower, lower_at = bound, x
         if lower > upper:
             return DominationResult(
                 feasible=False, character=None, radius=radius,
                 lower=lower, upper=upper, certificate_pair=(lower_at, upper_at),
             )
-        if math.isinf(lower) and math.isinf(upper):
-            c = 0.0
-        elif math.isinf(lower):
-            c = upper
-        elif math.isinf(upper):
-            c = lower
-        else:
-            c = (lower + upper) / 2
         return DominationResult(
-            feasible=True, character=Character((c,)), radius=radius,
-            lower=None if math.isinf(lower) else lower,
-            upper=None if math.isinf(upper) else upper,
+            feasible=True, character=Character(((lower + upper) / 2,)), radius=radius,
+            lower=lower, upper=upper,
         )
 
     from scipy.optimize import linprog
 
     d = group.rank
     # Chebyshev center: maximize t with <c, x> + t * |x|_2 <= log w(x).
-    a_ub = []
-    b_ub = []
-    for x in points:
-        row = [float(v) for v in x] + [math.hypot(*[float(v) for v in x])]
-        a_ub.append(row)
-        b_ub.append(logs[x])
+    a_ub = [[*x, math.hypot(*x)] for x in points]
+    b_ub = [logs[x] for x in points]
     cost = [0.0] * d + [-1.0]
     res = linprog(
         cost, A_ub=a_ub, b_ub=b_ub,
-        bounds=[(None, None)] * d + [(None, None)], method="highs",
+        bounds=[(None, None)] * (d + 1), method="highs",
     )
     if not res.success:
         raise ResourceLimitError(f"character domination LP failed: {res.message}")
     c = tuple(float(v) for v in res.x[:d])
     t = float(res.x[d])
     if t < 0:
-        # Infeasible: report the two constraints most violated at the center.
-        viol = sorted(points, key=lambda x: logs[x] - sum(ci * xi for ci, xi in zip(c, x)))
-        return DominationResult(
-            feasible=False, character=None, radius=radius,
-            certificate_pair=(viol[0], viol[1] if len(viol) > 1 else viol[0]),
-        )
+        return DominationResult(feasible=False, character=None, radius=radius)
     return DominationResult(feasible=True, character=Character(c), radius=radius)
 
 

@@ -6,6 +6,7 @@ arithmetic, and asserts that they never disagree.
     PYTHONPATH=src python -m pytest -q tests/test_consistency.py
 """
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -65,3 +66,51 @@ def test_a_quotient_is_singular_in_probe_quotients_exactly_when_invert_finite_sa
             proper += blocks[0] < m
             agreed += 1
     assert agreed >= 4000 and 1000 <= singular <= agreed - 1000 and proper >= 1000
+
+
+def _float_element(rng, m):
+    """A float element of Z supported on [0, m), so its pushforward to C_m has
+    the same l1 norm.  Half are small integer amplitudes (many with a zero
+    symbol value); half have quotient symbol (t, 1, ..., 1) times a random
+    character, with t midway between SINGULAR_TOL times the block's largest
+    singular value, 1, and SINGULAR_TOL * |f|_1, where only a zero test
+    relative to |f|_1 calls the quotient singular."""
+    if m == 2 or rng.random() < 0.5:  # on C2, |f|_1 is the largest singular value
+        support = rng.sample(range(m), rng.randrange(1, m + 1))
+        return {x: float(rng.randrange(-3, 4)) for x in support}
+    norm = 2 * (m - 1) / m  # |f|_1 as t tends to 0
+    t = invertibility.SINGULAR_TOL * (1 + norm) / 2
+    j = rng.randrange(m)
+    return {x: ((t - 1) / m + (x == 0)) * cmath.exp(2j * cmath.pi * j * x / m) for x in range(m)}
+
+
+def test_a_float_quotient_is_singular_in_probe_quotients_exactly_when_float_invert_finite_says_so():
+    # probe_quotients tests the least |symbol| of C_m, float invert_finite the
+    # least singular value of one block; on C_m these are the same number, and
+    # both are zero by one test.
+    rng = random.Random(34)
+    singular = gap = total = 0
+    for m in MODULI:
+        for _ in range(40):
+            terms = {x: amp for x, amp in _float_element(rng, m).items() if amp}
+            if not terms:
+                continue
+            f = AlgebraElement(Z, {(x,): amp for x, amp in terms.items()}, False)
+            probe = probe_quotients(f, [m]).probes[0]
+            finite = invert_finite(AlgebraElement(cyclic_group(m), terms, False))
+            assert (not probe.nonsingular) == (finite.verdict == "not-invertible"), (m, terms)
+            singular += not probe.nonsingular
+            gap += not probe.nonsingular and probe.min_modulus > invertibility.SINGULAR_TOL
+            total += 1
+    assert gap >= 150 and 200 <= singular <= total - 100
+
+
+def test_the_near_threshold_c4_element_is_refuted_by_both_float_oracles():
+    # f^ = (1.2e-12, 1, 1, 1): below SINGULAR_TOL * |f|_1 = 1.5e-12, above
+    # SINGULAR_TOL times the largest singular value, 1.
+    a, b = 0.7500000000003, -0.2499999999997
+    f = AlgebraElement(Z, {(0,): a, (1,): b, (2,): b, (3,): b}, False)
+    assert probe_quotients(f, [4]).any_singular
+    finite = invert_finite(AlgebraElement(cyclic_group(4), {0: a, 1: b, 2: b, 3: b}, False))
+    assert finite.verdict == "not-invertible"
+    assert finite.fields["kernel_residual"] < 1e-11

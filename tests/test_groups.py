@@ -472,6 +472,20 @@ def test_equal_json_gives_the_same_group_and_names_stay_apart():
         spec_from_json(_c3_json(name=["C", 3]))
 
 
+@pytest.mark.parametrize("name", [[1], 5, True, 3.0, {"a": 1}])
+def test_a_cayley_name_that_is_not_a_string_is_refused_from_python_too(name):
+    # Only spec_from_json checked the name: cyclic_group(3, name=[1]) wrote
+    # "name": [1] into its JSON, which spec_from_json then refused.
+    with pytest.raises(UsageError, match="name must be a string"):
+        cyclic_group(3, name=name)
+    with pytest.raises(UsageError, match="name must be a string"):
+        CayleyGroup([[0, 1], [1, 0]], name=name)
+    spec_from_json(_c3_json())  # cached; a bad name never meets its entry
+    for _ in range(2):
+        with pytest.raises(UsageError, match="name must be a string"):
+            spec_from_json(_c3_json(name=name))
+
+
 def test_group_cache_stays_within_its_bounds():
     for k in range(groups.CAYLEY_CACHE_GROUPS + 5):
         spec_from_json(cyclic_group(3, name=f"C3-{k}").to_json())

@@ -191,12 +191,24 @@ def test_table_and_constant_weight_values_are_checked(value):
     lambda: PolynomialWeight("1"),
     lambda: PolynomialWeight(False),
     lambda: dominate_character(ExpSymmetricWeight(2), Z, "3"),
+    lambda: ExpDirectionalWeight(["x"]),
+    lambda: ExpDirectionalWeight([True]),
+    lambda: ExpDirectionalWeight([math.nan]),
+    lambda: ExpDirectionalWeight([0.5, -math.inf]),
+    lambda: ExpDirectionalWeight([10**400]),
+    lambda: Character(("x",)),
+    lambda: Character((math.inf,)),
+    lambda: Character((1, False)),
 ], ids=["constant-bool", "constant-str", "table-str", "table-bool", "table-complex",
-        "exp-str", "exp-bool", "poly-str", "poly-bool", "dominate-str"])
+        "exp-str", "exp-bool", "poly-str", "poly-bool", "dominate-str",
+        "exp-dir-str", "exp-dir-bool", "exp-dir-nan", "exp-dir-inf", "exp-dir-huge",
+        "character-str", "character-inf", "character-bool"])
 def test_weights_refuse_what_is_not_a_number(build):
     # A bool or a numeric string was kept as a weight value, and its JSON
     # ("value": true, "2") was refused by weight_from_json; a string base,
-    # beta or radius ended in a bare TypeError from a comparison.
+    # beta or radius ended in a bare TypeError from a comparison.  float()
+    # took each directional or character coefficient: a string ended in a
+    # ValueError, True became 1.0, and NaN or inf was kept until a value was read.
     with pytest.raises(UsageError, match="must be a"):
         build()
 
@@ -398,6 +410,22 @@ def test_dominate_rank2():
     c = result.character.c
     assert c[0] == pytest.approx(math.log(2), abs=1e-6)
     assert c[1] == pytest.approx(math.log(3), abs=1e-6)
+
+
+@pytest.mark.parametrize("weight, radius", [
+    # w = e^-1 on (1, 0), (0, 1), (-1, -1), which sum to 0, and e^10 elsewhere.
+    (TableWeight({x: math.exp(-1 if x in {(1, 0), (0, 1), (-1, -1)} else 10)
+                  for x in ball(Z2, 2)}), 2),
+    (ExpSymmetricWeight(0.5), 3),
+], ids=["three-points", "exp-symmetric-decay"])
+def test_dominate_rank2_infeasible_reports_no_pair(weight, radius):
+    # The pair of constraints most violated at the LP's centre was reported as
+    # a certificate: ((-1, -1), (1, 0)) and ((-3, -3), (-3, 3)) here, each
+    # jointly feasible.  In rank 2 infeasibility can need three constraints.
+    result = dominate_character(weight, Z2, radius)
+    assert not result.feasible and result.character is None
+    assert result.certificate_pair is None
+    assert result.to_json() == {"feasible": False, "radius": radius}
 
 
 def test_character_twist_is_multiplicative():

@@ -527,38 +527,54 @@ def element_to_json(f: AlgebraElement) -> dict:
     }
 
 
-# JSON leaves, kept without a call: canonical_json walks each to_json result again.
+# JSON leaves, kept without a call: to_jsonable maps each to_json payload.
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def to_jsonable(v):
-    """v as JSON values: the one encoding of every galab payload.
-
-    Fractions become strings like "-1/4", complex and QComplex amplitudes
-    {re, im} objects, tuples lists, and elements element_to_json objects;
-    dicts and lists are mapped, and anything else is kept as it is.
+def _leaf_to_json(v):
+    """The JSON value of a leaf json cannot encode: the one encoding of every
+    galab payload.  Fractions become strings like "-1/4", complex and
+    QComplex amplitudes {re, im} objects, and elements element_to_json
+    objects; any other object is refused with TypeError, as json refuses it.
     """
-    if isinstance(v, dict):
-        return {k: x if type(x) in _JSON_SCALARS else to_jsonable(x) for k, x in v.items()}
-    if isinstance(v, (tuple, list)):
-        return [x if type(x) in _JSON_SCALARS else to_jsonable(x) for x in v]
     if isinstance(v, Fraction):
         return _ratio_text(*v.as_integer_ratio())
     if isinstance(v, (complex, QComplex)):
         return _amp_to_json(v, isinstance(v, QComplex))
     if isinstance(v, AlgebraElement):
         return element_to_json(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def to_jsonable(v):
+    """v as JSON values: dicts and lists are mapped, tuples become lists,
+    leaves json cannot encode go through _leaf_to_json, and anything else is
+    kept as it is."""
+    if isinstance(v, dict):
+        return {k: x if type(x) in _JSON_SCALARS else to_jsonable(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [x if type(x) in _JSON_SCALARS else to_jsonable(x) for x in v]
+    if isinstance(v, (Fraction, complex, QComplex, AlgebraElement)):
+        return _leaf_to_json(v)
     return v
+
+
+# Sorted keys, no whitespace, no NaN; json writes dicts, lists and tuples
+# itself and calls _leaf_to_json only for the leaves it cannot encode.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            default=_leaf_to_json)
 
 
 def canonical_json(payload) -> str:
     """The canonical text of a payload: sorted keys, no whitespace, a final newline.
 
-    NaN and infinities are not JSON, so a payload holding one is refused.
+    It is encoded in one pass.  NaN and infinities are not JSON, so a
+    payload holding one is refused.
     """
-    payload = to_jsonable(payload)
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        text = _ENCODER.encode(payload)
+    except UsageError:  # an exact value too long to write out (_ratio_text)
+        raise
     except ValueError:
         raise UsageError("a report value left the float range, so the report is not JSON") from None
     return text + "\n"

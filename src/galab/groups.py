@@ -484,7 +484,7 @@ def cyclic_group(n: int, name: str | None = None) -> CayleyGroup:
     if n < 1:
         raise UsageError(f"cyclic group order must be >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return CayleyGroup(table, identity=0, name=name or f"C{n}")
+    return CayleyGroup(table, identity=0, name=f"C{n}" if name is None else name)
 
 
 def symmetric_group(n: int) -> CayleyGroup:
@@ -570,8 +570,13 @@ def _cayley_from_json(table, identity, name) -> CayleyGroup:
     Marshal writes int, bool, float and str with different type codes and no
     back-references, so equal keys mean equal values of equal types: a bool
     or float cell or identity, or a name that is not a string, never meets a
-    valid entry, and the constructor refuses it and stores nothing.
+    valid entry, and the constructor refuses it and stores nothing.  Marshal
+    writes any buffer (a numpy array, bytes) as plain bytes, so a table or row
+    that is not a list or tuple is refused before it is keyed.
     """
+    if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple))
+                                                       for row in table):
+        raise UsageError("Cayley table must be a list of rows of integers")
     key = marshal.dumps((table, identity, name), 2)
     group = _cayley_cache.get(key)
     if group is None:

@@ -462,18 +462,36 @@ def invert_finite(f: AlgebraElement, *, tol: float = 1e-10) -> InvertibilityCert
 def _grid_min(vals: np.ndarray) -> tuple:
     """(k, |vals[k]|) at the first minimum of |vals| in C order; k is a tuple of ints.
 
-    The first index is the first whose slice holds the minimum, and so on
-    down the axes: each step is a reduction, so a column-major grid (as
-    symbol_grid returns) is read in place, never copied into C order.  A
-    NaN counts as the minimum, as in np.argmin.
+    A NaN counts as the minimum, as in np.argmin.  The moduli are taken of
+    the transposed grid, which is contiguous for a column-major grid (as
+    symbol_grid returns), so nothing is copied into C order (_first_min).
     """
     import numpy as np
-    mags = np.abs(vals)
-    k, sub = [], mags
-    while sub.ndim:
-        k.append(int(np.argmin(sub.min(axis=tuple(range(1, sub.ndim))))))
-        sub = sub[k[-1]]
-    return tuple(k), float(sub)
+    mags = np.abs(vals.T)
+    k = _first_min(mags)
+    return k, float(mags[k[::-1]])
+
+
+def _first_min(t: np.ndarray) -> tuple:
+    """The first minimum (or NaN) of t.T in C order, as a tuple of ints.
+
+    One argmin runs along the contiguous last axis of t, the first axis of
+    t.T; the least index on that axis is then sought, by the same rule, among
+    the lines whose minimum is the least (or NaN), so ties are broken on one
+    value per line and the grid is read once.
+    """
+    import numpy as np
+    if t.ndim == 1:
+        return (int(t.argmin()),)
+    lines = t.reshape(-1, t.shape[-1])
+    ks = lines.argmin(axis=1)
+    lows = lines.reshape(-1)[ks + np.arange(0, lines.size, lines.shape[1])]
+    low = lows[lows.argmin()]
+    hit = np.isnan(lows) if low != low else lows == low
+    # A line without the minimum gets an index past every real one.
+    firsts = np.where(hit, ks, t.shape[-1]).reshape(t.shape[:-1])
+    rest = _first_min(firsts)
+    return (int(firsts[rest[::-1]]),) + rest
 
 
 def _lattice_only(f: AlgebraElement, who: str) -> LatticeGroup:
@@ -884,13 +902,13 @@ class QuotientProbe:
     angles: tuple
 
     def to_json(self):
-        return to_jsonable({
-            "moduli": self.moduli,
+        return {
+            "moduli": list(self.moduli),
             "nonsingular": self.nonsingular,
             "min_modulus": self.min_modulus,
-            "frequency": self.frequency,
-            "angle": self.angles,
-        })
+            "frequency": list(self.frequency),
+            "angle": list(self.angles),
+        }
 
 
 @dataclass
@@ -934,8 +952,8 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
     quotients, points = [], 0
     for entry in moduli_list:
         entry_mods = entry if isinstance(entry, (tuple, list)) else (entry,) * d
-        mods = tuple(_integer(m, "modulus") for m in entry_mods)
-        if len(mods) != d or any(m < 1 for m in mods):
+        mods = tuple([_integer(m, "modulus") for m in entry_mods])
+        if len(mods) != d or min(mods) < 1:
             raise UsageError(f"bad moduli entry {entry!r} for rank {d}")
         points += math.prod(mods)
         if points > QUOTIENT_CAP:
@@ -945,7 +963,7 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
     probes = []
     for mods in quotients:
         kmin, vmin = _grid_min(symbol_grid(ff, mods))
-        angles = tuple(2 * math.pi * k / m for k, m in zip(kmin, mods))
+        angles = tuple([2 * math.pi * k / m for k, m in zip(kmin, mods)])
         probes.append(QuotientProbe(mods, not _vanishes(vmin, ff), vmin, kmin, angles))
     return ProbeReport(probes=probes)
 

@@ -200,22 +200,34 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     """
     if not isinstance(f.group, LatticeGroup):
         raise UsageError("symbol_grid needs a lattice element")
-    sizes = tuple(_integer(s, "grid size") for s in sizes)
-    if len(sizes) != f.group.rank or any(s < 1 for s in sizes):
+    sizes = tuple([_integer(s, "grid size") for s in sizes])
+    if len(sizes) != f.group.rank or min(sizes) < 1:
         raise UsageError(f"bad grid sizes {sizes!r} for rank {f.group.rank}")
     import numpy as np
     # The last axis is transformed first, and only the lines holding a term
     # are nonzero there: their terms are summed into one row-major block, one
-    # row per line, which is transformed once and scattered into the grid.
+    # row per line, which is transformed once.  On Z the one line is the grid.
+    *heads, m = sizes
     rows, cells, l1 = {}, [], 0.0
-    for n, amp in f.items():
-        idx = tuple(ni % s for ni, s in zip(n, sizes))
-        amp = complex(amp)
-        l1 += abs(amp)
-        cells.append((rows.setdefault(idx[:-1], len(rows)), idx[-1], amp))
+    if heads:
+        for n, amp in f.items():
+            idx = tuple(ni % s for ni, s in zip(n, sizes))
+            amp = complex(amp)
+            l1 += abs(amp)
+            cells.append((rows.setdefault(idx[:-1], len(rows)), idx[-1], amp))
+    else:
+        for (n,), amp in f.items():
+            amp = complex(amp)
+            l1 += abs(amp)
+            cells.append((n % m, amp))
     if l1 == math.inf:
         raise UsageError("the element's l1 norm overflows the float range")
-    block = np.zeros((len(rows), sizes[-1]), dtype=complex)
+    if not heads:
+        line = np.zeros(m, dtype=complex)
+        for k, amp in cells:
+            line[k] += amp
+        return np.fft.ifft(line, norm="forward", out=line)
+    block = np.zeros((len(rows), m), dtype=complex)
     for row, k, amp in cells:
         block[row, k] += amp
     np.fft.ifft(block, axis=-1, norm="forward", out=block)
@@ -223,6 +235,5 @@ def symbol_grid(f: AlgebraElement, sizes: Sequence[int]) -> np.ndarray:
     if rows:
         arr[tuple(zip(*rows))] = block
     # In place (numpy >= 2.0 FFTs take out=): no second grid is allocated.
-    if len(sizes) > 1:
-        np.fft.ifftn(arr, axes=tuple(range(len(sizes) - 1)), norm="forward", out=arr)
+    np.fft.ifftn(arr, axes=tuple(range(len(heads))), norm="forward", out=arr)
     return arr

@@ -50,6 +50,16 @@ def _finite(value, what: str) -> float:
     raise UsageError(f"{what} must be a finite real number, got {value!r}")
 
 
+def _finites(values, what: str) -> tuple:
+    """The values of a sequence as finite reals (_finite); a value that is
+    not a sequence is refused."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise UsageError(f"{what}s must be a sequence of real numbers, got {values!r}") from None
+    return tuple(_finite(v, what) for v in items)
+
+
 def _checked(value, what: str):
     """A weight value, refused unless it is positive and within the float range.
 
@@ -200,7 +210,9 @@ class ExpDirectionalWeight(Weight):
     """
 
     def __init__(self, coefficients: Sequence[float], *, rectified: bool = True):
-        self.coefficients = tuple(_finite(c, "exp_directional coefficient") for c in coefficients)
+        if not isinstance(rectified, bool):
+            raise UsageError(f"'rectified' must be a boolean, got {rectified!r}")
+        self.coefficients = _finites(coefficients, "exp_directional coefficient")
         self.rectified = rectified
 
     def value(self, group, x):
@@ -277,7 +289,7 @@ class Character:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(_finite(v, "character coefficient") for v in self.c))
+        object.__setattr__(self, "c", _finites(self.c, "character coefficient"))
 
     def value(self, x) -> float:
         if len(x) != len(self.c):

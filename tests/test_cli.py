@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import galab
-from galab.algebra import AlgebraElement, canonical_json, delta, element_from_json
+from galab.algebra import (
+    AlgebraElement,
+    QComplex,
+    canonical_json,
+    delta,
+    element_from_json,
+    to_jsonable,
+)
 from galab.cli import _parse_moduli, main
 from galab.errors import UsageError
 from galab.groups import LatticeGroup, ball, cyclic_group
@@ -411,6 +418,48 @@ def _golden_payload(kind):
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
 def test_report_bytes_match_the_pinned_encoding(kind):
     assert canonical_json(_golden_payload(kind)) == GOLDEN_REPORTS[kind] + "\n"
+
+
+def _mapped_then_encoded(payload):
+    # The encoding before canonical_json took one pass: map, then encode.
+    text = json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return text + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
+def test_one_pass_encoding_matches_the_mapped_payload(kind):
+    payload = _golden_payload(kind)
+    assert canonical_json(payload) == _mapped_then_encoded(payload)
+
+
+def test_one_pass_encoding_converts_every_leaf_json_cannot_encode():
+    z, c3 = LatticeGroup(1), cyclic_group(3)
+    payloads = [
+        {"fraction": Fraction(-1, 4), "whole": Fraction(3), "complex": 1.5 - 0.25j,
+         "exact": QComplex.of(Fraction(1, 3), -2), "real": QComplex.of(5)},
+        {"tuple": (1, (2.5, Fraction(1, 2)), [("a", None, True)]), "empty": ()},
+        {"float": delta(z, (1,), 0.5 - 1j) + delta(z, (-2,), 2.0),
+         "exact": delta(c3, 1, Fraction(2, 3), exact=True) + delta(c3, 0, QComplex.of(1, -1))},
+        {"b": {"a": {"z": [Fraction(7, 2), {"y": 1j}], "x": (delta(z, (0,), 1.0),)}}, "a": -0.0},
+        [Fraction(1, 3), (2j, {"k": QComplex.of(0)})],
+        Fraction(-5, 7),
+        "text",
+    ]
+    for payload in payloads:
+        assert canonical_json(payload) == _mapped_then_encoded(payload), payload
+    # json refuses any other object itself; a default that handed it back
+    # would turn into a "Circular reference" ValueError, and then the
+    # float-range message below.
+    for bad in [object(), {"a": [1, {2, 3}]}, {"a": b"x"}]:
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json(bad)
+    for bad in [{"a": math.nan}, [1.0, (math.inf,)], {"a": {"b": complex(math.nan, 0)}}]:
+        with pytest.raises(UsageError, match="left the float range"):
+            canonical_json(bad)
+    # A fraction too long to write out keeps its own message.
+    with pytest.raises(UsageError, match="too many digits"):
+        canonical_json({"a": [Fraction(10**5000 + 1, 3)]})
 
 
 @pytest.mark.filterwarnings("error")

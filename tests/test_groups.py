@@ -2,6 +2,7 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -431,6 +432,7 @@ def test_non_integer_arguments_are_refused_not_truncated(call):
 # interned Cayley groups
 
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+C3_ARRAY = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64)
 
 
 def _c3_json(**changes):
@@ -443,7 +445,15 @@ def _c3_json(**changes):
     _c3_json(identity=1),
     _c3_json(identity=True),
     {"kind": "cayley", "table": LOOP5},
-], ids=["bool-cell", "float-cell", "wrong-identity", "bool-identity", "loop5"])
+    # marshal writes a buffer as its raw bytes, so once a numpy table was
+    # cached, its int32 view (2 x 4, refused by CayleyGroup) and its bytes
+    # returned that group; a table or row that is not a list is refused first.
+    _c3_json(table=C3_ARRAY),
+    _c3_json(table=C3_ARRAY.view(np.int32)),
+    _c3_json(table=C3_ARRAY.tobytes()),
+    _c3_json(table=list(C3_ARRAY)),
+], ids=["bool-cell", "float-cell", "wrong-identity", "bool-identity", "loop5",
+        "array", "array-view", "array-bytes", "array-rows"])
 def test_cached_group_never_stands_in_for_a_refused_table(obj):
     spec_from_json(_c3_json())  # the valid table these resemble is cached
     for _ in range(3):
@@ -472,10 +482,11 @@ def test_equal_json_gives_the_same_group_and_names_stay_apart():
         spec_from_json(_c3_json(name=["C", 3]))
 
 
-@pytest.mark.parametrize("name", [[1], 5, True, 3.0, {"a": 1}])
+@pytest.mark.parametrize("name", [[1], 5, True, 3.0, {"a": 1}, 0, False])
 def test_a_cayley_name_that_is_not_a_string_is_refused_from_python_too(name):
     # Only spec_from_json checked the name: cyclic_group(3, name=[1]) wrote
-    # "name": [1] into its JSON, which spec_from_json then refused.
+    # "name": [1] into its JSON, which spec_from_json then refused; a falsy
+    # name (0, False) was replaced by "C3" instead of refused.
     with pytest.raises(UsageError, match="name must be a string"):
         cyclic_group(3, name=name)
     with pytest.raises(UsageError, match="name must be a string"):
@@ -484,6 +495,12 @@ def test_a_cayley_name_that_is_not_a_string_is_refused_from_python_too(name):
     for _ in range(2):
         with pytest.raises(UsageError, match="name must be a string"):
             spec_from_json(_c3_json(name=name))
+
+
+def test_cyclic_group_takes_its_default_name_only_for_none():
+    # name or f"C{n}" replaced every falsy name: "" became "C3".
+    assert cyclic_group(3, name="").name == ""
+    assert cyclic_group(3).name == "C3"
 
 
 def test_group_cache_stays_within_its_bounds():

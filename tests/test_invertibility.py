@@ -1060,6 +1060,8 @@ def test_symbol_grid_matches_out_of_place_transform():
     square = [(1, 64), (2, 32), (3, 8), (2, 3), (2, 6), (2, 12)]  # then the probe moduli
     cases = [(_dominant_element(rng, LatticeGroup(d), 3), (size,) * d) for d, size in square]
     cases += [(_dominant_element(rng, LatticeGroup(len(s)), 3), s) for s in [(6, 4), (3, 5, 2)]]
+    # On Z the grid is the one folded line, transformed in place: every probe modulus.
+    cases += [(_dominant_element(rng, z1, 3 * m), (m,)) for m in range(2, 65)]
     cases += [
         (delta(z2, (1, 2), 0.5) + delta(z2, (1, -3), -1j), (4, 8)),  # two terms on one line
         (AlgebraElement(z2, {(i, i * i): 1 + i / 4 for i in range(5)}, False), (5, 7)),  # every line
@@ -1089,15 +1091,25 @@ def test_grid_min_is_the_first_minimum_in_c_order():
     grid[2, 1] = grid[1, 2] = np.nan
     k, value = _grid_min(grid)
     assert k == (1, 2) and math.isnan(value)
+    # Seeded grids of rank 1 to 3, column- and row-major: ties are forced by
+    # few distinct moduli or by copying the least value around, NaNs by
+    # writing one or more; the reference reads the row-major moduli.
     rng = np.random.default_rng(7)
-    for shape in [(9,), (5, 6), (3, 4, 5)]:
-        for _ in range(20):
-            vals = rng.integers(0, 3, size=shape) + 1j * rng.integers(0, 2, size=shape)
-            if rng.random() < 0.5:
-                vals.flat[rng.integers(vals.size)] = np.nan
-            mags = np.abs(vals)
-            first = np.unravel_index(int(np.argmin(mags)), shape)
-            k, value = _grid_min(np.asfortranarray(vals))
+    for trial in range(600):
+        shape = tuple(int(s) for s in rng.integers(1, 9, size=rng.integers(1, 4)))
+        vals = rng.integers(0, 3, size=shape) + 1j * rng.integers(0, 2, size=shape)
+        if trial % 3 == 0:
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            low = vals.flat[rng.integers(vals.size)] * 1e-3
+            for _ in range(rng.integers(1, 4)):
+                vals.flat[rng.integers(vals.size)] = low
+        if trial % 4 == 1:
+            for _ in range(rng.integers(1, 4)):
+                vals.flat[rng.integers(vals.size)] = complex(np.nan, rng.integers(2))
+        mags = np.abs(vals)
+        first = np.unravel_index(int(np.argmin(mags)), shape)  # argmin: the first NaN, if any
+        for grid in (np.asfortranarray(vals), np.ascontiguousarray(vals)):
+            k, value = _grid_min(grid)
             assert type(value) is float and all(type(i) is int for i in k)
             assert k == first and mags[first].tobytes() == np.float64(value).tobytes()
 

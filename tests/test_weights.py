@@ -199,16 +199,24 @@ def test_table_and_constant_weight_values_are_checked(value):
     lambda: Character(("x",)),
     lambda: Character((math.inf,)),
     lambda: Character((1, False)),
+    lambda: ExpDirectionalWeight(5),
+    lambda: Character(0.5),
+    lambda: ExpDirectionalWeight([1.0], rectified="no"),
+    lambda: ExpDirectionalWeight([1.0], rectified=1),
 ], ids=["constant-bool", "constant-str", "table-str", "table-bool", "table-complex",
         "exp-str", "exp-bool", "poly-str", "poly-bool", "dominate-str",
         "exp-dir-str", "exp-dir-bool", "exp-dir-nan", "exp-dir-inf", "exp-dir-huge",
-        "character-str", "character-inf", "character-bool"])
+        "character-str", "character-inf", "character-bool",
+        "exp-dir-int", "character-float", "rectified-str", "rectified-int"])
 def test_weights_refuse_what_is_not_a_number(build):
     # A bool or a numeric string was kept as a weight value, and its JSON
     # ("value": true, "2") was refused by weight_from_json; a string base,
     # beta or radius ended in a bare TypeError from a comparison.  float()
     # took each directional or character coefficient: a string ended in a
     # ValueError, True became 1.0, and NaN or inf was kept until a value was read.
+    # A coefficient "sequence" that is a number ended in TypeError: 'int' object
+    # is not iterable, and a rectified flag that is not a bool was kept and
+    # written to JSON, which weight_from_json then refused.
     with pytest.raises(UsageError, match="must be a"):
         build()
 

@@ -488,6 +488,33 @@ def convolve(h: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.from_numerators(group, acc, a._den * b._den, gaussian)
 
 
+def _minus_identity(prod: AlgebraElement) -> AlgebraElement:
+    """prod - identity_element(prod.group, exact=prod.exact), with the same
+    storage, key order and float bits, made in prod's own storage: prod must
+    be a fresh product (convolve's) that nothing else holds.
+
+    As in __add__, the identity's term adds -(1+0j) (float) or loses the
+    denominator L from its numerator (exact) where it stands, is appended
+    last when prod has none, and is dropped when it becomes 0.  No gcd is
+    needed: prod is in lowest terms, and a prime dividing L and n - L (or,
+    the term gone, n = L) divides n.  No imaginary part changes, and a
+    product with none left is already stored as ints (from_numerators).
+    """
+    terms, one, den = prod._terms, prod.group.identity, prod._den
+    if not prod.exact:
+        v, zero = (terms[one] + -(1 + 0j) if one in terms else -(1 + 0j)), 0
+    elif prod.gaussian:
+        re, im = terms.get(one, (0, 0))
+        v, zero = (re - den, im), (0, 0)
+    else:
+        v, zero = terms.get(one, 0) - den, 0
+    if v != zero:
+        terms[one] = v
+    else:
+        del terms[one]
+    return prod
+
+
 # ---------------------------------------------------------------------------
 # JSON
 

@@ -406,7 +406,7 @@ class CayleyGroup(GroupSpec):
             "table": [list(row) for row in self.table],
             "identity": self._identity,
         }
-        if self.name:
+        if self.name is not None:
             payload["name"] = self.name
         return payload
 
@@ -572,7 +572,10 @@ def _cayley_from_json(table, identity, name) -> CayleyGroup:
     or float cell or identity, or a name that is not a string, never meets a
     valid entry, and the constructor refuses it and stores nothing.  Marshal
     writes any buffer (a numpy array, bytes) as plain bytes, so a table or row
-    that is not a list or tuple is refused before it is keyed.
+    that is not a list or tuple is refused before it is keyed, and a group is
+    stored only when every cell and the identity are exact ints: an np.int64
+    cell, which the constructor takes, marshals as the bytes(8) it would
+    otherwise stand in for.
     """
     if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple))
                                                        for row in table):
@@ -581,7 +584,8 @@ def _cayley_from_json(table, identity, name) -> CayleyGroup:
     group = _cayley_cache.get(key)
     if group is None:
         group = CayleyGroup(table, identity=identity, name=name)
-        if group.order**2 <= CAYLEY_CACHE_CELLS:
+        if (group.order**2 <= CAYLEY_CACHE_CELLS and type(identity) is int
+                and all(type(cell) is int for row in table for cell in row)):
             _cayley_cache[key] = group
             while (len(_cayley_cache) > CAYLEY_CACHE_GROUPS
                    or sum(g.order**2 for g in _cayley_cache.values()) > CAYLEY_CACHE_CELLS):

@@ -37,6 +37,7 @@ from .algebra import (
     _gaussian_products,
     _int_products,
     _make,
+    _minus_identity,
     convolve,
     delta,
     element_to_json,
@@ -46,7 +47,7 @@ from .algebra import (
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import CayleyGroup, LatticeGroup, _integer
 from .operators import symbol_grid
-from .weights import Weight
+from .weights import Weight, _length_only
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,16 +116,27 @@ def _to_float(x) -> float:
 
 
 class _Memo(Weight):
-    """A weight's values, kept for one oracle call only (never on the weight);
-    a value the weight refuses raises from the weight and is never kept."""
+    """A weight's values by point, kept for one oracle call on one group only
+    (never on the weight); a length-only weight (_length_only) is evaluated
+    once per word length, at its first point.  A value the weight refuses
+    raises from the weight and is never kept."""
 
     def __init__(self, weight: Weight):
         self.weight, self.values = weight, {}
+        self.lengths = {} if _length_only(weight) else None
 
     def value(self, group, x):
         v = self.values.get(x)
         if v is None:
-            v = self.values[x] = self.weight.value(group, x)
+            lengths = self.lengths
+            if lengths is None:
+                v = self.weight.value(group, x)
+            else:
+                n = group.word_length(x)
+                v = lengths.get(n)
+                if v is None:
+                    v = lengths[n] = self.weight.value(group, x)
+            self.values[x] = v
         return v
 
 
@@ -142,15 +154,17 @@ def _residuals(f: AlgebraElement, g: AlgebraElement, weight: Weight | None = Non
     dict, set the terms.  So are weights: Weight freezes its attributes once
     constructed and TableWeight's values are read-only, so the same weight
     object gives the same norms.  New norms share one _Memo, the caller's
-    when it passes one.
+    when it passes one, so a length-only weight is evaluated once per word
+    length.  Each difference is read off its product in one pass
+    (_minus_identity), with the bits convolve(g, f) - e would have.
     """
     global _last_pair
     base = weight.weight if isinstance(weight, _Memo) else weight
     last = _last_pair
     if last[0] is not f or last[1] is not g:
-        e = identity_element(f.group, exact=f.exact and g.exact)
         # The old norms go with the old products, before a new norm can raise.
-        last = _last_pair = (f, g, convolve(g, f) - e, convolve(f, g) - e, ())
+        last = _last_pair = (f, g, _minus_identity(convolve(g, f)),
+                             _minus_identity(convolve(f, g)), ())
     elif last[4] and last[4][0] is base:
         return last[4][1]
     if weight is base and base is not None:
@@ -360,7 +374,7 @@ def _solve_float(mat: np.ndarray, f: AlgebraElement):
     import numpy as np
     a = mat[:, :-1]
     _, svals, vh = np.linalg.svd(a)
-    if _vanishes(svals[-1], f):
+    if _vanishes(svals[-1], f.norm()):
         return "singular", vh[-1].conj()
     return "solution", np.linalg.solve(a, mat[:, -1])
 
@@ -521,23 +535,24 @@ def _inverse_size(size, d: int) -> int:
     return size
 
 
-def _vanishes(value: float, ff: AlgebraElement) -> bool:
-    """Whether value is zero: at most SINGULAR_TOL * |ff|_1, so scaling ff moves
-    no verdict.  value is |symbol(t)| of a float lattice ff, the l1 distance
-    from ff to the singular ff - symbol(t) delta_0, or the least singular value
-    of a float finite ff's block (_solve_float), which on an abelian group is
-    the least |ff^(chi)|: one test for both."""
-    return value <= SINGULAR_TOL * ff.norm()
+def _vanishes(value: float, norm: float) -> bool:
+    """Whether value is zero: at most SINGULAR_TOL * norm, where norm is
+    |ff|_1, which the caller computes once, so scaling ff moves no verdict.
+    value is |symbol(t)| of a float lattice ff, the l1 distance from ff to
+    the singular ff - symbol(t) delta_0, or the least singular value of a
+    float finite ff's block (_solve_float), which on an abelian group is the
+    least |ff^(chi)|: one test for both."""
+    return value <= SINGULAR_TOL * norm
 
 
-def _over_norm(ff: AlgebraElement) -> tuple:
-    """(e, terms): the float element ff's terms divided by 2^e ~ |ff|_1.
+def _over_norm(ff: AlgebraElement, norm: float) -> tuple:
+    """(e, terms): the float element ff's terms divided by 2^e ~ norm = |ff|_1.
 
     Their l1 norm is in [1/2, 1), or in [2^-52, 4) where e stops at -1022
     or 1022, the bounds within which 2^e and 2^-e are normal floats.  A
     power of two scales floats exactly away from subnormals (the sign of a
     zero part aside, which no sum of the terms keeps)."""
-    e = min(max(math.frexp(ff.norm())[1], -1022), 1022)
+    e = min(max(math.frexp(norm)[1], -1022), 1022)
     scale = 2.0**-e
     return e, {n: a * scale for n, a in ff.items()}
 
@@ -557,11 +572,12 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     """
     import numpy as np
     d = ff.group.rank
-    e, scaled = _over_norm(ff)
+    norm = ff.norm()
+    e, scaled = _over_norm(ff, norm)
     vals = symbol_grid(_make(ff.group, False, scaled), (size,) * d)
     kmin, vmin = _grid_min(vals)
     vmin *= 2.0**e
-    if _vanishes(vmin, ff):
+    if _vanishes(vmin, norm):
         return None, kmin, vmin
     # The samples turn into the coefficients in place, so a single complex
     # grid is live through the division and the transform.
@@ -627,7 +643,8 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     The candidate is only as good as its verified residual: aliasing from
     slow coefficient decay shows up there.  One with a corner product
     above tol (_corner_exceeds) cannot meet tol: it is inconclusive, kept
-    with residual None, and no convolution runs.  A vanishing sample
+    with residual None, and no convolution runs; otherwise the residual is
+    read off the one product in one pass (_minus_identity).  A vanishing sample
     (_vanishes) aborts with the offending frequency; an element whose
     inverse has a coefficient past the float range is refused with
     UsageError.  The size, and its default of 512 per axis on Z, 256 on
@@ -649,12 +666,12 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     if _corner_exceeds(g, ff, tol):
         return replace(_inconclusive("fft-candidate", fields, "a corner product of the "
                                      "residual is above tolerance; increase the grid"), inverse=g)
-    residual = float((convolve(g, ff) - identity_element(group)).norm())
+    residual = float(_minus_identity(convolve(g, ff)).norm())
     return _verified("fft-candidate", fields, g, residual, tol,
                      "candidate residual above tolerance; increase the grid")
 
 
-def _refine_min(f: AlgebraElement, theta: float) -> tuple:
+def _refine_min(f: AlgebraElement, theta: float, norm: float) -> tuple:
     """(angle, |s|) at the least |s| that Gauss-Newton steps on the rank-one
     symbol s reach from theta.
 
@@ -663,10 +680,10 @@ def _refine_min(f: AlgebraElement, theta: float) -> tuple:
     the first that does not lower |s|, or after 32: near a simple zero they
     converge quadratically, and near a zero of multiplicity m each keeps
     (m-1)/m of the distance, so 32 cut a double zero's |s| by 4^-32.  Terms
-    over 2^k ~ |f|_1 (_over_norm) change no bit of a step but keep |s'|^2 in
-    float range.
+    over 2^k ~ norm = |f|_1 (_over_norm) change no bit of a step but keep
+    |s'|^2 in float range.
     """
-    k, scaled = _over_norm(f)
+    k, scaled = _over_norm(f, norm)
     terms = [(n, amp) for (n,), amp in scaled.items()]
     best = theta, math.inf
     for _ in range(33):
@@ -739,8 +756,9 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
                              "the tolerance up to the size cap")
 
     if d == 1:
-        angle, value = _refine_min(ff, 2 * math.pi * kmin[0] / grid)
-        if _vanishes(value, ff):
+        norm = ff.norm()
+        angle, value = _refine_min(ff, 2 * math.pi * kmin[0] / grid, norm)
+        if _vanishes(value, norm):
             fields.update(witness_angle=angle, witness_value=value,
                           root={"re": math.cos(angle), "im": math.sin(angle)})
             return _refuted("wiener-grid", fields)
@@ -783,9 +801,10 @@ def neumann_invert(f: AlgebraElement, weight: Weight | None = None, *,
     by _series, which refuses a term of more than SERIES_STEP_CAP products
     with ResourceLimitError.  A weight without a submultiplicative_proof is
     refused with UsageError.  With a weight, all the call's norms share one
-    _Memo, so the weight is evaluated once per point; a direct-finiteness
-    check with the same weight object (or with none, when the call had
-    none) reuses the residual norms.
+    _Memo, so the weight is evaluated once per point, and a length-only one
+    (exp_symmetric, polynomial, constant, and products of these) once per
+    word length; a direct-finiteness check with the same weight object (or
+    with none, when the call had none) reuses the residual norms.
     """
     _tolerance(tol)
     if f.is_zero:
@@ -960,11 +979,11 @@ def probe_quotients(f: AlgebraElement, moduli_list: Iterable) -> ProbeReport:
             raise ResourceLimitError(f"quotients of {points}+ points exceed cap {QUOTIENT_CAP}")
         quotients.append(mods)
     ff = f.to_float()
-    probes = []
+    norm, probes = ff.norm(), []
     for mods in quotients:
         kmin, vmin = _grid_min(symbol_grid(ff, mods))
         angles = tuple([2 * math.pi * k / m for k, m in zip(kmin, mods)])
-        probes.append(QuotientProbe(mods, not _vanishes(vmin, ff), vmin, kmin, angles))
+        probes.append(QuotientProbe(mods, not _vanishes(vmin, norm), vmin, kmin, angles))
     return ProbeReport(probes=probes)
 
 

@@ -356,6 +356,18 @@ class ProductWeight(Weight):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
+def _length_only(weight: Weight) -> bool:
+    """Whether weight's value at x depends on x only through word_length(x).
+
+    Only the exact types count, so a subclass that overrides value does not,
+    and a ProductWeight counts when each of its factors does.
+    """
+    kind = type(weight)
+    if kind is ProductWeight:
+        return all(map(_length_only, weight.factors))
+    return kind in (ConstantWeight, ExpSymmetricWeight, PolynomialWeight)
+
+
 def _fraction(v) -> Fraction:
     """A weight value as an exact Fraction; numpy floats go by as_integer_ratio."""
     return Fraction(v) if isinstance(v, numbers.Rational) else Fraction(*v.as_integer_ratio())

@@ -503,6 +503,33 @@ def test_cyclic_group_takes_its_default_name_only_for_none():
     assert cyclic_group(3).name == "C3"
 
 
+def test_an_empty_cayley_name_survives_the_json_round_trip():
+    # to_json wrote the name only when it was truthy, so "" came back as None.
+    payload = cyclic_group(3, name="").to_json()
+    assert payload["name"] == ""
+    assert spec_from_json(payload).name == ""
+    assert "name" not in CayleyGroup(payload["table"]).to_json()
+
+
+@pytest.mark.parametrize("numpy_first", [True, False])
+@pytest.mark.parametrize("part", ["table", "identity"])
+def test_a_numpy_int_never_lets_its_bytes_meet_a_cached_group(part, numpy_first):
+    # marshal writes np.int64(k) as the 8 bytes of k, which CayleyGroup
+    # refuses; once a group built from np.int64 cells (or identity) was
+    # cached, those bytes in their place returned it.
+    if part == "table":
+        as_numpy = _c3_json(table=[list(row) for row in C3_ARRAY])
+        as_bytes = _c3_json(table=[[cell.tobytes() for cell in row] for row in C3_ARRAY])
+    else:
+        as_numpy, as_bytes = _c3_json(identity=np.int64(0)), _c3_json(identity=bytes(8))
+    for obj in [as_numpy, as_bytes] * 2 if numpy_first else [as_bytes, as_numpy] * 2:
+        if obj is as_numpy:
+            assert spec_from_json(obj) == spec_from_json(_c3_json())
+        else:
+            with pytest.raises(UsageError):
+                spec_from_json(obj)
+
+
 def test_group_cache_stays_within_its_bounds():
     for k in range(groups.CAYLEY_CACHE_GROUPS + 5):
         spec_from_json(cyclic_group(3, name=f"C3-{k}").to_json())

@@ -23,6 +23,7 @@ from galab.algebra import (
     element_from_json,
     element_to_json,
     identity_element,
+    _minus_identity,
 )
 from galab.errors import ResourceLimitError, UsageError
 from galab.groups import (
@@ -50,7 +51,14 @@ from galab.invertibility import (
     wiener_certify,
 )
 from galab.operators import fourier_eval, symbol_grid
-from galab.weights import ConstantWeight, ExpSymmetricWeight, TableWeight
+from galab.weights import (
+    ConstantWeight,
+    ExpDirectionalWeight,
+    ExpSymmetricWeight,
+    PolynomialWeight,
+    ProductWeight,
+    TableWeight,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -720,7 +728,7 @@ def test_an_fft_inverse_past_the_float_range_is_refused():
     # every size.  The subnormal sample survives the grid.
     f = delta(Z, (0,), 5e-324)
     value = _grid_min(symbol_grid(f, (64,)))[1]
-    assert value == 5e-324 and not invertibility._vanishes(value, f)
+    assert value == 5e-324 and not invertibility._vanishes(value, f.norm())
     assert _margin_fields(f, 64)["margin"] > 0
     for oracle in (wiener_certify, invert_via_fft):
         with pytest.raises(UsageError, match="FFT inverse would overflow the float range"):
@@ -831,7 +839,7 @@ def test_wiener_tries_a_requested_size_past_the_doubling_limit():
 
 
 def test_wiener_positive_margin_skips_the_root_solve(monkeypatch):
-    def no_refinement(f, theta):
+    def no_refinement(f, theta, norm):
         raise AssertionError("zero refinement run on a positive margin")
 
     monkeypatch.setattr("galab.invertibility._refine_min", no_refinement)
@@ -1751,6 +1759,170 @@ def test_df_check_norms_cannot_go_stale():
     fresh = TableWeight({(-1,): 1.5, (0,): 1, (1,): 1.9})
     report = verify_direct_finiteness(f, cert.inverse, fresh)
     assert report.left_residual == report.right_residual == 0.95
+
+
+RESIDUAL_GROUPS = {"Z": LatticeGroup(1), "Z2": LatticeGroup(2), "F2": FreeGroup(2),
+                   "C5": cyclic_group(5)}
+
+
+def _residual_pair(group, case):
+    """(h, f) whose product h*f has the identity term the case names."""
+    if isinstance(group, CayleyGroup):
+        a, b = 1, 2
+    elif group == LatticeGroup(2):
+        a, b = (1, 0), (0, 1)
+    else:  # Z and F2; on Z, a^-1, b = a^2, a and ab are still distinct
+        a, b = (1,), (2,)
+    e, ai, q = group.identity, group.inv(a), Fraction
+
+    def el(terms, exact=True):
+        out = AlgebraElement.zero(group, exact=exact)
+        for x, v in terms:
+            out = out + delta(group, x, v, exact=exact)
+        return out
+
+    if case == "exact-present":  # the identity term is 1 + 1/15
+        return el([(e, q(1, 2)), (a, q(1, 3))]), el([(e, 2), (ai, q(1, 5)), (b, q(-3, 7))])
+    if case == "exact-cancels":  # the products at e sum to 0, so the product lacks e
+        return el([(e, 1), (a, 1)]), el([(e, q(1, 2)), (ai, q(-1, 2)), (b, q(1, 3))])
+    if case == "exact-absent":
+        return el([(a, 1)]), el([(a, q(2, 3)), (b, q(1, 4))])
+    if case == "exact-zero":  # h is f's inverse: the residual is exactly 0
+        return el([(ai, q(1, 3))]), el([(a, 3)])
+    if case == "gaussian-real":  # (1+i)(1-i)/2 = 1: no imaginary part is left, and e drops
+        return (el([(e, QComplex.of(1, 1)), (a, QComplex.of(1, 1))]),
+                el([(e, QComplex.of(q(1, 2), q(-1, 2))), (b, QComplex.of(q(1, 3), q(-1, 3)))]))
+    if case == "gaussian":
+        return (el([(e, QComplex.of(1, 1)), (a, q(1, 2))]),
+                el([(e, 1), (b, QComplex.of(0, q(-1, 3)))]))
+    if case == "float-cancels":
+        # Four products of modulus 1e-16 and the appended -1: summed in that
+        # order |h*f - e| is 1 + 4e-16, with -1 first it would round to 1.
+        return (el([(e, 1.0), (a, 1.0)], False),
+                el([(ai, 1e-16), (e, -1e-16), (b, 1e-16)], False))
+    if case == "float-present":
+        return el([(e, 0.3), (a, 0.25)], False), el([(e, 2.0), (b, 0.1 + 0.2j)], False)
+    return el([(a, 0.7)], False), el([(a, 0.2), (b, 0.3)], False)  # float-absent
+
+
+def _residual_weights(group):
+    if isinstance(group, LatticeGroup):
+        directional = ExpDirectionalWeight([0.3] * group.rank)
+        return [None, ExpSymmetricWeight(2), directional,
+                ProductWeight([directional, PolynomialWeight(Fraction(1, 2))])]
+    return [None, ExpSymmetricWeight(2), ExpSymmetricWeight(1.5),
+            ProductWeight([ExpSymmetricWeight(2), PolynomialWeight(0.5)])]
+
+
+RESIDUAL_CASES = ["exact-present", "exact-cancels", "exact-absent", "exact-zero",
+                  "gaussian-real", "gaussian", "float-cancels", "float-present", "float-absent"]
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+@pytest.mark.parametrize("name", RESIDUAL_GROUPS)
+def test_a_residual_is_read_off_its_product_bit_for_bit(name, case):
+    group = RESIDUAL_GROUPS[name]
+    h, f = _residual_pair(group, case)
+    e = identity_element(group, exact=h.exact)
+    reference = convolve(h, f) - e
+    diff = _minus_identity(convolve(h, f))
+    # The same storage (denominator, numerators or pairs) in the same key order.
+    assert diff == reference and diff.gaussian == reference.gaussian
+    assert [x for x, _ in diff.items()] == [x for x, _ in reference.items()]
+    if case == "exact-zero":
+        assert diff.is_zero
+    if case.endswith(("cancels", "absent")):
+        assert e.support[0] not in convolve(h, f).support
+    if case == "gaussian-real":
+        assert not convolve(h, f).gaussian and e.support[0] not in diff.support
+    for w in _residual_weights(group):
+        expected = [(convolve(h, f) - e).norm(w), (convolve(f, h) - e).norm(w)]
+        got = [diff.norm(w), *invertibility._residuals(f, h, w)]
+        assert [(x, repr(x)) for x in got] == [(x, repr(x)) for x in expected[:1] + expected]
+    if case == "float-cancels":
+        assert diff.norm() == 1 + 4e-16
+
+
+def test_the_fft_residual_is_read_off_its_product():
+    f = delta(Z, (0,), 1.0) - delta(Z, (1,), 0.5)
+    cert = invert_via_fft(f)
+    expected = (convolve(cert.inverse, f) - identity_element(Z)).norm()
+    assert cert.invertible and repr(cert.residual) == repr(expected)
+
+
+def _counted_values(monkeypatch, kind):
+    """The points at which kind.value is called, in call order."""
+    calls, value = [], kind.value
+
+    def counted(self, group, x):
+        calls.append(x)
+        return value(self, group, x)
+
+    monkeypatch.setattr(kind, "value", counted)
+    return calls
+
+
+F2 = FreeGroup(2)
+
+
+def _f2_element(exact):
+    return (delta(F2, (), 1, exact=exact) - delta(F2, (1,), Fraction(1, 8), exact=exact)
+            + delta(F2, (-2,), Fraction(1, 16), exact=exact))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("weight", [
+    ConstantWeight(2), ExpSymmetricWeight(2), ExpSymmetricWeight(1.5), PolynomialWeight(1.5),
+    ProductWeight([ExpSymmetricWeight(Fraction(3, 2)), PolynomialWeight(1)])],
+    ids=["constant", "exp-int", "exp-float", "polynomial", "product"])
+def test_a_length_only_weight_is_evaluated_once_per_word_length(monkeypatch, weight, exact):
+    f = _f2_element(exact)
+    calls = _counted_values(monkeypatch, type(weight))
+    with monkeypatch.context() as m:  # the same call with the weight kept by point
+        m.setattr(invertibility, "_length_only", lambda weight: False)
+        plain = neumann_invert(f, weight, terms=6)
+    lengths = {len(x) for x in calls}
+    assert len(calls) == len(set(calls)) > len(lengths)
+    calls.clear()
+    cert = neumann_invert(f, weight, terms=6)
+    assert cert.to_json() == plain.to_json()
+    assert sorted(map(len, calls)) == sorted(lengths)
+    # A fresh decode of the pair computes its products and norms again.
+    calls.clear()
+    g = AlgebraElement(F2, dict(cert.inverse.items()), exact)
+    report = verify_direct_finiteness(AlgebraElement(F2, dict(f.items()), exact), g, weight)
+    assert len(calls) == len({len(x) for x in calls})
+    assert [repr(report.left_residual), repr(report.right_residual)] == [
+        repr((convolve(g, f) - identity_element(F2, exact=exact)).norm(weight)),
+        repr((convolve(f, g) - identity_element(F2, exact=exact)).norm(weight))]
+
+
+def test_other_weights_are_evaluated_once_per_point(monkeypatch):
+    z2 = LatticeGroup(2)
+    f = (delta(z2, (0, 0), 1.0) - delta(z2, (1, 0), 0.2) + delta(z2, (0, 1), 0.1)
+         + delta(z2, (-1, 0), 0.1))
+    directional = ExpDirectionalWeight([0.2, 0.1])
+    for weight in (directional, ProductWeight([ExpSymmetricWeight(2), directional])):
+        calls = _counted_values(monkeypatch, type(weight))
+        neumann_invert(f, weight, terms=4)
+        assert len(calls) == len(set(calls)) > len({sum(map(abs, x)) for x in calls})
+        monkeypatch.undo()
+    # A subclass of a length-only weight may depend on more than the length.
+    per_point = CountingWeight(2)
+    neumann_invert(_f2_element(True), per_point, terms=6)
+    assert len(per_point.points) == len(set(per_point.points)) > len(
+        {len(x) for x in per_point.points})
+
+
+def test_a_refused_length_raises_at_its_first_point_and_is_not_kept():
+    w = ExpSymmetricWeight(2**600)  # 2^1200 at length 2 is past the float range
+    memo = invertibility._Memo(w)
+    assert memo.value(F2, (1,)) == 2**600
+    for x in ((1, 2), (2, 1), (1, 2)):
+        with pytest.raises(UsageError, match="exp_symmetric weight value is not a positive"):
+            memo.value(F2, x)
+    assert memo.value(F2, (-2,)) == 2**600
+    assert memo.values == {(1,): 2**600, (-2,): 2**600} and memo.lengths == {1: 2**600}
 
 
 # ---------------------------------------------------------------------------

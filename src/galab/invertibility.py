@@ -774,10 +774,11 @@ def wiener_certify(f: AlgebraElement, grid: int = 64, *, tol: float = 1e-10,
 def _tail_bound(norm, ratio, terms: int) -> float:
     """norm * ratio^(terms+1) / (1 - ratio) as a float, for 0 <= ratio < 1."""
     ratio_f = _to_float(ratio)
-    tail = _to_float(norm) * ratio_f ** (terms + 1) / (1 - ratio_f)
+    tail = math.nan if ratio_f == 1 else _to_float(norm) * ratio_f ** (terms + 1) / (1 - ratio_f)
     if math.isnan(tail):
-        # inf * 0: an overflowing norm met an underflowing power; an exact
-        # norm has an exact product, a float one only the bound inf.
+        # inf * 0: an overflowing norm met an underflowing power; or an exact
+        # ratio just below 1 rounded to 1.0.  An exact norm has an exact
+        # product, a float one only the bound inf.
         if isinstance(norm, float):
             return math.inf
         ratio = Fraction(ratio)

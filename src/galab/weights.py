@@ -414,11 +414,9 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
         if kind == "polynomial":
             return PolynomialWeight(_number(obj["beta"], "polynomial beta"))
         if kind == "exp_directional":
-            rectified = obj.get("rectified", True)
-            if not isinstance(rectified, bool):
-                raise UsageError(f"'rectified' must be a boolean, got {rectified!r}")
             return ExpDirectionalWeight(
-                _numbers(obj["coefficients"], "exp_directional coefficients"), rectified=rectified
+                _numbers(obj["coefficients"], "exp_directional coefficients"),
+                rectified=obj.get("rectified", True),
             )
         if kind == "table":
             if obj.get("extension", "error") != "error":

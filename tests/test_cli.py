@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,11 +82,23 @@ def test_invert_not_invertible_exit_code(capsys):
     assert "not-invertible" in capsys.readouterr().out
 
 
-def test_invert_inconclusive_exit_code(capsys):
+def test_invert_inconclusive_exit_code(tmp_path, capsys):
     near = element_json(
         [{"x": [0], "re": 1.0, "im": 0.0}, {"x": [1], "re": -1.0101010101, "im": 0.0}]
     )
     assert main(["invert", "--input", near]) == 3
+    # The rank-one zero search costs O(terms), so 2 + z^1000 ends in about a
+    # millisecond; an eigensolve on its degree span takes seconds.
+    far = element_json([{"x": [0], "re": 2.0}, {"x": [1000], "re": 1.0}])
+    start = time.perf_counter()
+    assert main(["invert", "--input", far]) == 3
+    assert time.perf_counter() - start < 2
+    # 1 - 0.95z at 512 fails the corner test, so its candidate has no residual.
+    out = tmp_path / "cert.json"
+    steep = element_json([{"x": [0], "re": 1.0}, {"x": [1], "re": -0.95}])
+    argv = ["invert", "--method", "fft", "--N", "512", "--report", str(out), "--input", steep]
+    assert main(argv) == 3
+    assert '"residual":null' in out.read_text()
 
 
 def test_invert_neumann_with_weight(capsys):
@@ -245,6 +258,10 @@ def test_probe_exit_codes(tmp_path):
     assert payload["any_singular"] is True
     assert payload["certificate"]["kind"] == "quotient-witness"
     assert main(["probe", "--input", INVERTIBLE, "--moduli", "2..6"]) == 0
+    # The benchmark's probe of 4 d0 - 4 d1 over 63 quotients.
+    scaled = element_json([{"x": [0], "re": 4.0}, {"x": [1], "re": -4.0}])
+    assert main(["probe", "--input", scaled, "--moduli", "2..64", "--report", str(out)]) == 2
+    assert len(json.loads(out.read_text())["results"]) == 63
 
 
 def test_scenario_commands(tmp_path, capsys):
@@ -254,6 +271,8 @@ def test_scenario_commands(tmp_path, capsys):
     assert main(["scenario", "torus", "--r", "0.5", "--N", "64"]) == 0
     text = capsys.readouterr().out
     assert "non-decay = True" in text
+    # scenario lp's work does not grow with N.
+    assert main(["scenario", "lp", "--N", str(10**12)]) == 0
 
 
 def test_scenario_report_bytes_are_stable(tmp_path):
@@ -417,7 +436,10 @@ def _golden_payload(kind):
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
 def test_report_bytes_match_the_pinned_encoding(kind):
-    assert canonical_json(_golden_payload(kind)) == GOLDEN_REPORTS[kind] + "\n"
+    text = canonical_json(_golden_payload(kind))
+    assert text == GOLDEN_REPORTS[kind] + "\n"
+    # The bytes are the canonical text of the JSON they hold.
+    assert canonical_json(json.loads(text)) == text
 
 
 def _mapped_then_encoded(payload):
@@ -486,12 +508,19 @@ def test_an_element_whose_l1_norm_overflows_is_refused(argv, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv", [["probe", "--moduli", "3"], ["invert"],
-                                  ["invert", "--method", "fft"]], ids=["probe", "wiener", "fft"])
-def test_a_small_invertible_element_is_invertible(argv, capsys):
-    # 2e-13 + 1e-13 z has |symbol| >= 1e-13: an absolute zero test of 1e-12
-    # once gave probe a witness (exit 2) and invert an aborted FFT (exit 3).
-    el = element_json([{"x": [0], "re": 2e-13}, {"x": [1], "re": 1e-13}])
+@pytest.mark.parametrize("scale, argv", [
+    (1e-13, ["probe", "--moduli", "3"]),
+    (1e-13, ["invert"]),
+    (1e-13, ["invert", "--method", "fft"]),
+    (1e-306, ["invert"]),
+    (1e-306, ["invert", "--method", "fft"]),
+], ids=["probe", "wiener", "fft", "wiener-1e-306", "fft-1e-306"])
+def test_a_small_invertible_element_is_invertible(scale, argv, capsys):
+    # scale (2 + z) has |symbol| >= scale: at 1e-13 an absolute zero test of
+    # 1e-12 once gave probe a witness (exit 2) and invert an aborted FFT
+    # (exit 3).  At 1e-306 the inverse is within the float range, and its
+    # FFT stays there because it runs on f over a power of two near |f|_1.
+    el = element_json([{"x": [0], "re": 2 * scale}, {"x": [1], "re": scale}])
     assert main([argv[0], "--input", el, *argv[1:]]) == 0
     assert capsys.readouterr().err == ""
 
@@ -591,6 +620,15 @@ def test_neumann_tail_bound_past_the_float_range(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["tail_bound"] == 0.0 and payload["ratio"] == 0.0
     assert payload["residual"] == "1/1" + "0" * 2000
+    # ratio = 1 - 10^-20 rounds to the float 1.0; the tail bound, about
+    # 10^20, once ended in a ZeroDivisionError traceback.
+    el = {"group": {"kind": "Z", "rank": 1}, "scalars": "exact",
+          "terms": [{"x": [0], "re": "1"}, {"x": [1], "re": "-99999999999999999999/1" + "0" * 20}]}
+    argv = ["invert", "--input", json.dumps(el), "--method", "neumann", "--K", "2"]
+    assert main(argv + ["--report", str(out)]) == 3
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert payload["tail_bound"] == 1e20 and payload["ratio"] == 1.0
 
 
 @pytest.mark.parametrize("moduli", ["a", "4x", "2..x", "3.5", "x", "1..2..3", "-"])

@@ -36,6 +36,8 @@ def _parse_json(text: str | bytes):
 
 
 def _load_json(arg: str):
+    if not arg:  # Path("") is the directory "."
+        raise UsageError("a JSON argument is empty; give JSON text or a file path")
     text = arg.strip()
     if text.startswith("{") or text.startswith("["):
         return _parse_json(text)
@@ -179,7 +181,7 @@ def _cmd_check_weight(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    group = spec_from_json(_load_json(args.group)) if args.group else LatticeGroup(1)
+    group = LatticeGroup(1) if args.group is None else spec_from_json(_load_json(args.group))
     weight = weight_from_json(_load_json(args.weight), group)
     result = dominate_character(weight, group, args.radius)
     lines = [f"feasible: {result.feasible}", f"radius: {result.radius}"]

@@ -6,7 +6,9 @@ sum |f(x)| w(x).  Characters are the multiplicative weights
 exp(<c, x>) on a lattice; dominate_character finds a character lying
 below a given weight on a ball, which in turn yields a rescaling of the
 weight with values >= 1 and a multiplicative change of variables
-(character_twist) between the two weighted algebras.
+(character_twist) between the two weighted algebras.  In rank 1 that is an
+interval of c; in higher rank a linear program, which a short simplex on
+numpy arrays solves.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from .algebra import AlgebraElement, to_jsonable
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
-REL_TOL = 1e-12  # check_weight: relative gap within which w(x) and w(x^-1) count as equal
+# Relative gap within which two floats count as equal: w(x) and w(x^-1) in
+# check_weight; in dominate_character's simplex, 0 and a reduced cost or t
+# (against max(1, max |log w|)), or a ratio-test step (against the largest).
+REL_TOL = 1e-12
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
 CHECK_PAIR_CAP = 2**18  # most (x, y) pairs an exact pair scan takes (512 points)
@@ -592,9 +597,13 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     Solves the linear constraints <c, x> <= log w(x) over the punctured
     ball.  Rank 1 intersects intervals, whose ends are finite as the ball holds
     1 and -1, and returns the midpoint, or the crossing pair as a certificate
-    of infeasibility.  Higher rank solves a Chebyshev-center linear program so
-    the choice stays deterministic, and reports infeasibility uncertified:
-    there two constraints need not certify it, since d + 1 can be needed.
+    of infeasibility.  Higher rank finds the Chebyshev centre, the c that
+    maximizes t with <c, x> + t |x|_2 <= log w(x), by a simplex on its dual
+    (_chebyshev_centre), so the choice stays deterministic.  It is feasible
+    when t >= -REL_TOL max(1, max |log w|), which lets a character weight's
+    rounded logs (t near -1e-16) pass.  Infeasibility is reported
+    uncertified: there two constraints need not certify it, since d + 1 can
+    be needed.
     """
     if not isinstance(group, LatticeGroup):
         raise UsageError("character domination is available on lattices only")
@@ -625,24 +634,58 @@ def dominate_character(weight: Weight, group: LatticeGroup,
             lower=lower, upper=upper,
         )
 
-    from scipy.optimize import linprog
-
-    d = group.rank
-    # Chebyshev center: maximize t with <c, x> + t * |x|_2 <= log w(x).
-    a_ub = [[*x, math.hypot(*x)] for x in points]
-    b_ub = [logs[x] for x in points]
-    cost = [0.0] * d + [-1.0]
-    res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub,
-        bounds=[(None, None)] * (d + 1), method="highs",
-    )
-    if not res.success:
-        raise ResourceLimitError(f"character domination LP failed: {res.message}")
-    c = tuple(float(v) for v in res.x[:d])
-    t = float(res.x[d])
-    if t < 0:
+    tol = REL_TOL * max(1.0, *map(abs, logs.values()))
+    c, t = _chebyshev_centre(points, [logs[x] for x in points], tol)
+    if t < -tol:
         return DominationResult(feasible=False, character=None, radius=radius)
     return DominationResult(feasible=True, character=Character(c), radius=radius)
+
+
+def _chebyshev_centre(points: list, logs: list, tol: float) -> tuple:
+    """(c, t) maximizing t subject to <c, x> + t |x|_2 <= logs[i] at each
+    x = points[i], by a primal simplex on the dual LP
+
+        min sum y_x logs[x]  subject to  sum y_x (x, |x|_2) = (0, 1), y >= 0,
+
+    whose optimal basis B gives (c, t) as the solution of B^T (c, t) = logs_B.
+
+    points is a punctured box, so it holds -e_1, e_1, e_2, ..., e_d, whose
+    columns are a feasible basis (y = 1/2, 1/2, 0, ...): no phase 1 runs, and
+    as sum y_x |x|_2 = 1 bounds y, the optimum is finite.  A point enters while
+    its reduced cost is below -tol: the most negative one (Dantzig), or right
+    after a degenerate pivot the first in points, with ties in the ratio test
+    left by the first basic point (Bland, Math. Oper. Res. 1977).  So a run of
+    degenerate pivots repeats no basis, and every other pivot lowers the cost.
+    """
+    import numpy as np
+
+    d = len(points[0])
+    cols = np.array(points, dtype=float)
+    cols = np.column_stack((cols, np.sqrt((cols * cols).sum(axis=1))))
+    logs = np.array(logs)
+    at = {points[i]: i for i in np.flatnonzero(cols[:, d] == 1)}  # the points +-e_k
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    basis = [at[tuple(-v for v in units[0])], *(at[u] for u in units)]
+    y = np.zeros(d + 1)
+    y[:2] = 0.5
+    bland = False
+    while True:
+        rows = cols[basis]  # B^T
+        ct = np.linalg.solve(rows, logs[basis])
+        reduced = logs - cols @ ct
+        j = int(np.argmax(reduced < -tol) if bland else reduced.argmin())
+        if reduced[j] >= -tol:
+            return tuple(float(v) for v in ct[:d]), float(ct[d])
+        step = np.linalg.solve(rows.T, cols[j])
+        up = np.flatnonzero(step > REL_TOL * step.max())
+        ratios = y[up] / step[up]
+        theta = ratios.min()
+        leave = min(up[ratios == theta], key=basis.__getitem__)
+        y -= theta * step
+        np.maximum(y, 0, out=y)
+        y[leave] = theta
+        basis[leave] = j
+        bland = theta == 0
 
 
 def character_twist(character: Character, element: AlgebraElement) -> AlgebraElement:

@@ -586,6 +586,13 @@ def test_usage_errors_exit_one(capsys):
     assert main(["probe", "--input", INVERTIBLE, "--moduli", "2x2"]) == 1  # rank mismatch
     err = capsys.readouterr().err
     assert "error:" in err
+    # An empty JSON argument is refused: it is neither the directory "." nor
+    # dominate's default rank-one group.
+    for argv in (["invert", "--input", ""],
+                 ["dominate", "--weight", '{"kind": "constant"}', "--group", "", "--radius", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: a JSON argument is empty; give JSON text or a file path\n")
 
 
 def test_amplitude_past_the_float_range_in_a_magnitude(capsys):

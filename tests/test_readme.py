@@ -101,12 +101,23 @@ def test_command_line_transcripts_print_what_the_readme_shows(tmp_path, monkeypa
 COLD_START = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 import galab, galab.cli
-after_import = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+after_import = loaded()
 for argv in json.loads(sys.argv[2]):
     galab.cli.main(argv)
-print(json.dumps([after_import, "numpy" in sys.modules]))
+print(json.dumps([after_import, loaded()]))
 """
+
+
+def _cold_start(tmp_path, argvs):
+    """The numerical modules loaded by a fresh interpreter after importing
+    galab, and after running argvs through galab.cli.main."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", COLD_START, str(src), json.dumps(argvs)],
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_exact_commands_start_without_numpy(tmp_path):
@@ -120,9 +131,11 @@ def test_exact_commands_start_without_numpy(tmp_path):
     assert [argv[0] for argv in exact] == ["invert", "certify", "df-check", "check-weight"]
     exact.append(["check-weight", "--weight", '{"kind": "polynomial", "beta": 2}',
                   "--group", '{"kind": "Z", "rank": 2}', "--radius", "6"])
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-c", COLD_START, str(src), json.dumps(exact)],
-                         cwd=tmp_path, capture_output=True, text=True, check=True)
-    after_import, numpy_after_commands = json.loads(run.stdout.splitlines()[-1])
-    assert after_import == []
-    assert not numpy_after_commands
+    assert _cold_start(tmp_path, exact) == [[], []]
+
+
+def test_rank_two_dominate_loads_no_scipy(tmp_path):
+    # Its linear program is galab's own simplex on numpy arrays.
+    argv = ["dominate", "--weight", '{"kind": "polynomial", "beta": 2}',
+            "--group", '{"kind": "Z", "rank": 2}', "--radius", "6"]
+    assert _cold_start(tmp_path, [argv]) == [[], ["numpy"]]

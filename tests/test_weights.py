@@ -393,12 +393,26 @@ def test_dominate_rank1_interval_and_midpoint():
     assert abs(result.character.c[0] - math.log(2)) <= slack
 
 
-def test_dominate_character_lies_below_weight():
-    w = growth_weight()
-    result = dominate_character(w, Z, 50)
+def _table_over_character(seed):
+    """A seeded table on a ball of Z^2 or Z^3 with log w(x) = <a, x> + u_x
+    for u_x in [0, 1], so exp(<a, x>) lies below it."""
+    rng = random.Random(seed)
+    group, radius = LatticeGroup(2 + seed % 2), 2 + seed // 2
+    a = [rng.uniform(-1, 1) for _ in range(group.rank)]
+    w = TableWeight({x: math.exp(sum(ai * xi for ai, xi in zip(a, x)) + rng.uniform(0, 1))
+                     for x in ball(group, radius)})
+    return pytest.param(w, group, radius, id=f"table-Z{group.rank}-r{radius}")
+
+
+@pytest.mark.parametrize("weight, group, radius", [
+    pytest.param(growth_weight(), Z, 50, id="growth-Z"), *map(_table_over_character, range(6)),
+])
+def test_dominate_character_lies_below_weight(weight, group, radius):
+    result = dominate_character(weight, group, radius)
+    assert result.feasible
     phi = result.character
-    for x in Z.ball(50):
-        assert phi.value(x) <= w.value(Z, x) * (1 + 1e-9)
+    for x in ball(group, radius):
+        assert phi.value(x) <= weight.value(group, x) * (1 + 1e-9)
 
 
 def test_dominate_infeasible_has_certificate():
@@ -411,13 +425,25 @@ def test_dominate_infeasible_has_certificate():
     assert a[0] * b[0] < 0  # one constraint from each side
 
 
-def test_dominate_rank2():
-    w = ExpDirectionalWeight([math.log(2), math.log(3)], rectified=False)
-    result = dominate_character(w, Z2, 6)
+def _seeded_coefficients(seed):
+    """Coefficients in [-2, 2]^d and a radius: d = 2, 3 and radii 1-6 in turn."""
+    rng = random.Random(seed)
+    coefficients = tuple(rng.uniform(-2, 2) for _ in range(2 + seed % 2))
+    return pytest.param(coefficients, 1 + seed // 2 % 6, id=f"seed{seed}")
+
+
+@pytest.mark.parametrize("coefficients, radius", [
+    pytest.param((math.log(2), math.log(3)), 6, id="ln2-ln3-r6"),
+    *map(_seeded_coefficients, range(24)),
+])
+def test_dominate_rank2(coefficients, radius):
+    # An unrectified exp_directional weight is a character: feasible, with
+    # t = 0 and c its coefficients.  Its rounded logs put the LP's t at about
+    # -3e-17 on seeds 9, 10 and 16, so t >= 0 alone would call them infeasible.
+    w = ExpDirectionalWeight(coefficients, rectified=False)
+    result = dominate_character(w, LatticeGroup(len(coefficients)), radius)
     assert result.feasible
-    c = result.character.c
-    assert c[0] == pytest.approx(math.log(2), abs=1e-6)
-    assert c[1] == pytest.approx(math.log(3), abs=1e-6)
+    assert result.character.c == pytest.approx(coefficients, abs=1e-9)
 
 
 @pytest.mark.parametrize("weight, radius", [

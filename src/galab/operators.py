@@ -75,11 +75,12 @@ def apply_convolution_action(f: AlgebraElement, g, window: Window,
     out = {}
     for x in window:
         total = 0
+        wx = None if weight is None else weight.value(group, x)
         for y, amp in terms:
             xy = mul(x, y)
             val = read(xy) * amp
             if weight is not None:
-                val = complex(val) * (weight.value(group, xy) / weight.value(group, x))
+                val = complex(val) * (weight.value(group, xy) / wx)
             total = total + val
         out[x] = total
     return out

@@ -6,9 +6,10 @@ sum |f(x)| w(x).  Characters are the multiplicative weights
 exp(<c, x>) on a lattice; dominate_character finds a character lying
 below a given weight on a ball, which in turn yields a rescaling of the
 weight with values >= 1 and a multiplicative change of variables
-(character_twist) between the two weighted algebras.  In rank 1 that is an
-interval of c; in higher rank a linear program, which a short simplex on
-numpy arrays solves.
+(character_twist) between the two weighted algebras.  In rank 1 the
+admissible c form an interval; in higher rank a linear program, which a
+short simplex on numpy arrays solves.  Either way the verdict is one margin
+test on the returned character.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
 # Relative gap within which two floats count as equal: w(x) and w(x^-1) in
-# check_weight; in dominate_character's simplex, 0 and a reduced cost or t
-# (against max(1, max |log w|)), or a ratio-test step (against the largest).
+# check_weight; in dominate_character, 0 and the margin t or a simplex reduced
+# cost (against max(1, max |log w|)), or a ratio-test step (against the largest).
 REL_TOL = 1e-12
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
@@ -38,31 +39,37 @@ def _out_of_range(what: str) -> UsageError:
     return UsageError(f"{what} is not a positive number within the float range")
 
 
-def _real(value, what: str):
-    """value, refused unless it is a real number; a bool or a string is not."""
+def _finite(value, what: str):
+    """value, kept as given, refused unless it is a real number (a bool or a
+    string is not) within the float range: an int of at most _FLOAT_BITS
+    bits, or a real whose float is finite (not a NaN or an infinity)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UsageError(f"{what} must be a real number, got {value!r}")
+    try:
+        ok = (value.bit_length() <= _FLOAT_BITS if isinstance(value, int)
+              else math.isfinite(float(value)))
+    except OverflowError:
+        ok = False
+    if not ok:  # no repr: an int of more than 4300 digits has none
+        raise UsageError(f"{what} must be a finite real number within the float range")
     return value
 
 
-def _finite(value, what: str) -> float:
-    """float(value), refused unless value is a real number (_real) within the float range."""
-    try:
-        if math.isfinite(x := float(_real(value, what))):
-            return x
-    except OverflowError:
-        pass
-    raise UsageError(f"{what} must be a finite real number, got {value!r}")
+def _items(values, what: str) -> tuple:
+    """The items of a sequence, as a tuple; a string, a mapping or a value
+    that is not iterable is refused."""
+    if not isinstance(values, (str, bytes, Mapping)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise UsageError(f"{what} must be a sequence, got {type(values).__name__}")
 
 
 def _finites(values, what: str) -> tuple:
-    """The values of a sequence as finite reals (_finite); a value that is
-    not a sequence is refused."""
-    try:
-        items = iter(values)
-    except TypeError:
-        raise UsageError(f"{what}s must be a sequence of real numbers, got {values!r}") from None
-    return tuple(_finite(v, what) for v in items)
+    """The values of a sequence (_items) as floats, each refused unless it is
+    a finite real (_finite)."""
+    return tuple(float(_finite(v, what)) for v in _items(values, f"{what}s"))
 
 
 def _checked(value, what: str):
@@ -79,10 +86,7 @@ def _checked(value, what: str):
     elif kind is float:
         ok = 0 < value < math.inf
     else:
-        try:
-            ok = 0 < float(_real(value, what)) < math.inf
-        except OverflowError:
-            ok = False
+        ok = float(_finite(value, what)) > 0
     if not ok:
         raise _out_of_range(what)
     return value
@@ -153,19 +157,17 @@ class Weight(metaclass=_Immutable):
 
 
 class ConstantWeight(Weight):
-    """w(x) = value, a constant >= 1 (1 gives the plain l1 algebra)."""
+    """w(x) = value, a positive constant (1 gives the plain l1 algebra); it is
+    submultiplicative exactly when it is >= 1."""
 
     def __init__(self, value=1):
-        value = _checked(value, "constant weight value")
-        if value < 1:
-            raise UsageError(f"a constant weight below 1 is not submultiplicative: {value}")
-        self.constant = value
+        self.constant = _checked(value, "constant weight value")
 
     def value(self, group, x):
         return self.constant
 
     def submultiplicative_proof(self, group):
-        return "a constant c >= 1 has c <= c * c"
+        return "a constant c >= 1 has c <= c * c" if self.constant >= 1 else None
 
     def to_json(self):
         return {"kind": "constant", "value": self.constant}
@@ -175,7 +177,7 @@ class ExpSymmetricWeight(Weight):
     """w(x) = base ** length(x); symmetric since length(x) = length(x^-1)."""
 
     def __init__(self, base):
-        if _real(base, "exp_symmetric base") <= 0:
+        if _finite(base, "exp_symmetric base") <= 0:
             raise UsageError(f"exp_symmetric base must be positive, got {base}")
         self.base = base
 
@@ -193,7 +195,7 @@ class PolynomialWeight(Weight):
     """w(x) = (1 + length(x)) ** beta with beta >= 0."""
 
     def __init__(self, beta):
-        if _real(beta, "polynomial beta") < 0:
+        if _finite(beta, "polynomial beta") < 0:
             raise UsageError(f"polynomial weight needs beta >= 0, got {beta}")
         self.beta = beta
 
@@ -254,6 +256,8 @@ class TableWeight(Weight):
     """
 
     def __init__(self, values: Mapping):
+        if not isinstance(values, Mapping):
+            raise UsageError(f"table weight values must be a mapping, got {type(values).__name__}")
         if not values:
             raise UsageError("table weight needs at least one entry")
         self.values = MappingProxyType({x: _checked(v, "table weight")
@@ -279,6 +283,7 @@ class TableWeight(Weight):
 
     @staticmethod
     def on_ball(group: GroupSpec, radius: int, values: Sequence[float]) -> "TableWeight":
+        values = _items(values, "table values")
         window = ball(group, radius)
         if len(values) != len(window):
             raise UsageError(
@@ -309,6 +314,11 @@ class QuotientWeight(Weight):
     """w(x) / phi(x) for a weight w and character phi; the rescaled weight."""
 
     def __init__(self, numerator: Weight, character: Character):
+        if not isinstance(numerator, Weight):
+            raise UsageError(f"quotient numerator must be a weight, got {type(numerator).__name__}")
+        if not isinstance(character, Character):
+            raise UsageError(
+                f"quotient character must be a Character, got {type(character).__name__}")
         self.numerator = numerator
         self.character = character
 
@@ -337,11 +347,10 @@ class ProductWeight(Weight):
 
     def __init__(self, factors: Sequence[Weight]):
         flat = []
-        for f in factors:
-            if isinstance(f, ProductWeight):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
+        for f in _items(factors, "product factors"):
+            if not isinstance(f, Weight):
+                raise UsageError(f"a product factor must be a weight, got {type(f).__name__}")
+            flat.extend(f.factors if isinstance(f, ProductWeight) else (f,))
         if not flat:
             raise UsageError("product weight needs at least one factor")
         self.factors = tuple(flat)
@@ -378,51 +387,39 @@ def _fraction(v) -> Fraction:
     return Fraction(v) if isinstance(v, numbers.Rational) else Fraction(*v.as_integer_ratio())
 
 
-def _number(v, what: str):
-    """A finite real from JSON, kept as given: int weights keep norms exact.
-
-    An int past the float range is refused like the float 1e400.
-    """
-    if isinstance(v, float) and math.isfinite(v):
-        return v
-    if isinstance(v, int) and not isinstance(v, bool) and v.bit_length() <= _FLOAT_BITS:
-        return v
-    raise UsageError(f"{what} must be a finite number, got {v!r}")
-
-
 def _list(v, what: str) -> list:
     if not isinstance(v, list):
         raise UsageError(f"{what} must be a list, got {v!r}")
     return v
 
 
-def _numbers(v, what: str) -> list:
-    return [_number(x, what) for x in _list(v, what)]
-
-
 def _table_entry(entry, group: GroupSpec):
+    """(element, value) of a JSON table entry.  The value is checked here,
+    as TableWeight checks it, since a repeated element's earlier value never
+    reaches the table."""
     if not isinstance(entry, list) or len(entry) != 2:
         raise UsageError(f"table entry must be an [element, value] pair, got {entry!r}")
-    return group.element_from_json(entry[0]), _number(entry[1], "table weight")
+    return group.element_from_json(entry[0]), _checked(entry[1], "table weight")
 
 
 def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
-    """Decode a weight; every malformed description raises UsageError."""
+    """Decode a weight; every malformed description raises UsageError.
+
+    Only the JSON structure is checked here: each constructor checks its own
+    parameters, as it does when called from Python.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError(f"not a weight description: {obj!r}")
     kind = obj["kind"]
     try:
         if kind == "constant":
-            return ConstantWeight(_number(obj.get("value", 1), "constant weight value"))
+            return ConstantWeight(obj.get("value", 1))
         if kind == "exp_symmetric":
-            return ExpSymmetricWeight(_number(obj["base"], "exp_symmetric base"))
+            return ExpSymmetricWeight(obj["base"])
         if kind == "polynomial":
-            return PolynomialWeight(_number(obj["beta"], "polynomial beta"))
+            return PolynomialWeight(obj["beta"])
         if kind == "exp_directional":
-            return ExpDirectionalWeight(
-                _numbers(obj["coefficients"], "exp_directional coefficients"),
-                rectified=obj.get("rectified", True),
-            )
+            return ExpDirectionalWeight(obj["coefficients"], rectified=obj.get("rectified", True))
         if kind == "table":
             if obj.get("extension", "error") != "error":
                 raise UsageError('weight tables are lookup-only; "extension" must be "error"')
@@ -430,7 +427,7 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
                 if group is None:
                     raise UsageError("ball-aligned weight tables need the group to decode")
                 radius = _integer(obj["ball_radius"], "table ball_radius")
-                return TableWeight.on_ball(group, radius, _numbers(obj["values"], "table values"))
+                return TableWeight.on_ball(group, radius, obj["values"])
             entries = _list(obj["entries"], "table entries")
             if group is None:
                 raise UsageError("weight tables need the group to decode their elements")
@@ -439,14 +436,10 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
             character = obj["character"]
             if not isinstance(character, dict):
                 raise UsageError(f"quotient character must be an object, got {character!r}")
-            return QuotientWeight(
-                weight_from_json(obj["weight"], group),
-                Character(tuple(_numbers(character["c"], "character coefficients"))),
-            )
+            return QuotientWeight(weight_from_json(obj["weight"], group), Character(character["c"]))
         if kind == "product":
-            return ProductWeight(
-                [weight_from_json(f, group) for f in _list(obj["factors"], "product factors")]
-            )
+            return ProductWeight([weight_from_json(f, group)
+                                  for f in _list(obj["factors"], "product factors")])
     except KeyError as exc:
         raise UsageError(f"weight description of kind {kind!r} is missing field {exc}") from None
     raise UsageError(f"unknown weight kind {kind!r}")
@@ -594,14 +587,16 @@ def dominate_character(weight: Weight, group: LatticeGroup,
                        radius: int) -> DominationResult:
     """Find a character phi = exp(<c, x>) with phi <= weight on ball(radius).
 
-    Solves the linear constraints <c, x> <= log w(x) over the punctured
-    ball.  Rank 1 intersects intervals, whose ends are finite as the ball holds
-    1 and -1, and returns the midpoint, or the crossing pair as a certificate
-    of infeasibility.  Higher rank finds the Chebyshev centre, the c that
-    maximizes t with <c, x> + t |x|_2 <= log w(x), by a simplex on its dual
-    (_chebyshev_centre), so the choice stays deterministic.  It is feasible
-    when t >= -REL_TOL max(1, max |log w|), which lets a character weight's
-    rounded logs (t near -1e-16) pass.  Infeasibility is reported
+    Every rank computes one Chebyshev pair (c, t): t is the least margin
+    (log w(x) - <c, x>) / |x|_2 over the punctured ball, read at the returned
+    c, and the ball is feasible when t >= -REL_TOL max(1, max |log w|), which
+    lets a character weight's rounded logs (t near -1e-16) pass.  Rank 1
+    intersects intervals, whose ends are finite as the ball holds 1 and -1:
+    c is the midpoint, t = min(upper - c, c - lower), so the interval of a
+    feasible character may read inverted within the tolerance; an infeasible
+    ball reports the crossing pair as its certificate.  Higher rank finds the
+    c that maximizes t by a simplex on the LP's dual (_chebyshev_centre), so
+    the choice stays deterministic.  Its infeasibility is reported
     uncertified: there two constraints need not certify it, since d + 1 can
     be needed.
     """
@@ -613,6 +608,7 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     window = ball(group, radius, cap=DOMINATE_BALL_CAP)
     points = [x for x in window if x != group.identity]
     logs = {x: math.log(weight.value(group, x)) for x in points}
+    tol = REL_TOL * max(1.0, *map(abs, logs.values()))
 
     if group.rank == 1:
         lower, lower_at = -math.inf, None
@@ -624,30 +620,26 @@ def dominate_character(weight: Weight, group: LatticeGroup,
                     upper, upper_at = bound, x
             elif bound > lower:
                 lower, lower_at = bound, x
-        if lower > upper:
-            return DominationResult(
-                feasible=False, character=None, radius=radius,
-                lower=lower, upper=upper, certificate_pair=(lower_at, upper_at),
-            )
-        return DominationResult(
-            feasible=True, character=Character(((lower + upper) / 2,)), radius=radius,
-            lower=lower, upper=upper,
-        )
-
-    tol = REL_TOL * max(1.0, *map(abs, logs.values()))
-    c, t = _chebyshev_centre(points, [logs[x] for x in points], tol)
+        c = ((lower + upper) / 2,)
+        t = min(upper - c[0], c[0] - lower)
+        found = {"lower": lower, "upper": upper,
+                 "certificate_pair": (lower_at, upper_at) if t < -tol else None}
+    else:
+        c, t = _chebyshev_centre(points, [logs[x] for x in points], tol)
+        found = {}
     if t < -tol:
-        return DominationResult(feasible=False, character=None, radius=radius)
-    return DominationResult(feasible=True, character=Character(c), radius=radius)
+        return DominationResult(feasible=False, character=None, radius=radius, **found)
+    return DominationResult(feasible=True, character=Character(c), radius=radius, **found)
 
 
 def _chebyshev_centre(points: list, logs: list, tol: float) -> tuple:
-    """(c, t) maximizing t subject to <c, x> + t |x|_2 <= logs[i] at each
-    x = points[i], by a primal simplex on the dual LP
+    """(c, t): the c maximizing t subject to <c, x> + t |x|_2 <= logs[i] at
+    each x = points[i], by a primal simplex on the dual LP
 
         min sum y_x logs[x]  subject to  sum y_x (x, |x|_2) = (0, 1), y >= 0,
 
-    whose optimal basis B gives (c, t) as the solution of B^T (c, t) = logs_B.
+    whose optimal basis B gives c by the solve B^T (c, t_B) = logs_B; t is
+    then the least margin (logs[i] - <c, x>) / |x|_2, evaluated at that c.
 
     points is a punctured box, so it holds -e_1, e_1, e_2, ..., e_d, whose
     columns are a feasible basis (y = 1/2, 1/2, 0, ...): no phase 1 runs, and
@@ -675,7 +667,8 @@ def _chebyshev_centre(points: list, logs: list, tol: float) -> tuple:
         reduced = logs - cols @ ct
         j = int(np.argmax(reduced < -tol) if bland else reduced.argmin())
         if reduced[j] >= -tol:
-            return tuple(float(v) for v in ct[:d]), float(ct[d])
+            c = ct[:d]
+            return tuple(map(float, c)), float(((logs - cols[:, :d] @ c) / cols[:, d]).min())
         step = np.linalg.solve(rows.T, cols[j])
         up = np.flatnonzero(step > REL_TOL * step.max())
         ratios = y[up] / step[up]

@@ -389,6 +389,13 @@ def test_qcomplex_exact_arithmetic():
     assert a * b == QComplex.of(Fraction(2, 9) + 1, Fraction(1, 3))
     quotient = a / b
     assert quotient * b == a
+    assert a - b == QComplex.of(Fraction(-1, 3), 2)
+    assert 1 - a == QComplex.of(Fraction(2, 3), -1) and a - Fraction(1, 3) == QComplex.of(0, 1)
+    assert 1 / b == QComplex.of(Fraction(6, 13), Fraction(9, 13))
+    # A float or a complex demotes the exact scalar to a complex.
+    assert a - 0.5 == complex(1 / 3 - 0.5, 1) and 0.5 - a == complex(0.5 - 1 / 3, -1)
+    assert a / 2.0 == complex(1 / 6, 0.5) and 1j / QComplex.of(0, 2) == 0.5
+    assert QComplex.of(Fraction(1, 2), -1) == 0.5 - 1j != QComplex.of(Fraction(1, 2))
 
 
 def test_qcomplex_division_by_zero():

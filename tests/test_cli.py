@@ -240,6 +240,10 @@ def test_dominate_feasible_and_infeasible(capsys):
     )
     assert main(["dominate", "--weight", grow, "--radius", "50"]) == 0
     assert "character c = [0.69" in capsys.readouterr().out
+    # A character is feasible, its interval inverted by rounding within the tolerance.
+    rate = '{"kind":"exp_directional","coefficients":[0.3],"rectified":false}'
+    assert main(["dominate", "--weight", rate, "--radius", "10"]) == 0
+    assert "admissible interval = [0.30000000000000004, 0.3]" in capsys.readouterr().out
 
     decay = json.dumps(
         {

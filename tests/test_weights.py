@@ -79,9 +79,19 @@ def test_weight_values_stay_within_the_float_range():
         character_twist(Character((-746.0,)), delta(Z, (1,)))
 
 
-def test_constant_below_one_rejected():
-    with pytest.raises(UsageError):
-        ConstantWeight(0.5)
+def test_constant_below_one_is_unproven(capsys):
+    # Its constructor refused a constant below 1, where exp_symmetric base 1/2
+    # constructs unproven, so check-weight exited 1 on one and 2 on the other.
+    # Both are judged by their proof alone.
+    half = ConstantWeight(0.5)
+    assert half.submultiplicative_proof(Z) is None
+    assert weight_from_json({"kind": "constant", "value": 0.5}).constant == 0.5
+    argv = ["check-weight", "--weight", json.dumps(half.to_json()),
+            "--group", '{"kind": "Z", "rank": 1}', "--radius", "1"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "submultiplicative: False" in out and "worst ratio = 2.0" in out
+    assert "violating pair: ((-1,), (0,))" in out
 
 
 def test_check_weight_on_symmetric_exponential():
@@ -203,11 +213,27 @@ def test_table_and_constant_weight_values_are_checked(value):
     lambda: Character(0.5),
     lambda: ExpDirectionalWeight([1.0], rectified="no"),
     lambda: ExpDirectionalWeight([1.0], rectified=1),
+    lambda: ExpSymmetricWeight(math.nan),
+    lambda: ExpSymmetricWeight(math.inf),
+    lambda: ExpSymmetricWeight(2**1024),
+    lambda: PolynomialWeight(math.nan),
+    lambda: PolynomialWeight(math.inf),
+    lambda: ProductWeight([1, 2]),
+    lambda: ProductWeight(ExpSymmetricWeight(2)),
+    lambda: QuotientWeight(5, Character((1.0,))),
+    lambda: QuotientWeight(ExpSymmetricWeight(2), (1.0,)),
+    lambda: TableWeight([1, 2]),
+    lambda: TableWeight.on_ball(Z, 1, 3),
+    lambda: ExpDirectionalWeight(""),
+    lambda: Character({}),
 ], ids=["constant-bool", "constant-str", "table-str", "table-bool", "table-complex",
         "exp-str", "exp-bool", "poly-str", "poly-bool", "dominate-str",
         "exp-dir-str", "exp-dir-bool", "exp-dir-nan", "exp-dir-inf", "exp-dir-huge",
         "character-str", "character-inf", "character-bool",
-        "exp-dir-int", "character-float", "rectified-str", "rectified-int"])
+        "exp-dir-int", "character-float", "rectified-str", "rectified-int",
+        "exp-nan", "exp-inf", "exp-huge-int", "poly-nan", "poly-inf",
+        "product-of-ints", "product-of-a-weight", "quotient-int", "quotient-tuple",
+        "table-list", "ball-table-int", "exp-dir-empty-str", "character-dict"])
 def test_weights_refuse_what_is_not_a_number(build):
     # A bool or a numeric string was kept as a weight value, and its JSON
     # ("value": true, "2") was refused by weight_from_json; a string base,
@@ -216,7 +242,10 @@ def test_weights_refuse_what_is_not_a_number(build):
     # ValueError, True became 1.0, and NaN or inf was kept until a value was read.
     # A coefficient "sequence" that is a number ended in TypeError: 'int' object
     # is not iterable, and a rectified flag that is not a bool was kept and
-    # written to JSON, which weight_from_json then refused.
+    # written to JSON, which weight_from_json then refused.  A NaN or infinite
+    # base or beta was kept (a NaN beta with the proof "beta >= 0"), and a
+    # product, quotient or table of the wrong types ended in an AttributeError
+    # or a TypeError once used.
     with pytest.raises(UsageError, match="must be a"):
         build()
 
@@ -432,14 +461,25 @@ def _seeded_coefficients(seed):
     return pytest.param(coefficients, 1 + seed // 2 % 6, id=f"seed{seed}")
 
 
+def _seeded_rate(seed):
+    """A rate in [-3, 3] on Z and a radius in 1-60."""
+    rng = random.Random(seed)
+    return pytest.param((rng.uniform(-3, 3),), rng.randint(1, 60), id=f"rank1-seed{seed}")
+
+
 @pytest.mark.parametrize("coefficients, radius", [
     pytest.param((math.log(2), math.log(3)), 6, id="ln2-ln3-r6"),
     *map(_seeded_coefficients, range(24)),
+    pytest.param((0.3,), 10, id="rank1-0.3-r10"),
+    *map(_seeded_rate, range(12)),
 ])
 def test_dominate_rank2(coefficients, radius):
     # An unrectified exp_directional weight is a character: feasible, with
     # t = 0 and c its coefficients.  Its rounded logs put the LP's t at about
     # -3e-17 on seeds 9, 10 and 16, so t >= 0 alone would call them infeasible.
+    # Rank one tested its interval's ends exactly, lower > upper, and so
+    # refused e^{0.3 n} at radius 10 by [0.30000000000000004, 0.3]; it reads
+    # the same margin as higher rank now.
     w = ExpDirectionalWeight(coefficients, rectified=False)
     result = dominate_character(w, LatticeGroup(len(coefficients)), radius)
     assert result.feasible

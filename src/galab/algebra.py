@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 def _fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, str, float)):
+    if isinstance(v, (int, str, float)) and not isinstance(v, bool):
         try:
             return Fraction(v)
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -41,13 +41,14 @@ def _fraction(v) -> Fraction:
 
 
 def _finite_float(v) -> float:
-    """A float amplitude part from JSON: a number, or a rational string like "1/4"."""
-    try:
-        x = float(_fraction(v)) if isinstance(v, str) else float(v)
-        if math.isfinite(x):
-            return x
-    except (TypeError, ValueError, OverflowError):
-        pass  # UsageError from _fraction is a ValueError too
+    """A float amplitude part from JSON: a number (not a bool), or a rational string like "1/4"."""
+    if not isinstance(v, bool):
+        try:
+            x = float(_fraction(v)) if isinstance(v, str) else float(v)
+            if math.isfinite(x):
+                return x
+        except (TypeError, ValueError, OverflowError):
+            pass  # UsageError from _fraction is a ValueError too
     raise UsageError(f"cannot interpret {v!r} as a finite float")
 
 

@@ -8,8 +8,9 @@ below a given weight on a ball, which in turn yields a rescaling of the
 weight with values >= 1 and a multiplicative change of variables
 (character_twist) between the two weighted algebras.  In rank 1 the
 admissible c form an interval; in higher rank a linear program, which a
-short simplex on numpy arrays solves.  Either way the verdict is one margin
-test on the returned character.
+short simplex on numpy arrays solves.  Either way, and in
+rescale_by_character, one rule judges phi <= w: a margin test whose
+tolerance is counted from its rounding.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
 # Relative gap within which two floats count as equal: w(x) and w(x^-1) in
-# check_weight; in dominate_character, 0 and the margin t or a simplex reduced
-# cost (against max(1, max |log w|)), or a ratio-test step (against the largest).
+# check_weight; in _chebyshev_centre's simplex, 0 and a reduced cost (against
+# max(1, max |log w|)), or a ratio-test step (against the largest).
 REL_TOL = 1e-12
+UNIT_ROUNDOFF = 2.0**-53  # u: a rounded float operation errs by a factor within 1 +- u
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
 _FLOAT_BITS = 1023  # an int of at most this many bits converts to a finite float
 CHECK_PAIR_CAP = 2**18  # most (x, y) pairs an exact pair scan takes (512 points)
@@ -393,13 +395,18 @@ def _list(v, what: str) -> list:
     return v
 
 
-def _table_entry(entry, group: GroupSpec):
-    """(element, value) of a JSON table entry.  The value is checked here,
-    as TableWeight checks it, since a repeated element's earlier value never
-    reaches the table."""
-    if not isinstance(entry, list) or len(entry) != 2:
-        raise UsageError(f"table entry must be an [element, value] pair, got {entry!r}")
-    return group.element_from_json(entry[0]), _checked(entry[1], "table weight")
+def _table_entries(entries: list, group: GroupSpec) -> dict:
+    """The values of JSON table entries by element; an entry that is not an
+    [element, value] pair, or repeats an element, is refused."""
+    values = {}
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise UsageError(f"table entry must be an [element, value] pair, got {entry!r}")
+        x = group.element_from_json(entry[0])
+        if x in values:
+            raise UsageError(f"table element {x!r} is repeated")
+        values[x] = entry[1]
+    return values
 
 
 def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
@@ -431,7 +438,7 @@ def weight_from_json(obj: dict, group: GroupSpec | None = None) -> Weight:
             entries = _list(obj["entries"], "table entries")
             if group is None:
                 raise UsageError("weight tables need the group to decode their elements")
-            return TableWeight(dict(_table_entry(e, group) for e in entries))
+            return TableWeight(_table_entries(entries, group))
         if kind == "quotient":
             character = obj["character"]
             if not isinstance(character, dict):
@@ -587,74 +594,126 @@ def dominate_character(weight: Weight, group: LatticeGroup,
                        radius: int) -> DominationResult:
     """Find a character phi = exp(<c, x>) with phi <= weight on ball(radius).
 
-    Every rank computes one Chebyshev pair (c, t): t is the least margin
-    (log w(x) - <c, x>) / |x|_2 over the punctured ball, read at the returned
-    c, and the ball is feasible when t >= -REL_TOL max(1, max |log w|), which
-    lets a character weight's rounded logs (t near -1e-16) pass.  Rank 1
-    intersects intervals, whose ends are finite as the ball holds 1 and -1:
-    c is the midpoint, t = min(upper - c, c - lower), so the interval of a
-    feasible character may read inverted within the tolerance; an infeasible
-    ball reports the crossing pair as its certificate.  Higher rank finds the
-    c that maximizes t by a simplex on the LP's dual (_chebyshev_centre), so
-    the choice stays deterministic.  Its infeasibility is reported
-    uncertified: there two constraints need not certify it, since d + 1 can
-    be needed.
+    The verdict is the one rule of _Domination, read at the c found: rank 1
+    takes the midpoint of the interval of admissible c, whose ends are finite
+    as the ball holds 1 and -1, so the interval of a feasible character may
+    read inverted within the tolerance.  An infeasible ball reports, as its
+    certificate, (e, e) when w(e) < 1, else the crossing pair.  Higher rank
+    takes the c that maximizes the least margin, by a simplex on the LP's
+    dual (_chebyshev_centre), so the choice stays deterministic.  Its
+    infeasibility is reported uncertified: there two constraints need not
+    certify it, since d + 1 can be needed.
     """
     if not isinstance(group, LatticeGroup):
         raise UsageError("character domination is available on lattices only")
     radius = _integer(radius, "radius")
     if radius < 1:
         raise UsageError(f"radius must be >= 1, got {radius}")
-    window = ball(group, radius, cap=DOMINATE_BALL_CAP)
-    points = [x for x in window if x != group.identity]
-    logs = {x: math.log(weight.value(group, x)) for x in points}
-    tol = REL_TOL * max(1.0, *map(abs, logs.values()))
-
+    rule = _Domination(weight, group, ball(group, radius, cap=DOMINATE_BALL_CAP))
+    c = rule.centre()
+    violation = rule.violation(c)
+    found = {}
     if group.rank == 1:
-        lower, lower_at = -math.inf, None
-        upper, upper_at = math.inf, None
-        for x in points:
-            bound = logs[x] / x[0]
-            if x[0] > 0:
-                if bound < upper:
-                    upper, upper_at = bound, x
-            elif bound > lower:
-                lower, lower_at = bound, x
-        c = ((lower + upper) / 2,)
-        t = min(upper - c[0], c[0] - lower)
-        found = {"lower": lower, "upper": upper,
-                 "certificate_pair": (lower_at, upper_at) if t < -tol else None}
-    else:
-        c, t = _chebyshev_centre(points, [logs[x] for x in points], tol)
-        found = {}
-    if t < -tol:
+        found = {"lower": rule.lower, "upper": rule.upper}
+        if violation is not None:
+            e = group.identity
+            found["certificate_pair"] = (
+                (e, e) if violation[0] == e else (rule.lower_at, rule.upper_at))
+    if violation is not None:
         return DominationResult(feasible=False, character=None, radius=radius, **found)
     return DominationResult(feasible=True, character=Character(c), radius=radius, **found)
 
 
-def _chebyshev_centre(points: list, logs: list, tol: float) -> tuple:
-    """(c, t): the c maximizing t subject to <c, x> + t |x|_2 <= logs[i] at
-    each x = points[i], by a primal simplex on the dual LP
+class _Domination:
+    """The one rule that judges phi = exp(<c, .>) <= w on a lattice window.
+
+    phi <= w reads <c, x> <= log w(x) at each point x != e of the window, and
+    0 <= log w(e) at the identity when the window holds it.  A c passes when
+    the least margin t = min (log w(x) - <c, x>) / |x|_2 over the points
+    x != e, and log w(e), are both >= -tol, where
+    tol = kappa u max(1, max |log w|) bounds the rounding of one margin:
+    kappa = 2d + 2 roundings on Z^d, in the log, the d products and d - 1
+    sums of <c, x>, the subtraction and the division (u = UNIT_ROUNDOFF).
+    Rank 1 reads t from the interval [lower, upper] of the c that meet every
+    constraint at x != e, as t = min(upper - c, c - lower); higher rank reads
+    it per point, on numpy arrays.
+    """
+
+    def __init__(self, weight: Weight, group: LatticeGroup, window: Window):
+        self.identity = e = group.identity
+        points = [x for x in window if x != e]
+        logs = [math.log(weight.value(group, x)) for x in points]
+        self.log_e = math.log(weight.value(group, e)) if e in window else 0.0
+        self.tol = ((2 * group.rank + 2) * UNIT_ROUNDOFF
+                    * max(1.0, abs(self.log_e), *map(abs, logs)))
+        self.rank = group.rank
+        if self.rank == 1:
+            lower, lower_at = -math.inf, None
+            upper, upper_at = math.inf, None
+            for x, log in zip(points, logs):
+                bound = log / x[0]
+                if x[0] > 0:
+                    if bound < upper:
+                        upper, upper_at = bound, x
+                elif bound > lower:
+                    lower, lower_at = bound, x
+            self.lower, self.lower_at, self.upper, self.upper_at = lower, lower_at, upper, upper_at
+        else:
+            import numpy as np
+
+            cols = np.array(points, dtype=float).reshape(len(points), self.rank)
+            self.points = points
+            self.cols = np.column_stack((cols, np.sqrt((cols * cols).sum(axis=1))))
+            self.logs = np.array(logs)
+
+    def centre(self) -> tuple:
+        """The c dominate_character offers: the interval's midpoint in rank 1,
+        the LP's Chebyshev centre in higher rank (which needs a box)."""
+        if self.rank == 1:
+            return ((self.lower + self.upper) / 2,)
+        return _chebyshev_centre(self.points, self.cols, self.logs)
+
+    def violation(self, c) -> tuple | None:
+        """None when exp(<c, .>) passes the rule, else (x, m): e and log w(e)
+        when that constraint fails, or a point x of least margin m."""
+        if self.log_e < -self.tol:
+            return self.identity, self.log_e
+        if self.rank == 1:
+            t, x = min((self.upper - c[0], self.upper_at), (c[0] - self.lower, self.lower_at),
+                       key=lambda pair: pair[0])
+        elif self.points:
+            import numpy as np
+
+            margins = (self.logs - self.cols[:, :-1] @ np.array(c)) / self.cols[:, -1]
+            i = int(margins.argmin())
+            t, x = float(margins[i]), self.points[i]
+        else:
+            return None
+        return None if t >= -self.tol else (x, t)
+
+
+def _chebyshev_centre(points: list, cols, logs) -> tuple:
+    """The c maximizing t subject to <c, x> + t |x|_2 <= logs[i] at each
+    x = points[i], whose row of cols is (x, |x|_2), by a primal simplex on
+    the dual LP
 
         min sum y_x logs[x]  subject to  sum y_x (x, |x|_2) = (0, 1), y >= 0,
 
-    whose optimal basis B gives c by the solve B^T (c, t_B) = logs_B; t is
-    then the least margin (logs[i] - <c, x>) / |x|_2, evaluated at that c.
+    whose optimal basis B gives c by the solve B^T (c, t_B) = logs_B.
 
     points is a punctured box, so it holds -e_1, e_1, e_2, ..., e_d, whose
     columns are a feasible basis (y = 1/2, 1/2, 0, ...): no phase 1 runs, and
     as sum y_x |x|_2 = 1 bounds y, the optimum is finite.  A point enters while
-    its reduced cost is below -tol: the most negative one (Dantzig), or right
-    after a degenerate pivot the first in points, with ties in the ratio test
-    left by the first basic point (Bland, Math. Oper. Res. 1977).  So a run of
-    degenerate pivots repeats no basis, and every other pivot lowers the cost.
+    its reduced cost is below -REL_TOL max(1, max |logs|): the most negative
+    one (Dantzig), or right after a degenerate pivot the first in points, with
+    ties in the ratio test left by the first basic point (Bland, Math. Oper.
+    Res. 1977).  So a run of degenerate pivots repeats no basis, and every
+    other pivot lowers the cost.
     """
     import numpy as np
 
-    d = len(points[0])
-    cols = np.array(points, dtype=float)
-    cols = np.column_stack((cols, np.sqrt((cols * cols).sum(axis=1))))
-    logs = np.array(logs)
+    d = cols.shape[1] - 1
+    tol = REL_TOL * max(1.0, float(np.abs(logs).max()))
     at = {points[i]: i for i in np.flatnonzero(cols[:, d] == 1)}  # the points +-e_k
     units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     basis = [at[tuple(-v for v in units[0])], *(at[u] for u in units)]
@@ -667,8 +726,7 @@ def _chebyshev_centre(points: list, logs: list, tol: float) -> tuple:
         reduced = logs - cols @ ct
         j = int(np.argmax(reduced < -tol) if bland else reduced.argmin())
         if reduced[j] >= -tol:
-            c = ct[:d]
-            return tuple(map(float, c)), float(((logs - cols[:, :d] @ c) / cols[:, d]).min())
+            return tuple(map(float, ct[:d]))
         step = np.linalg.solve(rows.T, cols[j])
         up = np.flatnonzero(step > REL_TOL * step.max())
         ratios = y[up] / step[up]
@@ -704,22 +762,22 @@ def rescale_by_character(weight: Weight, character: Character, element: AlgebraE
                          window: Window, pairs: Sequence = ()) -> RescaleResult:
     """Build the rescaled weight w/phi and the twisted element, with checks.
 
-    Verifies phi <= w on the window (raising ContractViolationError
-    otherwise), reports min w/phi over the window, and measures
-    twist(a*b) - twist(a)*twist(b) for each supplied pair (a, b).
+    Judges phi <= w on the window by dominate_character's rule (_Domination),
+    raising ContractViolationError exactly when it fails; reports min w/phi
+    over the window, and measures twist(a*b) - twist(a)*twist(b) for each
+    supplied pair (a, b).
     """
     group = window.group
     if not isinstance(group, LatticeGroup):
         raise UsageError("character rescaling is available on lattices only")
     rescaled = QuotientWeight(weight, character)
-    min_val = math.inf
-    for x in window:
-        ratio = float(rescaled.value(group, x))
-        if ratio < 1 - 1e-9:
-            raise ContractViolationError(
-                f"character exceeds the weight at {x!r}: w/phi = {ratio}"
-            )
-        min_val = min(min_val, ratio)
+    if len(character.c) != group.rank:
+        raise UsageError(f"character of rank {len(character.c)} on a lattice of rank {group.rank}")
+    violation = _Domination(weight, group, window).violation(character.c)
+    if violation is not None:
+        x, m = violation
+        raise ContractViolationError(f"character exceeds the weight at {x!r}: margin {m}")
+    min_val = min((float(rescaled.value(group, x)) for x in window), default=math.inf)
     residuals = []
     for a, b in pairs:
         direct = character_twist(character, a * b)

@@ -376,6 +376,8 @@ def test_element_rejects_invalid_support():
     c4 = cyclic_group(4)
     with pytest.raises(UsageError):
         delta(c4, 9)
+    with pytest.raises(UsageError, match="complex floats cannot enter an exact element"):
+        AlgebraElement(Z, {(0,): 1j}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +480,6 @@ def test_element_json_rejects_malformed_terms():
         element_from_json({**base, "terms": [{"re": 1.0}]})
     with pytest.raises(UsageError, match="malformed term"):
         element_from_json({**base, "terms": [[0, 1.0]]})
+    for scalars in ("float", "exact"):  # a bool is not an amplitude
+        with pytest.raises(UsageError, match="cannot interpret True"):
+            element_from_json({**base, "scalars": scalars, "terms": [{"x": [0], "re": True}]})

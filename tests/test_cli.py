@@ -253,6 +253,14 @@ def test_dominate_feasible_and_infeasible(capsys):
         }
     )
     assert main(["dominate", "--weight", decay, "--radius", "3"]) == 2
+    # w(0) = 1/2 < 1 = phi(0) refutes every c; on Z the certificate names the identity.
+    halved = ('{"kind":"product","factors":[{"kind":"exp_symmetric","base":2},'
+              '{"kind":"constant","value":0.5}]}')
+    capsys.readouterr()
+    assert main(["dominate", "--weight", halved, "--radius", "5"]) == 2
+    assert "conflicting constraints at ((0,), (0,))" in capsys.readouterr().out
+    assert main(["dominate", "--weight", halved, "--radius", "5",
+                 "--group", '{"kind":"Z","rank":2}']) == 2
 
 
 def test_probe_exit_codes(tmp_path):
@@ -736,7 +744,7 @@ def test_a_cayley_name_that_is_not_a_string_is_refused(name, tmp_path, capsys):
         '{"group": {"kind": "Z", "rank": 1}, "scalars": "%s", "terms": [{"x": [0], "re": %s}]}'
         % (scalars, amp)
         for scalars in ("exact", "float")
-        for amp in ('"abc"', '"nan"', '"inf"', "1e400")
+        for amp in ('"abc"', '"nan"', '"inf"', "1e400", "true")
     ]
     + [
         '{"group": {"kind": "Z", "rank": 1}, "terms": 5}',
@@ -911,6 +919,7 @@ def test_z3_element_certifies_at_the_default_size(capsys):
         '{"kind": "table", "entries": [[[0], 1.0, 2.0]]}',
         '{"kind": "table", "entries": [[{"a": 1}, 1.0]]}',
         '{"kind": "table", "entries": [[[0], "heavy"]]}',
+        '{"kind": "table", "entries": [[[0], 1], [[0], 2]]}',  # a repeated element
         '{"kind": "table", "ball_radius": "one", "values": [1, 2, 3]}',
         '{"kind": "table", "ball_radius": 1, "values": 3}',
         '{"kind": "quotient", "weight": {"kind": "constant"}, "character": {"c": "x"}}',

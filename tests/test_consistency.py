@@ -7,13 +7,19 @@ arithmetic, and asserts that they never disagree.
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from galab import invertibility
 from galab.algebra import AlgebraElement, QComplex, convolve, delta
-from galab.groups import LatticeGroup, cyclic_group
+from galab.errors import ContractViolationError
+from galab.groups import LatticeGroup, ball, cyclic_group
 from galab.invertibility import invert_finite, probe_quotients
+from galab.weights import (Character, ConstantWeight, ExpDirectionalWeight, ExpSymmetricWeight,
+                           ProductWeight, TableWeight, dominate_character, rescale_by_character)
 
 Z = LatticeGroup(1)
 MODULI = range(2, 13)
@@ -114,3 +120,47 @@ def test_the_near_threshold_c4_element_is_refuted_by_both_float_oracles():
     finite = invert_finite(AlgebraElement(cyclic_group(4), {0: a, 1: b, 2: b, 3: b}, False))
     assert finite.verdict == "not-invertible"
     assert finite.fields["kernel_residual"] < 1e-11
+
+
+def _near_character(rng):
+    """(weight, group, radius, a) on Z, Z^2 or Z^3: the character exp(<a, x>)
+    as a weight; a table of it with log deficits drawn up to eps |x|_2, eps
+    in {0, 1e-13, ..., 1e-10}; or it, or 8^|x|, times a constant below 1,
+    which puts w(e) below 1 (by less than the rounding for 1 - 1e-15)."""
+    d = rng.randint(1, 3)
+    group, radius = LatticeGroup(d), rng.randint(1, (40, 8, 3)[d - 1])
+    a = tuple(rng.uniform(-2, 2) for _ in range(d))
+    character = ExpDirectionalWeight(a, rectified=False)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return character, group, radius, a
+    if kind == 1:
+        eps = rng.choice((0, 1e-13, 1e-12, 1e-11, 1e-10))
+        return TableWeight({x: math.exp(sum(ai * xi for ai, xi in zip(a, x))
+                                        - rng.uniform(0, eps) * math.hypot(*x))
+                            for x in ball(group, radius)}), group, radius, a
+    below = ConstantWeight(rng.choice((0.5, 1 - 1e-6, 1 - 1e-15)))
+    return ProductWeight([rng.choice((character, ExpSymmetricWeight(8))), below]), group, radius, a
+
+
+def test_dominate_character_is_feasible_exactly_when_rescale_by_character_accepts_it():
+    # phi <= w is one rule in both: dominate_character reads it at the c it
+    # finds, rescale_by_character at the c it is given, the identity included.
+    # An infeasible ball has no character, so rescale_by_character gets the
+    # one the weight was drawn around; none can pass when the best c fails.
+    rng = random.Random(5)
+    feasible = infeasible = 0
+    for _ in range(300):
+        weight, group, radius, a = _near_character(rng)
+        result = dominate_character(weight, group, radius)
+        character = result.character if result.feasible else Character(a)
+        window = ball(group, radius)
+        try:
+            rescale_by_character(weight, character, delta(group, group.identity), window)
+        except ContractViolationError:
+            assert not result.feasible, (weight.to_json(), radius)
+            infeasible += 1
+        else:
+            assert result.feasible, (weight.to_json(), radius)
+            feasible += 1
+    assert feasible >= 100 and infeasible >= 100

@@ -120,6 +120,25 @@ def test_rejects_bad_identity():
         CayleyGroup([[1, 0], [0, 1]], identity=0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: CayleyGroup([]), "must be nonempty"),
+    # Row 1 holds every index, so only its length shows it is not a table row.
+    (lambda: CayleyGroup([[0, 1, 2], [1, 2, 0, 0], [2, 0, 1]]), "row 1 has length 4, expected 3"),
+    (lambda: CayleyGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], identity=3),
+     "identity index 3 out of range"),
+    (lambda: cyclic_group(3).mul(0, 3), "do not index"),
+    (lambda: cyclic_group(3).inv(3), "does not index"),
+    (lambda: Window(LatticeGroup(1), [(0,), (1,), (0,)]), r"duplicate window element \(0,\)"),
+    (lambda: cyclic_group(0), "order must be >= 1"),
+    (lambda: symmetric_group(7), "1 <= n <= 6"),
+    (lambda: dihedral_group(0), "needs n >= 1"),
+], ids=["empty", "ragged", "identity-out-of-range", "mul-operand", "inv-operand",
+        "duplicate-window-element", "cyclic-0", "symmetric-7", "dihedral-0"])
+def test_malformed_groups_and_operands_are_refused_by_name(call, match):
+    with pytest.raises(UsageError, match=match):
+        call()
+
+
 def test_rejects_missing_inverse():
     # Latin square with a left-identity only; row 0 works but no two-sided setup
     with pytest.raises(UsageError):

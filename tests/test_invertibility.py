@@ -564,6 +564,25 @@ def test_invert_finite_rejects_lattice_input():
         invert_finite(delta(Z, (0,)))
 
 
+_GEOMETRIC = delta(Z, (0,), 2.0) + delta(Z, (1,))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: invert_finite(delta(cyclic_group(257), 0, 2.0)), ResourceLimitError,
+     "group order 257 exceeds cap 256"),
+    (lambda: wiener_certify(_GEOMETRIC, grid=1), UsageError, "at least 2 points per axis"),
+    # 2049^2 = 4,198,401 points, just past GRID_CAP = 2^22.
+    (lambda: wiener_certify(delta(LatticeGroup(2), (0, 0), 2.0), grid=2049), ResourceLimitError,
+     "grid of 4198401 points exceeds cap"),
+    (lambda: neumann_invert(_GEOMETRIC, terms=-1), UsageError, "terms must be >= 0"),
+    (lambda: invert_via_fft(delta(FreeGroup(1), (), 2.0)), UsageError,
+     "invert_via_fft needs a lattice element"),
+], ids=["finite-order-cap", "grid-below-2", "grid-cap", "negative-terms", "fft-free-group"])
+def test_oracles_refuse_arguments_out_of_range(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # symbol certification on Z.  Oracle for the flagship example: the geometric
 # series (2 d0 + d1)^-1 has coefficients g(n) = (-1)^n 2^-(n+1), n >= 0.
@@ -1983,6 +2002,8 @@ def test_auto_invert_dispatch_kinds():
 def test_auto_invert_method_validation():
     with pytest.raises(UsageError):
         auto_invert(delta(Z, (0,)), method="finite")
+    with pytest.raises(UsageError, match="the exact finite solve is unweighted"):
+        auto_invert(delta(cyclic_group(3), 0), ExpSymmetricWeight(2), method="finite")
     with pytest.raises(UsageError):
         auto_invert(delta(Z, (0,)), ExpSymmetricWeight(2), method="wiener")
     with pytest.raises(UsageError):

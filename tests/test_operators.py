@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from galab.algebra import AlgebraElement, QComplex, convolve, delta
-from galab.errors import UsageError
-from galab.groups import LatticeGroup, dihedral_group
+from galab.errors import ResourceLimitError, UsageError
+from galab.groups import FreeGroup, LatticeGroup, dihedral_group
 from galab.operators import (
     action_matrix,
     apply_convolution_action,
@@ -319,3 +319,19 @@ def test_symbol_grid_refuses_an_l1_norm_past_the_float_range():
     # Just inside the range the grid is computed.
     g = delta(Z, (0,), 1e308) + delta(Z, (1,), 7e307)
     assert abs(symbol_grid(g, (8,))[0]) == pytest.approx(1.7e308)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # 3163 window points by 3163 input points: 10,004,569 entries, past ENTRY_CAP.
+    (lambda: action_matrix(delta(Z, (0,)), Z.ball(1581)), ResourceLimitError,
+     "matrix would hold 10004569 entries, cap is 10000000"),
+    (lambda: symbol_grid(delta(FreeGroup(1), ()), (4,)), UsageError, "needs a lattice element"),
+    (lambda: symbol_grid(delta(Z, (0,)), (4, 4)), UsageError, "bad grid sizes"),
+    (lambda: symbol_grid(delta(Z2, (0, 0)), (4, 0)), UsageError, "bad grid sizes"),
+    (lambda: fourier_eval(delta(FreeGroup(1), ()), [0.0]), UsageError, "needs a lattice element"),
+    (lambda: fourier_eval(delta(Z, (0,)), [0.0, 1.0]), UsageError, "expected 1 angles, got 2"),
+], ids=["action-matrix-cap", "grid-free-group", "grid-rank", "grid-zero-size",
+        "fourier-free-group", "fourier-angles"])
+def test_operators_refuse_what_they_cannot_build(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -392,6 +392,19 @@ def test_table_weight_ball_json_round_trip():
         assert again.value(Z, x) == tw.value(Z, x)
 
 
+@pytest.mark.parametrize("obj, group, match", [
+    ({"kind": "table", "entries": [[[0], 1]]}, None, "need the group to decode their elements"),
+    ({"kind": "table", "ball_radius": 1, "values": [1, 1, 1]}, None, "need the group to decode"),
+    ({"kind": "table", "entries": [[[0], 1], [[1], 2], [[0], 2]]}, Z,
+     r"table element \(0,\) is repeated"),
+    ({"kind": "exp_symmetric", "base": 0}, None, "base must be positive"),
+], ids=["entries-without-group", "ball-without-group", "repeated-element", "exp-base-0"])
+def test_weight_from_json_refuses_by_name(obj, group, match):
+    # A repeated table element once kept its last value without notice.
+    with pytest.raises(UsageError, match=match):
+        weight_from_json(obj, group)
+
+
 def test_weight_from_json_reports_missing_fields():
     with pytest.raises(UsageError, match="missing field"):
         weight_from_json({"kind": "exp_symmetric"})
@@ -405,6 +418,10 @@ def test_weight_from_json_reports_missing_fields():
 # character domination.  For w(n) = 2^n (1+|n|) on [-50, 50] the constraint
 # <c, n> <= log w(n) pins c into [ln2 - ln(51)/50, ln2 + ln(51)/50]; the
 # midpoint is ln 2.
+
+
+# 2^|x| / 2: below 1 only at the identity.
+HALVED = ProductWeight([ExpSymmetricWeight(2), ConstantWeight(0.5)])
 
 
 def growth_weight():
@@ -452,6 +469,10 @@ def test_dominate_infeasible_has_certificate():
     assert result.character is None
     a, b = result.certificate_pair
     assert a[0] * b[0] < 0  # one constraint from each side
+    # Every c meets the constraints at n != 0, and none meets w(0) >= 1.
+    result = dominate_character(HALVED, Z, 5)
+    assert not result.feasible and result.character is None
+    assert result.lower <= result.upper and result.certificate_pair == ((0,), (0,))
 
 
 def _seeded_coefficients(seed):
@@ -491,7 +512,8 @@ def test_dominate_rank2(coefficients, radius):
     (TableWeight({x: math.exp(-1 if x in {(1, 0), (0, 1), (-1, -1)} else 10)
                   for x in ball(Z2, 2)}), 2),
     (ExpSymmetricWeight(0.5), 3),
-], ids=["three-points", "exp-symmetric-decay"])
+    (HALVED, 5),
+], ids=["three-points", "exp-symmetric-decay", "identity-below-1"])
 def test_dominate_rank2_infeasible_reports_no_pair(weight, radius):
     # The pair of constraints most violated at the LP's centre was reported as
     # a certificate: ((-1, -1), (1, 0)) and ((-3, -3), (-3, 3)) here, each
@@ -540,6 +562,13 @@ def test_rescale_rejects_character_above_weight():
     too_big = Character((1.0,))
     with pytest.raises(ContractViolationError):
         rescale_by_character(w, too_big, delta(Z, (0,)), Z.ball(3))
+    # The identity's constraint: w(0) = 1/2 < 1 = phi(0), though w >= phi elsewhere.
+    with pytest.raises(ContractViolationError, match=r"at \(0,\)"):
+        rescale_by_character(HALVED, Character((0.0,)), delta(Z, (0,)), Z.ball(5))
+    with pytest.raises(UsageError, match="lattices only"):
+        rescale_by_character(w, Character(()), delta(FreeGroup(1), ()), ball(FreeGroup(1), 1))
+    with pytest.raises(UsageError, match="character of rank 2 on a lattice of rank 1"):
+        rescale_by_character(w, Character((0.0, 0.0)), delta(Z, (0,)), Z.ball(3))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .groups import GroupSpec, LatticeGroup, Window, _integer, ball
 
 # Relative gap within which two floats count as equal: w(x) and w(x^-1) in
-# check_weight; in _chebyshev_centre's simplex, 0 and a reduced cost (against
-# max(1, max |log w|)), or a ratio-test step (against the largest).
+# check_weight; in _chebyshev_centre's ratio test, a step and 0 (against the
+# largest step).
 REL_TOL = 1e-12
 UNIT_ROUNDOFF = 2.0**-53  # u: a rounded float operation errs by a factor within 1 +- u
 DOMINATE_BALL_CAP = 200000  # largest ball dominate_character scans
@@ -157,6 +157,15 @@ class Weight(metaclass=_Immutable):
         """Why w(x*y) <= w(x) * w(y) holds on group, or None when it is not proven."""
         return None
 
+    def exponent_size(self, points) -> float:
+        """A bound, over the rows x of points (a float numpy array), on the sum
+        of |a_i x_i| over each sum <a, x> that evaluating w(x) exponentiates.
+        Each such sum is rounded before exp, so it errs in log w(x) by about
+        d u times its size, whatever log w(x) is.  A value read or raised
+        from one number (a table, a constant, base ** n) exponentiates none,
+        and errs by a rounding or two."""
+        return 0.0
+
 
 class ConstantWeight(Weight):
     """w(x) = value, a positive constant (1 gives the plain l1 algebra); it is
@@ -232,6 +241,9 @@ class ExpDirectionalWeight(Weight):
         else:
             s = (c * v for c, v in zip(self.coefficients, x))
         return _exp(s, "exp_directional weight value")
+
+    def exponent_size(self, points):
+        return _exponent_size(self.coefficients, points.clip(min=0) if self.rectified else points)
 
     def submultiplicative_proof(self, group):
         if not self.rectified:
@@ -331,6 +343,9 @@ class QuotientWeight(Weight):
             self.numerator.value(group, x) / self.character.value(x), "quotient weight value"
         )
 
+    def exponent_size(self, points):
+        return self.numerator.exponent_size(points) + _exponent_size(self.character.c, points)
+
     def submultiplicative_proof(self, group):
         if self.numerator.submultiplicative_proof(group) is None:
             return None
@@ -363,6 +378,9 @@ class ProductWeight(Weight):
             out = out * f.value(group, x)
         return _checked(out, "product weight value")
 
+    def exponent_size(self, points):
+        return sum(f.exponent_size(points) for f in self.factors)
+
     def submultiplicative_proof(self, group):
         if any(f.submultiplicative_proof(group) is None for f in self.factors):
             return None
@@ -370,6 +388,11 @@ class ProductWeight(Weight):
 
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
+
+
+def _exponent_size(coefficients, points) -> float:
+    """The largest sum of |a_i x_i| over the rows x of points."""
+    return float(abs(points * coefficients).sum(axis=1).max(initial=0.0))
 
 
 def _length_only(weight: Weight) -> bool:
@@ -600,7 +623,7 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     read inverted within the tolerance.  An infeasible ball reports, as its
     certificate, (e, e) when w(e) < 1, else the crossing pair.  Higher rank
     takes the c that maximizes the least margin, by a simplex on the LP's
-    dual (_chebyshev_centre), so the choice stays deterministic.  Its
+    dual (_Domination.centre), so the choice stays deterministic.  Its
     infeasibility is reported uncertified: there two constraints need not
     certify it, since d + 1 can be needed.
     """
@@ -610,89 +633,86 @@ def dominate_character(weight: Weight, group: LatticeGroup,
     if radius < 1:
         raise UsageError(f"radius must be >= 1, got {radius}")
     rule = _Domination(weight, group, ball(group, radius, cap=DOMINATE_BALL_CAP))
-    c = rule.centre()
-    violation = rule.violation(c)
     found = {}
     if group.rank == 1:
-        found = {"lower": rule.lower, "upper": rule.upper}
-        if violation is not None:
-            e = group.identity
-            found["certificate_pair"] = (
-                (e, e) if violation[0] == e else (rule.lower_at, rule.upper_at))
-    if violation is not None:
-        return DominationResult(feasible=False, character=None, radius=radius, **found)
-    return DominationResult(feasible=True, character=Character(c), radius=radius, **found)
+        lower, lower_at, upper, upper_at = rule.interval()
+        c = ((lower + upper) / 2,)
+        found = {"lower": lower, "upper": upper}
+    else:
+        c = rule.centre()
+    violation = rule.violation(c)
+    if violation is None:
+        return DominationResult(feasible=True, character=Character(c), radius=radius, **found)
+    if group.rank == 1:
+        e = group.identity
+        found["certificate_pair"] = (e, e) if violation[0] == e else (lower_at, upper_at)
+    return DominationResult(feasible=False, character=None, radius=radius, **found)
 
 
 class _Domination:
     """The one rule that judges phi = exp(<c, .>) <= w on a lattice window.
 
-    phi <= w reads <c, x> <= log w(x) at each point x != e of the window, and
-    0 <= log w(e) at the identity when the window holds it.  A c passes when
-    the least margin t = min (log w(x) - <c, x>) / |x|_2 over the points
-    x != e, and log w(e), are both >= -tol, where
-    tol = kappa u max(1, max |log w|) bounds the rounding of one margin:
-    kappa = 2d + 2 roundings on Z^d, in the log, the d products and d - 1
-    sums of <c, x>, the subtraction and the division (u = UNIT_ROUNDOFF).
-    Rank 1 reads t from the interval [lower, upper] of the c that meet every
-    constraint at x != e, as t = min(upper - c, c - lower); higher rank reads
-    it per point, on numpy arrays.
+    phi <= w reads <c, x> <= log w(x) at each point x of the window, the
+    identity included.  A c passes when the least margin
+    t = min (log w(x) - <c, x>) / max(1, |x|_2) over the window is >= -tol:
+    at x != e the divisor is |x|_2 >= 1, and at e the margin is log w(e).
+    tol = kappa u max(1, L) bounds the rounding of one margin, with
+    u = UNIT_ROUNDOFF.  kappa = 2d + 2 counts its roundings on Z^d: the log,
+    the d products and d - 1 sums of <c, x>, the subtraction and the
+    division.  L = max |log w| + w.exponent_size(window) is their scale:
+    the second term bounds the rounding inside w itself, which a quotient
+    of two large characters that nearly cancel makes far larger than
+    u |log w|.  The window is held as numpy arrays: its points' columns
+    (x, |x|_2) and their log w.
     """
 
     def __init__(self, weight: Weight, group: LatticeGroup, window: Window):
-        self.identity = e = group.identity
-        points = [x for x in window if x != e]
-        logs = [math.log(weight.value(group, x)) for x in points]
-        self.log_e = math.log(weight.value(group, e)) if e in window else 0.0
-        self.tol = ((2 * group.rank + 2) * UNIT_ROUNDOFF
-                    * max(1.0, abs(self.log_e), *map(abs, logs)))
-        self.rank = group.rank
-        if self.rank == 1:
-            lower, lower_at = -math.inf, None
-            upper, upper_at = math.inf, None
-            for x, log in zip(points, logs):
-                bound = log / x[0]
-                if x[0] > 0:
-                    if bound < upper:
-                        upper, upper_at = bound, x
-                elif bound > lower:
-                    lower, lower_at = bound, x
-            self.lower, self.lower_at, self.upper, self.upper_at = lower, lower_at, upper, upper_at
-        else:
-            import numpy as np
+        import numpy as np
 
-            cols = np.array(points, dtype=float).reshape(len(points), self.rank)
-            self.points = points
-            self.cols = np.column_stack((cols, np.sqrt((cols * cols).sum(axis=1))))
-            self.logs = np.array(logs)
+        self.points = list(window)
+        self.logs = np.array([math.log(weight.value(group, x)) for x in self.points])
+        cols = np.array(self.points, dtype=float).reshape(len(self.points), group.rank)
+        self.cols = np.column_stack((cols, np.sqrt((cols * cols).sum(axis=1))))
+        size = abs(self.logs).max(initial=0.0) + weight.exponent_size(cols)
+        self.tol = (2 * group.rank + 2) * UNIT_ROUNDOFF * max(1.0, size)
+
+    def interval(self) -> tuple:
+        """Rank 1: (lower, lower_at, upper, upper_at), the interval of the c
+        that meet every constraint at x != e, and the points that bound it."""
+        lower, lower_at = -math.inf, None
+        upper, upper_at = math.inf, None
+        for x, log in zip(self.points, self.logs.tolist()):
+            bound = log / x[0] if x[0] else None
+            if x[0] > 0 and bound < upper:
+                upper, upper_at = bound, x
+            elif x[0] < 0 and bound > lower:
+                lower, lower_at = bound, x
+        return lower, lower_at, upper, upper_at
 
     def centre(self) -> tuple:
-        """The c dominate_character offers: the interval's midpoint in rank 1,
-        the LP's Chebyshev centre in higher rank (which needs a box)."""
-        if self.rank == 1:
-            return ((self.lower + self.upper) / 2,)
-        return _chebyshev_centre(self.points, self.cols, self.logs)
+        """The c maximizing the least margin over x != e, found by a simplex on
+        the LP's dual (_chebyshev_centre); the window must hold a box."""
+        lattice = self.cols[:, -1] > 0
+        points = [x for x, keep in zip(self.points, lattice.tolist()) if keep]
+        return _chebyshev_centre(points, self.cols[lattice], self.logs[lattice], self.tol)
+
+    def gaps(self, c):
+        """log w(x) - <c, x> at each point of the window."""
+        import numpy as np
+
+        return self.logs - self.cols[:, :-1] @ np.array(c, dtype=float)
 
     def violation(self, c) -> tuple | None:
-        """None when exp(<c, .>) passes the rule, else (x, m): e and log w(e)
-        when that constraint fails, or a point x of least margin m."""
-        if self.log_e < -self.tol:
-            return self.identity, self.log_e
-        if self.rank == 1:
-            t, x = min((self.upper - c[0], self.upper_at), (c[0] - self.lower, self.lower_at),
-                       key=lambda pair: pair[0])
-        elif self.points:
-            import numpy as np
-
-            margins = (self.logs - self.cols[:, :-1] @ np.array(c)) / self.cols[:, -1]
-            i = int(margins.argmin())
-            t, x = float(margins[i]), self.points[i]
-        else:
+        """None when exp(<c, .>) passes the rule, else (x, t): a point x of
+        least margin t."""
+        if not self.points:
             return None
-        return None if t >= -self.tol else (x, t)
+        margins = self.gaps(c) / self.cols[:, -1].clip(min=1)
+        i = int(margins.argmin())
+        return None if margins[i] >= -self.tol else (self.points[i], float(margins[i]))
 
 
-def _chebyshev_centre(points: list, cols, logs) -> tuple:
+def _chebyshev_centre(points: list, cols, logs, tol: float) -> tuple:
     """The c maximizing t subject to <c, x> + t |x|_2 <= logs[i] at each
     x = points[i], whose row of cols is (x, |x|_2), by a primal simplex on
     the dual LP
@@ -704,16 +724,17 @@ def _chebyshev_centre(points: list, cols, logs) -> tuple:
     points is a punctured box, so it holds -e_1, e_1, e_2, ..., e_d, whose
     columns are a feasible basis (y = 1/2, 1/2, 0, ...): no phase 1 runs, and
     as sum y_x |x|_2 = 1 bounds y, the optimum is finite.  A point enters while
-    its reduced cost is below -REL_TOL max(1, max |logs|): the most negative
-    one (Dantzig), or right after a degenerate pivot the first in points, with
-    ties in the ratio test left by the first basic point (Bland, Math. Oper.
-    Res. 1977).  So a run of degenerate pivots repeats no basis, and every
-    other pivot lowers the cost.
+    its reduced cost is below -tol, the verdict's own tolerance: the most
+    negative one (Dantzig), or right after a degenerate pivot the first in
+    points, with ties in the ratio test left by the first basic point (Bland,
+    Math. Oper. Res. 1977).  So a run of degenerate pivots repeats no basis,
+    and every other pivot lowers the cost.  At the end each margin at c is
+    >= t_B - tol, and t_B bounds the optimum t* from above (weak duality), so
+    a ball with t* >= 0 is never judged infeasible.
     """
     import numpy as np
 
     d = cols.shape[1] - 1
-    tol = REL_TOL * max(1.0, float(np.abs(logs).max()))
     at = {points[i]: i for i in np.flatnonzero(cols[:, d] == 1)}  # the points +-e_k
     units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     basis = [at[tuple(-v for v in units[0])], *(at[u] for u in units)]
@@ -764,8 +785,8 @@ def rescale_by_character(weight: Weight, character: Character, element: AlgebraE
 
     Judges phi <= w on the window by dominate_character's rule (_Domination),
     raising ContractViolationError exactly when it fails; reports min w/phi
-    over the window, and measures twist(a*b) - twist(a)*twist(b) for each
-    supplied pair (a, b).
+    over the window, read off the rule's logs, and measures
+    twist(a*b) - twist(a)*twist(b) for each supplied pair (a, b).
     """
     group = window.group
     if not isinstance(group, LatticeGroup):
@@ -773,11 +794,13 @@ def rescale_by_character(weight: Weight, character: Character, element: AlgebraE
     rescaled = QuotientWeight(weight, character)
     if len(character.c) != group.rank:
         raise UsageError(f"character of rank {len(character.c)} on a lattice of rank {group.rank}")
-    violation = _Domination(weight, group, window).violation(character.c)
+    rule = _Domination(weight, group, window)
+    violation = rule.violation(character.c)
     if violation is not None:
         x, m = violation
         raise ContractViolationError(f"character exceeds the weight at {x!r}: margin {m}")
-    min_val = min((float(rescaled.value(group, x)) for x in window), default=math.inf)
+    gaps = rule.gaps(character.c)
+    min_val = _exp((float(gaps.min()),), "rescaled weight value") if len(gaps) else math.inf
     residuals = []
     for a, b in pairs:
         direct = character_twist(character, a * b)

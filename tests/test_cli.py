@@ -261,6 +261,15 @@ def test_dominate_feasible_and_infeasible(capsys):
     assert "conflicting constraints at ((0,), (0,))" in capsys.readouterr().out
     assert main(["dominate", "--weight", halved, "--radius", "5",
                  "--group", '{"kind":"Z","rank":2}']) == 2
+    # log w = 4e-13 at +-e_1 and 0 elsewhere on Z^2: c = 0 passes, though the
+    # simplex's first basis reads a margin of -4e-13 at -e_2.
+    surplus = json.dumps({"kind": "table", "entries": [
+        [[i, j], 1.0000000000004 if (i, j) in ((1, 0), (-1, 0)) else 1.0]
+        for i in (-1, 0, 1) for j in (-1, 0, 1)]})
+    capsys.readouterr()
+    assert main(["dominate", "--weight", surplus, "--radius", "1",
+                 "--group", '{"kind":"Z","rank":2}']) == 0
+    assert "feasible: True" in capsys.readouterr().out
 
 
 def test_probe_exit_codes(tmp_path):

@@ -11,15 +11,14 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from galab import invertibility
 from galab.algebra import AlgebraElement, QComplex, convolve, delta
 from galab.errors import ContractViolationError
 from galab.groups import LatticeGroup, ball, cyclic_group
 from galab.invertibility import invert_finite, probe_quotients
 from galab.weights import (Character, ConstantWeight, ExpDirectionalWeight, ExpSymmetricWeight,
-                           ProductWeight, TableWeight, dominate_character, rescale_by_character)
+                           ProductWeight, QuotientWeight, TableWeight, dominate_character,
+                           rescale_by_character)
 
 Z = LatticeGroup(1)
 MODULI = range(2, 13)
@@ -124,23 +123,32 @@ def test_the_near_threshold_c4_element_is_refuted_by_both_float_oracles():
 
 def _near_character(rng):
     """(weight, group, radius, a) on Z, Z^2 or Z^3: the character exp(<a, x>)
-    as a weight; a table of it with log deficits drawn up to eps |x|_2, eps
-    in {0, 1e-13, ..., 1e-10}; or it, or 8^|x|, times a constant below 1,
-    which puts w(e) below 1 (by less than the rounding for 1 - 1e-15)."""
+    as a weight; a table of it with log surpluses or deficits drawn up to
+    eps |x|_2, eps in {0, 1e-13, ..., 1e-10}; it, or 8^|x|, times a constant
+    below 1, which puts w(e) below 1 (by less than the rounding for
+    1 - 1e-15); or it as a quotient or a product of characters whose
+    coefficients, of size 10-50, cancel down to a."""
     d = rng.randint(1, 3)
     group, radius = LatticeGroup(d), rng.randint(1, (40, 8, 3)[d - 1])
     a = tuple(rng.uniform(-2, 2) for _ in range(d))
     character = ExpDirectionalWeight(a, rectified=False)
-    kind = rng.randrange(3)
+    kind = rng.randrange(4)
     if kind == 0:
         return character, group, radius, a
     if kind == 1:
-        eps = rng.choice((0, 1e-13, 1e-12, 1e-11, 1e-10))
+        eps = rng.choice((0, 1e-13, 1e-12, 1e-11, 1e-10)) * rng.choice((-1, 1))
         return TableWeight({x: math.exp(sum(ai * xi for ai, xi in zip(a, x))
-                                        - rng.uniform(0, eps) * math.hypot(*x))
+                                        + rng.uniform(0, eps) * math.hypot(*x))
                             for x in ball(group, radius)}), group, radius, a
-    below = ConstantWeight(rng.choice((0.5, 1 - 1e-6, 1 - 1e-15)))
-    return ProductWeight([rng.choice((character, ExpSymmetricWeight(8))), below]), group, radius, a
+    if kind == 2:
+        below = ConstantWeight(rng.choice((0.5, 1 - 1e-6, 1 - 1e-15)))
+        return (ProductWeight([rng.choice((character, ExpSymmetricWeight(8))), below]),
+                group, radius, a)
+    b = tuple(rng.choice((-1, 1)) * rng.uniform(10, 50) for _ in range(d))
+    top = ExpDirectionalWeight([ai + bi for ai, bi in zip(a, b)], rectified=False)
+    weight = rng.choice((QuotientWeight(top, Character(b)), ProductWeight(
+        [top, ExpDirectionalWeight([-bi for bi in b], rectified=False)])))
+    return weight, group, min(radius, int(600 / sum(map(abs, b)))), a
 
 
 def test_dominate_character_is_feasible_exactly_when_rescale_by_character_accepts_it():
@@ -150,7 +158,7 @@ def test_dominate_character_is_feasible_exactly_when_rescale_by_character_accept
     # one the weight was drawn around; none can pass when the best c fails.
     rng = random.Random(5)
     feasible = infeasible = 0
-    for _ in range(300):
+    for _ in range(400):
         weight, group, radius, a = _near_character(rng)
         result = dominate_character(weight, group, radius)
         character = result.character if result.feasible else Character(a)

@@ -450,8 +450,47 @@ def _table_over_character(seed):
     return pytest.param(w, group, radius, id=f"table-Z{group.rank}-r{radius}")
 
 
+def _surplus_table(seed):
+    """A table on Z^2 or Z^3 with log w(x) = <a, x> plus a surplus drawn up to
+    eps |x|_2 at half the points, eps at most 4e-13: the optimum t* is >= 0,
+    though it can be 0."""
+    rng = random.Random(seed)
+    group = LatticeGroup(2 + seed % 2)
+    a = tuple(rng.choice((0.0, rng.uniform(-2, 2))) for _ in range(group.rank))
+    eps = rng.choice((1e-15, 1e-14, 1e-13, 4e-13))
+    radius = 1 + seed // 2 % 3
+    w = TableWeight({x: math.exp(sum(ai * xi for ai, xi in zip(a, x))
+                                 + rng.choice((0, rng.uniform(0, eps))) * math.hypot(*x))
+                     for x in ball(group, radius)})
+    return pytest.param(w, group, radius, id=f"surplus-seed{seed}")
+
+
+def _cancelling(seed):
+    """exp(<a, x>) on Z or Z^2 as a quotient or a product of characters whose
+    coefficients, of size 10-50, cancel down to a: the rounding inside w is
+    u |<b, x>|, far more than u |log w(x)|."""
+    rng = random.Random(seed)
+    d = 1 + seed % 2
+    a = tuple(rng.choice((0.0, rng.uniform(-1, 1))) for _ in range(d))
+    b = tuple(rng.choice((-1, 1)) * rng.uniform(10, 50) for _ in range(d))
+    top = ExpDirectionalWeight([bi + ai for ai, bi in zip(a, b)], rectified=False)
+    if seed % 4 < 2:
+        w = QuotientWeight(top, Character(b))
+    else:
+        w = ProductWeight([top, ExpDirectionalWeight([-bi for bi in b], rectified=False)])
+    return pytest.param(w, LatticeGroup(d), 6, id=f"cancelling-seed{seed}")
+
+
 @pytest.mark.parametrize("weight, group, radius", [
     pytest.param(growth_weight(), Z, 50, id="growth-Z"), *map(_table_over_character, range(6)),
+    # log w = 4e-13 at +-e_1 and 0 elsewhere: c = 0 passes with t = 0, but the
+    # simplex's first basis reads -4e-13 at -e_2, so a reduced-cost test
+    # looser than the rule's tolerance stops there and fails the ball.
+    pytest.param(TableWeight({x: 1 + 4e-13 if x in {(1, 0), (-1, 0)} else 1.0
+                              for x in ball(Z2, 1)}), Z2, 1, id="surplus-at-e1"),
+    *map(_surplus_table, range(12)),
+    # A tolerance scaled by |log w| alone misses the rounding inside these.
+    *map(_cancelling, range(8)),
 ])
 def test_dominate_character_lies_below_weight(weight, group, radius):
     result = dominate_character(weight, group, radius)

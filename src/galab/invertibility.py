@@ -545,44 +545,109 @@ def _vanishes(value: float, norm: float) -> bool:
     return value <= SINGULAR_TOL * norm
 
 
+def _norm_exponent(norm: float) -> int:
+    """e with 2^e ~ norm = |ff|_1: frexp's exponent, stopped at -1022 and
+    1022, the bounds within which 2^e and 2^-e are normal floats."""
+    return min(max(math.frexp(norm)[1], -1022), 1022)
+
+
 def _over_norm(ff: AlgebraElement, norm: float) -> tuple:
     """(e, terms): the float element ff's terms divided by 2^e ~ norm = |ff|_1.
 
-    Their l1 norm is in [1/2, 1), or in [2^-52, 4) where e stops at -1022
-    or 1022, the bounds within which 2^e and 2^-e are normal floats.  A
-    power of two scales floats exactly away from subnormals (the sign of a
-    zero part aside, which no sum of the terms keeps)."""
-    e = min(max(math.frexp(norm)[1], -1022), 1022)
+    Their l1 norm is in [1/2, 1), or in [2^-52, 4) where e stops
+    (_norm_exponent).  A power of two scales floats exactly away from
+    subnormals (the sign of a zero part aside, which no sum of the terms
+    keeps)."""
+    e = _norm_exponent(norm)
     scale = 2.0**-e
     return e, {n: a * scale for n, a in ff.items()}
+
+
+def _half_spectrum(ff: AlgebraElement, scale: float, size: int) -> np.ndarray:
+    """The unscaled forward transform (rfftn) of the real parts of ff * scale,
+    folded modulo size on every axis: a complex array of shape
+    (size, ..., size, size // 2 + 1), column-major as symbol_grid's.
+
+    Entry k is sum_m x(m) exp(-2 pi i <k, m> / size), the conjugate of
+    symbol_grid's sample at k for a real ff: the moduli are the same up to
+    rounding, and |sample| at -k equals |sample| at k, so the half grid holds
+    every modulus of the full one.  As in symbol_grid, the terms of each
+    occupied line along the last axis are summed into one block, that block
+    is transformed (rfft), scattered, and the other axes run in place.
+    """
+    import numpy as np
+    d = ff.group.rank
+    if d == 1:
+        line = np.zeros(size)
+        for (n,), amp in ff.items():
+            line[n % size] += amp.real * scale
+        return np.fft.rfft(line)
+    rows, cells = {}, []
+    for n, amp in ff.items():
+        idx = tuple([ni % size for ni in n])
+        cells.append((rows.setdefault(idx[:-1], len(rows)), idx[-1], amp.real * scale))
+    block = np.zeros((len(rows), size))
+    for row, k, a in cells:
+        block[row, k] += a
+    arr = np.zeros((size,) * (d - 1) + (size // 2 + 1,), dtype=complex, order="F")
+    if rows:
+        arr[tuple(zip(*rows))] = np.fft.rfft(block)
+    np.fft.fftn(arr, axes=tuple(range(d - 1)), out=arr)
+    return arr
 
 
 def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     """(g, k, vmin): the sampled-symbol division candidate g of the float
     lattice element ff on the size^d grid, and the first least |sample|
     vmin, at index k; g is None when vmin vanishes (_vanishes).  The grid
-    samples ff / 2^e (_over_norm), and the kept terms are scaled back by
-    2^-e, so they are those of ff's own transform bit for bit away from
+    samples ff / 2^e (_norm_exponent), and the kept terms are scaled back
+    by 2^-e, so they are those of ff's own transform bit for bit away from
     subnormals.  Those samples are at most 4, and above SINGULAR_TOL * 2^-52
     unless they vanish, so no reciprocal of one, or sum of them, leaves
-    the float range.  An element whose largest inverse coefficient is past
-    the float range is refused with UsageError before numpy could warn:
-    every finer grid holds these samples, so no doubling of the size
-    helps, and no verdict is implied.
+    the float range.  An element whose l1 norm overflows, or whose largest
+    inverse coefficient is past the float range, is refused with
+    UsageError before numpy could warn: every finer grid holds these
+    samples, so no doubling of the size helps, and no verdict is implied.
+
+    A real ff (every imaginary part zero) has a real inverse: conj(g) also
+    inverts it, and inverses are unique.  Its candidate is built on the half
+    spectrum (_half_spectrum, then the inverse transforms of irfftn), k is
+    the first least sample of that half grid, and every kept term has
+    imaginary part +0.0.  For any g, Re(g) * ff - e is the real part of
+    g * ff - e, so dropping the imaginary parts never raises an entry of
+    the residual in exact arithmetic.  A complex ff is sampled by
+    symbol_grid and transformed back by fftn.  Both paths share the zero
+    test, the overflow guards, the chop and the key order.
     """
     import numpy as np
     d = ff.group.rank
     norm = ff.norm()
-    e, scaled = _over_norm(ff, norm)
-    vals = symbol_grid(_make(ff.group, False, scaled), (size,) * d)
+    if norm == math.inf:  # as symbol_grid refuses it, before any transform
+        raise UsageError("the element's l1 norm overflows the float range")
+    real = not any(a.imag for _, a in ff.items())
+    if real:
+        e = _norm_exponent(norm)
+        vals = _half_spectrum(ff, 2.0**-e, size)
+    else:
+        e, scaled = _over_norm(ff, norm)
+        vals = symbol_grid(_make(ff.group, False, scaled), (size,) * d)
     kmin, vmin = _grid_min(vals)
     vmin *= 2.0**e
     if _vanishes(vmin, norm):
         return None, kmin, vmin
-    # The samples turn into the coefficients in place, so a single complex
-    # grid is live through the division and the transform.
+    # The samples turn into their reciprocals in place, so one grid (half of
+    # one for a real ff) is live through the division and the transforms.
+    # For a real ff the leading axes run in place too, in irfftn's order of
+    # axes, so with irfftn's bits; only irfft's real result is a new array,
+    # and it replaces the grid (irfftn would allocate one more half grid).
     coeff = np.divide(1.0, vals, out=vals)
-    np.fft.fftn(coeff, out=coeff)
+    del vals
+    if real:
+        for axis in range(d - 1):
+            np.fft.ifft(coeff, axis=axis, norm="forward", out=coeff)
+        coeff = np.fft.irfft(coeff, n=size, norm="forward")
+    else:
+        np.fft.fftn(coeff, out=coeff)
     # The chop runs on the unscaled transform: size**d is a power of two, so
     # dividing by it changes neither the order of the moduli nor their
     # comparison with the threshold, and only the kept terms are divided.
@@ -603,7 +668,8 @@ def _fft_candidate(ff: AlgebraElement, size: int) -> tuple:
     kept = coeff[idx] / size**d
     parts = kept.view(np.float64)  # scaled part by part, so a zero keeps its sign
     parts *= back
-    terms = dict(zip(keys, kept.tolist()))
+    # A real kept array turns complex here, with imaginary parts +0.0.
+    terms = dict(zip(keys, kept.astype(complex, copy=False).tolist()))
     return _make(ff.group, False, terms), kmin, vmin
 
 
@@ -640,15 +706,18 @@ def invert_via_fft(f: AlgebraElement, size: int | None = None, *,
     Samples the symbol on the uniform grid, divides 1 by it, transforms
     back, and keeps the coefficients on the centered fundamental domain
     whose amplitudes are at least CHOP_REL of the peak (_fft_candidate).
-    The candidate is only as good as its verified residual: aliasing from
-    slow coefficient decay shows up there.  One with a corner product
-    above tol (_corner_exceeds) cannot meet tol: it is inconclusive, kept
-    with residual None, and no convolution runs; otherwise the residual is
-    read off the one product in one pass (_minus_identity).  A vanishing sample
-    (_vanishes) aborts with the offending frequency; an element whose
-    inverse has a coefficient past the float range is refused with
-    UsageError.  The size, and its default of 512 per axis on Z, 256 on
-    Z^2 and 32 on Z^3, are checked by _inverse_size.
+    A real f is sampled and inverted on the half spectrum, and its inverse
+    is real: every imaginary part is +0.0, and a flagged frequency lies on
+    the half grid.  The candidate is only as good as its verified
+    residual: aliasing from slow coefficient decay shows up there.  One
+    with a corner product above tol (_corner_exceeds) cannot meet tol: it
+    is inconclusive, kept with residual None, and no convolution runs;
+    otherwise the residual is read off the one product in one pass
+    (_minus_identity).  A vanishing sample (_vanishes) aborts with the
+    offending frequency; an element whose inverse has a coefficient past
+    the float range is refused with UsageError.  The size, and its default
+    of 512 per axis on Z, 256 on Z^2 and 32 on Z^3, are checked by
+    _inverse_size.
     """
     _tolerance(tol)
     group = _lattice_only(f, "invert_via_fft")

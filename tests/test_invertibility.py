@@ -1043,12 +1043,18 @@ def test_a_rejected_candidate_runs_no_convolution(monkeypatch):
         grids.append(sizes)
         return symbol_grid_(f, sizes)
 
+    def counted_candidate(ff, size):
+        grids.append((size,))
+        return _fft_candidate(ff, size)
+
     monkeypatch.setattr(invertibility, "symbol_grid", counted_symbol_grid)
+    monkeypatch.setattr(invertibility, "_fft_candidate", counted_candidate)
     cert = wiener_certify(f)
     assert cert.verdict == "invertible" and cert.fields["inverse_size"] == 1024
     assert seen == [cert.inverse.n_terms * 2] and muls == [seen[0]]
-    # The grid scan, then one grid per size: each size's candidate is built
-    # once, by the invert_via_fft call that judges it.
+    # The grid scan, then one candidate per size: each size's candidate is
+    # built once, by the invert_via_fft call that judges it.  f is real, so
+    # its candidates come from the half spectrum, not from symbol_grid.
     assert grids == [(64,), (512,), (1024,)]
 
 
@@ -1171,18 +1177,34 @@ def test_fft_candidate_is_a_valid_element_with_no_zero_amplitude():
         assert all(amp != 0 for _, amp in g.items())
 
 
+def _fft_inverse_peak(f, size):
+    """The verdict of invert_via_fft(f, size) and the peak of traced memory during it."""
+    tracemalloc.start()
+    try:
+        cert = invert_via_fft(f, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return cert.verdict, peak
+
+
 def test_fft_inverse_peak_memory_below_three_grids():
     # The samples, their moduli, the reciprocals and the transform used to be
     # live together; now the division and the transform run in place.
     f = delta(LatticeGroup(2), (0, 0), 2) + delta(LatticeGroup(2), (1, 0), 0.5)
     grid_bytes = 1024 * 1024 * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        cert = invert_via_fft(f, 1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cert.verdict == "invertible"
+    verdict, peak = _fft_inverse_peak(f, 1024)
+    assert verdict == "invertible"
+    assert peak < 3 * grid_bytes
+
+
+def test_complex_fft_inverse_peak_memory_below_three_grids():
+    # The complex twin of the test above: a complex element keeps the full
+    # complex grid, and its division and transform still run in place.
+    f = delta(LatticeGroup(2), (0, 0), 2) + delta(LatticeGroup(2), (1, 0), 0.5j)
+    grid_bytes = 1024 * 1024 * np.dtype(complex).itemsize
+    verdict, peak = _fft_inverse_peak(f, 1024)
+    assert verdict == "invertible"
     assert peak < 3 * grid_bytes
 
 
@@ -1190,6 +1212,31 @@ def _reference_chop(f, size):
     """The kept FFT-inverse terms, by a scan of every grid index in C order."""
     d = f.group.rank
     coeff = np.fft.fftn(1.0 / symbol_grid(f, (size,) * d)) / size**d
+    chop = CHOP_REL * float(np.max(np.abs(coeff)))
+    terms = {}
+    for m in np.ndindex(coeff.shape):
+        if abs(coeff[m]) > chop:
+            key = tuple(int(i) - size if i >= (size + 1) // 2 else int(i) for i in m)
+            terms[key] = complex(coeff[m])
+    return terms
+
+
+def _folded(f, size):
+    """The real parts of f's terms summed into a C-order real grid modulo size."""
+    x = np.zeros((size,) * f.group.rank)
+    for n, amp in f.items():
+        x[tuple(i % size for i in n)] += amp.real
+    return x
+
+
+def _reference_real_chop(f, size):
+    """The kept half-spectrum inverse terms of a real f, by a scan of every
+    grid index of irfftn(1 / rfftn(folded f)) in C order; each value is a
+    complex with imaginary part +0.0."""
+    d = f.group.rank
+    x = _folded(f, size)
+    axes = tuple(range(d))
+    coeff = np.fft.irfftn(1.0 / np.fft.rfftn(x), s=x.shape, axes=axes, norm="forward") / size**d
     chop = CHOP_REL * float(np.max(np.abs(coeff)))
     terms = {}
     for m in np.ndindex(coeff.shape):
@@ -1237,18 +1284,111 @@ def test_fft_chop_matches_index_scan(rank, size):
     assert invert_via_fft(half, size).inverse.support == ((-(size // 2),) * rank,)
     even = _real_even_element(group)
     for f in [half, even] + [_dominant_element(rng, group, 3) for _ in range(4)]:
-        kept = list(invert_via_fft(f, size).inverse.items())
-        assert _bits(kept) == _bits(_reference_chop(f.to_float(), size).items())
-        # One return shape: the candidate, and the first least sample.
+        real = f is half or f is even  # the _dominant_element draws are complex
         ff = f.to_float()
+        kept = list(invert_via_fft(f, size).inverse.items())
+        reference = _reference_real_chop if real else _reference_chop
+        assert _bits(kept) == _bits(reference(ff, size).items())
+        # One return shape: the candidate, and the first least sample, of the
+        # half spectrum for a real f.
         g, kmin, vmin = _fft_candidate(ff, size)
-        assert (kmin, vmin) == _grid_min(symbol_grid(ff, (size,) * rank))
+        samples = np.fft.rfftn(_folded(ff, size)) if real else symbol_grid(ff, (size,) * rank)
+        assert (kmin, vmin) == _grid_min(samples)
+        # That is the full grid's least |sample|, up to rounding, attained at
+        # kmin or at its mirror -kmin.
+        full = np.abs(symbol_grid(ff, (size,) * rank))
+        rounding = 64 * np.finfo(float).eps * ff.norm()
+        assert abs(vmin - full.min()) <= rounding
+        mirror = tuple(-k % size for k in kmin)
+        assert min(abs(full[kmin] - full.min()), abs(full[mirror] - full.min())) <= rounding
         assert _bits(g.items()) == _bits(kept)
         for key, value in kept:
             assert type(key) is tuple and all(type(i) is int for i in key)
             assert type(value) is complex
         if f is even and size <= 8:
             assert all(value.imag == 0 for _, value in kept)
+        if real:
+            assert all(math.copysign(1.0, value.imag) == 1.0 for _, value in kept)
+
+
+def _real_elements(rng, group):
+    """Seeded real elements on group: three whose constant term outweighs the
+    rest by a margin (wider on Z^3, whose default grid is 32 per axis), and
+    1 - rho x^j on the first axis, whose inverse decays more slowly."""
+    d = group.rank
+    out = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            terms[tuple(rng.randint(-3, 3) for _ in range(d))] = rng.uniform(-0.5, 0.5)
+        lead = (1.0 if d < 3 else 4.0) + sum(abs(v) for v in terms.values())
+        terms[(0,) * d] = rng.choice((-1, 1)) * lead
+        out.append(AlgebraElement(group, terms, False))
+    step = (rng.choice((1, -1, 2)),) + (0,) * (d - 1)
+    rho = rng.uniform(0.9, 0.95) if d < 3 else rng.uniform(0.5, 0.7)
+    out.append(AlgebraElement(group, {(0,) * d: 1.0, step: -rho}, False))
+    return out
+
+
+@pytest.mark.parametrize("rank, sizes", [(1, (8, 64, 512, 4096)), (2, (8, 64, 256)),
+                                         (3, (4, 16, 32))])
+def test_real_elements_keep_the_complex_candidates_terms(rank, sizes):
+    # The half-spectrum candidate of a real f keeps the keys of the full
+    # complex transform's candidate (_reference_chop, today's path for complex
+    # input), apart from terms within rounding of the chop threshold; the
+    # values agree to rounding, and every imaginary part is +0.0.  i f takes
+    # the complex path, and wiener_certify gives it the same verdict and size.
+    group = LatticeGroup(rank)
+    rng = random.Random(f"half-spectrum:{rank}")
+    eps = np.finfo(float).eps
+    for f in _real_elements(rng, group):
+        for size in sizes:
+            g = _fft_candidate(f, size)[0]
+            reference = _reference_chop(f, size)
+            peak = max(map(abs, reference.values()))
+            slack = 64 * eps * peak
+            for key in set(g.support) ^ set(reference):
+                amp = reference[key] if key in reference else g.amplitude(key)
+                assert abs(abs(amp) - CHOP_REL * peak) <= slack, (f, size, key)
+            for key, amp in g.items():
+                assert amp.imag == 0 and math.copysign(1.0, amp.imag) == 1.0
+                assert abs(amp - reference.get(key, 0)) <= slack
+        for tol in (1e-10, 1e-12):
+            real, rotated = wiener_certify(f, tol=tol), wiener_certify(1j * f, tol=tol)
+            assert real.verdict == rotated.verdict
+            assert real.fields.get("inverse_size") == rotated.fields.get("inverse_size")
+            if real.invertible:
+                assert real.residual <= tol
+                assert all(amp.imag == 0 for _, amp in real.inverse.items())
+
+
+def test_a_real_vanishing_symbol_is_flagged_on_the_half_grid():
+    # 1 + z^2 vanishes at the frequencies 2 and 6 of the size-8 grid; its half
+    # grid holds 0..4, so 2 is flagged, and the symbol vanishes at its angle.
+    f = delta(Z, (0,), 1.0) + delta(Z, (2,), 1.0)
+    cert = invert_via_fft(f, 8)
+    assert cert.verdict == "inconclusive" and cert.inverse is None
+    assert cert.fields["flagged_frequency"] == [2]
+    assert all(0 <= k <= 8 // 2 for k in cert.fields["flagged_frequency"])
+    value = abs(fourier_eval(f, cert.fields["flagged_angle"]))
+    assert invertibility._vanishes(value, f.norm())
+    assert invertibility._vanishes(cert.fields["flagged_value"], f.norm())
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would escape too
+def test_complex_elements_keep_the_fft_refusals():
+    # The complex twins of the real elements refused above: the l1 norm of
+    # 1e308 (1 + i z) overflows, and 5e-324 i delta_0 has an inverse past
+    # the float range; 1e-306 (2 + i z) is inverted.
+    huge = delta(Z, (0,), 1e308) + delta(Z, (1,), 1e308j)
+    tiny = delta(Z, (0,), 5e-324j)
+    for oracle in (wiener_certify, invert_via_fft):
+        with pytest.raises(UsageError, match="l1 norm overflows"):
+            oracle(huge)
+        with pytest.raises(UsageError, match="FFT inverse would overflow the float range"):
+            oracle(tiny)
+        cert = oracle(delta(Z, (0,), 2e-306) + delta(Z, (1,), 1e-306j))
+        assert cert.verdict == "invertible" and cert.residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------
